@@ -26,7 +26,7 @@ from .linalg import (
     random_low_rank_rect,
 )
 from .matio import load_matrix, load_state, save_matrix, save_state
-from .oracle import MatrixOracle, SparseOracleRecord, oracle_from_generator
+from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import (
     PartialIsometry,
     ProcrustesResult,
@@ -71,7 +71,6 @@ __all__ = [
     "QPEConfig",
     "QPEResult",
     "SVDResult",
-    "SparseOracleRecord",
     "SwapSpectrum",
     "backend_agreement",
     "channel_step",

@@ -27,6 +27,7 @@ from .linalg import (
     hermitize,
     hermiticity_residual,
     nuclear_norm,
+    require_hermitian,
 )
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator
@@ -156,7 +157,7 @@ def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig):
     largest single-step deviation encountered along the chain.
     """
     sigma = require_density(sigma)
-    a = hermitize(oracle.materialize())
+    a = hermitize(require_hermitian(oracle.materialize()))
     a_max = float(np.max(np.abs(a)))
     dt = config.delta_t
     per_step_bound = 2.0 * a_max**2 * dt**2
@@ -207,7 +208,7 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("delta_t values must be strictly descending")
     sigma = require_density(sigma)
-    a = hermitize(oracle.materialize())
+    a = hermitize(require_hermitian(oracle.materialize()))
     a_max = float(np.max(np.abs(a)))
 
     rows = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .channel import EvolutionConfig, effective_rank, error_sweep, evolve, pure_density
-from .linalg import hermitize, random_low_rank, random_low_rank_rect
+from .linalg import hermitize, random_low_rank, random_low_rank_rect, require_hermitian
 from .matio import load_matrix, load_state, matrix_to_json_obj, save_matrix
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import quantum_procrustes_apply
@@ -185,6 +185,7 @@ def cmd_error_sweep(args) -> int:
 def cmd_qpe(args) -> int:
     start = time.perf_counter()
     oracle = _resolve_oracle(args)
+    require_hermitian(oracle.materialize())
     psi = _resolve_psi(args, oracle.dim)
     config = QPEConfig(bits=args.bits, base_time=args.t0,
                        backend=BACKENDS[args.backend],

@@ -13,24 +13,10 @@ measure only the simulated-algorithm path.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hermitize, require_hermitian
-
-
-@dataclass(frozen=True)
-class SparseOracleRecord:
-    """One row of the derived one-sparse oracle over doubled-space labels.
-
-    For input label (j, k) the single potential nonzero of the doubled-space
-    operator sits at label (k, j) and carries the value A[j, k].
-    """
-
-    row_label: tuple[int, int]
-    col_label: tuple[int, int]
-    value: complex
+from .linalg import as_matrix
 
 
 class MatrixOracle:
@@ -73,10 +59,6 @@ class MatrixOracle:
             raise ValueError(f"oracle is not square: shape {self._shape}")
         return m
 
-    @property
-    def call_count(self) -> int:
-        return self._count
-
     def fork(self) -> "MatrixOracle":
         """Same source, fresh counter."""
         if self._matrix is not None:
@@ -93,13 +75,6 @@ class MatrixOracle:
         if self._matrix is not None:
             return complex(self._matrix[j, k])
         return complex(self._fn(j, k))
-
-    def sparse_query(self, pair: tuple[int, int]) -> SparseOracleRecord:
-        """One-sparse row lookup on doubled-space labels; one counted call."""
-        j, k = pair
-        return SparseOracleRecord(
-            row_label=(j, k), col_label=(k, j), value=self.query(j, k)
-        )
 
     def report_calls(self) -> int:
         return self._count
@@ -124,7 +99,8 @@ def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
     """Counted read of a Hermitian source: upper triangle plus diagonal.
 
     The lower triangle is filled by conjugation, so an N x N read costs
-    N(N+1)/2 calls, the same per-sweep price the evolution steps pay.
+    N(N+1)/2 calls, the same per-sweep price the evolution steps pay. A
+    non-finite value fails the read after the sweep.
     """
     n = oracle.dim
     a = np.zeros((n, n), dtype=np.complex128)
@@ -133,6 +109,8 @@ def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
             v = oracle.query(j, k)
             a[j, k] = v
             a[k, j] = np.conj(v)
+    if not np.all(np.isfinite(a.view(np.float64))):
+        raise ValueError("oracle returned NaN or infinity")
     return a
 
 
@@ -160,7 +138,3 @@ def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
         return MatrixOracle.from_matrix(a)
     raise ValueError(f"unknown generator '{name}'")
 
-
-def hermitian_oracle(a) -> MatrixOracle:
-    """Oracle over an explicitly Hermitized copy of a."""
-    return MatrixOracle.from_matrix(hermitize(require_hermitian(a)))

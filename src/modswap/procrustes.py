@@ -29,16 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hermitize
-from .oracle import MatrixOracle, read_hermitian
+from .linalg import as_matrix
+from .oracle import MatrixOracle
 from .qpe import (
     QPEConfig,
     decode_register,
-    default_base_time,
     extract_estimates,
     invert_joint,
     joint_from_eig,
-    _check_aliasing,
+    _read_spectrum,
+    _require_state,
 )
 from .svdx import embed, _merge_adjacent_peaks, _warn_if_skewed
 
@@ -105,30 +105,19 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     is raised.
     """
     m, n = base.shape
-    d = m + n
     _warn_if_skewed(m, n)
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.shape != (n,):
-        raise ValueError(f"state has dim {psi.shape[0]}, expected {n}")
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {nrm:.6g} != 1")
-    psi = psi / nrm
+    psi = _require_state(psi, n)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
 
     calls_before = base.report_calls()
     ext = embed(base)
-    dense = read_hermitian(ext.oracle)
-    a_max = float(np.max(np.abs(dense)))
-    t0 = config.base_time if config.base_time is not None else default_base_time(a_max)
-    _check_aliasing(t0, a_max)
+    _, evals_over_n, v, t0 = _read_spectrum(ext.oracle, config)
     size = config.size
     half = size // 2
 
-    w, v = np.linalg.eigh(hermitize(dense))
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
-    joint = joint_from_eig(w / d, v, x0, config.bits, t0)
+    joint = joint_from_eig(evals_over_n, v, x0, config.bits, t0)
 
     # post-select the retained branches (|decoded| >= threshold)
     decoded = np.array([decode_register(y, config.bits, t0) for y in range(size)])
@@ -152,8 +141,8 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     pos_branch[half:] = 0
     neg_branch = flipped.copy()
     neg_branch[:half] = 0
-    phi_pos = invert_joint(pos_branch, w / d, v, config.bits, t0)[0]
-    phi_neg = invert_joint(neg_branch, w / d, v, config.bits, t0)[0]
+    phi_pos = invert_joint(pos_branch, evals_over_n, v, config.bits, t0)[0]
+    phi_neg = invert_joint(neg_branch, evals_over_n, v, config.bits, t0)[0]
 
     clean_weight = float(np.linalg.norm(phi_pos) ** 2 + np.linalg.norm(phi_neg) ** 2)
     block_weight = float(np.linalg.norm(phi_pos[:m]) ** 2

@@ -109,6 +109,24 @@ def _check_aliasing(t0: float, max_norm: float) -> None:
         )
 
 
+def _base_time(config: QPEConfig, max_norm: float) -> float:
+    """The configured base time, or the default one, checked against aliasing."""
+    t0 = config.base_time if config.base_time is not None else default_base_time(max_norm)
+    _check_aliasing(t0, max_norm)
+    return t0
+
+
+def _read_spectrum(oracle: MatrixOracle, config: QPEConfig):
+    """One counted Hermitian read and its eigendecomposition.
+
+    Returns (A, eigenvalues of A / N, eigenvectors, base time t0).
+    """
+    a = read_hermitian(oracle)
+    t0 = _base_time(config, float(np.max(np.abs(a))))
+    w, v = np.linalg.eigh(hermitize(a))
+    return a, w / a.shape[0], v, t0
+
+
 def _require_state(psi, n: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.shape != (n,):
@@ -119,45 +137,43 @@ def _require_state(psi, n: int) -> np.ndarray:
     return psi / nrm
 
 
+def _register_kernel(evals_over_n, bits: int, t0: float) -> np.ndarray:
+    """K[y, l] = ifft_m(exp(-i m lambda_l t0)): register amplitude y of eigenvector l."""
+    powers = np.exp(-1j * np.outer(np.arange(1 << bits), np.asarray(evals_over_n)) * t0)
+    return np.fft.ifft(powers, axis=0)
+
+
 def joint_from_eig(evals_over_n, evecs, psi, bits: int, t0: float) -> np.ndarray:
     """Post-QPE joint amplitudes J[register, system] from known eigenpairs.
 
-    J = F G where G[m, :] is the m-th controlled power of exp(-i gen t0)
-    applied to psi (uniform register weights folded in) and F is the
-    register Fourier kernel exp(2*pi*i*y*m / M) / sqrt(M), chosen so positive
-    eigenvalues land in the lower register half.
+    J = (K * beta) V^T with beta = V^dagger psi and K the register kernel:
+    column l of K is the register state that eigenvector l leaves after the
+    controlled powers of exp(-i gen t0) and the register Fourier kernel
+    exp(2*pi*i*y*m / M) / sqrt(M) (uniform register weights folded in), chosen
+    so positive eigenvalues land in the lower register half.
     """
-    size = 1 << bits
     beta = evecs.conj().T @ psi
-    powers = np.exp(-1j * np.outer(np.arange(size), np.asarray(evals_over_n)) * t0)
-    g = (powers * beta) @ evecs.T
-    return np.fft.ifft(g, axis=0)
+    return (_register_kernel(evals_over_n, bits, t0) * beta) @ evecs.T
 
 
 def invert_joint(joint, evals_over_n, evecs, bits: int, t0: float) -> np.ndarray:
     """Exact inverse of the circuit behind ``joint_from_eig``.
 
     Returns the register-resolved pre-circuit amplitudes; row 0 is the
-    component on which the register uncomputed cleanly back to zero.
+    component on which the register uncomputed cleanly back to zero. The
+    uniform register layer is undone by H^(x)bits, applied as one butterfly
+    pass per register bit: O(2^bits * bits * N) time, no 2^bits x 2^bits
+    matrix.
     """
     size = 1 << bits
     x = np.fft.fft(joint, axis=0) / math.sqrt(size)
     beta = x @ evecs.conj()
     powers = np.exp(1j * np.outer(np.arange(size), np.asarray(evals_over_n)) * t0)
-    x2 = (powers * beta) @ evecs.T
-    # undo the uniform register layer: Hadamard rows; row 0 collects the sum
-    return (_hadamard_signs(bits) @ x2) / math.sqrt(size)
-
-
-def _hadamard_signs(bits: int) -> np.ndarray:
-    size = 1 << bits
-    z = np.arange(size)
-    ands = z[:, None] & z[None, :]
-    pop = np.zeros_like(ands)
-    while ands.any():
-        pop += ands & 1
-        ands >>= 1
-    return np.where(pop % 2, -1.0, 1.0)
+    h = ((powers * beta) @ evecs.T).reshape((2,) * bits + (-1,))
+    for axis in range(bits):
+        lo, hi = np.split(h, 2, axis=axis)
+        h = np.concatenate((lo + hi, lo - hi), axis=axis)
+    return h.reshape(size, -1) / math.sqrt(size)
 
 
 def extract_estimates(distribution, bits: int, t0: float,
@@ -190,13 +206,8 @@ def extract_estimates(distribution, bits: int, t0: float,
 
 
 def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
-    a = read_hermitian(oracle)
-    n = a.shape[0]
-    a_max = float(np.max(np.abs(a)))
-    t0 = config.base_time if config.base_time is not None else default_base_time(a_max)
-    _check_aliasing(t0, a_max)
-    w, v = np.linalg.eigh(hermitize(a))
-    joint = joint_from_eig(w / n, v, psi, config.bits, t0)
+    _, evals_over_n, evecs, t0 = _read_spectrum(oracle, config)
+    joint = joint_from_eig(evals_over_n, evecs, psi, config.bits, t0)
     dist = np.sum(np.abs(joint) ** 2, axis=1)
     return joint, dist, t0, None
 
@@ -238,8 +249,7 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     op = ModifiedSwapOperator(oracle)
     n = op.dim
     a_max = op.spectrum().max_abs
-    t0 = config.base_time if config.base_time is not None else default_base_time(a_max)
-    _check_aliasing(t0, a_max)
+    t0 = _base_time(config, a_max)
     size = config.size
     cap = max_channel_dim() ** 2
     if size * n * n > cap:

@@ -11,13 +11,16 @@ embedding therefore recovers phase-correct singular triplets, which the
 Gram-matrix route (simulating A A† alone) cannot do; ``phase_ambiguity_demo``
 exhibits that failure.
 
-Vector readout from the simulated pipeline: for every basis probe, the
-post-QPE register slice at a peak is a linear image of the probe, and
-stacking the slices over all probes gives a matrix whose singular components
-are exactly the embedding's eigenvectors (orthonormality separates them even
-with register leakage). This direct-amplitude tomography is a simulator
-privilege; singular values are then refined by the Rayleigh quotient of the
-extracted pair, since raw register decoding is limited to grid resolution.
+Vector readout from the simulated pipeline: probing the extended space with
+every basis vector, the post-QPE register slice at a peak p, stacked over
+the probes, is the matrix conj(V) diag(K[p]) V^T, where K is the register
+kernel of the phase estimation (see ``qpe.joint_from_eig``); its singular
+components are exactly the embedding's eigenvectors whose kernel weight
+sits at p (orthonormality separates them even with register leakage), and
+the aggregate register distribution over all probes is sum_l |K[y, l]|^2.
+This direct-amplitude tomography is a simulator privilege; singular values
+are then refined by the Rayleigh quotient of the extracted pair, since raw
+register decoding is limited to grid resolution.
 """
 
 from __future__ import annotations
@@ -28,14 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix, hermitize
-from .oracle import MatrixOracle, read_hermitian
-from .qpe import (
-    QPEConfig,
-    default_base_time,
-    extract_estimates,
-    joint_from_eig,
-    _check_aliasing,
-)
+from .oracle import MatrixOracle
+from .qpe import QPEConfig, extract_estimates, _read_spectrum, _register_kernel
 
 SKEW_RATIO = 4.0
 DEGENERATE_SINGULAR_RATIO = 0.3
@@ -185,25 +182,15 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     m, n = base.shape
-    d = m + n
     _warn_if_skewed(m, n)
     calls_before = base.report_calls()
     ext = embed(base)
-    dense = read_hermitian(ext.oracle)
+    dense, evals_over_n, v, t0 = _read_spectrum(ext.oracle, config)
     a = dense[:m, m:]
-    a_max = float(np.max(np.abs(dense)))
-    t0 = config.base_time if config.base_time is not None else default_base_time(a_max)
-    _check_aliasing(t0, a_max)
     size = config.size
 
-    w, v = np.linalg.eigh(hermitize(dense))
-    joints = np.empty((d, size, d), dtype=np.complex128)
-    for i in range(d):
-        probe = np.zeros(d, dtype=np.complex128)
-        probe[i] = 1.0
-        joints[i] = joint_from_eig(w / d, v, probe, config.bits, t0)
-
-    aggregate = np.sum(np.abs(joints) ** 2, axis=(0, 2))
+    kernel = _register_kernel(evals_over_n, config.bits, t0)
+    aggregate = np.sum(np.abs(kernel) ** 2, axis=1)
     # Worst case a single eigenvector leaves ~0.4 of its unit aggregate mass
     # on each of two straddled bins, so the cutoff sits below that and above
     # the kernel sidelobe floor.
@@ -233,7 +220,7 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
 
     sigmas, lefts, rights, flags = [], [], [], []
     for p, _ in pairs:
-        slice_matrix = joints[:, p.register_value, :]
+        slice_matrix = (v.conj() * kernel[p.register_value]) @ v.T
         _, svals, vh = np.linalg.svd(slice_matrix)
         multiplicity = int(np.sum(svals >= DEGENERATE_SINGULAR_RATIO * svals[0]))
         for l in range(multiplicity):

@@ -34,6 +34,14 @@ def dense_channel_step(a: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarra
     return np.einsum("pqpr->qr", joint.reshape(n, n, n, n))
 
 
+def hadamard(bits: int) -> np.ndarray:
+    """Unnormalized H^(x)bits, the Kronecker power of [[1, 1], [1, -1]]."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return h
+
+
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2

@@ -110,6 +110,7 @@ def test_qpe_envelope(tmp_path):
     assert dist[6] == pytest.approx(0.5, abs=1e-10)
     values = sorted(e["value"] for e in env["results"]["estimates"])
     assert values == [pytest.approx(-0.5), pytest.approx(0.5)]
+    assert env["oracle_calls"] == 3  # one counted upper-triangle read
 
 
 def test_qpe_generator_source(tmp_path):
@@ -196,6 +197,34 @@ def test_aliasing_config_exits_2(tmp_path):
     matrix = _gen(tmp_path)
     assert main(["qpe", "--matrix", str(matrix), "--bits", "3",
                  "--t0", "100.0", "--out", str(tmp_path / "q.json")]) == 2
+
+
+def _non_hermitian(tmp_path):
+    a = np.array([[0.5, 1.0, 0.0], [0.2, -0.3, 0.4], [0.0, 0.9, 0.1]], dtype=complex)
+    path = tmp_path / "nonherm.json"
+    save_matrix(path, a)
+    return path
+
+
+def test_evolve_rejects_non_hermitian_exits_2(tmp_path):
+    out = tmp_path / "e.json"
+    assert main(["evolve", "--matrix", str(_non_hermitian(tmp_path)), "--time", "0.2",
+                 "--epsilon", "0.05", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_error_sweep_rejects_non_hermitian_exits_2(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["error-sweep", "--matrix", str(_non_hermitian(tmp_path)),
+                 "--dts", "0.1,0.05", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_qpe_rejects_non_hermitian_exits_2(tmp_path):
+    out = tmp_path / "q.json"
+    assert main(["qpe", "--matrix", str(_non_hermitian(tmp_path)), "--bits", "3",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_echo_reproduces_numerics(tmp_path):

@@ -34,31 +34,6 @@ def test_query_matches_file_entry(tmp_path):
     assert oracle.query(2, 3) == complex(a[2, 3])
 
 
-def test_sparse_query_all_ones():
-    oracle = MatrixOracle.from_matrix(np.ones((2, 2)))
-    rec = oracle.sparse_query((0, 1))
-    assert rec.row_label == (0, 1)
-    assert rec.col_label == (1, 0)
-    assert rec.value == 1
-    assert oracle.report_calls() == 1
-
-
-def test_sparse_query_diagonal():
-    oracle = MatrixOracle.from_matrix(np.diag([2.0, 3.0]))
-    rec = oracle.sparse_query((0, 1))
-    assert rec.col_label == (1, 0)
-    assert rec.value == 0
-
-
-def test_sparse_query_hermitian_conjugate():
-    rng = np.random.default_rng(23)
-    oracle = MatrixOracle.from_matrix(random_hermitian(4, rng))
-    for j, k in [(0, 1), (2, 3), (1, 3)]:
-        fwd = oracle.sparse_query((j, k)).value
-        bwd = oracle.sparse_query((k, j)).value
-        assert fwd == pytest.approx(np.conj(bwd))
-
-
 def test_report_calls_counts_exactly():
     oracle = MatrixOracle.from_matrix(np.eye(3))
     assert oracle.report_calls() == 0
@@ -112,6 +87,15 @@ def test_read_hermitian_counts_triangle():
     assert oracle.report_calls() == 5 * 6 // 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_read_hermitian_rejects_non_finite(bad):
+    oracle = MatrixOracle.from_function(lambda j, k: bad if (j, k) == (1, 2) else 1.0,
+                                        (3, 3))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        read_hermitian(oracle)
+    assert oracle.report_calls() == 3 * 4 // 2
+
+
 def test_generator_all_ones():
     oracle = oracle_from_generator("all-ones", {"n": "3"})
     assert oracle.shape == (3, 3)
@@ -134,9 +118,3 @@ def test_generator_unknown_name():
     with pytest.raises(ValueError):
         oracle_from_generator("nope", {})
 
-
-def test_sparse_query_out_of_range():
-    oracle = MatrixOracle.from_matrix(np.eye(2))
-    with pytest.raises(IndexError):
-        oracle.sparse_query((0, 5))
-    assert oracle.report_calls() == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modswap.linalg import random_low_rank, random_state
+from modswap.linalg import haar_unitary, random_low_rank, random_state
 from modswap.oracle import MatrixOracle
 from modswap.qpe import (
     QPEConfig,
@@ -13,7 +13,7 @@ from modswap.qpe import (
     qpe,
 )
 
-from dense_refs import random_hermitian
+from dense_refs import hadamard, random_hermitian
 
 
 def _encode(value, bits, t0):
@@ -147,12 +147,65 @@ def test_invert_joint_inverts_forward_map():
     a = random_hermitian(3, rng)
     w, v = np.linalg.eigh(a)
     psi = random_state(3, rng)
-    bits, t0 = 4, default_base_time(np.max(np.abs(a)))
-    joint = joint_from_eig(w / 3, v, psi, bits, t0)
-    back = invert_joint(joint, w / 3, v, bits, t0)
-    # register returns exactly to 0 and the system state is psi
-    np.testing.assert_allclose(back[0], psi, atol=1e-10)
-    np.testing.assert_allclose(back[1:], 0, atol=1e-10)
+    t0 = default_base_time(np.max(np.abs(a)))
+    for bits in (1, 2, 4, 11):
+        joint = joint_from_eig(w / 3, v, psi, bits, t0)
+        back = invert_joint(joint, w / 3, v, bits, t0)
+        # register returns exactly to 0 and the system state is psi
+        np.testing.assert_allclose(back[0], psi, atol=1e-10)
+        np.testing.assert_allclose(back[1:], 0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4, 9])
+def test_invert_joint_register_layer_is_hadamard(bits):
+    # with zero eigenvalues and the identity basis only the register layers
+    # act: the Fourier kernel, then H^(x)bits / sqrt(M)
+    rng = np.random.default_rng(30 + bits)
+    size, d = 1 << bits, 3
+    joint = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
+    got = invert_joint(joint, np.zeros(d), np.eye(d), bits, 0.7)
+    want = hadamard(bits) @ np.fft.fft(joint, axis=0) / size
+    np.testing.assert_allclose(got, want, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _spectral_case(kind: str, seed: int):
+    """(Hermitian A, base time t0) for the register-kernel differential tests."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    if kind == "random":
+        a = random_hermitian(n, rng)
+        return a, default_base_time(np.max(np.abs(a)))
+    if kind == "degenerate":
+        u = haar_unitary(n, rng)
+        a = (u * np.array([1.5, 1.5, -1.5, 0.0, 0.0])) @ u.conj().T
+        return a, default_base_time(np.max(np.abs(a)))
+    # unimodular rank one: lambda / N = max_norm, so the top phase sits at the
+    # register's wrap point when t0 * max_norm = pi (1 - 1e-9)
+    u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    a = np.outer(u, u.conj())
+    return a, np.pi * (1 - 1e-9) / np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["random", "degenerate", "near-aliasing"])
+def test_joint_from_eig_matches_controlled_power_definition(kind, seed):
+    a, t0 = _spectral_case(kind, seed)
+    n = a.shape[0]
+    w, v = np.linalg.eigh(a)
+    psi = random_state(n, np.random.default_rng(seed + 100))
+    for bits in (1, 5, 8):
+        # controlled powers of exp(-i A t0 / N) on psi, then the register ifft
+        powers = np.exp(-1j * np.outer(np.arange(1 << bits), w / n) * t0)
+        want = np.fft.ifft((powers * (v.conj().T @ psi)) @ v.T, axis=0)
+        got = joint_from_eig(w / n, v, psi, bits, t0)
+        np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def test_qpe_rejects_non_finite_oracle():
+    oracle = MatrixOracle.from_function(lambda j, k: np.nan if j == k == 1 else 0.0,
+                                        (2, 2))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        qpe(oracle, np.array([1, 0], dtype=complex), QPEConfig(bits=3))
 
 
 def test_backend_agreement_zero_matrix():

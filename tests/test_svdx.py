@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from modswap.linalg import random_low_rank_rect
+from modswap.linalg import haar_unitary, random_low_rank_rect
 from modswap.oracle import MatrixOracle
-from modswap.qpe import QPEConfig
+from modswap.qpe import QPEConfig, default_base_time, joint_from_eig, _register_kernel
 from modswap.svdx import (
     embed,
     extended_spectrum_check,
@@ -216,3 +216,37 @@ def test_quantum_svd_degenerate_singular_values_flagged():
     np.testing.assert_allclose(result.singular_values, [2.0, 2.0], atol=1e-9)
     assert result.degenerate == [True, True]
     assert result.residual(a) <= 1e-8 * np.linalg.norm(a)
+
+
+def _embedding_case(kind: str, seed: int):
+    """(block embedding of a 3 x 4 matrix, base time t0)."""
+    rng = np.random.default_rng(seed)
+    if kind == "degenerate":
+        u, v = haar_unitary(3, rng), haar_unitary(4, rng)
+        a = (u[:, :2] * np.array([1.2, 1.2])) @ v[:, :2].conj().T
+    else:
+        a = random_low_rank_rect(3, 4, 2, 1.0, rng)
+    dense = embed(_oracle(a)).materialize_baseline()
+    a_max = np.max(np.abs(dense))
+    if kind == "near-aliasing":
+        return dense, np.pi * (1 - 1e-9) / a_max
+    return dense, default_base_time(a_max)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["random", "degenerate", "near-aliasing"])
+def test_kernel_aggregate_and_slices_match_probe_stack(kind, seed):
+    # the readout quantum_svd takes from the register kernel against its
+    # definition: phase estimation run once per basis probe, stacked
+    dense, t0 = _embedding_case(kind, seed)
+    d = dense.shape[0]
+    w, v = np.linalg.eigh(dense)
+    for bits in (5, 9):
+        joints = np.stack([joint_from_eig(w / d, v, probe, bits, t0)
+                           for probe in np.eye(d, dtype=complex)])
+        kernel = _register_kernel(w / d, bits, t0)
+        np.testing.assert_allclose(np.sum(np.abs(kernel) ** 2, axis=1),
+                                   np.sum(np.abs(joints) ** 2, axis=(0, 2)), atol=1e-12)
+        for p in range(1 << bits):
+            np.testing.assert_allclose((v.conj() * kernel[p]) @ v.T, joints[:, p, :],
+                                       atol=1e-13)
