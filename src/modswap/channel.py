@@ -16,7 +16,6 @@ are nuclear (trace) norms against the exact unitary baseline.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,6 @@ from .linalg import (
 )
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator
-
-DEFAULT_MAX_DIM = 64
-
-
-def max_channel_dim() -> int:
-    """Memory guard on N; the joint space is N^2 x N^2. Env-overridable."""
-    raw = os.environ.get("QSVD_MAX_DIM")
-    return int(raw) if raw else DEFAULT_MAX_DIM
 
 
 def uniform_density(n: int) -> np.ndarray:
@@ -70,10 +61,6 @@ def pure_density(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _partial_trace_first(joint: np.ndarray, n: int) -> np.ndarray:
-    return np.einsum("pqpr->qr", joint.reshape(n, n, n, n))
-
-
 def first_order_generator(oracle: MatrixOracle, sigma) -> np.ndarray:
     """(A/N) sigma via the partial-trace contraction with the uniform ancilla.
 
@@ -92,23 +79,18 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float,
                  validate: bool = True) -> np.ndarray:
     """One ancilla-assisted step: trace out register 1 of U (rho (x) sigma) U†.
 
-    delta_t may be negative (time reversal). Output is hermitized to remove
-    floating-point asymmetry; trace and positivity are preserved by
+    The step is applied as the Kraus sum of ``BlockPlan.channel`` (a few
+    N x N products, O(N^2) memory); the N^2 x N^2 joint state is never
+    formed. delta_t may be negative (time reversal). Output is hermitized to
+    remove floating-point asymmetry; trace and positivity are preserved by
     construction.
     """
     sigma = require_density(sigma) if validate else as_matrix(sigma)
     n = oracle.dim
     if sigma.shape != (n, n):
         raise ValueError(f"state dim {sigma.shape} != oracle dim {n}")
-    cap = max_channel_dim()
-    if n > cap:
-        raise ValueError(
-            f"N={n} exceeds the channel memory guard ({cap}); "
-            "set QSVD_MAX_DIM to override"
-        )
-    joint = np.kron(uniform_density(n), sigma)
     plan = ModifiedSwapOperator(oracle).build_plan()
-    return hermitize(_partial_trace_first(plan.conjugate(joint, delta_t), n))
+    return hermitize(plan.channel(sigma, delta_t))
 
 
 @dataclass(frozen=True)
@@ -200,7 +182,8 @@ class SweepResult:
 def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     """Single-step error vs dt, with the log-log convergence slope.
 
-    delta_ts must be positive and strictly descending.
+    delta_ts must be positive and strictly descending, and the matrix must be
+    nonzero: a zero matrix makes every bound 2 * max_norm^2 * dt^2 zero.
     """
     dts = [float(d) for d in delta_ts]
     if not dts or any(d <= 0 for d in dts):
@@ -210,6 +193,8 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     sigma = require_density(sigma)
     a = hermitize(require_hermitian(oracle.materialize()))
     a_max = float(np.max(np.abs(a)))
+    if a_max == 0.0:
+        raise ValueError("error sweep needs a nonzero matrix; every bound would be 0")
 
     rows = []
     for dt in dts:

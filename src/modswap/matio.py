@@ -35,6 +35,8 @@ def matrix_to_json_obj(a) -> dict:
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
     m, n = int(obj["rows"]), int(obj["cols"])
+    if m < 1 or n < 1:
+        raise ValueError(f"empty matrix: rows={m}, cols={n}")
     data = obj["data"]
     if len(data) != m * n:
         raise ValueError(f"data length {len(data)} != rows*cols = {m * n}")

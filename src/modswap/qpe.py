@@ -15,8 +15,11 @@ Two interchangeable backends:
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
   counted oracle sweep per step), so the register + system state is a
-  density matrix. Faithful but exponentially expensive; keep N and the
-  register small.
+  density matrix. Every step of one register bit is the same linear map, so
+  the simulator applies each stage as one matrix power of the channel's
+  N^2 x N^2 transfer matrix; the modelled query cost still counts every
+  step. The density has (2^bits * N)^2 entries, capped by
+  ``TROTTER_MAX_BYTES`` together with the transfer matrix.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import max_channel_dim
 from .linalg import hermitize
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator
 
 PEAK_MIN_WEIGHT = 0.01
+TROTTER_MAX_BYTES = 1 << 29  # complex (2^bits N)^2 density plus N^2 x N^2 transfer matrix
 
 
 @dataclass(frozen=True)
@@ -212,68 +215,48 @@ def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     return joint, dist, t0, None
 
 
-def _controlled_sweep_step(plan, dens4, on_mask, dt: float) -> np.ndarray:
-    """One fresh-ancilla channel step of the control-conditioned evolution.
-
-    The control-off register rows see the identity channel, which fits the
-    same Kraus sum with K_a replaced by I/sqrt(N); a single register-indexed
-    Kraus stack therefore advances the whole register x system density in
-    two batched matrix products.
-    """
-    n = plan.dim
-    size = dens4.shape[0]
-    kraus = plan.kraus(dt)
-    idle = np.eye(n, dtype=np.complex128) / math.sqrt(n)
-    stack = np.where(on_mask[None, :, None, None], kraus[:, None], idle[None, None])
-    # half[a,m,s,(q,u)] = sum_t stack[a,m,s,t] dens4[m,t,q,u]
-    half = stack @ dens4.reshape(size, n, size * n)
-    # out[m,s,q,v] = sum_{a,u} half[a,m,s,q,u] conj(stack[a,q,v,u])
-    half_t = half.reshape(n, size, n, size, n).transpose(0, 3, 1, 2, 4)
-    prod = half_t.reshape(n, size, size * n, n) @ stack.conj().transpose(0, 1, 3, 2)
-    out = prod.sum(axis=0).reshape(size, size, n, n).transpose(1, 2, 0, 3)
-    return np.ascontiguousarray(out)
-
-
-def _register_fourier_density(dens, size: int, n: int) -> np.ndarray:
-    """(F (x) I) dens (F (x) I)† with the same kernel as the exact backend."""
-
-    def left(x):
-        x3 = x.reshape(size, n, -1)
-        return (np.fft.ifft(x3, axis=0) * math.sqrt(size)).reshape(size * n, -1)
-
-    t1 = left(dens)
-    return left(t1.conj().T).conj().T
-
-
 def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     op = ModifiedSwapOperator(oracle)
     n = op.dim
+    size = config.size
+    needed = 16 * ((size * n) ** 2 + n**4)
+    if needed > TROTTER_MAX_BYTES:
+        raise ValueError(
+            f"trotter backend needs {needed} bytes for its register x system "
+            f"density and transfer matrix (> {TROTTER_MAX_BYTES}); reduce bits or N"
+        )
     a_max = op.spectrum().max_abs
     t0 = _base_time(config, a_max)
-    size = config.size
-    cap = max_channel_dim() ** 2
-    if size * n * n > cap:
-        raise ValueError(
-            f"trotter backend needs a (2^bits * N^2)-dimensional density "
-            f"({size * n * n} > {cap}); reduce bits or N, or raise QSVD_MAX_DIM"
-        )
 
     x = np.kron(np.full(size, 1.0 / math.sqrt(size)), psi)
-    dens4 = np.outer(x, x.conj()).reshape(size, n, size, n)
+    # blocks[m, q] is the N x N system block of register row m, column q
+    blocks = np.outer(x, x.conj()).reshape(size, n, size, n).transpose(0, 2, 1, 3)
 
     error_bound = 0.0
     for k in range(config.bits):
         tau = (1 << k) * t0
         steps = max(1, math.ceil(2.0 * a_max**2 * tau**2 / config.trotter_epsilon))
         dt = tau / steps
-        on_mask = (np.arange(size) >> k) & 1 == 1
         error_bound += steps * 2.0 * a_max**2 * dt**2
-        for _ in range(steps):
+        for _ in range(steps):  # modelled query cost: one counted sweep per channel step
             plan = op.build_plan()
-            dens4 = _controlled_sweep_step(plan, dens4, on_mask, dt)
+        # Every step of the stage is the same map on the N x N blocks: the
+        # channel on control-on/on blocks, M = sum_a K_a / sqrt(N) on on/off
+        # blocks, M† on off/on blocks, the identity on off/off blocks.
+        c, s = plan.kraus_factors(dt)
+        m_pow = np.linalg.matrix_power((np.diag(c.sum(axis=0)) + s) / n, steps)
+        transfer = plan.channel(np.eye(n * n).reshape(n * n, n, n), dt).reshape(n * n, n * n)
+        p_pow = np.linalg.matrix_power(transfer, steps).reshape(n, n, n, n)
+        on = (np.arange(size) >> k) & 1 == 1
+        on_on, on_off, off_on = np.ix_(on, on), np.ix_(on, ~on), np.ix_(~on, on)
+        blocks[on_on] = np.tensordot(blocks[on_on], p_pow, axes=2)
+        blocks[on_off] = m_pow @ blocks[on_off]
+        blocks[off_on] = blocks[off_on] @ m_pow.conj().T
 
-    dens = _register_fourier_density(dens4.reshape(size * n, size * n), size, n)
-    dist = np.real(np.einsum("msms->m", dens.reshape(size, n, size, n)))
+    # (F (x) I) dens (F (x) I)† with the exact backend's register kernel
+    blocks = np.fft.fft(np.fft.ifft(blocks, axis=0), axis=1)
+    dist = np.real(np.einsum("mmss->m", blocks))
+    dens = blocks.transpose(0, 2, 1, 3).reshape(size * n, size * n)
     return dens, dist, t0, error_bound
 
 

@@ -17,6 +17,12 @@ N^2 x N^2 matrix:
 One ``build_plan`` call performs one counted oracle sweep (N(N+1)/2 queries,
 the lower triangle coming from Hermitian symmetry) and can then be applied
 to any number of vectors or density-matrix columns at any time value.
+
+The same block data gives the uniform-ancilla channel step in closed form:
+each Kraus operator is a diagonal plus one column (``kraus_factors``), so
+``channel`` applies the whole Kraus sum with a few N x N products and never
+forms the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
+remain as references.
 """
 
 from __future__ import annotations
@@ -74,31 +80,52 @@ class BlockPlan:
         left = self.apply(joint, t, axis=0)
         return self.apply(left.conj().T, t, axis=0).conj().T
 
-    def kraus(self, t: float) -> np.ndarray:
-        """Kraus operators of the uniform-ancilla channel step at time t.
+    def kraus_factors(self, t: float):
+        """(C, S), the N x N factors of the uniform-ancilla channel step at time t.
 
-        Tracing the fresh pure ancilla out of the conjugation by
+        Tracing the fresh uniform ancilla out of the conjugation by
         exp(-i t op) leaves X -> sum_a K_a X K_a† with
-        K_a[s, t'] = sum_a' U[(a,s), (a',t')] / sqrt(N); the one-sparse rows
-        make every K_a explicit: cosines on the diagonal, the rotated sine
-        column at index a, and the bare phase at (a, a).
+        K_a[s, t'] = sum_a' U[(a,s), (a',t')] / sqrt(N). The one-sparse rows
+        make each K_a a diagonal plus one column,
+        K_a = (diag(C[a]) + S[:, a] e_a^T) / sqrt(N): C holds cos(|A[a,s]| t)
+        and the bare phase exp(-i A[a,a] t) at (a, a); S holds the rotated
+        sines -i (A[s,a] / |A[s,a]|) sin(|A[s,a]| t), with S[a, a] = 0.
         """
         n = self.dim
-        k = np.zeros((n, n, n), dtype=np.complex128)
+        c = np.diag(np.exp(-1j * self.diag_value * t))
+        s = np.zeros((n, n), dtype=np.complex128)
         if self.offdiag.size:
             j_idx = self.row_kj % n
             k_idx = self.row_kj // n
             mag = np.abs(self.offdiag)
             unit = np.where(mag > 0, self.offdiag / np.where(mag > 0, mag, 1.0), 1.0)
-            c = np.cos(mag * t)
-            s = np.sin(mag * t)
-            k[k_idx, j_idx, j_idx] = c
-            k[j_idx, k_idx, k_idx] = c
-            k[k_idx, j_idx, k_idx] = -1j * unit * s
-            k[j_idx, k_idx, j_idx] = -1j * np.conj(unit) * s
-        rng_n = np.arange(n)
-        k[rng_n, rng_n, rng_n] = np.exp(-1j * self.diag_value * t)
-        return k / np.sqrt(n)
+            sin = np.sin(mag * t)
+            c[j_idx, k_idx] = c[k_idx, j_idx] = np.cos(mag * t)
+            s[j_idx, k_idx] = -1j * unit * sin
+            s[k_idx, j_idx] = -1j * np.conj(unit) * sin
+        return c, s
+
+    def kraus(self, t: float) -> np.ndarray:
+        """The dense (N, N, N) Kraus stack K_a expanded from ``kraus_factors``."""
+        c, s = self.kraus_factors(t)
+        rng_n = np.arange(self.dim)
+        k = c[:, :, None] * np.eye(self.dim)
+        k[rng_n, :, rng_n] += s.T
+        return k / np.sqrt(self.dim)
+
+    def channel(self, x, t: float) -> np.ndarray:
+        """sum_a K_a x K_a† over the last two axes of x, in O(N^3) per matrix.
+
+        Expands the diagonal-plus-column Kraus operators into four terms:
+        ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N.
+        Leading axes of x are batch axes.
+        """
+        c, s = self.kraus_factors(t)
+        x = np.asarray(x, dtype=np.complex128)
+        sh = s.conj().T
+        out = (c.T @ c.conj()) * x + (c.T * x) @ sh + s @ (c.conj() * x)
+        out += (s * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh
+        return out / self.dim
 
 
 @dataclass(frozen=True)

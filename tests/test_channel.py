@@ -95,13 +95,17 @@ def test_channel_step_counts_one_sweep():
     assert oracle.report_calls() == 4 * 5 // 2
 
 
-def test_channel_step_memory_guard(monkeypatch):
-    monkeypatch.setenv("QSVD_MAX_DIM", "3")
+def test_channel_step_large_n_one_sweep_within_bound():
+    # N = 80 would need a 6400 x 6400 joint state; the closed form needs N x N
     rng = np.random.default_rng(7)
-    with pytest.raises(ValueError, match="memory guard"):
-        channel_step(_oracle(random_hermitian(4, rng)), random_density(4, rng), 0.1)
-    monkeypatch.setenv("QSVD_MAX_DIM", "4")
-    channel_step(_oracle(random_hermitian(4, rng)), random_density(4, rng), 0.1)
+    a = random_hermitian(80, rng)
+    sigma = random_density(80, rng)
+    oracle = _oracle(a)
+    dt = 0.1 / np.max(np.abs(a))
+    out = channel_step(oracle, sigma, dt)
+    assert oracle.report_calls() == 80 * 81 // 2
+    err = nuclear_norm(out - exact_evolution(a, dt, sigma))
+    assert err <= 2.0 * np.max(np.abs(a)) ** 2 * dt**2
 
 
 def test_channel_step_time_reversal_composes_to_identity():

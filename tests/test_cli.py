@@ -220,6 +220,16 @@ def test_error_sweep_rejects_non_hermitian_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_error_sweep_rejects_zero_matrix_exits_2(tmp_path):
+    # a zero matrix makes every bound 2 * max_norm^2 * dt^2 zero
+    matrix = tmp_path / "zero.json"
+    save_matrix(matrix, np.zeros((3, 3)))
+    out = tmp_path / "s.csv"
+    assert main(["error-sweep", "--matrix", str(matrix), "--dts", "0.1,0.05",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_qpe_rejects_non_hermitian_exits_2(tmp_path):
     out = tmp_path / "q.json"
     assert main(["qpe", "--matrix", str(_non_hermitian(tmp_path)), "--bits", "3",

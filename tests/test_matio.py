@@ -49,6 +49,14 @@ def test_json_rejects_wrong_length():
         matrix_from_json_obj({"rows": 2, "cols": 2, "data": [[1, 0]]})
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (2, 0)])
+def test_json_rejects_empty_matrix(tmp_path, rows, cols):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rows": rows, "cols": cols, "data": []}))
+    with pytest.raises(ValueError, match="empty matrix"):
+        load_matrix(path)
+
+
 def test_state_round_trip(tmp_path):
     psi = np.array([0.6, 0.8j], dtype=complex)
     path = tmp_path / "psi.json"

@@ -11,9 +11,11 @@ from modswap.qpe import (
     invert_joint,
     joint_from_eig,
     qpe,
+    query_scaling,
 )
+from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import hadamard, random_hermitian
+from dense_refs import controlled_kraus_step, hadamard, random_hermitian
 
 
 def _encode(value, bits, t0):
@@ -255,12 +257,53 @@ def test_threshold_filters_estimates_not_state():
     assert all(abs(e.value) >= 0.1 for e in cut.estimates)
 
 
-def test_trotter_memory_guard(monkeypatch):
-    monkeypatch.setenv("QSVD_MAX_DIM", "4")
-    a = np.array([[0, 1], [1, 0]], dtype=complex)
+def test_trotter_memory_guard():
+    # 2^13 * 2 = 16384-dimensional density: 4 GiB, refused before any query
+    oracle = MatrixOracle.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
     with pytest.raises(ValueError, match="trotter backend"):
-        qpe(MatrixOracle.from_matrix(a), np.array([1, 0], dtype=complex),
-            QPEConfig(bits=3, base_time=np.pi, backend="trotter-channel"))
+        qpe(oracle, np.array([1, 0], dtype=complex),
+            QPEConfig(bits=13, base_time=np.pi, backend="trotter-channel"))
+    assert oracle.report_calls() == 0
+
+
+def _trotter_by_kraus_steps(a, psi, bits, epsilon):
+    """Register x system density from one dense Kraus-stack step at a time."""
+    n, size = a.shape[0], 1 << bits
+    plan = ModifiedSwapOperator(MatrixOracle.from_matrix(a)).build_plan()
+    a_max = np.max(np.abs(a))
+    t0 = default_base_time(a_max)
+    x = np.kron(np.full(size, 1 / np.sqrt(size)), psi)
+    dens4 = np.outer(x, x.conj()).reshape(size, n, size, n)
+    for k in range(bits):
+        tau = (1 << k) * t0
+        steps = max(1, int(np.ceil(2 * a_max**2 * tau**2 / epsilon)))
+        on = (np.arange(size) >> k) & 1 == 1
+        for _ in range(steps):
+            dens4 = controlled_kraus_step(plan, dens4, on, tau / steps)
+    f = np.kron(np.fft.ifft(np.eye(size), axis=0) * np.sqrt(size), np.eye(n))
+    return f @ dens4.reshape(size * n, size * n) @ f.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_trotter_joint_matches_kraus_step_reference(bits, n):
+    rng = np.random.default_rng(10 * bits + n)
+    a = random_hermitian(n, rng)
+    psi = random_state(n, rng)
+    result = qpe(MatrixOracle.from_matrix(a), psi,
+                 QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.2))
+    want = _trotter_by_kraus_steps(a, psi, bits, 0.2)
+    np.testing.assert_allclose(result.joint, want, atol=1e-11)
+    np.testing.assert_allclose(result.distribution,
+                               np.real(np.diagonal(want)).reshape(-1, n).sum(axis=1),
+                               atol=1e-11)
+
+
+def test_query_scaling_exact_counts():
+    a = np.array([[0, 1], [1, 0]], dtype=complex)
+    result = query_scaling(MatrixOracle.from_matrix(a), np.array([1, 0], dtype=complex),
+                           [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
+    assert [r.oracle_calls for r in result.rows] == [7407, 62184, 503355]
 
 
 def test_trotter_error_bound_reported():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from modswap.linalg import random_state
+from modswap.linalg import random_density, random_state
 from modswap.oracle import MatrixOracle
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import dense_exp_swap, dense_swap, random_hermitian
+from dense_refs import channel_via_joint, dense_exp_swap, dense_swap, random_hermitian
 
 
 def _op(a):
@@ -202,3 +202,37 @@ def test_kraus_sum_is_trace_preserving():
     k = _op(a).build_plan().kraus(0.37)
     total = sum(km.conj().T @ km for km in k)
     np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+
+def _channel_case(kind: str, seed: int):
+    """(A, dt) for the closed-form channel differential tests."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_hermitian(5, rng), 0.37
+    if kind == "diagonal":  # every off-diagonal zero: the mag == 0 branch
+        return np.diag(rng.standard_normal(4)).astype(complex), 0.8
+    if kind == "n1":
+        return np.array([[rng.standard_normal()]], dtype=complex), 0.5
+    if kind == "sparse":  # some zero pairs among nonzero ones
+        a = random_hermitian(6, rng)
+        a[0, 3] = a[3, 0] = a[2, 5] = a[5, 2] = 0.0
+        return a, 1.3
+    return random_hermitian(4, rng), -0.61  # negative dt: time reversal
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["random", "diagonal", "n1", "sparse", "negative-dt"])
+def test_channel_matches_joint_state_and_kraus_sum(kind, seed):
+    a, dt = _channel_case(kind, seed)
+    n = a.shape[0]
+    plan = _op(a).build_plan()
+    rng = np.random.default_rng(seed + 50)
+    sigma = random_density(n, rng)
+    got = plan.channel(sigma, dt)
+    np.testing.assert_allclose(got, channel_via_joint(plan, sigma, dt), atol=1e-13)
+    k = plan.kraus(dt)
+    np.testing.assert_allclose(got, sum(km @ sigma @ km.conj().T for km in k), atol=1e-13)
+    # leading axes are batch axes; the map is linear, so any matrices will do
+    x = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    want = np.einsum("ast,bctu,avu->bcsv", k, x, k.conj())
+    np.testing.assert_allclose(plan.channel(x, dt), want, atol=1e-13)
