@@ -93,6 +93,13 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float,
     return hermitize(plan.channel(sigma, delta_t))
 
 
+def _check_budget(t: float, epsilon: float) -> None:
+    if not (math.isfinite(t) and math.isfinite(epsilon)):
+        raise ValueError("time and epsilon must be finite")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Step plan for a total time t under a nuclear-norm error budget."""
@@ -104,8 +111,7 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("step count must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_budget(self.t, self.epsilon)
 
     @property
     def delta_t(self) -> float:
@@ -115,8 +121,7 @@ class EvolutionConfig:
     def plan(cls, max_norm: float, t: float, epsilon: float,
              steps: int | None = None) -> "EvolutionConfig":
         """n = ceil(2 * max_norm^2 * t^2 / epsilon) unless overridden."""
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_budget(t, epsilon)
         if steps is None:
             steps = max(1, math.ceil(2.0 * max_norm**2 * t**2 / epsilon))
         return cls(t=float(t), epsilon=float(epsilon), n=int(steps))
@@ -132,14 +137,18 @@ class ErrorReport:
     total_bound: float
 
 
-def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig):
+def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
     """Run n channel steps and compare against the exact unitary baseline.
 
     Returns (final density matrix, ErrorReport). measured_step_error is the
-    largest single-step deviation encountered along the chain.
+    largest single-step deviation encountered along the chain. baseline is
+    the oracle's uncounted dense matrix when the caller already holds it;
+    otherwise it is materialized here.
     """
     sigma = require_density(sigma)
-    a = hermitize(require_hermitian(oracle.materialize()))
+    if baseline is None:
+        baseline = oracle.materialize()
+    a = hermitize(require_hermitian(baseline))
     a_max = float(np.max(np.abs(a)))
     dt = config.delta_t
     per_step_bound = 2.0 * a_max**2 * dt**2

@@ -141,10 +141,11 @@ def cmd_evolve(args) -> int:
     oracle = _resolve_oracle(args)
     n = oracle.dim
     sigma = _resolve_sigma(args, n)
-    a = hermitize(oracle.materialize())
+    dense = oracle.materialize()
+    a = hermitize(dense)
     a_max = float(np.max(np.abs(a)))
     config = EvolutionConfig.plan(a_max, args.time, args.epsilon, steps=args.steps)
-    final, report = evolve(oracle, sigma, config)
+    final, report = evolve(oracle, sigma, config, baseline=dense)
     wall = (time.perf_counter() - start) * 1000.0
     _write_envelope(
         args.out, "evolve",

@@ -3,7 +3,10 @@
 The oracle is the only sanctioned data path for the simulated pipelines, so
 its counter is the simulator's query-complexity meter. Sources are either a
 dense backing array or a pure function (j, k) -> complex; both share the
-same counting interface and can be swapped freely.
+same counting interface and can be swapped freely. ``query`` reads one
+element; ``read_upper_triangle`` reads one whole sweep of the diagonal and
+upper triangle with a single counter update; ``charge_sweeps`` charges
+modelled sweeps whose values the caller already holds.
 
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
@@ -76,6 +79,40 @@ class MatrixOracle:
             return complex(self._matrix[j, k])
         return complex(self._fn(j, k))
 
+    def read_upper_triangle(self):
+        """One counted sweep: (rows, cols, values) of the diagonal and upper triangle.
+
+        Entries come in ``np.triu_indices`` (row-major) order. The sweep
+        charges N(N+1)/2 calls with one locked increment; a dense source is
+        read by fancy indexing, a function source once per element. A
+        non-finite value fails the sweep after it is charged.
+        """
+        rows, cols = np.triu_indices(self.dim)
+        with self._lock:
+            self._count += rows.size
+        if self._matrix is not None:
+            values = self._matrix[rows, cols]
+        else:
+            values = np.array([complex(self._fn(j, k))
+                               for j, k in zip(rows.tolist(), cols.tolist())],
+                              dtype=np.complex128)
+        if not np.all(np.isfinite(values.view(np.float64))):
+            raise ValueError("oracle returned NaN or infinity")
+        return rows, cols, values
+
+    def charge_sweeps(self, sweeps: int) -> None:
+        """Charge ``sweeps`` modelled triangle sweeps without reading the source.
+
+        For a simulator that reuses one real sweep for several modelled ones
+        whose values it already holds; each costs N(N+1)/2 calls, as in
+        ``read_upper_triangle``.
+        """
+        if sweeps < 0:
+            raise ValueError("sweep count must be non-negative")
+        n = self.dim
+        with self._lock:
+            self._count += sweeps * (n * (n + 1) // 2)
+
     def report_calls(self) -> int:
         return self._count
 
@@ -83,7 +120,7 @@ class MatrixOracle:
         """Dense copy of the source, bypassing the counter.
 
         Reserved for classical baselines and verification; simulated
-        pipelines must use ``query``.
+        pipelines must use ``query`` or ``read_upper_triangle``.
         """
         if self._matrix is not None:
             return self._matrix.copy()
@@ -102,15 +139,10 @@ def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
     N(N+1)/2 calls, the same per-sweep price the evolution steps pay. A
     non-finite value fails the read after the sweep.
     """
-    n = oracle.dim
-    a = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(j, n):
-            v = oracle.query(j, k)
-            a[j, k] = v
-            a[k, j] = np.conj(v)
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise ValueError("oracle returned NaN or infinity")
+    rows, cols, values = oracle.read_upper_triangle()
+    a = np.zeros((oracle.dim,) * 2, dtype=np.complex128)
+    a[rows, cols] = values
+    a[cols, rows] = np.conj(values)
     return a
 
 

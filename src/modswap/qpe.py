@@ -11,15 +11,18 @@ Two interchangeable backends:
 
 * ``exact-unitary``: the controlled powers are computed from the classical
   eigendecomposition; pure-state simulation, cheap, and exact up to register
-  discretization. Costs one counted Hermitian oracle read.
+  discretization. Costs one counted Hermitian oracle read. Its 2^bits x N
+  register kernel is capped by ``MAX_BYTES``.
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
   counted oracle sweep per step), so the register + system state is a
   density matrix. Every step of one register bit is the same linear map, so
-  the simulator applies each stage as one matrix power of the channel's
-  N^2 x N^2 transfer matrix; the modelled query cost still counts every
-  step. The density has (2^bits * N)^2 entries, capped by
-  ``TROTTER_MAX_BYTES`` together with the transfer matrix.
+  the simulator reads the source once per stage, charges the stage's other
+  steps as modelled sweeps (``MatrixOracle.charge_sweeps``), and applies the
+  stage as one matrix power of the channel's N^2 x N^2 transfer matrix. The
+  reported query cost still counts every step. The density has
+  (2^bits * N)^2 entries, capped by ``MAX_BYTES`` together with the
+  transfer matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator
 
 PEAK_MIN_WEIGHT = 0.01
-TROTTER_MAX_BYTES = 1 << 29  # complex (2^bits N)^2 density plus N^2 x N^2 transfer matrix
+MAX_BYTES = 1 << 29  # largest array set either backend allocates, checked before any query
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,11 @@ class QPEConfig:
             raise ValueError("register needs at least one bit")
         if self.backend not in ("exact-unitary", "trotter-channel"):
             raise ValueError(f"unknown backend '{self.backend}'")
-        if self.trotter_epsilon <= 0:
-            raise ValueError("trotter_epsilon must be positive")
+        if self.base_time is not None and not (math.isfinite(self.base_time)
+                                               and self.base_time > 0):
+            raise ValueError("base_time must be positive and finite")
+        if not math.isfinite(self.trotter_epsilon) or self.trotter_epsilon <= 0:
+            raise ValueError("trotter_epsilon must be positive and finite")
 
     @property
     def size(self) -> int:
@@ -119,11 +125,19 @@ def _base_time(config: QPEConfig, max_norm: float) -> float:
     return t0
 
 
+def _require_bytes(needed: int, what: str) -> None:
+    if needed > MAX_BYTES:
+        raise ValueError(f"{what} needs {needed} bytes (> {MAX_BYTES}); reduce bits or N")
+
+
 def _read_spectrum(oracle: MatrixOracle, config: QPEConfig):
     """One counted Hermitian read and its eigendecomposition.
 
-    Returns (A, eigenvalues of A / N, eigenvectors, base time t0).
+    Returns (A, eigenvalues of A / N, eigenvectors, base time t0). The
+    2^bits x N complex register kernel is checked against ``MAX_BYTES``
+    before the read.
     """
+    _require_bytes(16 * config.size * oracle.dim, "exact backend register kernel")
     a = read_hermitian(oracle)
     t0 = _base_time(config, float(np.max(np.abs(a))))
     w, v = np.linalg.eigh(hermitize(a))
@@ -219,12 +233,8 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     op = ModifiedSwapOperator(oracle)
     n = op.dim
     size = config.size
-    needed = 16 * ((size * n) ** 2 + n**4)
-    if needed > TROTTER_MAX_BYTES:
-        raise ValueError(
-            f"trotter backend needs {needed} bytes for its register x system "
-            f"density and transfer matrix (> {TROTTER_MAX_BYTES}); reduce bits or N"
-        )
+    _require_bytes(16 * ((size * n) ** 2 + n**4),
+                   "trotter backend register x system density and transfer matrix")
     a_max = op.spectrum().max_abs
     t0 = _base_time(config, a_max)
 
@@ -238,8 +248,10 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
         steps = max(1, math.ceil(2.0 * a_max**2 * tau**2 / config.trotter_epsilon))
         dt = tau / steps
         error_bound += steps * 2.0 * a_max**2 * dt**2
-        for _ in range(steps):  # modelled query cost: one counted sweep per channel step
-            plan = op.build_plan()
+        # Modelled query cost: one counted sweep per channel step. Each step
+        # reads the same matrix, so one real read serves the whole stage.
+        plan = op.build_plan()
+        oracle.charge_sweeps(steps - 1)
         # Every step of the stage is the same map on the N x N blocks: the
         # channel on control-on/on blocks, M = sum_a K_a / sqrt(N) on on/off
         # blocks, M† on off/on blocks, the identity on off/off blocks.

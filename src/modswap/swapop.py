@@ -161,26 +161,22 @@ class ModifiedSwapOperator:
     def build_plan(self) -> BlockPlan:
         """One counted oracle sweep over the diagonal and upper triangle."""
         n = self.dim
-        diag_index = np.arange(n) * n + np.arange(n)
-        diag_value = np.empty(n)
-        for j in range(n):
-            v = self.oracle.query(j, j)
-            if abs(v.imag) > DIAG_IMAG_TOL * max(1.0, abs(v)):
-                raise ValueError(f"non-Hermitian source: diagonal ({j},{j}) = {v}")
-            diag_value[j] = v.real
-        rows_kj, rows_jk, vals = [], [], []
-        for j in range(n):
-            for k in range(j + 1, n):
-                rows_kj.append(k * n + j)
-                rows_jk.append(j * n + k)
-                vals.append(self.oracle.query(j, k))
+        rows, cols, values = self.oracle.read_upper_triangle()
+        on_diag = rows == cols
+        diag = values[on_diag]
+        bad = np.abs(diag.imag) > DIAG_IMAG_TOL * np.maximum(1.0, np.abs(diag))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"non-Hermitian source: diagonal ({i},{i}) = {complex(diag[i])}")
+        off = ~on_diag
+        j, k = rows[off], cols[off]
         return BlockPlan(
             dim=n,
-            diag_index=diag_index,
-            diag_value=diag_value,
-            row_kj=np.array(rows_kj, dtype=np.intp),
-            row_jk=np.array(rows_jk, dtype=np.intp),
-            offdiag=np.array(vals, dtype=np.complex128),
+            diag_index=np.arange(n) * (n + 1),
+            diag_value=diag.real.copy(),
+            row_kj=k * n + j,
+            row_jk=j * n + k,
+            offdiag=values[off],
         )
 
     def apply_exp(self, t: float, psi) -> np.ndarray:

@@ -8,7 +8,9 @@ doubled-space materialization is restricted to N <= 6.
 ``channel_via_joint`` and ``controlled_kraus_step`` are the exception: they
 are the joint-state channel step and the per-step Kraus-stack trotter step
 that the closed-form ``BlockPlan.channel`` replaced, kept as differential
-references on top of a ``BlockPlan``.
+references on top of a ``BlockPlan``. ``plan_by_queries`` is the
+per-element ``query`` loop that ``build_plan`` replaced with one counted
+triangle read.
 """
 
 import math
@@ -39,6 +41,23 @@ def dense_channel_step(a: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarra
     u = dense_exp_swap(a, dt)
     joint = u @ np.kron(rho, sigma) @ u.conj().T
     return np.einsum("pqpr->qr", joint.reshape(n, n, n, n))
+
+
+def plan_by_queries(oracle):
+    """BlockPlan fields from one ``query`` call per diagonal and upper entry.
+
+    Returns (diag_index, diag_value, row_kj, row_jk, offdiag).
+    """
+    n = oracle.dim
+    diag_value = np.array([oracle.query(j, j).real for j in range(n)])
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    return (
+        np.arange(n) * n + np.arange(n),
+        diag_value,
+        np.array([k * n + j for j, k in pairs], dtype=np.intp),
+        np.array([j * n + k for j, k in pairs], dtype=np.intp),
+        np.array([oracle.query(j, k) for j, k in pairs], dtype=np.complex128),
+    )
 
 
 def channel_via_joint(plan, sigma: np.ndarray, t: float) -> np.ndarray:

@@ -129,6 +129,42 @@ def test_evolution_config_rejects_bad_epsilon():
         EvolutionConfig.plan(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("t, epsilon", [(np.inf, 0.1), (-np.inf, 0.1), (np.nan, 0.1),
+                                        (1.0, np.nan), (1.0, np.inf)])
+def test_evolution_config_rejects_non_finite(t, epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig.plan(1.0, t, epsilon)
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig.plan(1.0, t, epsilon, steps=3)
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig(t=t, epsilon=epsilon, n=3)
+
+
+def test_channel_step_rejects_non_finite_oracle():
+    oracle = MatrixOracle.from_function(lambda j, k: np.nan if (j, k) == (0, 1) else 0.25,
+                                        (2, 2))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        channel_step(oracle, uniform_density(2), 0.1)
+    assert oracle.report_calls() == 3
+
+
+def test_evolve_uses_given_baseline_without_materializing():
+    rng = np.random.default_rng(12)
+    a = random_hermitian(3, rng)
+    sigma = random_density(3, rng)
+    config = EvolutionConfig.plan(float(np.max(np.abs(a))), 0.5, 0.05)
+
+    def unreadable():
+        raise AssertionError("materialize called")
+
+    oracle = _oracle(a)
+    oracle.materialize = unreadable
+    got, got_report = evolve(oracle, sigma, config, baseline=a)
+    want, want_report = evolve(_oracle(a), sigma, config)
+    np.testing.assert_array_equal(got, want)
+    assert got_report == want_report
+
+
 def test_evolve_zero_time():
     rng = np.random.default_rng(9)
     a = random_hermitian(3, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modswap.cli import main
+from modswap.oracle import MatrixOracle
 from modswap.matio import load_matrix, save_matrix, save_state
 from modswap.linalg import random_low_rank
 
@@ -235,6 +236,52 @@ def test_qpe_rejects_non_hermitian_exits_2(tmp_path):
     assert main(["qpe", "--matrix", str(_non_hermitian(tmp_path)), "--bits", "3",
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_qpe_rejects_bad_t0_and_epsilon_exits_2(tmp_path):
+    matrix = _gen(tmp_path)
+    for value in ("nan", "inf", "0", "-100"):
+        out = tmp_path / "q.json"
+        assert main(["qpe", "--matrix", str(matrix), "--bits", "3", "--t0", value,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+    assert main(["qpe", "--matrix", str(matrix), "--bits", "3", "--backend", "trotter",
+                 "--trotter-epsilon", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_evolve_rejects_non_finite_options_exits_2(tmp_path):
+    matrix = _gen(tmp_path)
+    out = tmp_path / "e.json"
+    for time_, eps in (("inf", "0.05"), ("nan", "0.05"), ("0.2", "nan"), ("0.2", "inf")):
+        assert main(["evolve", "--matrix", str(matrix), "--time", time_,
+                     "--epsilon", eps, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert main(["evolve", "--matrix", str(matrix), "--time", "inf", "--epsilon", "0.05",
+                 "--steps", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_qpe_register_kernel_guard_exits_2(tmp_path):
+    out = tmp_path / "q.json"
+    assert main(["qpe", "--matrix", str(_gen(tmp_path)), "--bits", "40",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_evolve_materializes_once(tmp_path, monkeypatch):
+    matrix = _gen(tmp_path)
+    calls = []
+    materialize = MatrixOracle.materialize
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(MatrixOracle, "materialize", counted)
+    assert main(["evolve", "--matrix", str(matrix), "--time", "0.3",
+                 "--epsilon", "0.05", "--out", str(tmp_path / "e.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_config_echo_reproduces_numerics(tmp_path):

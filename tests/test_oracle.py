@@ -1,7 +1,11 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modswap.matio import load_matrix, save_matrix
 from modswap.oracle import MatrixOracle, oracle_from_generator, read_hermitian
@@ -94,6 +98,80 @@ def test_read_hermitian_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="NaN or infinity"):
         read_hermitian(oracle)
     assert oracle.report_calls() == 3 * 4 // 2
+
+
+@st.composite
+def _sources(draw):
+    n = draw(st.integers(1, 10))
+    a = draw(arrays(np.complex128, (n, n), elements=st.complex_numbers(
+        max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+    return a, draw(st.sampled_from(["dense", "function"]))
+
+
+def _oracle_of(a, kind):
+    if kind == "dense":
+        return MatrixOracle.from_matrix(a)
+    return MatrixOracle.from_function(lambda j, k: a[j, k], a.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sources())
+def test_upper_triangle_read_matches_per_element_queries(source):
+    a, kind = source
+    n = a.shape[0]
+    bulk, single = _oracle_of(a, kind), _oracle_of(a, kind)
+    rows, cols, values = bulk.read_upper_triangle()
+    want_rows, want_cols = np.triu_indices(n)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(cols, want_cols)
+    want = np.array([single.query(j, k) for j, k in zip(rows.tolist(), cols.tolist())],
+                    dtype=np.complex128)
+    np.testing.assert_array_equal(values, want)
+    assert bulk.report_calls() == single.report_calls() == n * (n + 1) // 2
+
+
+def test_upper_triangle_read_calls_function_once_per_element():
+    calls = []
+    oracle = MatrixOracle.from_function(lambda j, k: calls.append((j, k)) or j - k, (4, 4))
+    oracle.read_upper_triangle()
+    assert calls == [(j, k) for j in range(4) for k in range(j, 4)]
+    assert oracle.report_calls() == 10
+
+
+def test_charge_sweeps_counts_triangles_without_reading():
+    calls = []
+    oracle = MatrixOracle.from_function(lambda j, k: calls.append((j, k)) or 0.0, (3, 3))
+    oracle.charge_sweeps(4)
+    oracle.charge_sweeps(0)
+    assert oracle.report_calls() == 4 * 6
+    assert calls == []
+    with pytest.raises(ValueError, match="non-negative"):
+        oracle.charge_sweeps(-1)
+    assert oracle.report_calls() == 4 * 6
+
+
+def test_charge_sweeps_needs_square_oracle():
+    with pytest.raises(ValueError, match="not square"):
+        MatrixOracle.from_matrix(np.ones((2, 3))).charge_sweeps(1)
+
+
+def test_concurrent_sweeps_and_charges_are_race_free():
+    oracle = MatrixOracle.from_matrix(np.eye(4))
+
+    def work(i):
+        if i % 2:
+            oracle.read_upper_triangle()
+        else:
+            oracle.charge_sweeps(3)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(work, range(400), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert oracle.report_calls() == 200 * 10 + 200 * 3 * 10
 
 
 def test_generator_all_ones():

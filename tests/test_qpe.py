@@ -3,7 +3,9 @@ import pytest
 
 from modswap.linalg import haar_unitary, random_low_rank, random_state
 from modswap.oracle import MatrixOracle
+from modswap.procrustes import quantum_procrustes_apply
 from modswap.qpe import (
+    MAX_BYTES,
     QPEConfig,
     backend_agreement,
     decode_register,
@@ -13,6 +15,7 @@ from modswap.qpe import (
     qpe,
     query_scaling,
 )
+from modswap.svdx import quantum_svd
 from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import controlled_kraus_step, hadamard, random_hermitian
@@ -54,6 +57,22 @@ def test_config_validation():
         QPEConfig(bits=3, backend="nonsense")
     with pytest.raises(ValueError):
         QPEConfig(bits=3, trotter_epsilon=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"base_time": np.nan}, {"base_time": np.inf},
+                                    {"base_time": -np.inf}, {"trotter_epsilon": np.nan},
+                                    {"trotter_epsilon": np.inf}])
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        QPEConfig(bits=3, **kwargs)
+
+
+@pytest.mark.parametrize("t0", [0.0, -1.0, -100.0])
+def test_config_rejects_non_positive_base_time(t0):
+    # t0 = 0 made decoding divide by zero; a negative t0 slipped past the
+    # aliasing check t0 * max_norm <= pi at any magnitude
+    with pytest.raises(ValueError, match="positive"):
+        QPEConfig(bits=3, base_time=t0)
 
 
 def test_zero_matrix_peaks_at_zero():
@@ -210,6 +229,30 @@ def test_qpe_rejects_non_finite_oracle():
         qpe(oracle, np.array([1, 0], dtype=complex), QPEConfig(bits=3))
 
 
+def test_trotter_qpe_rejects_non_finite_oracle():
+    oracle = MatrixOracle.from_function(lambda j, k: np.nan if (j, k) == (0, 1) else 0.5,
+                                        (2, 2))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        qpe(oracle, np.array([1, 0], dtype=complex),
+            QPEConfig(bits=2, base_time=1.0, backend="trotter-channel"))
+
+
+@pytest.mark.parametrize("pipeline", ["qpe", "svd", "procrustes"])
+def test_exact_register_kernel_guard(pipeline):
+    # a 2^40 x N register kernel is refused before any query or allocation
+    cfg = QPEConfig(bits=40)
+    assert 16 * cfg.size * 2 > MAX_BYTES
+    oracle = MatrixOracle.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="register kernel"):
+        if pipeline == "qpe":
+            qpe(oracle, np.array([1, 0], dtype=complex), cfg)
+        elif pipeline == "svd":
+            quantum_svd(oracle, cfg, 0.01)
+        else:
+            quantum_procrustes_apply(oracle, np.array([1, 0], dtype=complex), cfg, 0.01)
+    assert oracle.report_calls() == 0
+
+
 def test_backend_agreement_zero_matrix():
     oracle = MatrixOracle.from_matrix(np.zeros((2, 2)))
     psi = np.array([1, 0], dtype=complex)
@@ -304,6 +347,29 @@ def test_query_scaling_exact_counts():
     result = query_scaling(MatrixOracle.from_matrix(a), np.array([1, 0], dtype=complex),
                            [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
     assert [r.oracle_calls for r in result.rows] == [7407, 62184, 503355]
+
+
+def test_trotter_reads_source_once_per_stage_and_charges_every_step():
+    rng = np.random.default_rng(31)
+    n, bits, epsilon = 3, 3, 0.05
+    a = random_hermitian(n, rng)
+    reads = []
+
+    def source(j, k):
+        reads.append((j, k))
+        return a[j, k]
+
+    oracle = MatrixOracle.from_function(source, (n, n))
+    result = qpe(oracle, random_state(n, rng),
+                 QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=epsilon))
+    sweep = n * (n + 1) // 2
+    a_max = np.max(np.abs(a))
+    t0 = default_base_time(a_max)
+    steps = [max(1, int(np.ceil(2 * a_max**2 * ((1 << k) * t0) ** 2 / epsilon)))
+             for k in range(bits)]
+    assert sum(steps) > 3 * bits  # the stages really model many sweeps
+    assert len(reads) == (1 + bits) * sweep  # the spectrum read plus one per stage
+    assert result.oracle_calls == (1 + sum(steps)) * sweep
 
 
 def test_trotter_error_bound_reported():

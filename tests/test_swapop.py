@@ -6,7 +6,13 @@ from modswap.linalg import random_density, random_state
 from modswap.oracle import MatrixOracle
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import channel_via_joint, dense_exp_swap, dense_swap, random_hermitian
+from dense_refs import (
+    channel_via_joint,
+    dense_exp_swap,
+    dense_swap,
+    plan_by_queries,
+    random_hermitian,
+)
 
 
 def _op(a):
@@ -174,6 +180,45 @@ def test_plan_rejects_non_hermitian_diagonal():
     a[0, 0] = 1 + 1j
     with pytest.raises(ValueError):
         _op(a).build_plan()
+
+
+def test_plan_names_first_non_hermitian_diagonal():
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = 1 + 1e-9j
+    a[2, 2] = 1 + 1j
+    with pytest.raises(ValueError, match=r"diagonal \(1,1\)"):
+        _op(a).build_plan()
+    a[1, 1] = 1 + 1e-11j  # within DIAG_IMAG_TOL of the real part
+    a[2, 2] = 1.0
+    _op(a).build_plan()
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "zero", "partly-zero"])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_plan_matches_per_element_query_loop(kind, n):
+    rng = np.random.default_rng(100 + n)
+    a = random_hermitian(n, rng)
+    if kind == "diagonal":
+        a = np.diag(np.diag(a))
+    elif kind == "zero":
+        a = np.zeros((n, n), dtype=complex)
+    elif kind == "partly-zero":
+        a[0, :] = a[:, 0] = 0.0
+    fast = MatrixOracle.from_function(lambda j, k: a[j, k], (n, n))
+    slow = MatrixOracle.from_matrix(a)
+    plan = ModifiedSwapOperator(fast).build_plan()
+    fields = (plan.diag_index, plan.diag_value, plan.row_kj, plan.row_jk, plan.offdiag)
+    for got, want in zip(fields, plan_by_queries(slow)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+    assert fast.report_calls() == slow.report_calls() == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_plan_rejects_non_finite_source(bad):
+    oracle = MatrixOracle.from_function(lambda j, k: bad if (j, k) == (0, 0) else 0.5, (3, 3))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        ModifiedSwapOperator(oracle).build_plan()
 
 
 def test_kraus_matches_row_sums():
