@@ -101,12 +101,18 @@ def exact_eig(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
+def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i (A/N) t) from the eigenpairs (w, v) of an N x N Hermitian A.
+
+    One ``eigh`` serves every time value: (v * e^{-i w t/N}) v†.
+    """
+    return (v * np.exp(-1j * w * (t / v.shape[0]))) @ v.conj().T
+
+
 def evolution_unitary(a: np.ndarray, t: float) -> np.ndarray:
     """exp(-i (A/N) t) for Hermitian A of dimension N, via eigendecomposition."""
     a = require_hermitian(a)
-    n = a.shape[0]
-    w, v = np.linalg.eigh(hermitize(a))
-    return (v * np.exp(-1j * w * (t / n))) @ v.conj().T
+    return unitary_from_eigh(*np.linalg.eigh(hermitize(a)), t)
 
 
 def exact_evolution(a, t: float, sigma) -> np.ndarray:

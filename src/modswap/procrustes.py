@@ -120,8 +120,7 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     joint = joint_from_eig(evals_over_n, v, x0, config.bits, t0)
 
     # post-select the retained branches (|decoded| >= threshold)
-    decoded = np.array([decode_register(y, config.bits, t0) for y in range(size)])
-    keep = np.abs(decoded) >= threshold
+    keep = np.abs(decode_register(np.arange(size), config.bits, t0)) >= threshold
     filtered = joint * keep[:, None]
     kept_weight = float(np.sum(np.abs(filtered) ** 2))
     if kept_weight < 1e-12:

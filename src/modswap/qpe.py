@@ -93,15 +93,20 @@ class QPEResult:
     all_peaks: list[EigenEstimate] = field(default_factory=list)
 
 
-def decode_register(m: int, bits: int, t0: float) -> float:
-    """Signed eigenvalue estimate from a register value (two's complement)."""
+def decode_register(m, bits: int, t0: float):
+    """Signed eigenvalue estimate from a register value (two's complement).
+
+    m is one register value (returns a float) or an integer array of them
+    (returns a float array of the same shape).
+    """
     size = 1 << bits
-    if not 0 <= m < size:
-        raise ValueError(f"register value {m} outside [0, {size})")
-    phase = m / size
-    if phase >= 0.5:
-        phase -= 1.0
-    return phase * 2.0 * math.pi / t0
+    ms = np.asarray(m)
+    bad = ms[(ms < 0) | (ms >= size)]
+    if bad.size:
+        raise ValueError(f"register value {bad.flat[0]} outside [0, {size})")
+    phase = ms / size
+    phase = np.where(phase >= 0.5, phase - 1.0, phase) * 2.0 * math.pi / t0
+    return float(phase) if phase.ndim == 0 else phase
 
 
 def default_base_time(max_norm: float) -> float:
@@ -202,24 +207,15 @@ def extract_estimates(distribution, bits: int, t0: float,
     list (never the state) by |decoded value|.
     """
     p = np.asarray(distribution, dtype=float)
-    size = p.shape[0]
-    half = size // 2
-    peaks = []
-    for y in range(size):
-        if p[y] < min_weight:
-            continue
-        if p[y] >= p[(y - 1) % size] and p[y] >= p[(y + 1) % size]:
-            value = decode_register(y, bits, t0)
-            if abs(value) < threshold:
-                continue
-            peaks.append(EigenEstimate(
-                register_value=y,
-                value=value,
-                weight=float(p[y]),
-                sign=-1 if y >= half else 1,
-            ))
-    peaks.sort(key=lambda e: (-e.weight, e.register_value))
-    return peaks
+    half = p.shape[0] // 2
+    ys = np.flatnonzero(~(p < min_weight) & (p >= np.roll(p, 1)) & (p >= np.roll(p, -1)))
+    values = decode_register(ys, bits, t0)
+    kept = ~(np.abs(values) < threshold)
+    ys, values = ys[kept], values[kept]
+    order = np.lexsort((ys, -p[ys]))
+    return [EigenEstimate(register_value=int(y), value=float(v), weight=float(p[y]),
+                          sign=-1 if y >= half else 1)
+            for y, v in zip(ys[order], values[order])]
 
 
 def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):

@@ -21,8 +21,9 @@ to any number of vectors or density-matrix columns at any time value.
 The same block data gives the uniform-ancilla channel step in closed form:
 each Kraus operator is a diagonal plus one column (``kraus_factors``), so
 ``channel`` applies the whole Kraus sum with a few N x N products and never
-forms the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
-remain as references.
+forms the N^2 x N^2 joint state; ``channel_map`` builds those factors once
+for a fixed time, to be applied to many states. ``conjugate`` and the dense
+``kraus`` stack remain as references.
 """
 
 from __future__ import annotations
@@ -113,19 +114,31 @@ class BlockPlan:
         k[rng_n, :, rng_n] += s.T
         return k / np.sqrt(self.dim)
 
-    def channel(self, x, t: float) -> np.ndarray:
-        """sum_a K_a x K_a† over the last two axes of x, in O(N^3) per matrix.
+    def channel_map(self, t: float):
+        """The channel step at time t as a function x -> sum_a K_a x K_a†.
 
-        Expands the diagonal-plus-column Kraus operators into four terms:
-        ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N.
-        Leading axes of x are batch axes.
+        The factors and their products (C^T, C̄, C^T C̄, S, S^H) are built
+        once here; each call of the returned function then expands the
+        diagonal-plus-column Kraus operators into four terms,
+        ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N,
+        over the last two axes of x in O(N^3) per matrix. Leading axes of x
+        are batch axes.
         """
         c, s = self.kraus_factors(t)
-        x = np.asarray(x, dtype=np.complex128)
-        sh = s.conj().T
-        out = (c.T @ c.conj()) * x + (c.T * x) @ sh + s @ (c.conj() * x)
-        out += (s * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh
-        return out / self.dim
+        ct, cbar, sh, n = c.T, c.conj(), s.conj().T, self.dim
+        ctc = ct @ cbar
+
+        def apply(x) -> np.ndarray:
+            x = np.asarray(x, dtype=np.complex128)
+            out = ctc * x + (ct * x) @ sh + s @ (cbar * x)
+            out += (s * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh
+            return out / n
+
+        return apply
+
+    def channel(self, x, t: float) -> np.ndarray:
+        """sum_a K_a x K_a† over the last two axes of x (see ``channel_map``)."""
+        return self.channel_map(t)(x)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,21 @@ are the joint-state channel step and the per-step Kraus-stack trotter step
 that the closed-form ``BlockPlan.channel`` replaced, kept as differential
 references on top of a ``BlockPlan``. ``plan_by_queries`` is the
 per-element ``query`` loop that ``build_plan`` replaced with one counted
-triangle read.
+triangle read. ``evolve_by_steps`` and ``sweep_by_steps`` are the per-step
+loops (one counted sweep, one Kraus factorisation and one ``eigh`` per step)
+that ``evolve`` and ``error_sweep`` replaced with one of each per run.
+``decode_register_scalar`` and ``extract_estimates_by_loop`` are the
+per-register Python loops that the array decode and peak scan replaced.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from modswap.channel import ErrorReport, SweepResult, SweepRow, channel_step, require_density
+from modswap.linalg import exact_evolution, hermitize, nuclear_norm, require_hermitian
+from modswap.qpe import EigenEstimate
 
 
 def dense_swap(a: np.ndarray) -> np.ndarray:
@@ -90,6 +98,90 @@ def controlled_kraus_step(plan, dens4: np.ndarray, on_mask: np.ndarray,
     half_t = half.reshape(n, size, n, size, n).transpose(0, 3, 1, 2, 4)
     prod = half_t.reshape(n, size, size * n, n) @ stack.conj().transpose(0, 1, 3, 2)
     return prod.sum(axis=0).reshape(size, size, n, n).transpose(1, 2, 0, 3)
+
+
+def evolve_by_steps(oracle, sigma, config, baseline=None):
+    """``evolve`` as n calls of ``channel_step`` and ``exact_evolution``."""
+    sigma = require_density(sigma)
+    if baseline is None:
+        baseline = oracle.materialize()
+    a = hermitize(require_hermitian(baseline))
+    a_max = float(np.max(np.abs(a)))
+    dt = config.delta_t
+    per_step_bound = 2.0 * a_max**2 * dt**2
+
+    cur = sigma
+    worst_step = 0.0
+    for _ in range(config.n):
+        nxt = channel_step(oracle, cur, dt, validate=False)
+        step_err = nuclear_norm(nxt - exact_evolution(a, dt, cur))
+        worst_step = max(worst_step, step_err)
+        cur = nxt
+
+    total = nuclear_norm(cur - exact_evolution(a, config.t, sigma))
+    return cur, ErrorReport(
+        per_step_bound=per_step_bound,
+        measured_step_error=worst_step,
+        total_measured=total,
+        total_bound=config.n * per_step_bound,
+    )
+
+
+def sweep_by_steps(oracle, sigma, delta_ts):
+    """``error_sweep`` as one ``channel_step`` and ``exact_evolution`` per dt.
+
+    Input checks are left to the caller.
+    """
+    sigma = require_density(sigma)
+    a = hermitize(require_hermitian(oracle.materialize()))
+    a_max = float(np.max(np.abs(a)))
+    rows = []
+    for dt in (float(d) for d in delta_ts):
+        measured = nuclear_norm(
+            channel_step(oracle, sigma, dt, validate=False)
+            - exact_evolution(a, dt, sigma)
+        )
+        rows.append(SweepRow(delta_t=dt, measured_error=measured,
+                             bound=2.0 * a_max**2 * dt**2))
+    xs = np.log([r.delta_t for r in rows])
+    ys = np.log([max(r.measured_error, 1e-300) for r in rows])
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")
+    return SweepResult(rows=rows, slope=slope)
+
+
+def decode_register_scalar(m: int, bits: int, t0: float) -> float:
+    """One register value decoded with Python scalars (two's complement)."""
+    size = 1 << bits
+    if not 0 <= m < size:
+        raise ValueError(f"register value {m} outside [0, {size})")
+    phase = m / size
+    if phase >= 0.5:
+        phase -= 1.0
+    return phase * 2.0 * math.pi / t0
+
+
+def extract_estimates_by_loop(distribution, bits: int, t0: float,
+                              min_weight: float, threshold: float):
+    """Cyclic local maxima found by one Python test per register value."""
+    p = np.asarray(distribution, dtype=float)
+    size = p.shape[0]
+    half = size // 2
+    peaks = []
+    for y in range(size):
+        if p[y] < min_weight:
+            continue
+        if p[y] >= p[(y - 1) % size] and p[y] >= p[(y + 1) % size]:
+            value = decode_register_scalar(y, bits, t0)
+            if abs(value) < threshold:
+                continue
+            peaks.append(EigenEstimate(
+                register_value=y,
+                value=value,
+                weight=float(p[y]),
+                sign=-1 if y >= half else 1,
+            ))
+    peaks.sort(key=lambda e: (-e.weight, e.register_value))
+    return peaks
 
 
 def hadamard(bits: int) -> np.ndarray:

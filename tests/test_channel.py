@@ -20,7 +20,13 @@ from modswap.linalg import (
 )
 from modswap.oracle import MatrixOracle
 
-from dense_refs import dense_channel_step, random_hermitian, trace_norm
+from dense_refs import (
+    dense_channel_step,
+    evolve_by_steps,
+    random_hermitian,
+    sweep_by_steps,
+    trace_norm,
+)
 
 
 def _oracle(a):
@@ -282,3 +288,121 @@ def test_first_order_generator_dimension_mismatch():
     rng = np.random.default_rng(20)
     with pytest.raises(ValueError, match="dim"):
         first_order_generator(_oracle(random_hermitian(3, rng)), random_density(2, rng))
+
+
+def _run_matrix(kind, n, rng):
+    if kind == "random":
+        return random_hermitian(n, rng)
+    if kind == "low-rank":
+        return random_low_rank(n, min(2, n), 1.0, rng)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(n)).astype(complex)
+    return np.zeros((n, n), dtype=complex)
+
+
+def _function_oracle(a):
+    """Function-source oracle over a, with a list that records every source read."""
+    reads = []
+
+    def fn(j, k):
+        reads.append((j, k))
+        return a[j, k]
+
+    return MatrixOracle.from_function(fn, a.shape), reads
+
+
+@pytest.mark.parametrize("kind", ["random", "low-rank", "diagonal", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("t, steps", [(0.7, None), (-0.4, None), (0.3, 3)])
+def test_evolve_equals_per_step_loop(kind, n, t, steps):
+    rng = np.random.default_rng(100 + n)
+    a = _run_matrix(kind, n, rng)
+    sigma = random_density(n, rng)
+    config = EvolutionConfig.plan(float(np.max(np.abs(a))), t, 0.05, steps=steps)
+    fast, ref = _oracle(a), _oracle(a)
+    got, got_report = evolve(fast, sigma, config)
+    want, want_report = evolve_by_steps(ref, sigma, config)
+    np.testing.assert_array_equal(got, want)
+    assert got_report == want_report
+    assert fast.report_calls() == ref.report_calls() == config.n * n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("kind", ["random", "low-rank", "diagonal"])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_error_sweep_equals_per_step_loop(kind, n):
+    rng = np.random.default_rng(200 + n)
+    a = _run_matrix(kind, n, rng)
+    sigma = random_density(n, rng)
+    dts = [f / np.max(np.abs(a)) for f in (0.2, 0.1, 0.05, 0.025)]
+    fast, ref = _oracle(a), _oracle(a)
+    got = error_sweep(fast, sigma, dts)
+    want = sweep_by_steps(ref, sigma, dts)
+    assert got.rows == want.rows
+    assert got.slope == want.slope
+    assert fast.report_calls() == ref.report_calls() == len(dts) * n * (n + 1) // 2
+
+
+def test_evolve_reads_function_source_once_and_charges_every_step():
+    rng = np.random.default_rng(21)
+    n = 4
+    a = random_hermitian(n, rng)
+    sigma = random_density(n, rng)
+    config = EvolutionConfig(t=0.6, epsilon=0.1, n=9)
+    fast, fast_reads = _function_oracle(a)
+    ref, ref_reads = _function_oracle(a)
+    got, got_report = evolve(fast, sigma, config, baseline=a)
+    want, want_report = evolve_by_steps(ref, sigma, config, baseline=a)
+    np.testing.assert_array_equal(got, want)
+    assert got_report == want_report
+    sweep = n * (n + 1) // 2
+    assert len(fast_reads) == sweep
+    assert len(ref_reads) == 9 * sweep
+    assert fast.report_calls() == ref.report_calls() == 9 * sweep
+
+
+def test_error_sweep_reads_function_source_once_and_charges_every_dt():
+    rng = np.random.default_rng(22)
+    n = 3
+    a = random_hermitian(n, rng)
+    sigma = random_density(n, rng)
+    dts = [0.1, 0.05, 0.02]
+    fast, fast_reads = _function_oracle(a)
+    ref, ref_reads = _function_oracle(a)
+    got = error_sweep(fast, sigma, dts)
+    want = sweep_by_steps(ref, sigma, dts)
+    assert got.rows == want.rows and got.slope == want.slope
+    sweep = n * (n + 1) // 2
+    # both materialize the baseline once, uncounted: n * n reads
+    assert len(fast_reads) == n * n + sweep
+    assert len(ref_reads) == n * n + len(dts) * sweep
+    assert fast.report_calls() == ref.report_calls() == len(dts) * sweep
+
+
+@pytest.mark.parametrize("dts", [[0.1, np.nan], [np.inf, 0.1], [0.1, -np.inf], [np.nan]])
+def test_error_sweep_rejects_non_finite_dt_before_reading(dts):
+    rng = np.random.default_rng(23)
+    oracle = _oracle(random_hermitian(3, rng))
+    with pytest.raises(ValueError, match="finite"):
+        error_sweep(oracle, random_density(3, rng), dts)
+    assert oracle.report_calls() == 0
+
+
+def test_evolve_and_error_sweep_reject_state_shape_before_reading():
+    rng = np.random.default_rng(24)
+    oracle = _oracle(random_hermitian(3, rng))
+    sigma = random_density(4, rng)
+    with pytest.raises(ValueError, match="dim"):
+        evolve(oracle, sigma, EvolutionConfig(t=0.5, epsilon=0.1, n=5))
+    with pytest.raises(ValueError, match="dim"):
+        error_sweep(oracle, sigma, [0.1, 0.05])
+    assert oracle.report_calls() == 0
+
+
+def test_evolve_non_finite_oracle_fails_after_one_sweep():
+    a = np.full((3, 3), 0.25, dtype=complex)
+    oracle = MatrixOracle.from_function(lambda j, k: np.nan if (j, k) == (0, 1) else 0.25,
+                                        (3, 3))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        evolve(oracle, uniform_density(3), EvolutionConfig(t=0.5, epsilon=0.1, n=7),
+               baseline=a)
+    assert oracle.report_calls() == 3 * 4 // 2

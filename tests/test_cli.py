@@ -231,6 +231,26 @@ def test_error_sweep_rejects_zero_matrix_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dts", ["0.1,nan", "inf,0.1", "0.1,-inf"])
+def test_error_sweep_rejects_non_finite_dts_exits_2(tmp_path, monkeypatch, capsys, dts):
+    import modswap.cli as cli
+
+    oracles = []
+    resolve = cli._resolve_oracle
+
+    def recording(args):
+        oracles.append(resolve(args))
+        return oracles[-1]
+
+    monkeypatch.setattr(cli, "_resolve_oracle", recording)
+    out = tmp_path / "s.csv"
+    assert main(["error-sweep", "--matrix", str(_gen(tmp_path)), "--dts", dts,
+                 "--out", str(out)]) == 2
+    assert "delta_t values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert [o.report_calls() for o in oracles] == [0]
+
+
 def test_qpe_rejects_non_hermitian_exits_2(tmp_path):
     out = tmp_path / "q.json"
     assert main(["qpe", "--matrix", str(_non_hermitian(tmp_path)), "--bits", "3",

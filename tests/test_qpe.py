@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modswap.linalg import haar_unitary, random_low_rank, random_state
 from modswap.oracle import MatrixOracle
@@ -10,6 +12,7 @@ from modswap.qpe import (
     backend_agreement,
     decode_register,
     default_base_time,
+    extract_estimates,
     invert_joint,
     joint_from_eig,
     qpe,
@@ -18,7 +21,13 @@ from modswap.qpe import (
 from modswap.svdx import quantum_svd
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import controlled_kraus_step, hadamard, random_hermitian
+from dense_refs import (
+    controlled_kraus_step,
+    decode_register_scalar,
+    extract_estimates_by_loop,
+    hadamard,
+    random_hermitian,
+)
 
 
 def _encode(value, bits, t0):
@@ -380,3 +389,57 @@ def test_trotter_error_bound_reported():
                            trotter_epsilon=0.05))
     assert result.trotter_error_bound is not None
     assert result.trotter_error_bound <= 2 * 0.05 * (1 + 1e-9)
+
+
+def _estimate_bits(peaks):
+    """Peaks as exactly comparable tuples: float bits, Python types and order."""
+    return [(type(e.register_value), e.register_value, type(e.value), e.value.hex(),
+             type(e.weight), e.weight.hex(), e.sign) for e in peaks]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, 11])
+@pytest.mark.parametrize("t0", [np.pi, 0.37, 2.0])
+def test_decode_register_table_equals_scalar_loop(bits, t0):
+    table = decode_register(np.arange(1 << bits), bits, t0)
+    want = np.array([decode_register_scalar(y, bits, t0) for y in range(1 << bits)])
+    assert table.tobytes() == want.tobytes()
+    assert decode_register(3 % (1 << bits), bits, t0) == decode_register_scalar(
+        3 % (1 << bits), bits, t0)
+
+
+def test_decode_register_array_rejects_out_of_range():
+    with pytest.raises(ValueError, match="register value 9"):
+        decode_register(np.array([1, 9, -1]), 3, np.pi)
+
+
+# Few distinct levels, so plateaus and exact weight ties are common.
+_levels = st.sampled_from([0.0, 0.004, 0.01, 0.01, 0.2, 0.2, 0.35, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), bits=st.integers(1, 5),
+       t0=st.sampled_from([np.pi, 0.37, 5.0]),
+       min_weight=st.sampled_from([0.0, 0.01, 0.2]),
+       threshold=st.sampled_from([0.0, 0.3, 1.0, 4.0]))
+def test_extract_estimates_equals_per_register_loop(data, bits, t0, min_weight, threshold):
+    size = 1 << bits
+    p = np.array(data.draw(st.lists(_levels, min_size=size, max_size=size)))
+    got = extract_estimates(p, bits, t0, min_weight=min_weight, threshold=threshold)
+    want = extract_estimates_by_loop(p, bits, t0, min_weight, threshold)
+    assert _estimate_bits(got) == _estimate_bits(want)
+
+
+@pytest.mark.parametrize("p", [
+    [0.5, 0.5],                                 # bits = 1: both neighbours are one cell
+    [0.7, 0.3],
+    [0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4],   # peak at the last cell wraps to 0
+    [0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4],   # tie across the wrap
+    [0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2],   # flat: every cell is a peak
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],   # nothing above min_weight
+])
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+def test_extract_estimates_wrap_and_plateau_cases(p, threshold):
+    bits = len(p).bit_length() - 1
+    got = extract_estimates(p, bits, np.pi, threshold=threshold)
+    want = extract_estimates_by_loop(p, bits, np.pi, 0.01, threshold)
+    assert _estimate_bits(got) == _estimate_bits(want)
