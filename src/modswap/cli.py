@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation/usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from . import FORMAT_VERSION, __version__
 from .channel import EvolutionConfig, effective_rank, error_sweep, evolve, pure_density
 from .linalg import hermitize, random_low_rank, random_low_rank_rect, require_hermitian
-from .matio import load_matrix, load_state, matrix_to_json_obj, save_matrix
+from .matio import _complex_pairs, load_matrix, load_state, matrix_to_json_obj, save_matrix
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import quantum_procrustes_apply
 from .qpe import QPEConfig, qpe
@@ -41,11 +42,8 @@ def _write_envelope(path, command: str, config: dict, results: dict,
         "oracle_calls": oracle_calls,
         "wall_ms": wall_ms,
     }
-    Path(path).write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-
-
-def _complex_list(values) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values).reshape(-1)]
+    # No indent: any indent makes json fall back to its pure-Python encoder.
+    Path(path).write_text(json.dumps(envelope, sort_keys=True) + "\n")
 
 
 def _qram_latency_factor(n: int) -> float:
@@ -198,7 +196,7 @@ def cmd_qpe(args) -> int:
         {**_source_config(args), "bits": args.bits, "backend": args.backend,
          "t0": result.base_time, "trotter_epsilon": args.trotter_epsilon},
         {
-            "distribution": [float(p) for p in result.distribution],
+            "distribution": result.distribution.tolist(),
             "estimates": [
                 {"register_value": e.register_value, "value": e.value,
                  "weight": e.weight, "sign": e.sign}
@@ -224,6 +222,7 @@ def cmd_svd(args) -> int:
     result = quantum_svd(oracle, config, args.threshold)
     a = oracle.materialize()
     wall = (time.perf_counter() - start) * 1000.0
+    residual = result.residual(a)
     sqrt2 = float(np.sqrt(2.0))
     _write_envelope(
         args.out, "svd",
@@ -232,12 +231,12 @@ def cmd_svd(args) -> int:
         {
             "rank": result.rank,
             "singular_values": [float(s) for s in result.singular_values],
-            "left_vectors": [_complex_list(result.left_vectors[:, j])
+            "left_vectors": [_complex_pairs(result.left_vectors[:, j])
                              for j in range(result.rank)],
-            "right_vectors": [_complex_list(result.right_vectors[:, j])
+            "right_vectors": [_complex_pairs(result.right_vectors[:, j])
                               for j in range(result.rank)],
             "degenerate": result.degenerate,
-            "reconstruction_residual": result.residual(a),
+            "reconstruction_residual": residual,
             "subvector_norms": [
                 [float(np.linalg.norm(result.left_vectors[:, j]) / sqrt2),
                  float(np.linalg.norm(result.right_vectors[:, j]) / sqrt2)]
@@ -248,7 +247,7 @@ def cmd_svd(args) -> int:
         result.oracle_calls,
         wall if args.timing else None,
     )
-    print(f"svd: rank {result.rank}, residual {result.residual(a):.3e}")
+    print(f"svd: rank {result.rank}, residual {residual:.3e}")
     return 0
 
 
@@ -295,7 +294,7 @@ def cmd_procrustes(args) -> int:
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
          "backend": args.backend, "shots": args.shots},
         {
-            "output_state": _complex_list(result.output_state),
+            "output_state": _complex_pairs(result.output_state),
             "success_probability": result.success_probability,
             "sampled_success_probability": result.sampled_success_probability,
             "fidelity_vs_oracle": result.fidelity_vs_oracle,
@@ -311,7 +310,13 @@ def cmd_procrustes(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused for the process.
+
+    Each ``parse_args`` call returns a fresh namespace, so one parser serves
+    any number of ``main`` calls.
+    """
     parser = argparse.ArgumentParser(
         prog="modswap",
         description="Simulator harness for low-rank matrix exponentiation, "
@@ -385,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, IndexError, OSError, KeyError, json.JSONDecodeError) as exc:

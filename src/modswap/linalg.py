@@ -20,7 +20,9 @@ def as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    # complex isfinite, not a float64 view: the view refuses Fortran-ordered
+    # and column-strided input
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or infinity")
     return a
 
@@ -40,6 +42,8 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix is not square ({a.shape[0]}x{a.shape[1]})")
     if not is_hermitian(a, tol):
         raise ValueError(
             f"matrix is not Hermitian (residual {hermiticity_residual(a):.3e})"

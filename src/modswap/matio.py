@@ -22,15 +22,20 @@ import numpy as np
 from .linalg import as_matrix
 
 
+def _complex_pairs(values) -> list:
+    """[re, im] Python-float pairs of the entries of values, in row-major order.
+
+    One ``tolist`` over the float64 view; the contiguous copy lets strided
+    views (matrix columns) and Fortran-ordered arrays through.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.complex128)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
+
+
 def matrix_to_json_obj(a) -> dict:
     a = as_matrix(a)
     m, n = a.shape
-    flat = a.reshape(-1)
-    return {
-        "rows": m,
-        "cols": n,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"rows": m, "cols": n, "data": _complex_pairs(a)}
 
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:

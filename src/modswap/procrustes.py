@@ -40,7 +40,7 @@ from .qpe import (
     _read_spectrum,
     _require_state,
 )
-from .svdx import embed, _merge_adjacent_peaks, _warn_if_skewed
+from .svdx import embed, _check_threshold, _merge_adjacent_peaks, _warn_if_skewed
 
 RANK_CUT = 1e-10
 
@@ -107,8 +107,7 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     m, n = base.shape
     _warn_if_skewed(m, n)
     psi = _require_state(psi, n)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(threshold)
 
     calls_before = base.report_calls()
     ext = embed(base)

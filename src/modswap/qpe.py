@@ -34,7 +34,7 @@ import numpy as np
 
 from .linalg import hermitize
 from .oracle import MatrixOracle, read_hermitian
-from .swapop import ModifiedSwapOperator
+from .swapop import ModifiedSwapOperator, _kraus_map
 
 PEAK_MIN_WEIGHT = 0.01
 MAX_BYTES = 1 << 29  # largest array set either backend allocates, checked before any query
@@ -250,10 +250,11 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
         oracle.charge_sweeps(steps - 1)
         # Every step of the stage is the same map on the N x N blocks: the
         # channel on control-on/on blocks, M = sum_a K_a / sqrt(N) on on/off
-        # blocks, M† on off/on blocks, the identity on off/off blocks.
+        # blocks, M† on off/on blocks, the identity on off/off blocks. One
+        # Kraus factorisation serves both M and the channel's transfer matrix.
         c, s = plan.kraus_factors(dt)
         m_pow = np.linalg.matrix_power((np.diag(c.sum(axis=0)) + s) / n, steps)
-        transfer = plan.channel(np.eye(n * n).reshape(n * n, n, n), dt).reshape(n * n, n * n)
+        transfer = _kraus_map(c, s)(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
         p_pow = np.linalg.matrix_power(transfer, steps).reshape(n, n, n, n)
         on = (np.arange(size) >> k) & 1 == 1
         on_on, on_off, off_on = np.ix_(on, on), np.ix_(on, ~on), np.ix_(~on, on)

@@ -171,6 +171,11 @@ def _warn_if_skewed(m: int, n: int) -> None:
         )
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < np.inf:  # NaN fails both comparisons
+        raise ValueError("threshold must be positive and finite")
+
+
 def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDResult:
     """Full SVD pipeline through phase estimation on the scaled embedding.
 
@@ -179,8 +184,7 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     unmatched branch is an error), and reads vectors out of the stacked
     register slices. Triplets with sigma/(M+N) below threshold are dropped.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(threshold)
     m, n = base.shape
     _warn_if_skewed(m, n)
     calls_before = base.report_calls()

@@ -117,28 +117,35 @@ class BlockPlan:
     def channel_map(self, t: float):
         """The channel step at time t as a function x -> sum_a K_a x K_a†.
 
-        The factors and their products (C^T, C̄, C^T C̄, S, S^H) are built
-        once here; each call of the returned function then expands the
-        diagonal-plus-column Kraus operators into four terms,
-        ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N,
-        over the last two axes of x in O(N^3) per matrix. Leading axes of x
-        are batch axes.
+        One ``kraus_factors`` call; see ``_kraus_map`` for the returned map.
         """
-        c, s = self.kraus_factors(t)
-        ct, cbar, sh, n = c.T, c.conj(), s.conj().T, self.dim
-        ctc = ct @ cbar
-
-        def apply(x) -> np.ndarray:
-            x = np.asarray(x, dtype=np.complex128)
-            out = ctc * x + (ct * x) @ sh + s @ (cbar * x)
-            out += (s * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh
-            return out / n
-
-        return apply
+        return _kraus_map(*self.kraus_factors(t))
 
     def channel(self, x, t: float) -> np.ndarray:
         """sum_a K_a x K_a† over the last two axes of x (see ``channel_map``)."""
         return self.channel_map(t)(x)
+
+
+def _kraus_map(c: np.ndarray, s: np.ndarray):
+    """x -> sum_a K_a x K_a† for the factors (C, S) of ``BlockPlan.kraus_factors``.
+
+    The factors' products (C^T, C̄, C^T C̄, S, S^H) are built once here; each
+    call of the returned function then expands the diagonal-plus-column
+    Kraus operators into four terms,
+    ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N,
+    over the last two axes of x in O(N^3) per matrix. Leading axes of x are
+    batch axes.
+    """
+    ct, cbar, sh, n = c.T, c.conj(), s.conj().T, c.shape[0]
+    ctc = ct @ cbar
+
+    def apply(x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.complex128)
+        out = ctc * x + (ct * x) @ sh + s @ (cbar * x)
+        out += (s * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh
+        return out / n
+
+    return apply
 
 
 @dataclass(frozen=True)

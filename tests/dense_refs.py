@@ -15,6 +15,9 @@ loops (one counted sweep, one Kraus factorisation and one ``eigh`` per step)
 that ``evolve`` and ``error_sweep`` replaced with one of each per run.
 ``decode_register_scalar`` and ``extract_estimates_by_loop`` are the
 per-register Python loops that the array decode and peak scan replaced.
+``complex_pairs_by_loop`` and ``matrix_to_json_obj_by_loop`` are the
+per-element ``float()`` loops that built the [re, im] pair lists of matrix
+files and envelopes before one ``tolist`` call replaced them.
 """
 
 import math
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from modswap.channel import ErrorReport, SweepResult, SweepRow, channel_step, require_density
-from modswap.linalg import exact_evolution, hermitize, nuclear_norm, require_hermitian
+from modswap.linalg import as_matrix, exact_evolution, hermitize, nuclear_norm, require_hermitian
 from modswap.qpe import EigenEstimate
 
 
@@ -182,6 +185,18 @@ def extract_estimates_by_loop(distribution, bits: int, t0: float,
             ))
     peaks.sort(key=lambda e: (-e.weight, e.register_value))
     return peaks
+
+
+def complex_pairs_by_loop(values) -> list:
+    """[re, im] pairs built one numpy scalar at a time through ``float()``."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(values).reshape(-1)]
+
+
+def matrix_to_json_obj_by_loop(a) -> dict:
+    """The JSON matrix object with its data list from ``complex_pairs_by_loop``."""
+    a = as_matrix(a)
+    m, n = a.shape
+    return {"rows": m, "cols": n, "data": complex_pairs_by_loop(a)}
 
 
 def hadamard(bits: int) -> np.ndarray:

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from modswap.cli import main
+import modswap.cli as cli
+from modswap import FORMAT_VERSION, __version__
+from modswap.channel import EvolutionConfig
+from modswap.cli import build_parser, main
 from modswap.oracle import MatrixOracle
 from modswap.matio import load_matrix, save_matrix, save_state
 from modswap.linalg import random_low_rank
+from modswap.qpe import default_base_time
 
 
 def _gen(tmp_path, name="a.json", n=4, rank=2, seed=7):
@@ -327,3 +331,114 @@ def test_gen_matrix_csv_extension(tmp_path):
     assert a.shape == (3, 3)
     lib = random_low_rank(3, 1, 1.0, np.random.default_rng(2))
     assert np.array_equal(a, lib)
+
+
+def _rank_one_procrustes_inputs(tmp_path):
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    matrix, state = tmp_path / "m.json", tmp_path / "v.json"
+    save_matrix(matrix, np.outer(u, v.conj()) * (2.0 / np.linalg.norm(u)))
+    save_state(state, v)
+    return matrix, state
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
+    """One process, one parser: each call sees only its own options.
+
+    Every envelope is also one line that parses back to exactly what was
+    handed to ``_write_envelope``.
+    """
+    written = []
+    write = cli._write_envelope
+
+    def spy(path, command, config, results, oracle_calls, wall_ms):
+        written.append((path, {
+            "artifact_version": __version__, "format_version": FORMAT_VERSION,
+            "command": command, "config": config, "results": results,
+            "oracle_calls": oracle_calls, "wall_ms": wall_ms}))
+        write(path, command, config, results, oracle_calls, wall_ms)
+
+    monkeypatch.setattr(cli, "_write_envelope", spy)
+
+    def run(*argv):
+        out = tmp_path / f"out{len(written)}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        path, expected = written[-1]
+        assert path == str(out)
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == expected
+        return expected["config"], expected["results"], expected["wall_ms"]
+
+    pauli = tmp_path / "x.json"
+    save_matrix(pauli, np.array([[0, 1], [1, 0]], dtype=complex))
+    herm = _gen(tmp_path)
+    proc_matrix, proc_state = _rank_one_procrustes_inputs(tmp_path)
+
+    config, _, wall = run("qpe", "--matrix", str(pauli), "--bits", "3", "--t0", "0.5",
+                          "--backend", "trotter", "--trotter-epsilon", "0.1", "--timing")
+    assert (config["backend"], config["t0"], config["trotter_epsilon"]) == ("trotter", 0.5, 0.1)
+    assert wall > 0
+    config, _, wall = run("qpe", "--matrix", str(pauli), "--bits", "3")
+    assert config["backend"] == "exact"
+    assert config["t0"] == default_base_time(1.0)
+    assert config["trotter_epsilon"] == 0.01
+    assert wall is None
+
+    config, _, wall = run("evolve", "--matrix", str(herm), "--time", "0.2",
+                          "--epsilon", "0.05", "--steps", "3", "--timing")
+    assert config["steps"] == 3 and wall > 0
+    config, _, wall = run("evolve", "--matrix", str(herm), "--time", "0.2",
+                          "--epsilon", "0.05")
+    a_max = float(np.max(np.abs(load_matrix(herm))))
+    assert config["steps"] == EvolutionConfig.plan(a_max, 0.2, 0.05).n != 3
+    assert wall is None
+
+    proc = ("procrustes", "--matrix", str(proc_matrix), "--state", str(proc_state),
+            "--bits", "9", "--threshold", "0.05")
+    config, results, _ = run(*proc, "--shots", "50", "--seed", "1")
+    assert config["shots"] == 50 and config["seed"] == 1
+    assert results["sampled_success_probability"] is not None
+    config, results, _ = run(*proc)
+    assert config["shots"] is None and config["seed"] == 0
+    assert results["sampled_success_probability"] is None
+
+    config, _, _ = run("svd", "--matrix", str(proc_matrix), "--bits", "9",
+                       "--threshold", "0.05")
+    assert config["backend"] == "exact"
+    assert config["state"] is None
+
+
+@pytest.mark.parametrize("command", ["svd", "procrustes"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exits_2(tmp_path, capsys, command, threshold):
+    matrix, state = _rank_one_procrustes_inputs(tmp_path)
+    out = tmp_path / "o.json"
+    argv = [command, "--matrix", str(matrix), "--bits", "6", f"--threshold={threshold}",
+            "--out", str(out)]
+    if command == "procrustes":
+        argv += ["--state", str(state)]
+    assert main(argv) == 2
+    assert "threshold must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["qpe", "--bits", "3"],
+    ["evolve", "--time", "0.2", "--epsilon", "0.05"],
+    ["error-sweep", "--dts", "0.1,0.05"],
+])
+def test_non_square_matrix_exits_2(tmp_path, capsys, argv):
+    matrix = tmp_path / "rect.json"
+    save_matrix(matrix, np.arange(24, dtype=complex).reshape(6, 4))
+    out = tmp_path / "o.json"
+    assert main([*argv, "--matrix", str(matrix), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not square" in err and "broadcast" not in err
+    assert not out.exists()

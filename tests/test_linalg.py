@@ -11,6 +11,7 @@ from modswap.linalg import (
     random_density,
     random_low_rank,
     random_low_rank_rect,
+    require_hermitian,
 )
 
 from dense_refs import random_hermitian
@@ -85,6 +86,22 @@ def test_exact_eig_reconstruction_and_orthonormality(n):
 def test_exact_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         exact_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_require_hermitian_checks_shape_first():
+    with pytest.raises(ValueError, match=r"matrix is not square \(6x4\)"):
+        require_hermitian(np.zeros((6, 4), dtype=complex))
+
+
+def test_as_matrix_accepts_fortran_and_strided_input():
+    h = random_hermitian(4, np.random.default_rng(2))
+    wide = np.zeros((4, 8), dtype=complex)
+    wide[:, ::2] = h
+    for view in (np.asfortranarray(h), wide[:, ::2]):
+        assert np.array_equal(require_hermitian(view), h)
+        view[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            require_hermitian(view)
 
 
 def test_exact_evolution_zero_matrix():

@@ -2,8 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from modswap.matio import load_matrix, load_state, save_matrix, save_state
+from modswap.matio import (
+    _complex_pairs,
+    load_matrix,
+    load_state,
+    matrix_to_json_obj,
+    save_matrix,
+    save_state,
+)
+
+from dense_refs import complex_pairs_by_loop, matrix_to_json_obj_by_loop
 
 
 def _awkward_matrix():
@@ -78,3 +90,45 @@ def test_rewrite_is_byte_identical(tmp_path):
     save_matrix(p1, a)
     save_matrix(p2, load_matrix(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# signed zeros, subnormals (smallest and mid-range) and the largest finite values
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+            1.7976931348623157e308]
+_REALS = st.one_of(st.sampled_from(_SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _complex_layouts(draw):
+    """A finite complex matrix as C-ordered, Fortran-ordered or a strided view."""
+    a = draw(arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=5),
+                    elements=st.builds(complex, _REALS, _REALS)))
+    layout = draw(st.sampled_from(["C", "F", "column", "reversed-step"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "column":
+        j = draw(st.integers(0, a.shape[1] - 1))
+        return a[:, j:j + 1]
+    if layout == "reversed-step":
+        return a[::-1, ::2]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_layouts())
+def test_complex_pairs_equal_per_element_loop(a):
+    for values in (a, a[:, 0]):  # a[:, 0] is a strided 1-d column view
+        fast, ref = _complex_pairs(values), complex_pairs_by_loop(values)
+        assert fast == ref
+        assert json.dumps(fast) == json.dumps(ref)  # also tells -0.0 from 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complex_layouts())
+def test_saved_matrix_bytes_equal_per_element_loop(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("pairs") / "a.json"
+    save_matrix(path, a)
+    ref = matrix_to_json_obj_by_loop(a)
+    assert matrix_to_json_obj(a) == ref
+    assert path.read_bytes() == (json.dumps(ref, sort_keys=True) + "\n").encode()

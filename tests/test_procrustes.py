@@ -213,3 +213,12 @@ def test_rejects_nonpositive_threshold():
     with pytest.raises(ValueError, match="threshold"):
         quantum_procrustes_apply(_oracle(a), np.array([1, 0], dtype=complex),
                                  QPEConfig(bits=4), threshold=0.0)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_threshold_before_any_query(threshold):
+    oracle = _oracle(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        quantum_procrustes_apply(oracle, np.array([1, 0], dtype=complex),
+                                 QPEConfig(bits=4), threshold=threshold)
+    assert oracle.report_calls() == 0

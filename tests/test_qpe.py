@@ -19,7 +19,7 @@ from modswap.qpe import (
     query_scaling,
 )
 from modswap.svdx import quantum_svd
-from modswap.swapop import ModifiedSwapOperator
+from modswap.swapop import BlockPlan, ModifiedSwapOperator
 
 from dense_refs import (
     controlled_kraus_step,
@@ -379,6 +379,22 @@ def test_trotter_reads_source_once_per_stage_and_charges_every_step():
     assert sum(steps) > 3 * bits  # the stages really model many sweeps
     assert len(reads) == (1 + bits) * sweep  # the spectrum read plus one per stage
     assert result.oracle_calls == (1 + sum(steps)) * sweep
+
+
+def test_trotter_factorises_kraus_once_per_stage(monkeypatch):
+    calls = []
+    kraus_factors = BlockPlan.kraus_factors
+
+    def counted(self, t):
+        calls.append(t)
+        return kraus_factors(self, t)
+
+    monkeypatch.setattr(BlockPlan, "kraus_factors", counted)
+    bits = 3
+    a = random_hermitian(3, np.random.default_rng(5))
+    qpe(MatrixOracle.from_matrix(a), np.array([1, 0, 0], dtype=complex),
+        QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.05))
+    assert len(calls) == bits
 
 
 def test_trotter_error_bound_reported():

@@ -158,6 +158,14 @@ def test_quantum_svd_skew_warning():
         quantum_svd(_oracle(a), QPEConfig(bits=8), threshold=0.01)
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, 0.0])
+def test_quantum_svd_rejects_bad_threshold_before_any_query(threshold):
+    oracle = _oracle(np.diag([3.0, 1.0]))
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        quantum_svd(oracle, QPEConfig(bits=6), threshold=threshold)
+    assert oracle.report_calls() == 0
+
+
 def test_quantum_svd_threshold_filters():
     a = np.diag([3.0, 0.05]).astype(complex)
     result = quantum_svd(_oracle(a), QPEConfig(bits=9), threshold=0.2)
