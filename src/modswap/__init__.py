@@ -32,7 +32,6 @@ from .procrustes import (
     ProcrustesResult,
     classical_nearest_isometry,
     quantum_procrustes_apply,
-    sign_flip,
 )
 from .qpe import (
     EigenEstimate,
@@ -99,6 +98,5 @@ __all__ = [
     "random_low_rank_rect",
     "save_matrix",
     "save_state",
-    "sign_flip",
     "uniform_density",
 ]

@@ -236,6 +236,8 @@ def cmd_svd(args) -> int:
             "right_vectors": [_complex_pairs(result.right_vectors[:, j])
                               for j in range(result.rank)],
             "degenerate": result.degenerate,
+            "unresolved": result.unresolved,
+            "grid_step": result.grid_step,
             "reconstruction_residual": residual,
             "subvector_norms": [
                 [float(np.linalg.norm(result.left_vectors[:, j]) / sqrt2),
@@ -247,7 +249,8 @@ def cmd_svd(args) -> int:
         result.oracle_calls,
         wall if args.timing else None,
     )
-    print(f"svd: rank {result.rank}, residual {residual:.3e}")
+    print(f"svd: rank {result.rank}, residual {residual:.3e}, "
+          f"{result.unresolved} unresolved at grid step {result.grid_step:.3g}")
     return 0
 
 

@@ -17,6 +17,15 @@ The simulated protocol applies W to a state without ever forming it:
 4. projecting onto the first M coordinates succeeds with probability 1/2
    and leaves a state proportional to U V† psi.
 
+The simulator evaluates steps 2-3 in closed form. Eigenvector l of the
+embedding leaves register state K[:, l] (``qpe.joint_from_eig``), and the
+post-selection, flip and uncompute act on each eigenvector separately, so by
+Parseval the clean (register back at zero) row of each kept half is
+phi± = ±V (beta ∘ m±) / sqrt(kept), with beta = V† (0, psi), m±_l the sum
+of |K[y, l]|^2 over the kept register values of that half, and kept the
+retained weight. ``qpe.invert_joint`` runs the inverse circuit itself and
+is the reference the closed form is tested against.
+
 Success probability and fidelity are computed exactly from amplitudes;
 ``shots`` adds an optional sampled estimate. Imperfect uncompute at finite
 register size shows up as reported leakage and fidelity loss rather than
@@ -31,16 +40,8 @@ import numpy as np
 
 from .linalg import as_matrix
 from .oracle import MatrixOracle
-from .qpe import (
-    QPEConfig,
-    decode_register,
-    extract_estimates,
-    invert_joint,
-    joint_from_eig,
-    _read_spectrum,
-    _require_state,
-)
-from .svdx import embed, _check_threshold, _merge_adjacent_peaks, _warn_if_skewed
+from .qpe import QPEConfig, decode_register, _read_spectrum, _register_kernel, _require_state
+from .svdx import embed, _check_threshold, _warn_if_skewed
 
 RANK_CUT = 1e-10
 
@@ -66,20 +67,6 @@ def classical_nearest_isometry(a) -> PartialIsometry:
     keep = s > RANK_CUT * s[0]
     r = int(np.sum(keep))
     return PartialIsometry(matrix=u[:, keep] @ vh[keep, :], rank=r)
-
-
-def sign_flip(joint, bits: int) -> np.ndarray:
-    """Negate amplitudes whose register value decodes negative (MSB set).
-
-    Unitary and involutive: applying it twice is the identity.
-    """
-    joint = np.asarray(joint, dtype=np.complex128)
-    size = 1 << bits
-    if joint.shape[0] != size:
-        raise ValueError(f"register axis has length {joint.shape[0]}, expected {size}")
-    out = joint.copy()
-    out[size // 2:] = -out[size // 2:]
-    return out
 
 
 @dataclass
@@ -112,35 +99,25 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     calls_before = base.report_calls()
     ext = embed(base)
     _, evals_over_n, v, t0 = _read_spectrum(ext.oracle, config)
-    size = config.size
-    half = size // 2
-
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
-    joint = joint_from_eig(evals_over_n, v, x0, config.bits, t0)
+    beta = v.conj().T @ x0
+    weight = np.abs(beta) ** 2
 
-    # post-select the retained branches (|decoded| >= threshold)
-    keep = np.abs(decode_register(np.arange(size), config.bits, t0)) >= threshold
-    filtered = joint * keep[:, None]
-    kept_weight = float(np.sum(np.abs(filtered) ** 2))
+    # post-select the retained branches (|decoded| >= threshold), split by sign
+    mass = np.abs(_register_kernel(evals_over_n, config.bits, t0)) ** 2
+    decoded = decode_register(np.arange(config.size), config.bits, t0)
+    m_pos = np.sum(mass[decoded >= threshold], axis=0)
+    m_neg = np.sum(mass[decoded <= -threshold], axis=0)
+    kept_weight = float(weight @ (m_pos + m_neg))
     if kept_weight < 1e-12:
         raise ValueError("no retained branches above threshold; "
                          "input state has no weight on the resolved subspace")
-    filtered = filtered / np.sqrt(kept_weight)
+    retained_pairs = int(np.count_nonzero(
+        (m_pos >= 0.5) & (weight * m_pos / kept_weight >= 1e-4)))
 
-    retained = extract_estimates(
-        np.sum(np.abs(filtered) ** 2, axis=1), config.bits, t0,
-        min_weight=1e-4, threshold=threshold)
-    retained_pairs = len(_merge_adjacent_peaks([e for e in retained if e.sign > 0]))
-
-    flipped = sign_flip(filtered, config.bits)
-
-    # uncompute with the sign bit kept as a record: invert each half separately
-    pos_branch = flipped.copy()
-    pos_branch[half:] = 0
-    neg_branch = flipped.copy()
-    neg_branch[:half] = 0
-    phi_pos = invert_joint(pos_branch, evals_over_n, v, config.bits, t0)[0]
-    phi_neg = invert_joint(neg_branch, evals_over_n, v, config.bits, t0)[0]
+    # clean rows of the flipped and uncomputed halves, in Parseval closed form
+    phi_pos = v @ (beta * m_pos) / np.sqrt(kept_weight)
+    phi_neg = -(v @ (beta * m_neg)) / np.sqrt(kept_weight)
 
     clean_weight = float(np.linalg.norm(phi_pos) ** 2 + np.linalg.norm(phi_neg) ** 2)
     block_weight = float(np.linalg.norm(phi_pos[:m]) ** 2

@@ -302,6 +302,7 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig,
 @dataclass(frozen=True)
 class AgreementReport:
     tv_distance: float
+    trotter_error_bound: float
     trotter_calls: int
     exact_distribution: np.ndarray
     trotter_distribution: np.ndarray
@@ -310,20 +311,19 @@ class AgreementReport:
 def backend_agreement(oracle: MatrixOracle, psi, config: QPEConfig) -> AgreementReport:
     """Total-variation distance between the two backends' register outputs.
 
-    Guarded to small systems; the trotter backend cost grows exponentially
-    with register size.
+    The trotter run goes first, so a configuration over ``MAX_BYTES`` is
+    rejected before either backend reads the source.
     """
-    if oracle.dim > 4 or config.bits > 4:
-        raise ValueError("backend_agreement is limited to N <= 4 and bits <= 4")
-    exact = qpe(oracle.fork(), psi, QPEConfig(
-        bits=config.bits, base_time=config.base_time,
-        backend="exact-unitary", trotter_epsilon=config.trotter_epsilon))
     trotter = qpe(oracle.fork(), psi, QPEConfig(
         bits=config.bits, base_time=config.base_time,
         backend="trotter-channel", trotter_epsilon=config.trotter_epsilon))
+    exact = qpe(oracle.fork(), psi, QPEConfig(
+        bits=config.bits, base_time=config.base_time,
+        backend="exact-unitary", trotter_epsilon=config.trotter_epsilon))
     tv = 0.5 * float(np.sum(np.abs(exact.distribution - trotter.distribution)))
     return AgreementReport(
         tv_distance=tv,
+        trotter_error_bound=trotter.trotter_error_bound,
         trotter_calls=trotter.oracle_calls,
         exact_distribution=exact.distribution,
         trotter_distribution=trotter.distribution,

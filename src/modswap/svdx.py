@@ -11,16 +11,20 @@ embedding therefore recovers phase-correct singular triplets, which the
 Gram-matrix route (simulating A A† alone) cannot do; ``phase_ambiguity_demo``
 exhibits that failure.
 
-Vector readout from the simulated pipeline: probing the extended space with
-every basis vector, the post-QPE register slice at a peak p, stacked over
-the probes, is the matrix conj(V) diag(K[p]) V^T, where K is the register
-kernel of the phase estimation (see ``qpe.joint_from_eig``); its singular
-components are exactly the embedding's eigenvectors whose kernel weight
-sits at p (orthonormality separates them even with register leakage), and
-the aggregate register distribution over all probes is sum_l |K[y, l]|^2.
-This direct-amplitude tomography is a simulator privilege; singular values
-are then refined by the Rayleigh quotient of the extracted pair, since raw
-register decoding is limited to grid resolution.
+Vector readout from the simulated pipeline: phase estimation leaves
+eigenvector l of the embedding in register state K[:, l], the register
+kernel of ``qpe.joint_from_eig``, whose outcome distribution |K[y, l]|^2 is
+the Fejer kernel centred on its eigenvalue. Its mass in the positive window
+W = {y : decoded(y) >= threshold} decides its branch: the eigenvectors with
+at least half their mass in W span the resolved +sigma branch, whatever the
+spacing of their eigenvalues, and they are the Ritz vectors of the embedding
+on that subspace. Each splits into (u, v)/sqrt(2); the singular value is
+the Rayleigh quotient u^H A v, since raw register decoding is limited to
+grid resolution. Eigenvectors with between a quarter and three quarters of
+their mass in W sit on the window edge below grid resolution and are
+reported as unresolved. Reading the eigenvectors' amplitudes directly is a
+simulator privilege; the masses come from the one counted read, so the
+readout adds no query.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ import numpy as np
 
 from .linalg import as_matrix, hermitize
 from .oracle import MatrixOracle
-from .qpe import QPEConfig, extract_estimates, _read_spectrum, _register_kernel
+from .qpe import QPEConfig, decode_register, _read_spectrum, _register_kernel
 
 SKEW_RATIO = 4.0
-DEGENERATE_SINGULAR_RATIO = 0.3
 
 
 @dataclass
@@ -133,7 +136,14 @@ def extended_spectrum_check(ext: ExtendedMatrix, rank_tol: float = 1e-8) -> Exte
 
 @dataclass
 class SVDResult:
-    """Phase-consistent singular triplets extracted from the embedding."""
+    """Phase-consistent singular triplets extracted from the embedding.
+
+    grid_step is the register resolution 2*pi*(M+N) / (2^bits * t0) in
+    singular-value units; a triplet is degenerate when another returned
+    singular value lies within one grid step. unresolved counts the
+    eigenvectors with between 1/4 and 3/4 of their mass in the positive
+    window: at this register size they sit on the window edge, in no branch.
+    """
 
     rank: int
     singular_values: np.ndarray
@@ -141,6 +151,8 @@ class SVDResult:
     right_vectors: np.ndarray
     degenerate: list[bool] = field(default_factory=list)
     oracle_calls: int = 0
+    unresolved: int = 0
+    grid_step: float = 0.0
 
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
@@ -148,18 +160,6 @@ class SVDResult:
     def residual(self, a) -> float:
         a = as_matrix(a)
         return float(np.linalg.norm(a - self.reconstruct()))
-
-
-def _merge_adjacent_peaks(peaks):
-    """Collapse register-adjacent peaks (one straddled eigenvalue) to the heavier."""
-    merged = []
-    for p in sorted(peaks, key=lambda e: e.register_value):
-        if merged and p.register_value - merged[-1].register_value <= 1:
-            if p.weight > merged[-1].weight:
-                merged[-1] = p
-            continue
-        merged.append(p)
-    return merged
 
 
 def _warn_if_skewed(m: int, n: int) -> None:
@@ -179,10 +179,10 @@ def _check_threshold(threshold: float) -> None:
 def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDResult:
     """Full SVD pipeline through phase estimation on the scaled embedding.
 
-    Probes the extended space with every basis vector, locates +- register
-    peaks, pairs them by |decoded value| (within one register unit; an
-    unmatched branch is an error), and reads vectors out of the stacked
-    register slices. Triplets with sigma/(M+N) below threshold are dropped.
+    Keeps the eigenvectors of the embedding with at least half their
+    register mass in the window decoded >= threshold and reads one triplet
+    from each; the mirror window must hold as many -sigma eigenvectors, or
+    the spectrum is not an embedding's and an error is raised.
     """
     _check_threshold(threshold)
     m, n = base.shape
@@ -193,62 +193,40 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     a = dense[:m, m:]
     size = config.size
 
-    kernel = _register_kernel(evals_over_n, config.bits, t0)
-    aggregate = np.sum(np.abs(kernel) ** 2, axis=1)
-    # Worst case a single eigenvector leaves ~0.4 of its unit aggregate mass
-    # on each of two straddled bins, so the cutoff sits below that and above
-    # the kernel sidelobe floor.
-    peaks = extract_estimates(aggregate, config.bits, t0, min_weight=0.25,
-                              threshold=threshold)
-    if not peaks:
-        raise ValueError("no register peaks above threshold")
+    mass = np.abs(_register_kernel(evals_over_n, config.bits, t0)) ** 2
+    window = decode_register(np.arange(size), config.bits, t0) >= threshold
+    # the -sigma branch lands on the mirror image y -> -y mod 2^bits; the
+    # aliasing value 2^(bits-1) is its own mirror and belongs to neither
+    m_pos = np.sum(mass[window], axis=0)
+    m_neg = np.sum(mass[window[-np.arange(size)]], axis=0)
+    resolved = m_pos >= 0.5
+    if np.count_nonzero(m_neg >= 0.5) != np.count_nonzero(resolved):
+        raise ValueError(f"{np.count_nonzero(resolved)} positive and "
+                         f"{np.count_nonzero(m_neg >= 0.5)} negative branch(es) resolved")
+    if not resolved.any():
+        raise ValueError("no singular values resolved above threshold")
 
-    grid = 2.0 * np.pi / (size * t0)
-    pos = _merge_adjacent_peaks([p for p in peaks if p.sign > 0])
-    neg = _merge_adjacent_peaks([p for p in peaks if p.sign < 0])
-    unmatched_neg = list(neg)
-    pairs = []
-    for p in pos:
-        match = None
-        for q in unmatched_neg:
-            if abs(abs(p.value) - abs(q.value)) <= 1.5 * grid:
-                match = q
-                break
-        if match is None:
-            raise ValueError(f"positive branch at m={p.register_value} has no "
-                             "matching negative branch")
-        unmatched_neg.remove(match)
-        pairs.append((p, match))
-    if unmatched_neg:
-        raise ValueError(f"{len(unmatched_neg)} negative branch(es) unmatched")
+    u_part = np.sqrt(2.0) * v[:m, resolved]
+    v_part = np.sqrt(2.0) * v[m:, resolved]
+    # the largest |u| entry of each triplet made real and positive
+    pivot = u_part[np.argmax(np.abs(u_part), axis=0), np.arange(u_part.shape[1])]
+    phase = pivot.conj() / np.abs(pivot)
+    u_part, v_part = u_part * phase, v_part * phase
+    sigmas = np.real(np.sum(u_part.conj() * (a @ v_part), axis=0))
 
-    sigmas, lefts, rights, flags = [], [], [], []
-    for p, _ in pairs:
-        slice_matrix = (v.conj() * kernel[p.register_value]) @ v.T
-        _, svals, vh = np.linalg.svd(slice_matrix)
-        multiplicity = int(np.sum(svals >= DEGENERATE_SINGULAR_RATIO * svals[0]))
-        for l in range(multiplicity):
-            vec = vh[l, :]
-            u_part = np.sqrt(2.0) * vec[:m]
-            v_part = np.sqrt(2.0) * vec[m:]
-            idx = int(np.argmax(np.abs(u_part)))
-            phase = u_part[idx] / abs(u_part[idx])
-            u_part = u_part / phase
-            v_part = v_part / phase
-            rayleigh = complex(u_part.conj() @ a @ v_part)
-            sigmas.append(rayleigh.real)
-            lefts.append(u_part)
-            rights.append(v_part)
-            flags.append(multiplicity > 1)
-
-    order = np.argsort(-np.asarray(sigmas), kind="stable")
+    order = np.argsort(-sigmas, kind="stable")
+    sigmas = sigmas[order]
+    grid = 2.0 * np.pi * (m + n) / (size * t0)
+    close = np.abs(sigmas[:, None] - sigmas[None, :]) <= grid
     return SVDResult(
-        rank=len(order),
-        singular_values=np.asarray(sigmas)[order],
-        left_vectors=np.column_stack([lefts[i] for i in order]),
-        right_vectors=np.column_stack([rights[i] for i in order]),
-        degenerate=[flags[i] for i in order],
+        rank=sigmas.size,
+        singular_values=sigmas,
+        left_vectors=u_part[:, order],
+        right_vectors=v_part[:, order],
+        degenerate=(np.sum(close, axis=1) > 1).tolist(),
         oracle_calls=base.report_calls() - calls_before,
+        unresolved=int(np.count_nonzero((m_pos > 0.25) & (m_pos < 0.75))),
+        grid_step=grid,
     )
 
 

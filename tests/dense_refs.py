@@ -18,6 +18,9 @@ per-register Python loops that the array decode and peak scan replaced.
 ``complex_pairs_by_loop`` and ``matrix_to_json_obj_by_loop`` are the
 per-element ``float()`` loops that built the [re, im] pair lists of matrix
 files and envelopes before one ``tolist`` call replaced them.
+``sign_flip`` and ``procrustes_by_uncompute`` are the Procrustes sign flip
+and the two ``invert_joint`` uncomputes that the closed-form window masses
+of ``quantum_procrustes_apply`` replaced.
 """
 
 import math
@@ -27,7 +30,14 @@ from scipy.linalg import expm
 
 from modswap.channel import ErrorReport, SweepResult, SweepRow, channel_step, require_density
 from modswap.linalg import as_matrix, exact_evolution, hermitize, nuclear_norm, require_hermitian
-from modswap.qpe import EigenEstimate
+from modswap.qpe import (
+    EigenEstimate,
+    decode_register,
+    invert_joint,
+    joint_from_eig,
+    _read_spectrum,
+)
+from modswap.svdx import embed
 
 
 def dense_swap(a: np.ndarray) -> np.ndarray:
@@ -197,6 +207,47 @@ def matrix_to_json_obj_by_loop(a) -> dict:
     a = as_matrix(a)
     m, n = a.shape
     return {"rows": m, "cols": n, "data": complex_pairs_by_loop(a)}
+
+
+def sign_flip(joint, bits: int) -> np.ndarray:
+    """Negate amplitudes whose register value decodes negative (MSB set).
+
+    Unitary and involutive: applying it twice is the identity.
+    """
+    joint = np.asarray(joint, dtype=np.complex128)
+    size = 1 << bits
+    if joint.shape[0] != size:
+        raise ValueError(f"register axis has length {joint.shape[0]}, expected {size}")
+    out = joint.copy()
+    out[size // 2:] = -out[size // 2:]
+    return out
+
+
+def procrustes_by_uncompute(base, psi, config, threshold: float):
+    """Procrustes readout through the circuit: (output_state, success, leakage).
+
+    Post-selects |decoded| >= threshold on the joint state of
+    ``joint_from_eig``, flips the sign of the negative half and uncomputes
+    each register half with ``invert_joint``, keeping row 0 of each.
+    """
+    m = base.shape[0]
+    _, evals_over_n, v, t0 = _read_spectrum(embed(base).oracle, config)
+    size, bits = config.size, config.bits
+    x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
+    joint = joint_from_eig(evals_over_n, v, x0, bits, t0)
+    keep = np.abs(decode_register(np.arange(size), bits, t0)) >= threshold
+    filtered = joint * keep[:, None]
+    filtered = filtered / np.sqrt(np.sum(np.abs(filtered) ** 2))
+    flipped = sign_flip(filtered, bits)
+    pos, neg = flipped.copy(), flipped.copy()
+    pos[size // 2:] = 0
+    neg[: size // 2] = 0
+    phi_pos = invert_joint(pos, evals_over_n, v, bits, t0)[0]
+    phi_neg = invert_joint(neg, evals_over_n, v, bits, t0)[0]
+    clean = np.linalg.norm(phi_pos) ** 2 + np.linalg.norm(phi_neg) ** 2
+    block = np.linalg.norm(phi_pos[:m]) ** 2 + np.linalg.norm(phi_neg[:m]) ** 2
+    out = phi_pos[:m] + phi_neg[:m]
+    return out / np.linalg.norm(out), float(block / clean), float(1.0 - clean)
 
 
 def hadamard(bits: int) -> np.ndarray:

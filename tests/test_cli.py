@@ -138,6 +138,22 @@ def test_svd_envelope(tmp_path):
     assert env["results"]["reconstruction_residual"] <= 1e-8
     for pair in env["results"]["subvector_norms"]:
         np.testing.assert_allclose(pair, 1 / np.sqrt(2), atol=1e-9)
+    assert env["results"]["unresolved"] == 0
+    assert env["results"]["degenerate"] == [False, False]
+
+
+def test_svd_envelope_reports_unresolved_below_grid(tmp_path, capsys):
+    # diag(1, 2, 3, 4) at bits 4: a grid step of 4 in sigma units leaves the
+    # sigma = 2 eigenvector with 0.496 of its mass in the window
+    matrix, out = tmp_path / "d.json", tmp_path / "svd.json"
+    save_matrix(matrix, np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert main(["svd", "--matrix", str(matrix), "--bits", "4",
+                 "--threshold", "0.01", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["rank"] == 2
+    assert results["unresolved"] == 1
+    assert results["grid_step"] == pytest.approx(4.0, rel=1e-8)
+    assert "1 unresolved" in capsys.readouterr().out
 
 
 def test_svd_rejects_trotter_backend(tmp_path):

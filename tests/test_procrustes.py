@@ -3,12 +3,10 @@ import pytest
 
 from modswap.linalg import haar_unitary, random_low_rank_rect, random_state
 from modswap.oracle import MatrixOracle
-from modswap.procrustes import (
-    classical_nearest_isometry,
-    quantum_procrustes_apply,
-    sign_flip,
-)
-from modswap.qpe import QPEConfig
+from modswap.procrustes import classical_nearest_isometry, quantum_procrustes_apply
+from modswap.qpe import QPEConfig, invert_joint, joint_from_eig
+
+from dense_refs import procrustes_by_uncompute, sign_flip
 
 
 def _oracle(a):
@@ -142,7 +140,6 @@ def test_branch_algebra_v_block_vanishes():
     a = np.outer(u, v.conj())
     t0 = np.pi / 2
     from modswap.oracle import read_hermitian
-    from modswap.qpe import invert_joint, joint_from_eig
     from modswap.svdx import embed
 
     dense = read_hermitian(embed(_oracle(a)).oracle)
@@ -222,3 +219,44 @@ def test_rejects_non_finite_threshold_before_any_query(threshold):
         quantum_procrustes_apply(oracle, np.array([1, 0], dtype=complex),
                                  QPEConfig(bits=4), threshold=threshold)
     assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("seed", [2, 6, 11, 19])
+def test_retained_pairs_counts_close_singular_values(seed):
+    # singular values a few register bins apart, each with weight on psi;
+    # merging adjacent register peaks used to count them as one pair
+    rng = np.random.default_rng(seed)
+    r = 1 + seed % 4
+    a = random_low_rank_rect(6, 6, r, 1.0, rng)
+    vh = np.linalg.svd(a)[2]
+    psi = vh[:r].conj().T @ random_state(r, rng)
+    result = quantum_procrustes_apply(_oracle(a), psi, QPEConfig(bits=10),
+                                      threshold=0.02)
+    assert result.retained_pairs == r
+
+
+def _procrustes_case(kind: str, seed: int):
+    """(5 x 4 rank-3 matrix, base time or None, threshold, psi partly outside col V)."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(5, rng), haar_unitary(4, rng)
+    sigmas = {"degenerate": [1.3, 1.3, 0.6], "cut": [2.0, 1.0, 0.5]}.get(
+        kind, rng.uniform(0.3, 2.0, 3))
+    a = (u[:, :3] * np.asarray(sigmas)) @ v[:, :3].conj().T
+    psi = 0.9 * (v[:, :3] @ random_state(3, rng)) + np.sqrt(0.19) * v[:, 3]
+    base_time = np.pi * (1 - 1e-9) / np.max(np.abs(a)) if kind == "near-aliasing" else None
+    # "cut" puts the window edge on the middle singular value and drops the smallest
+    threshold = sigmas[1] / 9 if kind == "cut" else 0.01
+    return a, base_time, threshold, psi
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["random", "degenerate", "near-aliasing", "cut"])
+def test_closed_form_matches_inverse_circuit(kind, seed):
+    a, base_time, threshold, psi = _procrustes_case(kind, seed)
+    for bits in range(3, 13):
+        config = QPEConfig(bits=bits, base_time=base_time)
+        result = quantum_procrustes_apply(_oracle(a), psi, config, threshold)
+        out, success, leakage = procrustes_by_uncompute(_oracle(a), psi, config, threshold)
+        np.testing.assert_allclose(result.output_state, out, atol=1e-12)
+        assert result.success_probability == pytest.approx(success, abs=1e-12)
+        assert result.uncompute_leakage == pytest.approx(leakage, abs=1e-12)

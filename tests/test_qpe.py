@@ -280,11 +280,28 @@ def test_backend_agreement_small_case():
 
 
 def test_backend_agreement_guards_size():
+    # MAX_BYTES is the only size limit: N = 5 runs within the trotter bound,
+    # and a register x system density over the cap is refused before a query
     rng = np.random.default_rng(4)
     a = random_hermitian(5, rng)
-    with pytest.raises(ValueError):
-        backend_agreement(MatrixOracle.from_matrix(a), random_state(5, rng),
-                          QPEConfig(bits=2))
+    report = backend_agreement(MatrixOracle.from_matrix(a), random_state(5, rng),
+                               QPEConfig(bits=2))
+    assert report.tv_distance <= report.trotter_error_bound
+    oracle = MatrixOracle.from_matrix(random_hermitian(64, rng))
+    with pytest.raises(ValueError, match="trotter backend"):
+        backend_agreement(oracle, random_state(64, rng), QPEConfig(bits=7))
+    assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_backend_agreement_within_trotter_bound(n):
+    rng = np.random.default_rng(40 + n)
+    a = random_hermitian(n, rng)
+    psi = random_state(n, rng)
+    for bits in range(1, 6):
+        report = backend_agreement(MatrixOracle.from_matrix(a), psi,
+                                   QPEConfig(bits=bits, trotter_epsilon=0.02))
+        assert report.tv_distance <= report.trotter_error_bound
 
 
 def test_trotter_distribution_close_to_exact_n3():

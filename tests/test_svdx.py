@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modswap.linalg import haar_unitary, random_low_rank_rect
 from modswap.oracle import MatrixOracle
-from modswap.qpe import QPEConfig, default_base_time, joint_from_eig, _register_kernel
+from modswap.qpe import (
+    QPEConfig,
+    decode_register,
+    default_base_time,
+    joint_from_eig,
+    _register_kernel,
+)
 from modswap.svdx import (
     embed,
     extended_spectrum_check,
@@ -244,8 +252,9 @@ def _embedding_case(kind: str, seed: int):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["random", "degenerate", "near-aliasing"])
 def test_kernel_aggregate_and_slices_match_probe_stack(kind, seed):
-    # the readout quantum_svd takes from the register kernel against its
-    # definition: phase estimation run once per basis probe, stacked
+    # the register kernel against its definition: phase estimation run once
+    # per basis probe, stacked; the window masses quantum_svd reads are the
+    # register distributions of the eigenvector probes, summed over W
     dense, t0 = _embedding_case(kind, seed)
     d = dense.shape[0]
     w, v = np.linalg.eigh(dense)
@@ -258,3 +267,68 @@ def test_kernel_aggregate_and_slices_match_probe_stack(kind, seed):
         for p in range(1 << bits):
             np.testing.assert_allclose((v.conj() * kernel[p]) @ v.T, joints[:, p, :],
                                        atol=1e-13)
+        window = decode_register(np.arange(1 << bits), bits, t0) >= 0.01
+        for l in range(d):
+            joint = joint_from_eig(w / d, v, v[:, l], bits, t0)
+            assert np.sum(np.abs(kernel[window, l]) ** 2) == pytest.approx(
+                np.sum(np.abs(joint[window]) ** 2), abs=1e-12)
+
+
+def _assert_matches_numpy_svd(result, a, tol):
+    s = np.linalg.svd(a, compute_uv=False)
+    s = s[s > 1e-10 * s[0]]
+    assert result.rank == s.size
+    np.testing.assert_allclose(result.singular_values, s, rtol=0, atol=tol * s[0])
+    assert result.residual(a) <= tol * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("seed", [6, 63, 75, 96, 99])
+def test_quantum_svd_keeps_singular_values_in_adjacent_bins(seed):
+    # two of the three singular values sit within a few register bins;
+    # merging adjacent register peaks used to drop one triplet (rank 2)
+    a = random_low_rank_rect(24, 16, 3, 1.0, np.random.default_rng(seed))
+    result = quantum_svd(_oracle(a), QPEConfig(bits=12), threshold=0.01)
+    _assert_matches_numpy_svd(result, a, 1e-12)
+    assert result.unresolved == 0
+
+
+def test_quantum_svd_repeated_singular_value():
+    rng = np.random.default_rng(12)
+    u, v = haar_unitary(6, rng), haar_unitary(4, rng)
+    a = (u[:, :3] * np.array([5.0, 5.0, 3.0])) @ v[:, :3].conj().T
+    result = quantum_svd(_oracle(a), QPEConfig(bits=12), threshold=0.01)
+    _assert_matches_numpy_svd(result, a, 1e-12)
+    assert result.degenerate == [True, True, False]
+
+
+@pytest.mark.parametrize("bits, rank, unresolved", [(4, 2, 1), (5, 3, 1), (6, 4, 0)])
+def test_quantum_svd_reports_unresolved_below_grid(bits, rank, unresolved):
+    # diag(1, 2, 3, 4): grid steps of 4, 2 and 1 in sigma units. Eigenvectors
+    # with 0.496 (bits 4) and 0.499 (bits 5) of their mass in the window are
+    # on its edge; at bits 6 every triplet is resolved
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    result = quantum_svd(_oracle(a), QPEConfig(bits=bits), threshold=0.01)
+    assert result.rank == rank
+    assert result.unresolved == unresolved
+    assert result.grid_step == pytest.approx(2.0 ** (6 - bits), rel=1e-8)
+    if bits == 6:
+        _assert_matches_numpy_svd(result, a, 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(2, 6), n=st.integers(2, 6),
+       gap=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)), bits=st.integers(8, 12))
+def test_quantum_svd_close_and_degenerate_singular_values(data, m, n, gap, bits):
+    rank = data.draw(st.integers(2, min(m, n)))
+    sigmas = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=rank - 1,
+                                         max_size=rank - 1)))
+    sigmas = np.sort(np.append(sigmas, sigmas[0] + gap))[::-1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u, v = haar_unitary(m, rng), haar_unitary(n, rng)
+    a = (u[:, :rank] * sigmas) @ v[:, :rank].conj().T
+    threshold = 0.01
+    grid = 2.0 * np.pi / ((1 << bits) * default_base_time(np.max(np.abs(a))))
+    assume(sigmas[-1] / (m + n) >= threshold + 2 * grid)
+    result = quantum_svd(_oracle(a), QPEConfig(bits=bits), threshold=threshold)
+    _assert_matches_numpy_svd(result, a, 1e-10)
+    assert result.unresolved == 0
