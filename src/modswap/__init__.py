@@ -15,12 +15,8 @@ from .channel import (
     uniform_density,
 )
 from .linalg import (
-    EigenDecomposition,
-    NormReport,
-    exact_eig,
     exact_evolution,
     haar_unitary,
-    norms,
     nuclear_norm,
     random_low_rank,
     random_low_rank_rect,
@@ -56,7 +52,6 @@ __version__ = "0.1.0"
 FORMAT_VERSION = 1
 
 __all__ = [
-    "EigenDecomposition",
     "EigenEstimate",
     "ErrorReport",
     "EvolutionConfig",
@@ -64,7 +59,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MatrixOracle",
     "ModifiedSwapOperator",
-    "NormReport",
     "PartialIsometry",
     "ProcrustesResult",
     "QPEConfig",
@@ -78,14 +72,12 @@ __all__ = [
     "embed",
     "error_sweep",
     "evolve",
-    "exact_eig",
     "exact_evolution",
     "extended_spectrum_check",
     "first_order_generator",
     "haar_unitary",
     "load_matrix",
     "load_state",
-    "norms",
     "nuclear_norm",
     "oracle_from_generator",
     "phase_ambiguity_demo",

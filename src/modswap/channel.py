@@ -171,7 +171,7 @@ def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
     per_step_bound = 2.0 * a_max**2 * dt**2
 
     step = _read_once(oracle, sigma, config.n).channel_map(dt)
-    w, v = np.linalg.eigh(hermitize(a))
+    w, v = np.linalg.eigh(a)
     u_dt = unitary_from_eigh(w, v, dt)
     u_dt_h = u_dt.conj().T
     cur = sigma
@@ -231,7 +231,7 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
         raise ValueError("error sweep needs a nonzero matrix; every bound would be 0")
 
     plan = _read_once(oracle, sigma, len(dts))
-    w, v = np.linalg.eigh(hermitize(a))
+    w, v = np.linalg.eigh(a)
     rows = []
     for dt in dts:
         u = unitary_from_eigh(w, v, dt)

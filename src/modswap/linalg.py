@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: norms, Hermitian eigendecompositions, exact
-unitary evolution, and the seeded random low-rank ensemble.
+"""Dense complex matrix kernels: Hermitian checks, the nuclear norm, exact
+unitary evolution, and the seeded random low-rank ensembles.
 
 Everything here is a classical baseline: plain numpy on dense arrays, no
 oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
@@ -7,12 +7,9 @@ oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-DECOMP_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -56,53 +53,12 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Max-element, Frobenius, and nuclear norms of one matrix."""
-
-    max_norm: float
-    frobenius: float
-    nuclear: float
-
-
-def norms(a) -> NormReport:
-    """All three norms; nuclear is the sum of singular values."""
-    a = as_matrix(a)
-    return NormReport(
-        max_norm=float(np.max(np.abs(a))),
-        frobenius=float(np.linalg.norm(a)),
-        nuclear=float(np.sum(np.linalg.svd(a, compute_uv=False))),
-    )
-
-
 def nuclear_norm(a) -> float:
     """Sum of singular values. For Hermitian input this is sum |eigenvalues|."""
     a = as_matrix(a)
     if a.shape[0] == a.shape[1] and is_hermitian(a, tol=1e-9):
         return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(a)))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs of a Hermitian matrix, descending by |eigenvalue|.
-
-    eigenvectors[:, j] is the unit eigenvector for eigenvalues[j].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-def exact_eig(a) -> EigenDecomposition:
-    """Classical Hermitian eigendecomposition, sorted descending by |lambda|."""
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(hermitize(a))
-    order = np.argsort(-np.abs(w), kind="stable")
-    return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -181,15 +137,3 @@ def random_low_rank_rect(m: int, n: int, r: int, scale: float = 1.0,
     sig = np.sort(rng.uniform(0.5, 1.0, size=r))[::-1] * scale * (m + n) / 2
     return (u * sig) @ v.conj().T
 
-
-def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix GG†/tr(GG†) from a Ginibre G."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    return hermitize(rho / np.trace(rho).real)
-
-
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector in C^n."""
-    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return psi / np.linalg.norm(psi)

@@ -136,13 +136,14 @@ def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
     """Counted read of a Hermitian source: upper triangle plus diagonal.
 
     The lower triangle is filled by conjugation, so an N x N read costs
-    N(N+1)/2 calls, the same per-sweep price the evolution steps pay. A
-    non-finite value fails the read after the sweep.
+    N(N+1)/2 calls, the same per-sweep price the evolution steps pay; the
+    diagonal holds the values as read. A non-finite value fails the read
+    after the sweep.
     """
     rows, cols, values = oracle.read_upper_triangle()
     a = np.zeros((oracle.dim,) * 2, dtype=np.complex128)
-    a[rows, cols] = values
     a[cols, rows] = np.conj(values)
+    a[rows, cols] = values
     return a
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .oracle import MatrixOracle
-from .qpe import QPEConfig, decode_register, _read_spectrum, _register_kernel, _require_state
+from .qpe import QPEConfig, _branch_masses, _read_spectrum, _require_state
 from .svdx import embed, _check_threshold, _warn_if_skewed
 
 RANK_CUT = 1e-10
@@ -104,10 +104,7 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     weight = np.abs(beta) ** 2
 
     # post-select the retained branches (|decoded| >= threshold), split by sign
-    mass = np.abs(_register_kernel(evals_over_n, config.bits, t0)) ** 2
-    decoded = decode_register(np.arange(config.size), config.bits, t0)
-    m_pos = np.sum(mass[decoded >= threshold], axis=0)
-    m_neg = np.sum(mass[decoded <= -threshold], axis=0)
+    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
     kept_weight = float(weight @ (m_pos + m_neg))
     if kept_weight < 1e-12:
         raise ValueError("no retained branches above threshold; "

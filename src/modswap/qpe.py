@@ -16,13 +16,18 @@ Two interchangeable backends:
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
   counted oracle sweep per step), so the register + system state is a
-  density matrix. Every step of one register bit is the same linear map, so
-  the simulator reads the source once per stage, charges the stage's other
-  steps as modelled sweeps (``MatrixOracle.charge_sweeps``), and applies the
-  stage as one matrix power of the channel's N^2 x N^2 transfer matrix. The
-  reported query cost still counts every step. The density has
-  (2^bits * N)^2 entries, capped by ``MAX_BYTES`` together with the
-  transfer matrix.
+  density matrix. Every step reads the same matrix, so the simulator makes
+  one real ``build_plan`` read per run, which also gives max_norm(A), and
+  charges every channel step as a modelled sweep
+  (``MatrixOracle.charge_sweeps``). Every step of one register bit is the
+  same linear map, so a stage is one matrix power of the channel's
+  N^2 x N^2 transfer matrix. The reported query cost still counts the
+  max_norm sweep and every step. The density has (2^bits * N)^2 entries,
+  capped by ``MAX_BYTES`` together with the transfer matrix.
+
+``_branch_masses`` gives each eigenvector's register mass in the sign-bit
+windows decoded >= threshold and decoded <= -threshold; the svd and
+Procrustes readouts both take their branches from it.
 """
 
 from __future__ import annotations
@@ -165,6 +170,20 @@ def _register_kernel(evals_over_n, bits: int, t0: float) -> np.ndarray:
     return np.fft.ifft(powers, axis=0)
 
 
+def _branch_masses(evals_over_n, bits: int, t0: float, threshold: float):
+    """(m_pos, m_neg): each eigenvector's register mass in the two branch windows.
+
+    m_l = sum over y in W of |K[y, l]|^2 for the register kernel K. The
+    windows follow the sign bit: decoded >= threshold and decoded <=
+    -threshold, so the aliasing value 2^(bits-1), which decodes to -pi/t0,
+    belongs to the negative one.
+    """
+    mass = np.abs(_register_kernel(evals_over_n, bits, t0)) ** 2
+    decoded = decode_register(np.arange(1 << bits), bits, t0)
+    return (np.sum(mass[decoded >= threshold], axis=0),
+            np.sum(mass[decoded <= -threshold], axis=0))
+
+
 def joint_from_eig(evals_over_n, evecs, psi, bits: int, t0: float) -> np.ndarray:
     """Post-QPE joint amplitudes J[register, system] from known eigenpairs.
 
@@ -226,12 +245,14 @@ def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
 
 
 def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
-    op = ModifiedSwapOperator(oracle)
-    n = op.dim
+    n = oracle.dim
     size = config.size
     _require_bytes(16 * ((size * n) ** 2 + n**4),
                    "trotter backend register x system density and transfer matrix")
-    a_max = op.spectrum().max_abs
+    # Modelled query cost: one counted sweep for a_max, then one per channel
+    # step. Every sweep reads the same matrix, so one real read serves the run.
+    plan = ModifiedSwapOperator(oracle).build_plan()
+    a_max = float(np.max(np.abs(plan.a)))
     t0 = _base_time(config, a_max)
 
     x = np.kron(np.full(size, 1.0 / math.sqrt(size)), psi)
@@ -244,10 +265,7 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
         steps = max(1, math.ceil(2.0 * a_max**2 * tau**2 / config.trotter_epsilon))
         dt = tau / steps
         error_bound += steps * 2.0 * a_max**2 * dt**2
-        # Modelled query cost: one counted sweep per channel step. Each step
-        # reads the same matrix, so one real read serves the whole stage.
-        plan = op.build_plan()
-        oracle.charge_sweeps(steps - 1)
+        oracle.charge_sweeps(steps)
         # Every step of the stage is the same map on the N x N blocks: the
         # channel on control-on/on blocks, M = sum_a K_a / sqrt(N) on on/off
         # blocks, M† on off/on blocks, the identity on off/off blocks. One

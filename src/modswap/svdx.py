@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import as_matrix, hermitize
 from .oracle import MatrixOracle
-from .qpe import QPEConfig, decode_register, _read_spectrum, _register_kernel
+from .qpe import QPEConfig, _branch_masses, _read_spectrum
 
 SKEW_RATIO = 4.0
 
@@ -181,8 +181,9 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
 
     Keeps the eigenvectors of the embedding with at least half their
     register mass in the window decoded >= threshold and reads one triplet
-    from each; the mirror window must hold as many -sigma eigenvectors, or
-    the spectrum is not an embedding's and an error is raised.
+    from each; the negative window decoded <= -threshold must hold as many
+    -sigma eigenvectors, or the spectrum is not an embedding's and an error
+    is raised.
     """
     _check_threshold(threshold)
     m, n = base.shape
@@ -191,14 +192,8 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     ext = embed(base)
     dense, evals_over_n, v, t0 = _read_spectrum(ext.oracle, config)
     a = dense[:m, m:]
-    size = config.size
 
-    mass = np.abs(_register_kernel(evals_over_n, config.bits, t0)) ** 2
-    window = decode_register(np.arange(size), config.bits, t0) >= threshold
-    # the -sigma branch lands on the mirror image y -> -y mod 2^bits; the
-    # aliasing value 2^(bits-1) is its own mirror and belongs to neither
-    m_pos = np.sum(mass[window], axis=0)
-    m_neg = np.sum(mass[window[-np.arange(size)]], axis=0)
+    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
     resolved = m_pos >= 0.5
     if np.count_nonzero(m_neg >= 0.5) != np.count_nonzero(resolved):
         raise ValueError(f"{np.count_nonzero(resolved)} positive and "
@@ -216,7 +211,7 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
 
     order = np.argsort(-sigmas, kind="stable")
     sigmas = sigmas[order]
-    grid = 2.0 * np.pi * (m + n) / (size * t0)
+    grid = 2.0 * np.pi * (m + n) / (config.size * t0)
     close = np.abs(sigmas[:, None] - sigmas[None, :]) <= grid
     return SVDResult(
         rank=sigmas.size,

@@ -14,16 +14,20 @@ N^2 x N^2 matrix:
    [-i e^{-i arg a} sin(|a| t), cos(|a| t)]]
   in the ordered basis (|k, j>, |j, k>).
 
-One ``build_plan`` call performs one counted oracle sweep (N(N+1)/2 queries,
-the lower triangle coming from Hermitian symmetry) and can then be applied
-to any number of vectors or density-matrix columns at any time value.
+One ``build_plan`` call is one counted ``read_hermitian`` sweep (N(N+1)/2
+queries, the lower triangle coming from Hermitian symmetry); the plan holds
+that N x N matrix and can then be applied to any number of vectors or
+density-matrix columns at any time value.
 
-The same block data gives the uniform-ancilla channel step in closed form:
-each Kraus operator is a diagonal plus one column (``kraus_factors``), so
-``channel`` applies the whole Kraus sum with a few N x N products and never
-forms the N^2 x N^2 joint state; ``channel_map`` builds those factors once
-for a fixed time, to be applied to many states. ``conjugate`` and the dense
-``kraus`` stack remain as references.
+Read elementwise from the matrix, the cosines, rotated sines and phases of
+every block at time t form two N x N factors (``kraus_factors``). Viewing a
+doubled-space vector as X[p, q], the exponential is C o X + S^T o X^T. The
+same factors give the uniform-ancilla channel step in closed form: each
+Kraus operator is a diagonal plus one column, so ``channel`` applies the
+whole Kraus sum with a few N x N products and never forms the N^2 x N^2
+joint state; ``channel_map`` builds those factors once for a fixed time, to
+be applied to many states. ``conjugate`` and the dense ``kraus`` stack
+remain as references.
 """
 
 from __future__ import annotations
@@ -33,48 +37,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import MatrixOracle
+from .oracle import MatrixOracle, read_hermitian
 
 DIAG_IMAG_TOL = 1e-10
 
 
 @dataclass
 class BlockPlan:
-    """One oracle sweep's worth of block data, reusable across time values."""
+    """One oracle sweep's worth of matrix data, reusable across time values.
 
-    dim: int
-    diag_index: np.ndarray
-    diag_value: np.ndarray
-    row_kj: np.ndarray
-    row_jk: np.ndarray
-    offdiag: np.ndarray
+    ``a`` is the N x N Hermitian matrix of one counted sweep; every block of
+    the doubled-space exponential is read from it elementwise.
+    """
+
+    a: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
 
     def apply(self, x, t: float, axis: int = 0) -> np.ndarray:
-        """Apply exp(-i t op) along one axis of x (length N^2)."""
+        """Apply exp(-i t op) along one axis of x (length N^2).
+
+        Read as X[p, q] at index p*N + q, that axis maps to C o X + S^T o X^T
+        with (C, S) the factors of ``kraus_factors``.
+        """
         x = np.asarray(x, dtype=np.complex128)
-        nn = self.dim * self.dim
-        if x.shape[axis] != nn:
+        n = self.dim
+        if x.shape[axis] != n * n:
             raise ValueError(
-                f"axis {axis} has length {x.shape[axis]}, expected {nn}"
+                f"axis {axis} has length {x.shape[axis]}, expected {n * n}"
             )
         moved = np.moveaxis(x, axis, 0)
-        out = moved.copy()
+        grid = moved.reshape((n, n) + moved.shape[1:])
         tail = (1,) * (moved.ndim - 1)
-
-        phase = np.exp(-1j * self.diag_value * t).reshape((-1,) + tail)
-        out[self.diag_index] = moved[self.diag_index] * phase
-
-        if self.offdiag.size:
-            mag = np.abs(self.offdiag)
-            unit = np.where(mag > 0, self.offdiag / np.where(mag > 0, mag, 1.0), 1.0)
-            c = np.cos(mag * t).reshape((-1,) + tail)
-            s = np.sin(mag * t).reshape((-1,) + tail)
-            u = unit.reshape((-1,) + tail)
-            hi = moved[self.row_kj]
-            lo = moved[self.row_jk]
-            out[self.row_kj] = c * hi - 1j * u * s * lo
-            out[self.row_jk] = -1j * np.conj(u) * s * hi + c * lo
-        return np.moveaxis(out, 0, axis)
+        c, s = (f.reshape((n, n) + tail) for f in self.kraus_factors(t))
+        out = c * grid + s.swapaxes(0, 1) * grid.swapaxes(0, 1)
+        return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
     def conjugate(self, joint: np.ndarray, t: float) -> np.ndarray:
         """U J U† for the doubled-space density J, reusing this plan's sweep."""
@@ -92,18 +91,12 @@ class BlockPlan:
         and the bare phase exp(-i A[a,a] t) at (a, a); S holds the rotated
         sines -i (A[s,a] / |A[s,a]|) sin(|A[s,a]| t), with S[a, a] = 0.
         """
-        n = self.dim
-        c = np.diag(np.exp(-1j * self.diag_value * t))
-        s = np.zeros((n, n), dtype=np.complex128)
-        if self.offdiag.size:
-            j_idx = self.row_kj % n
-            k_idx = self.row_kj // n
-            mag = np.abs(self.offdiag)
-            unit = np.where(mag > 0, self.offdiag / np.where(mag > 0, mag, 1.0), 1.0)
-            sin = np.sin(mag * t)
-            c[j_idx, k_idx] = c[k_idx, j_idx] = np.cos(mag * t)
-            s[j_idx, k_idx] = -1j * unit * sin
-            s[k_idx, j_idx] = -1j * np.conj(unit) * sin
+        mag = np.abs(self.a)
+        unit = np.where(mag > 0, self.a / np.where(mag > 0, mag, 1.0), 1.0)
+        c = np.cos(mag * t).astype(np.complex128)
+        s = -1j * unit * np.sin(mag * t)
+        np.fill_diagonal(c, np.exp(-1j * self.a.diagonal().real * t))
+        np.fill_diagonal(s, 0.0)
         return c, s
 
     def kraus(self, t: float) -> np.ndarray:
@@ -180,24 +173,13 @@ class ModifiedSwapOperator:
 
     def build_plan(self) -> BlockPlan:
         """One counted oracle sweep over the diagonal and upper triangle."""
-        n = self.dim
-        rows, cols, values = self.oracle.read_upper_triangle()
-        on_diag = rows == cols
-        diag = values[on_diag]
+        a = read_hermitian(self.oracle)
+        diag = a.diagonal()
         bad = np.abs(diag.imag) > DIAG_IMAG_TOL * np.maximum(1.0, np.abs(diag))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"non-Hermitian source: diagonal ({i},{i}) = {complex(diag[i])}")
-        off = ~on_diag
-        j, k = rows[off], cols[off]
-        return BlockPlan(
-            dim=n,
-            diag_index=np.arange(n) * (n + 1),
-            diag_value=diag.real.copy(),
-            row_kj=k * n + j,
-            row_jk=j * n + k,
-            offdiag=values[off],
-        )
+        return BlockPlan(a)
 
     def apply_exp(self, t: float, psi) -> np.ndarray:
         """exp(-i t op) psi on the N^2-dimensional doubled space."""
@@ -228,19 +210,8 @@ class ModifiedSwapOperator:
 
     def spectrum(self) -> SwapSpectrum:
         """Closed-form eigenvalues: {A[j,j]} plus +-|A[j,k]| for j < k."""
-        plan = self.build_plan()
+        a = self.build_plan().a
         return SwapSpectrum(
-            diagonal_values=plan.diag_value.copy(),
-            pair_values=np.abs(plan.offdiag),
+            diagonal_values=a.diagonal().real.copy(),
+            pair_values=np.abs(a[np.triu_indices(self.dim, 1)]),
         )
-
-    def square_diagonal(self) -> np.ndarray:
-        """Diagonal of the squared operator: |A[j,k]|^2 at index k*N + j."""
-        plan = self.build_plan()
-        n = self.dim
-        d = np.zeros(n * n)
-        d[plan.diag_index] = plan.diag_value**2
-        mags2 = np.abs(plan.offdiag) ** 2
-        d[plan.row_kj] = mags2
-        d[plan.row_jk] = mags2
-        return d

@@ -10,9 +10,13 @@ are the joint-state channel step and the per-step Kraus-stack trotter step
 that the closed-form ``BlockPlan.channel`` replaced, kept as differential
 references on top of a ``BlockPlan``. ``plan_by_queries`` is the
 per-element ``query`` loop that ``build_plan`` replaced with one counted
-triangle read. ``evolve_by_steps`` and ``sweep_by_steps`` are the per-step
-loops (one counted sweep, one Kraus factorisation and one ``eigh`` per step)
-that ``evolve`` and ``error_sweep`` replaced with one of each per run.
+triangle read; it returns the plan's Hermitian matrix. ``pair_fields``,
+``apply_by_pairs`` and ``kraus_factors_by_pairs`` are the index-array plan
+layout (diagonal and pair-row indices) and the per-pair rotation and
+scatter that the elementwise factors of ``BlockPlan`` replaced.
+``evolve_by_steps`` and ``sweep_by_steps`` are the per-step loops (one
+counted sweep, one Kraus factorisation and one ``eigh`` per step) that
+``evolve`` and ``error_sweep`` replaced with one of each per run.
 ``decode_register_scalar`` and ``extract_estimates_by_loop`` are the
 per-register Python loops that the array decode and peak scan replaced.
 ``complex_pairs_by_loop`` and ``matrix_to_json_obj_by_loop`` are the
@@ -20,7 +24,8 @@ per-element ``float()`` loops that built the [re, im] pair lists of matrix
 files and envelopes before one ``tolist`` call replaced them.
 ``sign_flip`` and ``procrustes_by_uncompute`` are the Procrustes sign flip
 and the two ``invert_joint`` uncomputes that the closed-form window masses
-of ``quantum_procrustes_apply`` replaced.
+of ``quantum_procrustes_apply`` replaced. ``random_density`` and
+``random_state`` are the seeded test inputs.
 """
 
 import math
@@ -64,21 +69,65 @@ def dense_channel_step(a: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarra
     return np.einsum("pqpr->qr", joint.reshape(n, n, n, n))
 
 
-def plan_by_queries(oracle):
-    """BlockPlan fields from one ``query`` call per diagonal and upper entry.
-
-    Returns (diag_index, diag_value, row_kj, row_jk, offdiag).
-    """
+def plan_by_queries(oracle) -> np.ndarray:
+    """The plan's Hermitian matrix from one ``query`` call per diagonal and upper entry."""
     n = oracle.dim
-    diag_value = np.array([oracle.query(j, j).real for j in range(n)])
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    return (
-        np.arange(n) * n + np.arange(n),
-        diag_value,
-        np.array([k * n + j for j, k in pairs], dtype=np.intp),
-        np.array([j * n + k for j, k in pairs], dtype=np.intp),
-        np.array([oracle.query(j, k) for j, k in pairs], dtype=np.complex128),
-    )
+    a = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        for k in range(j, n):
+            value = oracle.query(j, k)
+            a[k, j] = np.conj(value)
+            a[j, k] = value
+    return a
+
+
+def pair_fields(a: np.ndarray):
+    """The index-array plan layout: (diag_index, diag_value, row_kj, row_jk, offdiag).
+
+    Diagonal entries sit at index j*N + j; the pair j < k, in
+    ``np.triu_indices`` order, has rows k*N + j and j*N + k and value A[j, k].
+    """
+    n = a.shape[0]
+    j, k = np.triu_indices(n, 1)
+    return (np.arange(n) * (n + 1), a.diagonal().real.copy(),
+            k * n + j, j * n + k, a[j, k])
+
+
+def _pair_rotation(offdiag: np.ndarray, t: float):
+    mag = np.abs(offdiag)
+    unit = np.where(mag > 0, offdiag / np.where(mag > 0, mag, 1.0), 1.0)
+    return np.cos(mag * t), np.sin(mag * t), unit
+
+
+def apply_by_pairs(a: np.ndarray, x, t: float, axis: int = 0) -> np.ndarray:
+    """exp(-i t op) along one axis of x, one 2 x 2 rotation per pair block."""
+    diag_index, diag_value, row_kj, row_jk, offdiag = pair_fields(a)
+    moved = np.moveaxis(np.asarray(x, dtype=np.complex128), axis, 0)
+    out = moved.copy()
+    tail = (1,) * (moved.ndim - 1)
+    phase = np.exp(-1j * diag_value * t).reshape((-1,) + tail)
+    out[diag_index] = moved[diag_index] * phase
+    if offdiag.size:
+        c, s, u = (f.reshape((-1,) + tail) for f in _pair_rotation(offdiag, t))
+        hi, lo = moved[row_kj], moved[row_jk]
+        out[row_kj] = c * hi - 1j * u * s * lo
+        out[row_jk] = -1j * np.conj(u) * s * hi + c * lo
+    return np.moveaxis(out, 0, axis)
+
+
+def kraus_factors_by_pairs(a: np.ndarray, t: float):
+    """(C, S) of the uniform-ancilla step, scattered pair by pair from the index arrays."""
+    n = a.shape[0]
+    _, diag_value, row_kj, _, offdiag = pair_fields(a)
+    c = np.diag(np.exp(-1j * diag_value * t))
+    s = np.zeros((n, n), dtype=np.complex128)
+    if offdiag.size:
+        j_idx, k_idx = row_kj % n, row_kj // n
+        cos, sin, unit = _pair_rotation(offdiag, t)
+        c[j_idx, k_idx] = c[k_idx, j_idx] = cos
+        s[j_idx, k_idx] = -1j * unit * sin
+        s[k_idx, j_idx] = -1j * np.conj(unit) * sin
+    return c, s
 
 
 def channel_via_joint(plan, sigma: np.ndarray, t: float) -> np.ndarray:
@@ -265,3 +314,16 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def trace_norm(x: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(x, compute_uv=False)))
+
+
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix GG†/tr(GG†) from a Ginibre G."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return hermitize(rho / np.trace(rho).real)
+
+
+def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random unit vector in C^n."""
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return psi / np.linalg.norm(psi)

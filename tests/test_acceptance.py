@@ -12,12 +12,7 @@ import pytest
 
 from modswap.channel import EvolutionConfig, channel_step, error_sweep, evolve, first_order_generator
 from modswap.cli import main as cli_main
-from modswap.linalg import (
-    random_density,
-    random_low_rank,
-    random_low_rank_rect,
-    random_state,
-)
+from modswap.linalg import random_low_rank, random_low_rank_rect
 from modswap.matio import save_state
 from modswap.oracle import MatrixOracle
 from modswap.procrustes import classical_nearest_isometry, quantum_procrustes_apply
@@ -25,7 +20,7 @@ from modswap.qpe import QPEConfig, backend_agreement, qpe, query_scaling
 from modswap.svdx import embed, extended_spectrum_check, phase_ambiguity_demo, quantum_svd
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import dense_swap
+from dense_refs import dense_swap, random_density, random_state
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -15,7 +15,6 @@ from modswap.linalg import (
     exact_evolution,
     hermitize,
     nuclear_norm,
-    random_density,
     random_low_rank,
 )
 from modswap.oracle import MatrixOracle
@@ -23,6 +22,7 @@ from modswap.oracle import MatrixOracle
 from dense_refs import (
     dense_channel_step,
     evolve_by_steps,
+    random_density,
     random_hermitian,
     sweep_by_steps,
     trace_norm,

@@ -2,90 +2,16 @@ import numpy as np
 import pytest
 
 from modswap.linalg import (
-    exact_eig,
     exact_evolution,
     haar_unitary,
     hermitize,
-    norms,
     nuclear_norm,
-    random_density,
     random_low_rank,
     random_low_rank_rect,
     require_hermitian,
 )
 
-from dense_refs import random_hermitian
-
-
-def test_norms_exchange_matrix():
-    rep = norms(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert rep.max_norm == 1.0
-    np.testing.assert_allclose(rep.frobenius, np.sqrt(2), atol=1e-14)
-    np.testing.assert_allclose(rep.nuclear, 2.0, atol=1e-12)
-
-
-def test_norms_identity():
-    rep = norms(np.eye(3))
-    assert rep.max_norm == 1.0
-    np.testing.assert_allclose(rep.frobenius, np.sqrt(3), atol=1e-14)
-    np.testing.assert_allclose(rep.nuclear, 3.0, atol=1e-12)
-
-
-def test_norms_match_independent_svd():
-    rng = np.random.default_rng(11)
-    a = random_low_rank(4, 2, 1.0, rng)
-    rep = norms(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    np.testing.assert_allclose(rep.nuclear, np.sum(s), rtol=1e-12)
-    np.testing.assert_allclose(rep.frobenius, np.sqrt(np.sum(s**2)), rtol=1e-12)
-    assert rep.max_norm == np.max(np.abs(a))
-
-
-def test_norms_ordering_many_random():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rep = norms(a)
-        assert rep.max_norm <= rep.frobenius + 1e-12
-        assert rep.frobenius <= rep.nuclear + 1e-12
-
-
-def test_norms_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        norms(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_exact_eig_diagonal():
-    dec = exact_eig(np.diag([2.0, -1.0]).astype(complex))
-    np.testing.assert_allclose(dec.eigenvalues, [2.0, -1.0], atol=1e-14)
-    np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-14)
-
-
-def test_exact_eig_exchange():
-    dec = exact_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert sorted(dec.eigenvalues) == pytest.approx([-1.0, 1.0])
-    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        np.testing.assert_allclose(np.abs(vec), np.full(2, 1 / np.sqrt(2)), atol=1e-12)
-        assert lam in (pytest.approx(1.0), pytest.approx(-1.0))
-
-
-@pytest.mark.parametrize("n", [6, 64])
-def test_exact_eig_reconstruction_and_orthonormality(n):
-    rng = np.random.default_rng(5)
-    a = random_hermitian(n, rng)
-    dec = exact_eig(a)
-    assert np.linalg.norm(a - dec.reconstruct()) <= 1e-10 * max(1.0, np.linalg.norm(a))
-    gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-    np.testing.assert_allclose(gram, np.eye(n), atol=1e-10)
-    # residual invariant
-    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        assert np.linalg.norm(a @ vec - lam * vec) <= 1e-10 * max(1.0, abs(lam))
-
-
-def test_exact_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        exact_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+from dense_refs import random_density, random_hermitian
 
 
 def test_require_hermitian_checks_shape_first():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from modswap.linalg import haar_unitary, random_low_rank_rect, random_state
+from modswap.linalg import haar_unitary, random_low_rank_rect
 from modswap.oracle import MatrixOracle
 from modswap.procrustes import classical_nearest_isometry, quantum_procrustes_apply
 from modswap.qpe import QPEConfig, invert_joint, joint_from_eig
 
-from dense_refs import procrustes_by_uncompute, sign_flip
+from dense_refs import procrustes_by_uncompute, random_state, sign_flip
 
 
 def _oracle(a):

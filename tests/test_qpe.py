@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modswap.linalg import haar_unitary, random_low_rank, random_state
+from modswap.linalg import haar_unitary, random_low_rank
 from modswap.oracle import MatrixOracle
 from modswap.procrustes import quantum_procrustes_apply
 from modswap.qpe import (
@@ -27,6 +27,7 @@ from dense_refs import (
     extract_estimates_by_loop,
     hadamard,
     random_hermitian,
+    random_state,
 )
 
 
@@ -375,7 +376,7 @@ def test_query_scaling_exact_counts():
     assert [r.oracle_calls for r in result.rows] == [7407, 62184, 503355]
 
 
-def test_trotter_reads_source_once_per_stage_and_charges_every_step():
+def test_trotter_reads_source_once_per_run_and_charges_every_step():
     rng = np.random.default_rng(31)
     n, bits, epsilon = 3, 3, 0.05
     a = random_hermitian(n, rng)
@@ -394,7 +395,7 @@ def test_trotter_reads_source_once_per_stage_and_charges_every_step():
     steps = [max(1, int(np.ceil(2 * a_max**2 * ((1 << k) * t0) ** 2 / epsilon)))
              for k in range(bits)]
     assert sum(steps) > 3 * bits  # the stages really model many sweeps
-    assert len(reads) == (1 + bits) * sweep  # the spectrum read plus one per stage
+    assert len(reads) == sweep  # one real read serves max_norm and every stage
     assert result.oracle_calls == (1 + sum(steps)) * sweep
 
 

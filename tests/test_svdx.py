@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from modswap.linalg import haar_unitary, random_low_rank_rect
 from modswap.oracle import MatrixOracle
+from modswap.procrustes import quantum_procrustes_apply
 from modswap.qpe import (
     QPEConfig,
     decode_register,
     default_base_time,
     joint_from_eig,
+    _branch_masses,
+    _read_spectrum,
     _register_kernel,
 )
 from modswap.svdx import (
@@ -332,3 +335,35 @@ def test_quantum_svd_close_and_degenerate_singular_values(data, m, n, gap, bits)
     result = quantum_svd(_oracle(a), QPEConfig(bits=bits), threshold=threshold)
     _assert_matches_numpy_svd(result, a, 1e-10)
     assert result.unresolved == 0
+
+
+def test_svd_and_procrustes_read_the_same_sign_bit_branch_masses(monkeypatch):
+    a = random_low_rank_rect(8, 8, 3, 1.0, np.random.default_rng(4))
+    config, threshold = QPEConfig(bits=11), 0.02
+    _, evals_over_n, _, t0 = _read_spectrum(embed(_oracle(a)).oracle, config)
+    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
+    # the aliasing value 2^(bits-1) decodes to -pi/t0 and holds about 2e-7 of
+    # each +-sigma eigenvector's mass; the negative window counts it, the
+    # mirror of the positive window would not
+    size = config.size
+    mass = np.abs(_register_kernel(evals_over_n, config.bits, t0)) ** 2
+    window = decode_register(np.arange(size), config.bits, t0) >= threshold
+    mirror = np.sum(mass[window[-np.arange(size)]], axis=0)
+    assert np.max(mass[size // 2]) > 1e-8
+    np.testing.assert_allclose(m_neg - mirror, mass[size // 2], rtol=1e-6, atol=1e-18)
+
+    seen = []
+
+    def recording(*args):
+        seen.append(_branch_masses(*args))
+        return seen[-1]
+
+    monkeypatch.setattr("modswap.svdx._branch_masses", recording)
+    monkeypatch.setattr("modswap.procrustes._branch_masses", recording)
+    assert quantum_svd(_oracle(a), config, threshold).rank == 3
+    psi = np.linalg.svd(a)[2][0].conj()
+    quantum_procrustes_apply(_oracle(a), psi, config, threshold)
+    assert len(seen) == 2
+    for got in seen:
+        np.testing.assert_array_equal(got[0], m_pos)
+        np.testing.assert_array_equal(got[1], m_neg)

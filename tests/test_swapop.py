@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from modswap.linalg import random_density, random_state
 from modswap.oracle import MatrixOracle
 from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import (
+    apply_by_pairs,
     channel_via_joint,
     dense_exp_swap,
     dense_swap,
+    kraus_factors_by_pairs,
     plan_by_queries,
+    random_density,
     random_hermitian,
+    random_state,
 )
 
 
@@ -145,29 +150,6 @@ def test_spectrum_max_abs_equals_max_norm():
     assert _op(a).spectrum().max_abs == np.max(np.abs(a))
 
 
-def test_square_diagonal_identity():
-    np.testing.assert_allclose(_op(np.eye(2)).square_diagonal(), [1, 0, 0, 1])
-
-
-def test_square_diagonal_all_ones():
-    np.testing.assert_allclose(_op(np.ones((2, 2))).square_diagonal(), np.ones(4))
-
-
-def test_square_diagonal_matches_dense_product():
-    rng = np.random.default_rng(22)
-    a = random_hermitian(4, rng)
-    s = dense_swap(a)
-    np.testing.assert_allclose(
-        _op(a).square_diagonal(), np.diagonal(s @ s).real, atol=1e-12
-    )
-
-
-def test_square_diagonal_max_is_max_norm_squared():
-    rng = np.random.default_rng(24)
-    a = random_hermitian(5, rng)
-    assert np.max(_op(a).square_diagonal()) == pytest.approx(np.max(np.abs(a)) ** 2)
-
-
 def test_plan_queries_upper_triangle_once():
     oracle = MatrixOracle.from_matrix(random_hermitian(5, np.random.default_rng(25)))
     op = ModifiedSwapOperator(oracle)
@@ -193,10 +175,8 @@ def test_plan_names_first_non_hermitian_diagonal():
     _op(a).build_plan()
 
 
-@pytest.mark.parametrize("kind", ["random", "diagonal", "zero", "partly-zero"])
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_plan_matches_per_element_query_loop(kind, n):
-    rng = np.random.default_rng(100 + n)
+def _source(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A Hermitian test matrix: random, diagonal, zero or partly zero."""
     a = random_hermitian(n, rng)
     if kind == "diagonal":
         a = np.diag(np.diag(a))
@@ -204,14 +184,35 @@ def test_plan_matches_per_element_query_loop(kind, n):
         a = np.zeros((n, n), dtype=complex)
     elif kind == "partly-zero":
         a[0, :] = a[:, 0] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "zero", "partly-zero"])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_plan_matches_per_element_query_loop(kind, n):
+    a = _source(kind, n, np.random.default_rng(100 + n))
     fast = MatrixOracle.from_function(lambda j, k: a[j, k], (n, n))
     slow = MatrixOracle.from_matrix(a)
     plan = ModifiedSwapOperator(fast).build_plan()
-    fields = (plan.diag_index, plan.diag_value, plan.row_kj, plan.row_jk, plan.offdiag)
-    for got, want in zip(fields, plan_by_queries(slow)):
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == want.dtype
+    want = plan_by_queries(slow)
+    np.testing.assert_array_equal(plan.a, want)
+    assert plan.a.dtype == want.dtype
+    assert plan.dim == n
     assert fast.report_calls() == slow.report_calls() == n * (n + 1) // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), kind=st.sampled_from(["random", "diagonal", "zero", "partly-zero"]),
+       seed=st.integers(0, 2**32 - 1), t=st.floats(-2.0, 2.0))
+def test_kraus_factors_equal_pair_layout(n, kind, seed, t):
+    # exact equality, no tolerance: each nonzero entry is the same
+    # floating-point expression in both layouts (a zero may differ in sign)
+    a = _source(kind, n, np.random.default_rng(seed))
+    c, s = ModifiedSwapOperator(MatrixOracle.from_matrix(a)).build_plan().kraus_factors(t)
+    c_ref, s_ref = kraus_factors_by_pairs(a, t)
+    np.testing.assert_array_equal(c, c_ref)
+    np.testing.assert_array_equal(s, s_ref)
+    assert c.dtype == s.dtype == np.complex128
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -263,6 +264,25 @@ def _channel_case(kind: str, seed: int):
         a[0, 3] = a[3, 0] = a[2, 5] = a[5, 2] = 0.0
         return a, 1.3
     return random_hermitian(4, rng), -0.61  # negative dt: time reversal
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["random", "diagonal", "n1", "sparse", "negative-dt"])
+def test_apply_matches_pair_layout_and_dense(kind, seed, axis):
+    a, dt = _channel_case(kind, seed)
+    n = a.shape[0]
+    plan = _op(a).build_plan()
+    rng = np.random.default_rng(seed + 70)
+    # a batch of N^2-vectors along ``axis``, with two more batch axes
+    shape = [3, 2, 4]
+    shape[axis] = n * n
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = plan.apply(x, dt, axis=axis)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, apply_by_pairs(a, x, dt, axis=axis), rtol=0, atol=1e-15)
+    want = np.moveaxis(np.tensordot(dense_exp_swap(a, dt), x, axes=([1], [axis])), 0, axis)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
