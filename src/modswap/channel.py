@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import (
     as_matrix,
     hermitize,
-    hermiticity_residual,
+    is_hermitian,
     nuclear_norm,
     require_hermitian,
     unitary_from_eigh,
@@ -47,8 +47,7 @@ def require_density(rho, trace_tol: float = 1e-12, psd_tol: float = 1e-10) -> np
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    scale = max(1.0, float(np.max(np.abs(rho))))
-    if hermiticity_residual(rho) > 1e-12 * scale:
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > trace_tol:
@@ -165,7 +164,7 @@ def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
     sigma = require_density(sigma)
     if baseline is None:
         baseline = oracle.materialize()
-    a = hermitize(require_hermitian(baseline))
+    a = require_hermitian(baseline)
     a_max = float(np.max(np.abs(a)))
     dt = config.delta_t
     per_step_bound = 2.0 * a_max**2 * dt**2
@@ -225,7 +224,7 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("delta_t values must be strictly descending")
     sigma = require_density(sigma)
-    a = hermitize(require_hermitian(oracle.materialize()))
+    a = require_hermitian(oracle.materialize())
     a_max = float(np.max(np.abs(a)))
     if a_max == 0.0:
         raise ValueError("error sweep needs a nonzero matrix; every bound would be 0")
@@ -247,9 +246,12 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
 
 
 def effective_rank(a, t: float) -> int:
-    """Number of eigenvalues of A/N at least 1/t in magnitude (reported only)."""
+    """Number of eigenvalues of A/N at least 1/t in magnitude (reported only).
+
+    A is a Hermitian matrix that already passed ``require_hermitian``.
+    """
     a = as_matrix(a)
     if t <= 0:
         return 0
-    w = np.linalg.eigvalsh(hermitize(a)) / a.shape[0]
+    w = np.linalg.eigvalsh(a) / a.shape[0]
     return int(np.sum(np.abs(w) >= 1.0 / t))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .channel import EvolutionConfig, effective_rank, error_sweep, evolve, pure_density
-from .linalg import hermitize, random_low_rank, random_low_rank_rect, require_hermitian
+from .linalg import random_low_rank, random_low_rank_rect, require_hermitian
 from .matio import _complex_pairs, load_matrix, load_state, matrix_to_json_obj, save_matrix
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import quantum_procrustes_apply
@@ -139,11 +139,10 @@ def cmd_evolve(args) -> int:
     oracle = _resolve_oracle(args)
     n = oracle.dim
     sigma = _resolve_sigma(args, n)
-    dense = oracle.materialize()
-    a = hermitize(dense)
+    a = require_hermitian(oracle.materialize())
     a_max = float(np.max(np.abs(a)))
     config = EvolutionConfig.plan(a_max, args.time, args.epsilon, steps=args.steps)
-    final, report = evolve(oracle, sigma, config, baseline=dense)
+    final, report = evolve(oracle, sigma, config, baseline=a)
     wall = (time.perf_counter() - start) * 1000.0
     _write_envelope(
         args.out, "evolve",

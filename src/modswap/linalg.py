@@ -3,6 +3,9 @@ unitary evolution, and the seeded random low-rank ensembles.
 
 Everything here is a classical baseline: plain numpy on dense arrays, no
 oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
+``require_hermitian`` is the one gate of the uncounted path: it returns the
+exactly-Hermitian part of a matrix that passed, so no caller hermitizes its
+result again.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """``hermitize(A)`` for a square A within tol of Hermitian; ValueError otherwise."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square ({a.shape[0]}x{a.shape[1]})")
@@ -45,7 +49,7 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(
             f"matrix is not Hermitian (residual {hermiticity_residual(a):.3e})"
         )
-    return a
+    return hermitize(a)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -69,22 +73,17 @@ def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * (t / v.shape[0]))) @ v.conj().T
 
 
-def evolution_unitary(a: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i (A/N) t) for Hermitian A of dimension N, via eigendecomposition."""
-    a = require_hermitian(a)
-    return unitary_from_eigh(*np.linalg.eigh(hermitize(a)), t)
-
-
 def exact_evolution(a, t: float, sigma) -> np.ndarray:
     """Conjugate sigma by exp(-i (A/N) t): the exact reduced dynamics.
 
-    Trace and Hermiticity of sigma are preserved (unitary conjugation).
+    The unitary comes from one ``eigh`` of the gated A. Trace and
+    Hermiticity of sigma are preserved (unitary conjugation).
     """
     a = require_hermitian(a)
     sigma = as_matrix(sigma)
     if sigma.shape != a.shape:
         raise ValueError(f"state dim {sigma.shape} != matrix dim {a.shape}")
-    u = evolution_unitary(a, t)
+    u = unitary_from_eigh(*np.linalg.eigh(a), t)
     return u @ sigma @ u.conj().T
 
 

@@ -8,6 +8,9 @@ element; ``read_upper_triangle`` reads one whole sweep of the diagonal and
 upper triangle with a single counter update; ``charge_sweeps`` charges
 modelled sweeps whose values the caller already holds.
 
+``read_hermitian`` is the one gate of the counted path: every counted
+Hermitian read goes through it, and it alone rejects a non-real diagonal.
+
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
 measure only the simulated-algorithm path.
@@ -20,6 +23,8 @@ import threading
 import numpy as np
 
 from .linalg import as_matrix
+
+DIAG_IMAG_TOL = 1e-10
 
 
 class MatrixOracle:
@@ -137,13 +142,21 @@ def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
 
     The lower triangle is filled by conjugation, so an N x N read costs
     N(N+1)/2 calls, the same per-sweep price the evolution steps pay; the
-    diagonal holds the values as read. A non-finite value fails the read
-    after the sweep.
+    diagonal holds the values as read. After the sweep is charged, a
+    non-finite value, or a diagonal entry whose imaginary part exceeds
+    ``DIAG_IMAG_TOL`` relative to max(1, |A[i,i]|), fails the read; the
+    message names the first bad diagonal index. The result is Hermitian in
+    the sense numpy's ``eigh`` reads: one triangle and the real diagonal.
     """
     rows, cols, values = oracle.read_upper_triangle()
     a = np.zeros((oracle.dim,) * 2, dtype=np.complex128)
     a[cols, rows] = np.conj(values)
     a[rows, cols] = values
+    diag = a.diagonal()
+    bad = np.abs(diag.imag) > DIAG_IMAG_TOL * np.maximum(1.0, np.abs(diag))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"non-Hermitian source: diagonal ({i},{i}) = {complex(diag[i])}")
     return a
 
 

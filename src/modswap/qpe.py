@@ -11,8 +11,10 @@ Two interchangeable backends:
 
 * ``exact-unitary``: the controlled powers are computed from the classical
   eigendecomposition; pure-state simulation, cheap, and exact up to register
-  discretization. Costs one counted Hermitian oracle read. Its 2^bits x N
-  register kernel is capped by ``MAX_BYTES``.
+  discretization. Costs one counted Hermitian oracle read
+  (``oracle.read_hermitian``, which rejects a non-real diagonal); ``eigh``
+  takes that matrix as read. Its 2^bits x N register kernel is capped by
+  ``MAX_BYTES``.
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
   counted oracle sweep per step), so the register + system state is a
@@ -33,11 +35,10 @@ Procrustes readouts both take their branches from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator, _kraus_map
 
@@ -95,7 +96,6 @@ class QPEResult:
     base_time: float
     oracle_calls: int
     trotter_error_bound: float | None = None
-    all_peaks: list[EigenEstimate] = field(default_factory=list)
 
 
 def decode_register(m, bits: int, t0: float):
@@ -145,12 +145,13 @@ def _read_spectrum(oracle: MatrixOracle, config: QPEConfig):
 
     Returns (A, eigenvalues of A / N, eigenvectors, base time t0). The
     2^bits x N complex register kernel is checked against ``MAX_BYTES``
-    before the read.
+    before the read. ``eigh`` reads one triangle and the real part of the
+    diagonal, so A needs no hermitizing.
     """
     _require_bytes(16 * config.size * oracle.dim, "exact backend register kernel")
     a = read_hermitian(oracle)
     t0 = _base_time(config, float(np.max(np.abs(a))))
-    w, v = np.linalg.eigh(hermitize(a))
+    w, v = np.linalg.eigh(a)
     return a, w / a.shape[0], v, t0
 
 
@@ -217,20 +218,15 @@ def invert_joint(joint, evals_over_n, evecs, bits: int, t0: float) -> np.ndarray
     return h.reshape(size, -1) / math.sqrt(size)
 
 
-def extract_estimates(distribution, bits: int, t0: float,
-                      min_weight: float = PEAK_MIN_WEIGHT,
-                      threshold: float = 0.0) -> list[EigenEstimate]:
+def extract_estimates(distribution, bits: int, t0: float) -> list[EigenEstimate]:
     """Cyclic local maxima of the register distribution, decoded and signed.
 
-    Peaks below min_weight are dropped; threshold additionally filters the
-    list (never the state) by |decoded value|.
+    Peaks below ``PEAK_MIN_WEIGHT`` are dropped.
     """
     p = np.asarray(distribution, dtype=float)
     half = p.shape[0] // 2
-    ys = np.flatnonzero(~(p < min_weight) & (p >= np.roll(p, 1)) & (p >= np.roll(p, -1)))
+    ys = np.flatnonzero(~(p < PEAK_MIN_WEIGHT) & (p >= np.roll(p, 1)) & (p >= np.roll(p, -1)))
     values = decode_register(ys, bits, t0)
-    kept = ~(np.abs(values) < threshold)
-    ys, values = ys[kept], values[kept]
     order = np.lexsort((ys, -p[ys]))
     return [EigenEstimate(register_value=int(y), value=float(v), weight=float(p[y]),
                           sign=-1 if y >= half else 1)
@@ -287,13 +283,13 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     return dens, dist, t0, error_bound
 
 
-def qpe(oracle: MatrixOracle, psi, config: QPEConfig,
-        threshold: float = 0.0) -> QPEResult:
+def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     """Run phase estimation and decode register peaks into eigenvalue estimates.
 
-    The returned estimates list is filtered at |value| >= threshold; the
-    joint state (amplitudes for the exact backend, a register x system
-    density matrix for the trotter backend) is never filtered.
+    The joint state is amplitudes for the exact backend and a register x
+    system density matrix for the trotter backend. Both backends make their
+    one real read through ``oracle.read_hermitian``, so a non-real diagonal
+    fails either after one charged sweep.
     """
     n = oracle.dim
     psi = _require_state(psi, n)
@@ -302,18 +298,15 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig,
         joint, dist, t0, bound = _exact_backend(oracle, psi, config)
     else:
         joint, dist, t0, bound = _trotter_backend(oracle, psi, config)
-    all_peaks = extract_estimates(dist, config.bits, t0)
-    estimates = [e for e in all_peaks if abs(e.value) >= threshold]
     return QPEResult(
         distribution=np.asarray(dist, dtype=float),
-        estimates=estimates,
+        estimates=extract_estimates(dist, config.bits, t0),
         joint=joint,
         backend=config.backend,
         bits=config.bits,
         base_time=t0,
         oracle_calls=oracle.report_calls() - calls_before,
         trotter_error_bound=bound,
-        all_peaks=all_peaks,
     )
 
 

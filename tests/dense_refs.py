@@ -167,7 +167,7 @@ def evolve_by_steps(oracle, sigma, config, baseline=None):
     sigma = require_density(sigma)
     if baseline is None:
         baseline = oracle.materialize()
-    a = hermitize(require_hermitian(baseline))
+    a = require_hermitian(baseline)
     a_max = float(np.max(np.abs(a)))
     dt = config.delta_t
     per_step_bound = 2.0 * a_max**2 * dt**2
@@ -195,7 +195,7 @@ def sweep_by_steps(oracle, sigma, delta_ts):
     Input checks are left to the caller.
     """
     sigma = require_density(sigma)
-    a = hermitize(require_hermitian(oracle.materialize()))
+    a = require_hermitian(oracle.materialize())
     a_max = float(np.max(np.abs(a)))
     rows = []
     for dt in (float(d) for d in delta_ts):
@@ -222,8 +222,7 @@ def decode_register_scalar(m: int, bits: int, t0: float) -> float:
     return phase * 2.0 * math.pi / t0
 
 
-def extract_estimates_by_loop(distribution, bits: int, t0: float,
-                              min_weight: float, threshold: float):
+def extract_estimates_by_loop(distribution, bits: int, t0: float, min_weight: float):
     """Cyclic local maxima found by one Python test per register value."""
     p = np.asarray(distribution, dtype=float)
     size = p.shape[0]
@@ -233,12 +232,9 @@ def extract_estimates_by_loop(distribution, bits: int, t0: float,
         if p[y] < min_weight:
             continue
         if p[y] >= p[(y - 1) % size] and p[y] >= p[(y + 1) % size]:
-            value = decode_register_scalar(y, bits, t0)
-            if abs(value) < threshold:
-                continue
             peaks.append(EigenEstimate(
                 register_value=y,
-                value=value,
+                value=decode_register_scalar(y, bits, t0),
                 weight=float(p[y]),
                 sign=-1 if y >= half else 1,
             ))

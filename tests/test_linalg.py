@@ -19,6 +19,16 @@ def test_require_hermitian_checks_shape_first():
         require_hermitian(np.zeros((6, 4), dtype=complex))
 
 
+def test_require_hermitian_returns_hermitized_input_and_is_idempotent():
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a = random_hermitian(5, rng) + 1e-14 * noise  # inside HERMITIAN_TOL
+    gated = require_hermitian(a)
+    assert np.array_equal(gated, hermitize(a))
+    assert not np.array_equal(gated, a)
+    assert np.array_equal(require_hermitian(gated), gated)
+
+
 def test_as_matrix_accepts_fortran_and_strided_input():
     h = random_hermitian(4, np.random.default_rng(2))
     wide = np.zeros((4, 8), dtype=complex)

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from modswap.channel import first_order_generator
 from modswap.matio import load_matrix, save_matrix
 from modswap.oracle import MatrixOracle, oracle_from_generator, read_hermitian
+from modswap.qpe import QPEConfig, qpe
+from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import random_hermitian
 
@@ -98,6 +101,33 @@ def test_read_hermitian_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="NaN or infinity"):
         read_hermitian(oracle)
     assert oracle.report_calls() == 3 * 4 // 2
+
+
+# Every counted Hermitian read of the library, each reached from its own entry point.
+_E0 = np.array([1, 0, 0], dtype=complex)
+_GATED_READS = {
+    "read_hermitian": read_hermitian,
+    "build_plan": lambda o: ModifiedSwapOperator(o).build_plan(),
+    "exact-qpe": lambda o: qpe(o, _E0, QPEConfig(bits=2)),
+    "trotter-qpe": lambda o: qpe(o, _E0, QPEConfig(bits=2, backend="trotter-channel",
+                                                    trotter_epsilon=0.5)),
+    "first_order_generator": lambda o: first_order_generator(o, np.eye(3) / 3),
+}
+
+
+@pytest.mark.parametrize("entry", list(_GATED_READS))
+def test_counted_read_rejects_non_real_diagonal_after_one_sweep(entry):
+    a = np.diag([0.5, 1 + 1j, 1 + 1j]) + 0.25 * np.ones((3, 3))
+    oracle = MatrixOracle.from_matrix(a)
+    with pytest.raises(ValueError, match=r"^non-Hermitian source: diagonal \(1,1\) = "):
+        _GATED_READS[entry](oracle)
+    assert oracle.report_calls() == 3 * 4 // 2
+
+
+@pytest.mark.parametrize("entry", list(_GATED_READS))
+def test_counted_read_accepts_diagonal_within_tolerance(entry):
+    a = np.diag([0.5, 1 + 1e-11j, -1.0]) + 0.25 * np.ones((3, 3))
+    _GATED_READS[entry](MatrixOracle.from_matrix(a))
 
 
 @st.composite

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modswap.linalg import haar_unitary, random_low_rank
-from modswap.oracle import MatrixOracle
+from modswap.linalg import haar_unitary, hermitize, random_low_rank
+from modswap.oracle import DIAG_IMAG_TOL, MatrixOracle, read_hermitian
 from modswap.procrustes import quantum_procrustes_apply
 from modswap.qpe import (
     MAX_BYTES,
+    PEAK_MIN_WEIGHT,
     QPEConfig,
     backend_agreement,
     decode_register,
@@ -18,7 +19,7 @@ from modswap.qpe import (
     qpe,
     query_scaling,
 )
-from modswap.svdx import quantum_svd
+from modswap.svdx import embed, quantum_svd
 from modswap.swapop import BlockPlan, ModifiedSwapOperator
 
 from dense_refs import (
@@ -314,17 +315,29 @@ def test_trotter_distribution_close_to_exact_n3():
     assert report.tv_distance <= 0.06  # ~ b * budget
 
 
-def test_threshold_filters_estimates_not_state():
-    c = 2.0
-    a = np.diag([c, -c, 0.0, 0.0]).astype(complex)
-    psi = np.sqrt([0.4, 0.3, 0.3, 0.0]).astype(complex)
-    cfg = QPEConfig(bits=4, base_time=np.pi / c)
-    plain = qpe(MatrixOracle.from_matrix(a), psi, cfg)
-    cut = qpe(MatrixOracle.from_matrix(a), psi, cfg, threshold=0.1)
-    np.testing.assert_allclose(plain.distribution, cut.distribution, atol=0)
-    assert len(cut.estimates) == 2          # zero eigenvalue filtered from the list
-    assert len(cut.all_peaks) == 3          # but still visible among raw peaks
-    assert all(abs(e.value) >= 0.1 for e in cut.estimates)
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "tolerance-diagonal", "embedding"]))
+def test_eigh_of_counted_read_equals_eigh_of_hermitized_read(n, seed, kind):
+    """``_read_spectrum`` feeds ``eigh`` the read as is: this pins that it may.
+
+    The read's lower triangle is the conjugate of its upper one, so hermitizing
+    changes only the imaginary diagonal, which ``eigh`` never reads.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    z = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    if kind == "embedding" and n > 1:
+        oracle = embed(MatrixOracle.from_matrix(z[: n // 2, n // 2:])).oracle
+    else:
+        # a non-Hermitian source whose diagonal passes the gate
+        imag = DIAG_IMAG_TOL * rng.uniform(-1, 1, n) if kind == "tolerance-diagonal" else 0.0
+        z[np.diag_indices(n)] = z.diagonal().real * (1 + 1j * imag)
+        oracle = MatrixOracle.from_matrix(z)
+    a = read_hermitian(oracle)
+    w, v = np.linalg.eigh(a)
+    w_h, v_h = np.linalg.eigh(hermitize(a))
+    assert np.array_equal(w, w_h) and np.array_equal(v, v_h)
 
 
 def test_trotter_memory_guard():
@@ -452,14 +465,12 @@ _levels = st.sampled_from([0.0, 0.004, 0.01, 0.01, 0.2, 0.2, 0.35, 0.5])
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), bits=st.integers(1, 5),
-       t0=st.sampled_from([np.pi, 0.37, 5.0]),
-       min_weight=st.sampled_from([0.0, 0.01, 0.2]),
-       threshold=st.sampled_from([0.0, 0.3, 1.0, 4.0]))
-def test_extract_estimates_equals_per_register_loop(data, bits, t0, min_weight, threshold):
+       t0=st.sampled_from([np.pi, 0.37, 5.0]))
+def test_extract_estimates_equals_per_register_loop(data, bits, t0):
     size = 1 << bits
     p = np.array(data.draw(st.lists(_levels, min_size=size, max_size=size)))
-    got = extract_estimates(p, bits, t0, min_weight=min_weight, threshold=threshold)
-    want = extract_estimates_by_loop(p, bits, t0, min_weight, threshold)
+    got = extract_estimates(p, bits, t0)
+    want = extract_estimates_by_loop(p, bits, t0, PEAK_MIN_WEIGHT)
     assert _estimate_bits(got) == _estimate_bits(want)
 
 
@@ -469,11 +480,12 @@ def test_extract_estimates_equals_per_register_loop(data, bits, t0, min_weight, 
     [0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4],   # peak at the last cell wraps to 0
     [0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4],   # tie across the wrap
     [0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2],   # flat: every cell is a peak
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],   # nothing above min_weight
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],   # nothing above the floor
 ])
-@pytest.mark.parametrize("threshold", [0.0, 0.5])
-def test_extract_estimates_wrap_and_plateau_cases(p, threshold):
+@pytest.mark.parametrize("lift", [0.0, 0.5])  # 0.5 puts every cell above the floor
+def test_extract_estimates_wrap_and_plateau_cases(p, lift):
     bits = len(p).bit_length() - 1
-    got = extract_estimates(p, bits, np.pi, threshold=threshold)
-    want = extract_estimates_by_loop(p, bits, np.pi, 0.01, threshold)
+    p = np.asarray(p) + lift
+    got = extract_estimates(p, bits, np.pi)
+    want = extract_estimates_by_loop(p, bits, np.pi, 0.01)
     assert _estimate_bits(got) == _estimate_bits(want)
