@@ -156,15 +156,15 @@ def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
 
     Returns (final density matrix, ErrorReport). measured_step_error is the
     largest single-step deviation encountered along the chain. baseline is
-    the oracle's uncounted dense matrix when the caller already holds it;
-    otherwise it is materialized here. The run makes one counted sweep and
-    charges the other n - 1; the step map and the baseline unitaries come
-    from one Kraus factorisation and one ``eigh``.
+    the oracle's uncounted dense matrix as ``require_hermitian`` returned it,
+    when the caller has already gated it; otherwise the matrix is
+    materialized and gated here, so each run passes the Hermitian gate once.
+    The run makes one counted sweep and charges the other n - 1; the step
+    map and the baseline unitaries come from one Kraus factorisation and one
+    ``eigh``.
     """
     sigma = require_density(sigma)
-    if baseline is None:
-        baseline = oracle.materialize()
-    a = require_hermitian(baseline)
+    a = require_hermitian(oracle.materialize()) if baseline is None else baseline
     a_max = float(np.max(np.abs(a)))
     dt = config.delta_t
     per_step_bound = 2.0 * a_max**2 * dt**2

@@ -8,7 +8,10 @@ serialization is bit-faithful for doubles):
 * CSV: M rows of N cells, each cell the string "re,im" (quoted by the csv
   module because of the embedded comma).
 
-States are stored as single-column matrices.
+States are stored as single-column matrices. A file that does not follow
+its format raises ``ValueError`` naming the first bad entry; the loader
+converts the entries in one pass and looks for the culprit only after that
+pass fails.
 """
 
 from __future__ import annotations
@@ -38,14 +41,46 @@ def matrix_to_json_obj(a) -> dict:
     return {"rows": m, "cols": n, "data": _complex_pairs(a)}
 
 
+def _json_entry(entry) -> complex:
+    re, im = entry
+    return complex(re, im)
+
+
+def _csv_cell(cell: str) -> complex:
+    return complex(*map(float, cell.split(",")))
+
+
+def _first_bad(items, convert, what: str) -> ValueError:
+    """The error naming the first of ``items`` that ``convert`` rejects."""
+    for index, item in enumerate(items):
+        try:
+            convert(item)
+        except (TypeError, ValueError):
+            return ValueError(f"{what} {index} is {item!r}, not a number pair (re, im)")
+    return ValueError(f"malformed {what} list")
+
+
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
-    m, n = int(obj["rows"]), int(obj["cols"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix JSON must be an object with rows, cols and data, "
+                         f"not a {type(obj).__name__}")
+    try:
+        m, n = int(obj["rows"]), int(obj["cols"])
+    except TypeError:
+        raise ValueError(f"rows and cols must be integers, got {obj['rows']!r} "
+                         f"and {obj['cols']!r}") from None
     if m < 1 or n < 1:
         raise ValueError(f"empty matrix: rows={m}, cols={n}")
     data = obj["data"]
+    if not isinstance(data, list):
+        raise ValueError(f"data must be a list of [re, im] pairs, not a {type(data).__name__}")
     if len(data) != m * n:
         raise ValueError(f"data length {len(data)} != rows*cols = {m * n}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    try:
+        # the same conversion as _json_entry, inline: no call per entry
+        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise _first_bad(data, _json_entry, "data entry") from None
     return flat.reshape(m, n)
 
 
@@ -67,8 +102,11 @@ def load_matrix(path) -> np.ndarray:
     if path.suffix.lower() == ".csv":
         rows = []
         with path.open(newline="") as fh:
-            for record in csv.reader(fh):
-                rows.append([complex(*map(float, cell.split(","))) for cell in record])
+            for line, record in enumerate(csv.reader(fh), 1):
+                try:
+                    rows.append([_csv_cell(cell) for cell in record])
+                except (TypeError, ValueError):
+                    raise _first_bad(record, _csv_cell, f"{path}: row {line}, cell") from None
         if not rows:
             raise ValueError(f"empty matrix file: {path}")
         return np.array(rows, dtype=np.complex128)

@@ -50,7 +50,7 @@ class MatrixOracle:
 
     @classmethod
     def from_matrix(cls, a) -> "MatrixOracle":
-        return cls(as_matrix(a))
+        return cls(a)
 
     @classmethod
     def from_function(cls, fn, shape) -> "MatrixOracle":

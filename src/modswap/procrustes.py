@@ -23,7 +23,9 @@ post-selection, flip and uncompute act on each eigenvector separately, so by
 Parseval the clean (register back at zero) row of each kept half is
 phi± = ±V (beta ∘ m±) / sqrt(kept), with beta = V† (0, psi), m±_l the sum
 of |K[y, l]|^2 over the kept register values of that half, and kept the
-retained weight. ``qpe.invert_joint`` runs the inverse circuit itself and
+retained weight. |K[y, l]|^2 itself is the closed-form Fejer-kernel mass
+matrix ``qpe._register_mass``, so neither the complex kernel nor a joint
+state is built. ``qpe.invert_joint`` runs the inverse circuit itself and
 is the reference the closed form is tested against.
 
 Success probability and fidelity are computed exactly from amplitudes;

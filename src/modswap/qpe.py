@@ -10,10 +10,14 @@ anti-aliasing requirement t0 * max_norm(A) <= pi keeps every phase inside
 Two interchangeable backends:
 
 * ``exact-unitary``: the controlled powers are computed from the classical
-  eigendecomposition; pure-state simulation, cheap, and exact up to register
-  discretization. Costs one counted Hermitian oracle read
-  (``oracle.read_hermitian``, which rejects a non-real diagonal); ``eigh``
-  takes that matrix as read. Its 2^bits x N register kernel is capped by
+  eigendecomposition; exact up to register discretization. Costs one
+  counted Hermitian oracle read (``oracle.read_hermitian``, which rejects a
+  non-real diagonal); ``eigh`` takes that matrix as read. Eigenvector l
+  leaves the register in state K[:, l], whose outcome law |K[y, l]|^2 is the
+  Fejer kernel centred on lambda_l * t0; ``_register_mass`` gives that real
+  2^bits x N mass matrix in closed form, with no FFT. By Parseval the
+  register distribution is that matrix times |V^dagger psi|^2, so no
+  register x system state is built. The mass matrix is capped by
   ``MAX_BYTES``.
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
@@ -27,9 +31,12 @@ Two interchangeable backends:
   max_norm sweep and every step. The density has (2^bits * N)^2 entries,
   capped by ``MAX_BYTES`` together with the transfer matrix.
 
-``_branch_masses`` gives each eigenvector's register mass in the sign-bit
-windows decoded >= threshold and decoded <= -threshold; the svd and
-Procrustes readouts both take their branches from it.
+``_branch_masses`` sums the same mass matrix over the sign-bit windows
+decoded >= threshold and decoded <= -threshold; the svd and Procrustes
+readouts both take their branches from it. ``joint_from_eig`` and
+``invert_joint`` are the circuit itself, forward and inverse, with the
+complex register kernel ``_register_kernel``; no pipeline calls them, and
+they are the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -90,7 +97,6 @@ class EigenEstimate:
 class QPEResult:
     distribution: np.ndarray
     estimates: list[EigenEstimate]
-    joint: np.ndarray
     backend: str
     bits: int
     base_time: float
@@ -144,11 +150,12 @@ def _read_spectrum(oracle: MatrixOracle, config: QPEConfig):
     """One counted Hermitian read and its eigendecomposition.
 
     Returns (A, eigenvalues of A / N, eigenvectors, base time t0). The
-    2^bits x N complex register kernel is checked against ``MAX_BYTES``
-    before the read. ``eigh`` reads one triangle and the real part of the
-    diagonal, so A needs no hermitizing.
+    register mass matrix that every exact readout builds, one 2^bits x N
+    float64 array at its peak, is checked against ``MAX_BYTES`` before the
+    read. ``eigh`` reads one triangle and the real part of the diagonal, so
+    A needs no hermitizing.
     """
-    _require_bytes(16 * config.size * oracle.dim, "exact backend register kernel")
+    _require_bytes(8 * config.size * oracle.dim, "exact backend register kernel mass")
     a = read_hermitian(oracle)
     t0 = _base_time(config, float(np.max(np.abs(a))))
     w, v = np.linalg.eigh(a)
@@ -166,23 +173,53 @@ def _require_state(psi, n: int) -> np.ndarray:
 
 
 def _register_kernel(evals_over_n, bits: int, t0: float) -> np.ndarray:
-    """K[y, l] = ifft_m(exp(-i m lambda_l t0)): register amplitude y of eigenvector l."""
+    """K[y, l] = ifft_m(exp(-i m lambda_l t0)): register amplitude y of eigenvector l.
+
+    The complex kernel of the circuit (``joint_from_eig``, ``invert_joint``);
+    the readouts take its squared modulus from ``_register_mass`` instead.
+    """
     powers = np.exp(-1j * np.outer(np.arange(1 << bits), np.asarray(evals_over_n)) * t0)
     return np.fft.ifft(powers, axis=0)
+
+
+def _register_mass(evals_over_n, bits: int, t0: float) -> np.ndarray:
+    """P[y, l] = |K[y, l]|^2 of the register kernel, in closed form.
+
+    With M = 2^bits, x_l = M lambda_l t0 / (2 pi) and r_l = x_l - round(x_l),
+    P[y, l] = sin^2(pi r_l) / (M sin(pi (y - x_l) / M))^2, the Fejer kernel.
+    The denominator's sine comes by angle addition, sin(pi y/M) cos(pi x_l/M)
+    - cos(pi y/M) sin(pi x_l/M): two outer products summed as one rank-2
+    matrix product, so no entry takes its own sin and the M x n result is
+    the only array of that size. On the peak row y = round(x_l) mod M both
+    sines vanish together, and P is (sinc(r_l) / sinc(r_l / M))^2 there.
+    """
+    size = 1 << bits
+    theta = np.asarray(evals_over_n, dtype=float) * t0
+    x = theta * (size / (2.0 * math.pi))
+    nearest = np.round(x)
+    r = x - nearest
+    ys = np.arange(size) * (math.pi / size)
+    mass = np.array([np.sin(ys), -np.cos(ys)]).T @ np.array(
+        [np.cos(theta / 2), np.sin(theta / 2)])
+    peak = (nearest.astype(np.intp) % size, np.arange(theta.size))
+    mass[peak] = 1.0  # any nonzero value: the peak row is overwritten below
+    mass *= mass
+    np.divide(np.sin(math.pi * r) ** 2 / size**2, mass, out=mass)
+    mass[peak] = (np.sinc(r) / np.sinc(r / size)) ** 2
+    return mass
 
 
 def _branch_masses(evals_over_n, bits: int, t0: float, threshold: float):
     """(m_pos, m_neg): each eigenvector's register mass in the two branch windows.
 
-    m_l = sum over y in W of |K[y, l]|^2 for the register kernel K. The
+    m_l = sum over y in W of P[y, l] for the register mass matrix P. The
     windows follow the sign bit: decoded >= threshold and decoded <=
     -threshold, so the aliasing value 2^(bits-1), which decodes to -pi/t0,
     belongs to the negative one.
     """
-    mass = np.abs(_register_kernel(evals_over_n, bits, t0)) ** 2
+    mass = _register_mass(evals_over_n, bits, t0)
     decoded = decode_register(np.arange(1 << bits), bits, t0)
-    return (np.sum(mass[decoded >= threshold], axis=0),
-            np.sum(mass[decoded <= -threshold], axis=0))
+    return (decoded >= threshold) @ mass, (decoded <= -threshold) @ mass
 
 
 def joint_from_eig(evals_over_n, evecs, psi, bits: int, t0: float) -> np.ndarray:
@@ -234,10 +271,10 @@ def extract_estimates(distribution, bits: int, t0: float) -> list[EigenEstimate]
 
 
 def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
+    # Parseval: the row sums of |joint_from_eig|^2 without the joint state
     _, evals_over_n, evecs, t0 = _read_spectrum(oracle, config)
-    joint = joint_from_eig(evals_over_n, evecs, psi, config.bits, t0)
-    dist = np.sum(np.abs(joint) ** 2, axis=1)
-    return joint, dist, t0, None
+    weight = np.abs(evecs.conj().T @ psi) ** 2
+    return _register_mass(evals_over_n, config.bits, t0) @ weight, t0, None
 
 
 def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
@@ -286,22 +323,22 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
 def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     """Run phase estimation and decode register peaks into eigenvalue estimates.
 
-    The joint state is amplitudes for the exact backend and a register x
-    system density matrix for the trotter backend. Both backends make their
-    one real read through ``oracle.read_hermitian``, so a non-real diagonal
-    fails either after one charged sweep.
+    The exact backend reads the register distribution from the closed-form
+    mass matrix; the trotter backend evolves the register x system density
+    matrix. Both backends make their one real read through
+    ``oracle.read_hermitian``, so a non-real diagonal fails either after one
+    charged sweep.
     """
     n = oracle.dim
     psi = _require_state(psi, n)
     calls_before = oracle.report_calls()
     if config.backend == "exact-unitary":
-        joint, dist, t0, bound = _exact_backend(oracle, psi, config)
+        dist, t0, bound = _exact_backend(oracle, psi, config)
     else:
-        joint, dist, t0, bound = _trotter_backend(oracle, psi, config)
+        _, dist, t0, bound = _trotter_backend(oracle, psi, config)
     return QPEResult(
         distribution=np.asarray(dist, dtype=float),
         estimates=extract_estimates(dist, config.bits, t0),
-        joint=joint,
         backend=config.backend,
         bits=config.bits,
         base_time=t0,

@@ -14,17 +14,19 @@ exhibits that failure.
 Vector readout from the simulated pipeline: phase estimation leaves
 eigenvector l of the embedding in register state K[:, l], the register
 kernel of ``qpe.joint_from_eig``, whose outcome distribution |K[y, l]|^2 is
-the Fejer kernel centred on its eigenvalue. Its mass in the positive window
-W = {y : decoded(y) >= threshold} decides its branch: the eigenvectors with
-at least half their mass in W span the resolved +sigma branch, whatever the
-spacing of their eigenvalues, and they are the Ritz vectors of the embedding
-on that subspace. Each splits into (u, v)/sqrt(2); the singular value is
-the Rayleigh quotient u^H A v, since raw register decoding is limited to
-grid resolution. Eigenvectors with between a quarter and three quarters of
-their mass in W sit on the window edge below grid resolution and are
-reported as unresolved. Reading the eigenvectors' amplitudes directly is a
-simulator privilege; the masses come from the one counted read, so the
-readout adds no query.
+the Fejer kernel centred on its eigenvalue. The readout takes that
+distribution in closed form (``qpe._register_mass``: real, with no FFT and
+no joint state) and sums it over register windows. The mass of eigenvector
+l in the positive window W = {y : decoded(y) >= threshold} decides its
+branch: the eigenvectors with at least half their mass in W span the
+resolved +sigma branch, whatever the spacing of their eigenvalues, and they
+are the Ritz vectors of the embedding on that subspace. Each splits into
+(u, v)/sqrt(2); the singular value is the Rayleigh quotient u^H A v, since
+raw register decoding is limited to grid resolution. Eigenvectors with
+between a quarter and three quarters of their mass in W sit on the window
+edge below grid resolution and are reported as unresolved. Reading the
+eigenvectors' amplitudes directly is a simulator privilege; the masses
+come from the one counted read, so the readout adds no query.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from modswap.channel import EvolutionConfig
 from modswap.cli import build_parser, main
 from modswap.oracle import MatrixOracle
 from modswap.matio import load_matrix, save_matrix, save_state
-from modswap.linalg import random_low_rank
+from modswap.linalg import random_low_rank, require_hermitian
 from modswap.qpe import default_base_time
 
 
@@ -203,6 +204,25 @@ def test_missing_matrix_file_exits_2(tmp_path):
                  "--bits", "3", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("string-entry.json", '{"rows": 1, "cols": 2, "data": [["a", 0], [1, 0]]}',
+     "data entry 0 is ['a', 0]"),
+    ("non-pair.json", '{"rows": 1, "cols": 2, "data": [[1, 0], 1]}', "data entry 1 is 1"),
+    ("top-level-list.json", '[[1, 0], [0, 1]]', "not a list"),
+    ("null-rows.json", '{"rows": null, "cols": 1, "data": [[1, 0]]}',
+     "rows and cols must be integers"),
+    ("three-part-cell.csv", '"1,0","1,2,3"\n', "row 1, cell 1 is '1,2,3'"),
+])
+def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
+    matrix = tmp_path / name
+    matrix.write_text(text)
+    out = tmp_path / "o.json"
+    assert main(["demo-phase-ambiguity", "--matrix", str(matrix), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "runtime failure" not in err
+    assert not out.exists()
+
+
 def test_missing_source_exits_2(tmp_path):
     assert main(["evolve", "--time", "1", "--epsilon", "0.1",
                  "--out", str(tmp_path / "o.json")]) == 2
@@ -309,6 +329,45 @@ def test_qpe_register_kernel_guard_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qpe", "svd", "procrustes"])
+def test_exact_memory_guard_boundary_exits_2_before_any_query(tmp_path, monkeypatch,
+                                                               command):
+    # the cap charges the 2^bits x d float64 mass matrix of the d-dimensional
+    # (embedded) matrix: a cap of exactly that many bytes runs, one byte less
+    # exits 2 before the source is read
+    matrix, state = _rank_one_procrustes_inputs(tmp_path)
+    d, bits = 6, 9
+    if command == "qpe":
+        matrix, d = _gen(tmp_path), 4
+    argv = [command, "--matrix", str(matrix), "--bits", str(bits)]
+    if command != "qpe":
+        argv += ["--threshold", "0.05"]
+    if command == "procrustes":
+        argv += ["--state", str(state)]
+    reads = []
+
+    def counting(method):
+        def counted(self, *args):
+            reads.append(args)
+            return method(self, *args)
+        return counted
+
+    for name in ("query", "read_upper_triangle"):
+        monkeypatch.setattr(MatrixOracle, name, counting(getattr(MatrixOracle, name)))
+    qpe_module = importlib.import_module("modswap.qpe")
+    needed = 8 * (1 << bits) * d
+    out = tmp_path / "o.json"
+
+    monkeypatch.setattr(qpe_module, "MAX_BYTES", needed)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.exists() and reads
+    out.unlink()
+    reads.clear()
+    monkeypatch.setattr(qpe_module, "MAX_BYTES", needed - 1)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists() and not reads
+
+
 def test_evolve_materializes_once(tmp_path, monkeypatch):
     matrix = _gen(tmp_path)
     calls = []
@@ -322,6 +381,28 @@ def test_evolve_materializes_once(tmp_path, monkeypatch):
     assert main(["evolve", "--matrix", str(matrix), "--time", "0.3",
                  "--epsilon", "0.05", "--out", str(tmp_path / "e.json")]) == 0
     assert len(calls) == 1
+
+
+def test_evolve_gates_the_matrix_once(tmp_path, monkeypatch, capsys):
+    matrix = _gen(tmp_path)
+    gated = []
+
+    def counted(a, *args):
+        gated.append(a)
+        return require_hermitian(a, *args)
+
+    for module in ("modswap.cli", "modswap.channel"):
+        monkeypatch.setattr(f"{module}.require_hermitian", counted)
+    argv = ["evolve", "--time", "0.3", "--epsilon", "0.05"]
+    assert main([*argv, "--matrix", str(matrix), "--out", str(tmp_path / "e.json")]) == 0
+    assert len(gated) == 1
+
+    bad = tmp_path / "bad.json"
+    save_matrix(bad, np.array([[1.0, 0.5], [0.2, -1.0]]))
+    out = tmp_path / "bad-out.json"
+    assert main([*argv, "--matrix", str(bad), "--out", str(out)]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_echo_reproduces_numerics(tmp_path):

@@ -10,6 +10,9 @@ from modswap.qpe import (
     MAX_BYTES,
     PEAK_MIN_WEIGHT,
     QPEConfig,
+    _register_kernel,
+    _register_mass,
+    _trotter_backend,
     backend_agreement,
     decode_register,
     default_base_time,
@@ -233,6 +236,73 @@ def test_joint_from_eig_matches_controlled_power_definition(kind, seed):
         np.testing.assert_allclose(got, want, atol=1e-13)
 
 
+@st.composite
+def _register_spectra(draw):
+    """(lambda / N, bits, t0): spectra on, near and between register grid points.
+
+    Phases theta = lambda t0 cover random values, many zeros, exact grid
+    points, grid points offset by 1e-15 to 1e-6 bins, half-bin offsets and
+    the aliasing edge theta = +-pi.
+    """
+    bits = draw(st.integers(1, 12))
+    size = 1 << bits
+    t0 = draw(st.floats(0.05, 4.0))
+    n = draw(st.integers(1, 8))
+    bins = st.integers(-(size // 2), size // 2)
+    offset = st.floats(-15, -6).map(lambda e: 10.0**e) | st.floats(-15, -6).map(
+        lambda e: -(10.0**e))
+    phase = st.one_of(
+        st.floats(-np.pi, np.pi),
+        st.just(0.0),
+        bins.map(lambda k: 2 * np.pi * k / size),
+        st.tuples(bins, offset).map(lambda kd: 2 * np.pi * (kd[0] + kd[1]) / size),
+        st.tuples(bins, st.sampled_from([-0.5, 0.5])).map(
+            lambda kd: float(np.clip(2 * np.pi * (kd[0] + kd[1]) / size, -np.pi, np.pi))),
+        st.sampled_from([-np.pi, np.pi]),
+    )
+    zeros = draw(st.integers(0, n))
+    theta = np.array([0.0] * zeros + draw(st.lists(phase, min_size=n - zeros,
+                                                   max_size=n - zeros)))
+    return theta / t0, bits, t0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_register_spectra())
+def test_register_mass_equals_squared_fft_kernel(case):
+    evals_over_n, bits, t0 = case
+    got = _register_mass(evals_over_n, bits, t0)
+    want = np.abs(_register_kernel(evals_over_n, bits, t0)) ** 2
+    assert got.shape == want.shape == (1 << bits, evals_over_n.size)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_register_mass_edges_at_every_register_size(bits):
+    size, t0 = 1 << bits, 0.9
+    theta = np.array([0.0, 0.0, np.pi, -np.pi, 2 * np.pi / size, np.pi / size,
+                      -np.pi / size, 2 * np.pi * (1 + 1e-15) / size,
+                      2 * np.pi * (3 - 1e-6) / size, 1.234])
+    got = _register_mass(theta / t0, bits, t0)
+    np.testing.assert_allclose(got, np.abs(_register_kernel(theta / t0, bits, t0)) ** 2,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.sum(axis=0), 1.0, atol=1e-12)
+    assert got[0, 0] == 1.0 and not got[1:, 0].any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["random", "degenerate", "near-aliasing"])
+def test_exact_qpe_distribution_equals_joint_row_sums(kind, seed):
+    a, t0 = _spectral_case(kind, seed)
+    n = a.shape[0]
+    w, v = np.linalg.eigh(a)
+    psi = random_state(n, np.random.default_rng(seed + 200))
+    for bits in (1, 5, 8, 12):
+        result = qpe(MatrixOracle.from_matrix(a), psi, QPEConfig(bits=bits, base_time=t0))
+        joint = joint_from_eig(w / n, v, psi, bits, t0)
+        np.testing.assert_allclose(result.distribution, np.sum(np.abs(joint) ** 2, axis=1),
+                                   rtol=0, atol=1e-12)
+
+
 def test_qpe_rejects_non_finite_oracle():
     oracle = MatrixOracle.from_function(lambda j, k: np.nan if j == k == 1 else 0.0,
                                         (2, 2))
@@ -252,7 +322,7 @@ def test_trotter_qpe_rejects_non_finite_oracle():
 def test_exact_register_kernel_guard(pipeline):
     # a 2^40 x N register kernel is refused before any query or allocation
     cfg = QPEConfig(bits=40)
-    assert 16 * cfg.size * 2 > MAX_BYTES
+    assert 8 * cfg.size * 2 > MAX_BYTES
     oracle = MatrixOracle.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="register kernel"):
         if pipeline == "qpe":
@@ -373,11 +443,12 @@ def test_trotter_joint_matches_kraus_step_reference(bits, n):
     rng = np.random.default_rng(10 * bits + n)
     a = random_hermitian(n, rng)
     psi = random_state(n, rng)
-    result = qpe(MatrixOracle.from_matrix(a), psi,
-                 QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.2))
+    dens, dist, _, _ = _trotter_backend(
+        MatrixOracle.from_matrix(a), psi,
+        QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.2))
     want = _trotter_by_kraus_steps(a, psi, bits, 0.2)
-    np.testing.assert_allclose(result.joint, want, atol=1e-11)
-    np.testing.assert_allclose(result.distribution,
+    np.testing.assert_allclose(dens, want, atol=1e-11)
+    np.testing.assert_allclose(dist,
                                np.real(np.diagonal(want)).reshape(-1, n).sum(axis=1),
                                atol=1e-11)
 

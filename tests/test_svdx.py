@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -367,3 +369,49 @@ def test_svd_and_procrustes_read_the_same_sign_bit_branch_masses(monkeypatch):
     for got in seen:
         np.testing.assert_array_equal(got[0], m_pos)
         np.testing.assert_array_equal(got[1], m_neg)
+
+
+@pytest.mark.parametrize("kind", ["random", "wide", "degenerate", "near-aliasing"])
+def test_svd_and_procrustes_match_the_fft_kernel_readout(kind, monkeypatch):
+    # the closed-form mass matrix against the squared FFT kernel it replaced,
+    # through both readouts end to end
+    rng = np.random.default_rng(70)
+    if kind == "wide":
+        a, bits = random_low_rank_rect(24, 16, 3, 1.0, rng), 12
+    elif kind == "degenerate":
+        u, v = haar_unitary(6, rng), haar_unitary(5, rng)
+        a, bits = (u[:, :3] * np.array([4.0, 4.0, 2.5])) @ v[:, :3].conj().T, 9
+    else:
+        a, bits = random_low_rank_rect(8, 8, 3, 1.0, rng), 11
+    base_time = None
+    if kind == "near-aliasing":
+        base_time = np.pi * (1 - 1e-9) / np.max(np.abs(a))
+    config = QPEConfig(bits=bits, base_time=base_time)
+    psi = np.linalg.svd(a)[2][:3].conj().T @ np.array([0.6, 0.48j, 0.64])
+
+    def run():
+        return (quantum_svd(_oracle(a), config, 0.01),
+                quantum_procrustes_apply(_oracle(a), psi, config, 0.02))
+
+    svd, proc = run()
+    kernels = []
+
+    def fft_register_mass(evals_over_n, bits, t0):
+        kernels.append(bits)
+        return np.abs(_register_kernel(evals_over_n, bits, t0)) ** 2
+
+    # the package re-exports the function qpe under the module's name
+    monkeypatch.setattr(importlib.import_module("modswap.qpe"), "_register_mass",
+                        fft_register_mass)
+    svd_ref, proc_ref = run()
+    assert kernels == [bits, bits]
+    assert (svd.rank, svd.degenerate, svd.unresolved) == \
+        (svd_ref.rank, svd_ref.degenerate, svd_ref.unresolved)
+    for got, want in ((svd.singular_values, svd_ref.singular_values),
+                      (svd.left_vectors, svd_ref.left_vectors),
+                      (svd.right_vectors, svd_ref.right_vectors)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert proc.retained_pairs == proc_ref.retained_pairs
+    np.testing.assert_allclose(proc.output_state, proc_ref.output_state, rtol=0, atol=1e-12)
+    for field in ("success_probability", "fidelity_vs_oracle", "uncompute_leakage"):
+        assert getattr(proc, field) == pytest.approx(getattr(proc_ref, field), abs=1e-12)
