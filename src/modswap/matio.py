@@ -47,7 +47,13 @@ def _json_entry(entry) -> complex:
 
 
 def _csv_cell(cell: str) -> complex:
-    return complex(*map(float, cell.split(",")))
+    re, im = cell.split(",")
+    return complex(float(re), float(im))
+
+
+def _is_integral(value) -> bool:
+    """True for a JSON integer or an integral float; false for bools and fractions."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0
 
 
 def _first_bad(items, convert, what: str) -> ValueError:
@@ -64,11 +70,10 @@ def matrix_from_json_obj(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON must be an object with rows, cols and data, "
                          f"not a {type(obj).__name__}")
-    try:
-        m, n = int(obj["rows"]), int(obj["cols"])
-    except TypeError:
-        raise ValueError(f"rows and cols must be integers, got {obj['rows']!r} "
-                         f"and {obj['cols']!r}") from None
+    m, n = obj["rows"], obj["cols"]
+    if not (_is_integral(m) and _is_integral(n)):
+        raise ValueError(f"rows and cols must be integers, got {m!r} and {n!r}")
+    m, n = int(m), int(n)
     if m < 1 or n < 1:
         raise ValueError(f"empty matrix: rows={m}, cols={n}")
     data = obj["data"]

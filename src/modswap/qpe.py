@@ -21,15 +21,17 @@ Two interchangeable backends:
   ``MAX_BYTES``.
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
-  counted oracle sweep per step), so the register + system state is a
-  density matrix. Every step reads the same matrix, so the simulator makes
-  one real ``build_plan`` read per run, which also gives max_norm(A), and
-  charges every channel step as a modelled sweep
-  (``MatrixOracle.charge_sweeps``). Every step of one register bit is the
-  same linear map, so a stage is one matrix power of the channel's
-  N^2 x N^2 transfer matrix. The reported query cost still counts the
-  max_norm sweep and every step. The density has (2^bits * N)^2 entries,
-  capped by ``MAX_BYTES`` together with the transfer matrix.
+  counted oracle sweep per step). Every step reads the same matrix, so one
+  real ``build_plan`` read, which also gives max_norm(A), serves the run,
+  and the reported cost charges that sweep and every step
+  (``MatrixOracle.charge_sweeps``). A stage is one matrix power of the
+  channel's N^2 x N^2 transfer matrix over ``EvolutionConfig.plan``'s steps.
+  The uniform register state and the Fourier phase factor over register
+  bits, so the backend evolves one N x N operator per register frequency,
+  from psi psi^dagger, and p(y) is its trace; no register x system density
+  is built. ``MAX_BYTES`` caps 16 * (3 * 2^bits * N^2 + 2 * 2^bits + 6 * N^4)
+  bytes: three stacks of those operators, the register phases, and the
+  transfer matrix with its power.
 
 ``_branch_masses`` sums the same mass matrix over the sign-bit windows
 decoded >= threshold and decoded <= -threshold; the svd and Procrustes
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import EvolutionConfig
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator, _kraus_map
 
@@ -280,62 +283,58 @@ def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
 def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     n = oracle.dim
     size = config.size
-    _require_bytes(16 * ((size * n) ** 2 + n**4),
-                   "trotter backend register x system density and transfer matrix")
+    # three operator stacks, the phases and their conjugates, six N^2 x N^2
+    _require_bytes(16 * (3 * size * n * n + 2 * size + 6 * n**4),
+                   "trotter backend register-frequency stacks and transfer matrix")
     # Modelled query cost: one counted sweep for a_max, then one per channel
     # step. Every sweep reads the same matrix, so one real read serves the run.
     plan = ModifiedSwapOperator(oracle).build_plan()
     a_max = float(np.max(np.abs(plan.a)))
     t0 = _base_time(config, a_max)
 
-    x = np.kron(np.full(size, 1.0 / math.sqrt(size)), psi)
-    # blocks[m, q] is the N x N system block of register row m, column q
-    blocks = np.outer(x, x.conj()).reshape(size, n, size, n).transpose(0, 2, 1, 3)
-
+    # x[y] is the N x N operator of register frequency y, p(y) = Re tr x[y];
+    # out and tmp are the other two buffers every stage reuses
+    omega = np.exp(2j * math.pi / size * np.arange(size))[:, None, None]
+    x = np.tile(np.outer(psi, psi.conj()), (size, 1, 1))
+    out, tmp = np.empty_like(x), np.empty_like(x)
     error_bound = 0.0
     for k in range(config.bits):
-        tau = (1 << k) * t0
-        steps = max(1, math.ceil(2.0 * a_max**2 * tau**2 / config.trotter_epsilon))
-        dt = tau / steps
+        stage = EvolutionConfig.plan(a_max, (1 << k) * t0, config.trotter_epsilon)
+        steps, dt = stage.n, stage.delta_t
         error_bound += steps * 2.0 * a_max**2 * dt**2
         oracle.charge_sweeps(steps)
-        # Every step of the stage is the same map on the N x N blocks: the
-        # channel on control-on/on blocks, M = sum_a K_a / sqrt(N) on on/off
-        # blocks, M† on off/on blocks, the identity on off/off blocks. One
-        # Kraus factorisation serves both M and the channel's transfer matrix.
+        # Bit k of register row m and column q selects the channel Phi, M x,
+        # x M† or x (M = sum_a K_a / sqrt(N)); weighted by omega^(y 2^k (m - q))
+        # the four sum to one map per frequency. One Kraus factorisation
+        # serves both M and Phi's transfer matrix.
         c, s = plan.kraus_factors(dt)
         m_pow = np.linalg.matrix_power((np.diag(c.sum(axis=0)) + s) / n, steps)
         transfer = _kraus_map(c, s)(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
-        p_pow = np.linalg.matrix_power(transfer, steps).reshape(n, n, n, n)
-        on = (np.arange(size) >> k) & 1 == 1
-        on_on, on_off, off_on = np.ix_(on, on), np.ix_(on, ~on), np.ix_(~on, on)
-        blocks[on_on] = np.tensordot(blocks[on_on], p_pow, axes=2)
-        blocks[on_off] = m_pow @ blocks[on_off]
-        blocks[off_on] = blocks[off_on] @ m_pow.conj().T
-
-    # (F (x) I) dens (F (x) I)† with the exact backend's register kernel
-    blocks = np.fft.fft(np.fft.ifft(blocks, axis=0), axis=1)
-    dist = np.real(np.einsum("mmss->m", blocks))
-    dens = blocks.transpose(0, 2, 1, 3).reshape(size * n, size * n)
-    return dens, dist, t0, error_bound
+        p_pow = np.linalg.matrix_power(transfer, steps)
+        np.matmul(x.reshape(size, n * n), p_pow, out=out.reshape(size, n * n))
+        out += x
+        out += np.multiply(omega, np.matmul(m_pow, x, out=tmp), out=tmp)
+        out += np.multiply(omega.conj(), np.matmul(x, m_pow.conj().T, out=tmp), out=tmp)
+        out *= 0.25
+        x, out = out, x
+        omega *= omega  # the next stage's phases: omega^(y 2^(k+1))
+    return np.trace(x, axis1=1, axis2=2).real, t0, error_bound
 
 
 def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     """Run phase estimation and decode register peaks into eigenvalue estimates.
 
     The exact backend reads the register distribution from the closed-form
-    mass matrix; the trotter backend evolves the register x system density
-    matrix. Both backends make their one real read through
+    mass matrix; the trotter backend evolves one N x N operator per register
+    frequency. Both backends make their one real read through
     ``oracle.read_hermitian``, so a non-real diagonal fails either after one
     charged sweep.
     """
     n = oracle.dim
     psi = _require_state(psi, n)
     calls_before = oracle.report_calls()
-    if config.backend == "exact-unitary":
-        dist, t0, bound = _exact_backend(oracle, psi, config)
-    else:
-        _, dist, t0, bound = _trotter_backend(oracle, psi, config)
+    backend = _exact_backend if config.backend == "exact-unitary" else _trotter_backend
+    dist, t0, bound = backend(oracle, psi, config)
     return QPEResult(
         distribution=np.asarray(dist, dtype=float),
         estimates=extract_estimates(dist, config.bits, t0),

@@ -8,8 +8,11 @@ doubled-space materialization is restricted to N <= 6.
 ``channel_via_joint`` and ``controlled_kraus_step`` are the exception: they
 are the joint-state channel step and the per-step Kraus-stack trotter step
 that the closed-form ``BlockPlan.channel`` replaced, kept as differential
-references on top of a ``BlockPlan``. ``plan_by_queries`` is the
-per-element ``query`` loop that ``build_plan`` replaced with one counted
+references on top of a ``BlockPlan``. ``trotter_by_blocks`` is the trotter
+``qpe`` backend on the full register x system density (block masks and an
+FFT pair) that the per-frequency N x N recursion replaced; it reads and
+charges the oracle the same way, so counts compare too. ``plan_by_queries``
+is the per-element ``query`` loop that ``build_plan`` replaced with one counted
 triangle read; it returns the plan's Hermitian matrix. ``pair_fields``,
 ``apply_by_pairs`` and ``kraus_factors_by_pairs`` are the index-array plan
 layout (diagonal and pair-row indices) and the per-pair rotation and
@@ -40,9 +43,11 @@ from modswap.qpe import (
     decode_register,
     invert_joint,
     joint_from_eig,
+    _base_time,
     _read_spectrum,
 )
 from modswap.svdx import embed
+from modswap.swapop import ModifiedSwapOperator, _kraus_map
 
 
 def dense_swap(a: np.ndarray) -> np.ndarray:
@@ -160,6 +165,48 @@ def controlled_kraus_step(plan, dens4: np.ndarray, on_mask: np.ndarray,
     half_t = half.reshape(n, size, n, size, n).transpose(0, 3, 1, 2, 4)
     prod = half_t.reshape(n, size, size * n, n) @ stack.conj().transpose(0, 1, 3, 2)
     return prod.sum(axis=0).reshape(size, size, n, n).transpose(1, 2, 0, 3)
+
+
+def trotter_by_blocks(oracle, psi, config):
+    """Trotter ``qpe`` on the full register x system density: (dens, dist, t0, bound).
+
+    The (2^b N)^2 density is kept as blocks[m, q]; each stage maps its control
+    on/on, on/off and off/on blocks through ``np.ix_`` masks, and the register
+    Fourier step is an FFT pair before the trace of each diagonal block. It
+    reads and charges the oracle as ``qpe._trotter_backend`` does.
+    """
+    n = oracle.dim
+    size = config.size
+    plan = ModifiedSwapOperator(oracle).build_plan()
+    a_max = float(np.max(np.abs(plan.a)))
+    t0 = _base_time(config, a_max)
+
+    x = np.kron(np.full(size, 1.0 / math.sqrt(size)), psi)
+    # blocks[m, q] is the N x N system block of register row m, column q
+    blocks = np.outer(x, x.conj()).reshape(size, n, size, n).transpose(0, 2, 1, 3)
+
+    error_bound = 0.0
+    for k in range(config.bits):
+        tau = (1 << k) * t0
+        steps = max(1, math.ceil(2.0 * a_max**2 * tau**2 / config.trotter_epsilon))
+        dt = tau / steps
+        error_bound += steps * 2.0 * a_max**2 * dt**2
+        oracle.charge_sweeps(steps)
+        c, s = plan.kraus_factors(dt)
+        m_pow = np.linalg.matrix_power((np.diag(c.sum(axis=0)) + s) / n, steps)
+        transfer = _kraus_map(c, s)(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
+        p_pow = np.linalg.matrix_power(transfer, steps).reshape(n, n, n, n)
+        on = (np.arange(size) >> k) & 1 == 1
+        on_on, on_off, off_on = np.ix_(on, on), np.ix_(on, ~on), np.ix_(~on, on)
+        blocks[on_on] = np.tensordot(blocks[on_on], p_pow, axes=2)
+        blocks[on_off] = m_pow @ blocks[on_off]
+        blocks[off_on] = blocks[off_on] @ m_pow.conj().T
+
+    # (F (x) I) dens (F (x) I)† with the exact backend's register kernel
+    blocks = np.fft.fft(np.fft.ifft(blocks, axis=0), axis=1)
+    dist = np.real(np.einsum("mmss->m", blocks))
+    dens = blocks.transpose(0, 2, 1, 3).reshape(size * n, size * n)
+    return dens, dist, t0, error_bound
 
 
 def evolve_by_steps(oracle, sigma, config, baseline=None):

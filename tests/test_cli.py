@@ -212,6 +212,11 @@ def test_missing_matrix_file_exits_2(tmp_path):
     ("null-rows.json", '{"rows": null, "cols": 1, "data": [[1, 0]]}',
      "rows and cols must be integers"),
     ("three-part-cell.csv", '"1,0","1,2,3"\n', "row 1, cell 1 is '1,2,3'"),
+    ("fractional-rows.json", '{"rows": 2.7, "cols": 1, "data": [[1, 0], [2, 0]]}',
+     "rows and cols must be integers, got 2.7 and 1"),
+    ("boolean-cols.json", '{"rows": 1, "cols": true, "data": [[1, 0]]}',
+     "rows and cols must be integers, got 1 and True"),
+    ("one-number-cell.csv", '"1,0",1\n', "row 1, cell 1 is '1'"),
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
     matrix = tmp_path / name

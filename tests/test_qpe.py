@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from dense_refs import (
     hadamard,
     random_hermitian,
     random_state,
+    trotter_by_blocks,
 )
 
 
@@ -353,7 +356,8 @@ def test_backend_agreement_small_case():
 
 def test_backend_agreement_guards_size():
     # MAX_BYTES is the only size limit: N = 5 runs within the trotter bound,
-    # and a register x system density over the cap is refused before a query
+    # and N = 64, whose six 16 N^4-byte transfer matrices alone pass the cap,
+    # is refused before a query
     rng = np.random.default_rng(4)
     a = random_hermitian(5, rng)
     report = backend_agreement(MatrixOracle.from_matrix(a), random_state(5, rng),
@@ -411,12 +415,45 @@ def test_eigh_of_counted_read_equals_eigh_of_hermitized_read(n, seed, kind):
 
 
 def test_trotter_memory_guard():
-    # 2^13 * 2 = 16384-dimensional density: 4 GiB, refused before any query
+    # 2^24 register frequencies at N = 2: three 1 GiB operator stacks, refused
+    # before any query
     oracle = MatrixOracle.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
     with pytest.raises(ValueError, match="trotter backend"):
         qpe(oracle, np.array([1, 0], dtype=complex),
-            QPEConfig(bits=13, base_time=np.pi, backend="trotter-channel"))
+            QPEConfig(bits=24, base_time=np.pi, backend="trotter-channel"))
     assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_trotter_memory_guard_boundary(monkeypatch, spare):
+    # the cap is 16 * (3 * 2^bits * N^2 + 2 * 2^bits + 6 * N^4) bytes: a cap of
+    # exactly that runs, one byte less is refused before any query
+    n, bits = 3, 4
+    size = 1 << bits
+    monkeypatch.setattr(importlib.import_module("modswap.qpe"), "MAX_BYTES",
+                        16 * (3 * size * n * n + 2 * size + 6 * n**4) + spare)
+    oracle = MatrixOracle.from_matrix(random_hermitian(n, np.random.default_rng(2)))
+    cfg = QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.1)
+    if spare == 0:
+        assert qpe(oracle, np.array([1, 0, 0], dtype=complex), cfg).oracle_calls > 0
+    else:
+        with pytest.raises(ValueError, match="trotter backend"):
+            qpe(oracle, np.array([1, 0, 0], dtype=complex), cfg)
+        assert oracle.report_calls() == 0
+
+
+def test_trotter_runs_eleven_bits_at_n4():
+    # the (2^11 * 4)^2 register x system density would need 1 GiB; one N x N
+    # operator per register frequency needs under 2 MB
+    rng = np.random.default_rng(11)
+    a = random_hermitian(4, rng)
+    report = backend_agreement(MatrixOracle.from_matrix(a), random_state(4, rng),
+                               QPEConfig(bits=11))
+    dist = report.trotter_distribution
+    assert dist.shape == (1 << 11,)
+    assert np.all(dist >= 0)
+    assert abs(dist.sum() - 1) <= 1e-6
+    assert report.tv_distance <= report.trotter_error_bound
 
 
 def _trotter_by_kraus_steps(a, psi, bits, epsilon):
@@ -443,14 +480,53 @@ def test_trotter_joint_matches_kraus_step_reference(bits, n):
     rng = np.random.default_rng(10 * bits + n)
     a = random_hermitian(n, rng)
     psi = random_state(n, rng)
-    dens, dist, _, _ = _trotter_backend(
-        MatrixOracle.from_matrix(a), psi,
-        QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.2))
+    cfg = QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.2)
+    dist, _, _ = _trotter_backend(MatrixOracle.from_matrix(a), psi, cfg)
     want = _trotter_by_kraus_steps(a, psi, bits, 0.2)
-    np.testing.assert_allclose(dens, want, atol=1e-11)
-    np.testing.assert_allclose(dist,
-                               np.real(np.diagonal(want)).reshape(-1, n).sum(axis=1),
-                               atol=1e-11)
+    np.testing.assert_allclose(dist, np.real(np.diagonal(want)).reshape(-1, n).sum(axis=1),
+                               rtol=0, atol=1e-11)
+    # the block reference's whole density matches too, so both references agree
+    dens, _, _, _ = trotter_by_blocks(MatrixOracle.from_matrix(a), psi, cfg)
+    np.testing.assert_allclose(dens, want, rtol=0, atol=1e-11)
+
+
+def _trotter_case_matrix(kind, n, rng):
+    if kind == "random":
+        return random_hermitian(n, rng)
+    if kind == "ones":
+        return np.ones((n, n), dtype=complex)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(-2, 2, n)).astype(complex)
+    return np.zeros((n, n), dtype=complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), bits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "ones", "diagonal", "zero"]),
+       source=st.sampled_from(["dense", "function"]),
+       epsilon=st.sampled_from([0.05, 0.2, 1.0]), near_aliasing=st.booleans())
+def test_trotter_backend_equals_block_reference(n, bits, seed, kind, source, epsilon,
+                                                near_aliasing):
+    rng = np.random.default_rng(seed)
+    a = _trotter_case_matrix(kind, n, rng)
+    psi = random_state(n, rng)
+    a_max = np.max(np.abs(a))
+    # base_time = pi / a_max puts the extreme phases on the aliasing bound
+    t0 = np.pi / a_max if near_aliasing and a_max > 0 else None
+    cfg = QPEConfig(bits=bits, base_time=t0, backend="trotter-channel",
+                    trotter_epsilon=epsilon)
+
+    def oracle():
+        if source == "dense":
+            return MatrixOracle.from_matrix(a)
+        return MatrixOracle.from_function(lambda j, k: a[j, k], (n, n))
+
+    got_oracle, want_oracle = oracle(), oracle()
+    dist, got_t0, bound = _trotter_backend(got_oracle, psi, cfg)
+    _, want, want_t0, want_bound = trotter_by_blocks(want_oracle, psi, cfg)
+    np.testing.assert_allclose(dist, want, rtol=0, atol=1e-12)
+    assert (got_t0, bound) == (want_t0, want_bound)
+    assert got_oracle.report_calls() == want_oracle.report_calls()
 
 
 def test_query_scaling_exact_counts():
@@ -458,6 +534,38 @@ def test_query_scaling_exact_counts():
     result = query_scaling(MatrixOracle.from_matrix(a), np.array([1, 0], dtype=complex),
                            [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
     assert [r.oracle_calls for r in result.rows] == [7407, 62184, 503355]
+
+
+def test_query_scaling_exact_counts_rank2_n4():
+    # the coupled schedule's eps^-3 law beyond N = 2: one more register bit and
+    # twice the steps per application for each halving of eps
+    rng = np.random.default_rng(7)
+    a = random_low_rank(4, 2, rng=rng)
+    result = query_scaling(MatrixOracle.from_matrix(a), random_state(4, rng),
+                           [0.04 / 2**i for i in range(6)], base_bits=2)
+    assert [r.oracle_calls for r in result.rows] == [
+        24690, 207280, 1677850, 13462170, 107776100, 862366590]
+    assert [r.bits for r in result.rows] == [2, 3, 4, 5, 6, 7]
+    assert abs(result.slope - 3) <= 0.05
+
+
+def test_trotter_steps_per_application_double_when_epsilon_halves():
+    # at fixed bits each stage takes ceil(2 a_max^2 tau^2 / eps) steps, so
+    # halving eps doubles every stage's count up to its ceiling
+    rng = np.random.default_rng(7)
+    a = random_low_rank(4, 2, rng=rng)
+    psi = random_state(4, rng)
+    bits, sweep = 3, 4 * 5 // 2
+    epsilons = [0.04 / 2**i for i in range(5)]
+    steps = []
+    for eps in epsilons:
+        result = qpe(MatrixOracle.from_matrix(a), psi,
+                     QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=eps))
+        steps.append(result.oracle_calls // sweep - 1)
+    for prev, cur in zip(steps, steps[1:]):
+        assert 2 * prev - bits <= cur <= 2 * prev
+    slope = np.polyfit(np.log(1 / np.array(epsilons)), np.log(steps), 1)[0]
+    assert abs(slope - 1) <= 0.01
 
 
 def test_trotter_reads_source_once_per_run_and_charges_every_step():
