@@ -46,10 +46,10 @@ from .svdx import (
     phase_ambiguity_demo,
     quantum_svd,
 )
-from .swapop import ModifiedSwapOperator, SwapSpectrum
+from .swapop import ModifiedSwapOperator
 
 __version__ = "0.1.0"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 __all__ = [
     "EigenEstimate",
@@ -64,7 +64,6 @@ __all__ = [
     "QPEConfig",
     "QPEResult",
     "SVDResult",
-    "SwapSpectrum",
     "backend_agreement",
     "channel_step",
     "classical_nearest_isometry",

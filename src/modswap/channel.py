@@ -36,24 +36,27 @@ from .linalg import (
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import BlockPlan, ModifiedSwapOperator
 
+TRACE_TOL = 1e-12
+PSD_TOL = 1e-10
+
 
 def uniform_density(n: int) -> np.ndarray:
     """Projector onto the uniform superposition: every entry 1/n."""
     return np.full((n, n), 1.0 / n, dtype=np.complex128)
 
 
-def require_density(rho, trace_tol: float = 1e-12, psd_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity of a density matrix."""
+def require_density(rho) -> np.ndarray:
+    """Validate Hermiticity, unit trace (TRACE_TOL) and positivity (PSD_TOL)."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} != 1")
     wmin = float(np.min(np.linalg.eigvalsh(hermitize(rho))))
-    if wmin < -psd_tol:
+    if wmin < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
     return rho
 
@@ -79,18 +82,17 @@ def first_order_generator(oracle: MatrixOracle, sigma) -> np.ndarray:
     return (a * uniform_density(n)) @ sigma
 
 
-def channel_step(oracle: MatrixOracle, sigma, delta_t: float,
-                 validate: bool = True) -> np.ndarray:
+def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     """One ancilla-assisted step: trace out register 1 of U (rho (x) sigma) U†.
 
-    The step is applied as the Kraus sum of ``BlockPlan.channel`` (a few
+    The step is applied as the Kraus sum of ``BlockPlan.channel_map`` (a few
     N x N products, O(N^2) memory); the N^2 x N^2 joint state is never
     formed. delta_t may be negative (time reversal). Output is hermitized to
     remove floating-point asymmetry; trace and positivity are preserved by
     construction.
     """
-    sigma = require_density(sigma) if validate else as_matrix(sigma)
-    return hermitize(_read_once(oracle, sigma, 1).channel(sigma, delta_t))
+    sigma = require_density(sigma)
+    return hermitize(_read_once(oracle, sigma, 1).channel_map(delta_t)(sigma))
 
 
 def _read_once(oracle: MatrixOracle, sigma: np.ndarray, sweeps: int) -> BlockPlan:
@@ -235,7 +237,7 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     for dt in dts:
         u = unitary_from_eigh(w, v, dt)
         measured = nuclear_norm(
-            hermitize(plan.channel(sigma, dt)) - u @ sigma @ u.conj().T
+            hermitize(plan.channel_map(dt)(sigma)) - u @ sigma @ u.conj().T
         )
         rows.append(SweepRow(delta_t=dt, measured_error=measured,
                              bound=2.0 * a_max**2 * dt**2))

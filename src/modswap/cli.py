@@ -102,7 +102,7 @@ def _source_config(args) -> dict:
     }
 
 
-def _add_source_flags(p, with_state=True):
+def _add_source_flags(p, with_state=True, with_timing=True):
     p.add_argument("--matrix", help="matrix file (JSON or CSV)")
     p.add_argument("--generator",
                    help="built-in source, e.g. random-lowrank:n=8,r=2,seed=7")
@@ -110,9 +110,10 @@ def _add_source_flags(p, with_state=True):
         p.add_argument("--state", help="state file (vector, or density matrix "
                                        "where a density input is accepted)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timing", action="store_true",
-                   help="embed wall-clock ms in the envelope (breaks "
-                        "byte-identical reruns)")
+    if with_timing:
+        p.add_argument("--timing", action="store_true",
+                       help="embed wall-clock ms in the envelope (breaks "
+                            "byte-identical reruns)")
 
 
 def cmd_gen_matrix(args) -> int:
@@ -213,9 +214,6 @@ def cmd_qpe(args) -> int:
 
 def cmd_svd(args) -> int:
     start = time.perf_counter()
-    if BACKENDS[args.backend] != "exact-unitary":
-        raise ValueError("the svd pipeline runs on the exact backend only; "
-                         "the trotter backend is validated separately via qpe")
     oracle = _resolve_oracle(args)
     config = QPEConfig(bits=args.bits, base_time=args.t0)
     result = quantum_svd(oracle, config, args.threshold)
@@ -225,8 +223,7 @@ def cmd_svd(args) -> int:
     sqrt2 = float(np.sqrt(2.0))
     _write_envelope(
         args.out, "svd",
-        {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
-         "backend": args.backend},
+        {**_source_config(args), "bits": args.bits, "threshold": args.threshold},
         {
             "rank": result.rank,
             "singular_values": [float(s) for s in result.singular_values],
@@ -281,24 +278,25 @@ def cmd_demo_phase_ambiguity(args) -> int:
 
 def cmd_procrustes(args) -> int:
     start = time.perf_counter()
-    if BACKENDS[args.backend] != "exact-unitary":
-        raise ValueError("the procrustes pipeline runs on the exact backend only")
+    if args.shots is not None and args.shots < 1:
+        raise ValueError("shots must be >= 1")
     oracle = _resolve_oracle(args)
     _, n = oracle.shape
     psi = _resolve_psi(args, n)
     config = QPEConfig(bits=args.bits, base_time=args.t0)
-    rng = np.random.default_rng(args.seed)
-    result = quantum_procrustes_apply(oracle, psi, config, args.threshold,
-                                      shots=args.shots, rng=rng)
+    result = quantum_procrustes_apply(oracle, psi, config, args.threshold)
+    success = min(max(result.success_probability, 0.0), 1.0)
+    sampled = None if args.shots is None else float(
+        np.random.default_rng(args.seed).binomial(args.shots, success) / args.shots)
     wall = (time.perf_counter() - start) * 1000.0
     _write_envelope(
         args.out, "procrustes",
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
-         "backend": args.backend, "shots": args.shots},
+         "shots": args.shots},
         {
             "output_state": _complex_pairs(result.output_state),
             "success_probability": result.success_probability,
-            "sampled_success_probability": result.sampled_success_probability,
+            "sampled_success_probability": sampled,
             "fidelity_vs_oracle": result.fidelity_vs_oracle,
             "retained_pairs": result.retained_pairs,
             "uncompute_leakage": result.uncompute_leakage,
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("error-sweep", help="single-step error vs dt (CSV)")
-    _add_source_flags(p)
+    _add_source_flags(p, with_timing=False)
     p.add_argument("--dts", required=True, help="comma-separated descending dt list")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_error_sweep)
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p, with_state=False)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--backend", choices=sorted(BACKENDS), default="exact")
     p.add_argument("--t0", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_svd)
@@ -382,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--backend", choices=sorted(BACKENDS), default="exact")
     p.add_argument("--t0", type=float)
     p.add_argument("--shots", type=int)
     p.add_argument("--out", required=True)

@@ -40,12 +40,12 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return hermiticity_residual(a) <= tol * scale
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """``hermitize(A)`` for a square A within tol of Hermitian; ValueError otherwise."""
+def require_hermitian(a) -> np.ndarray:
+    """``hermitize(A)`` for a square A within HERMITIAN_TOL of Hermitian; ValueError otherwise."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square ({a.shape[0]}x{a.shape[1]})")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError(
             f"matrix is not Hermitian (residual {hermiticity_residual(a):.3e})"
         )
@@ -98,19 +98,20 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_low_rank(n: int, r: int, scale: float = 1.0,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+def _check_scale(scale: float) -> None:
+    if not 0 < scale < np.inf:  # NaN fails both comparisons
+        raise ValueError("scale must be positive and finite")
+
+
+def random_low_rank(n: int, r: int, scale: float, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian rank-r matrix U diag_r(lambda) U† with Haar U.
 
     The r nonzero eigenvalues have magnitude uniform in [0.5, 1]*scale*n
     with independent random signs, so the matrix is indefinite in general.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if r < 1 or r > n:
         raise ValueError(f"rank r={r} must satisfy 1 <= r <= n={n}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    _check_scale(scale)
     u = haar_unitary(n, rng)
     mags = rng.uniform(0.5, 1.0, size=r) * scale * n
     signs = rng.choice([-1.0, 1.0], size=r)
@@ -119,18 +120,17 @@ def random_low_rank(n: int, r: int, scale: float = 1.0,
     return hermitize((u * lam) @ u.conj().T)
 
 
-def random_low_rank_rect(m: int, n: int, r: int, scale: float = 1.0,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
+def random_low_rank_rect(m: int, n: int, r: int, scale: float,
+                         rng: np.random.Generator) -> np.ndarray:
     """Random m x n rank-r matrix with singular values Theta(m + n).
 
     Built as U_r diag(sigma) V_r† from independent Haar factors; sigma_j is
     uniform in [0.5, 1]*scale*(m+n)/2, the regime in which the extended-matrix
     pipelines resolve all singular values.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if r < 1 or r > min(m, n):
         raise ValueError(f"rank r={r} must satisfy 1 <= r <= min({m}, {n})")
+    _check_scale(scale)
     u = haar_unitary(m, rng)[:, :r]
     v = haar_unitary(n, rng)[:, :r]
     sig = np.sort(rng.uniform(0.5, 1.0, size=r))[::-1] * scale * (m + n) / 2

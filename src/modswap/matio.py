@@ -11,7 +11,7 @@ serialization is bit-faithful for doubles):
 States are stored as single-column matrices. A file that does not follow
 its format raises ``ValueError`` naming the first bad entry; the loader
 converts the entries in one pass and looks for the culprit only after that
-pass fails.
+pass fails. A NaN or infinite entry raises ``ValueError`` as well.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ def matrix_to_json_obj(a) -> dict:
 
 def _json_entry(entry) -> complex:
     re, im = entry
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("a JSON boolean is not a number")
     return complex(re, im)
 
 
@@ -102,6 +104,17 @@ def save_matrix(path, a) -> None:
         path.write_text(json.dumps(matrix_to_json_obj(a), sort_keys=True) + "\n")
 
 
+def _read_json(path: Path):
+    """The parsed file, and whether its text may hold a JSON boolean.
+
+    complex() reads a boolean as 0 or 1, so the loader scans the data for
+    one, but only in a file whose text holds a "u" or an "f": every true and
+    false does, and no finite number or key of a matrix file does.
+    """
+    text = path.read_text()
+    return json.loads(text), "u" in text or "f" in text
+
+
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -114,9 +127,16 @@ def load_matrix(path) -> np.ndarray:
                     raise _first_bad(record, _csv_cell, f"{path}: row {line}, cell") from None
         if not rows:
             raise ValueError(f"empty matrix file: {path}")
-        return np.array(rows, dtype=np.complex128)
-    obj = json.loads(path.read_text())
-    return matrix_from_json_obj(obj)
+        a = np.array(rows, dtype=np.complex128)
+    else:
+        obj, may_hold_bool = _read_json(path)
+        a = matrix_from_json_obj(obj)
+        if may_hold_bool and any(
+                isinstance(x, bool) for entry in obj["data"] for x in entry):
+            raise _first_bad(obj["data"], _json_entry, "data entry")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{path}: matrix contains NaN or infinity")
+    return a
 
 
 def load_state(path) -> np.ndarray:

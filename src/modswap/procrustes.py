@@ -28,10 +28,10 @@ matrix ``qpe._register_mass``, so neither the complex kernel nor a joint
 state is built. ``qpe.invert_joint`` runs the inverse circuit itself and
 is the reference the closed form is tested against.
 
-Success probability and fidelity are computed exactly from amplitudes;
-``shots`` adds an optional sampled estimate. Imperfect uncompute at finite
-register size shows up as reported leakage and fidelity loss rather than
-being assumed away.
+Success probability and fidelity are computed exactly from amplitudes; the
+command line's ``--shots`` draws a sampled estimate from that probability.
+Imperfect uncompute at finite register size shows up as reported leakage
+and fidelity loss rather than being assumed away.
 """
 
 from __future__ import annotations
@@ -79,12 +79,10 @@ class ProcrustesResult:
     retained_pairs: int
     uncompute_leakage: float
     oracle_calls: int
-    sampled_success_probability: float | None = None
 
 
 def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
-                             threshold: float, shots: int | None = None,
-                             rng: np.random.Generator | None = None) -> ProcrustesResult:
+                             threshold: float) -> ProcrustesResult:
     """Apply the nearest partial isometry of A to psi through the pipeline.
 
     psi lives in C^N and should be in or near col(V); components outside are
@@ -134,14 +132,6 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     fidelity = float(abs(np.vdot(target / target_norm, output_state)) ** 2) \
         if target_norm > 0 else 0.0
 
-    sampled = None
-    if shots is not None:
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        if rng is None:
-            rng = np.random.default_rng()
-        sampled = float(rng.binomial(shots, min(max(success, 0.0), 1.0)) / shots)
-
     return ProcrustesResult(
         output_state=output_state,
         success_probability=success,
@@ -149,5 +139,4 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
         retained_pairs=retained_pairs,
         uncompute_leakage=1.0 - clean_weight,
         oracle_calls=base.report_calls() - calls_before,
-        sampled_success_probability=sampled,
     )

@@ -170,7 +170,7 @@ def _require_state(psi, n: int) -> np.ndarray:
     if psi.shape != (n,):
         raise ValueError(f"state has dim {psi.shape[0]}, expected {n}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails the comparison
         raise ValueError(f"state norm {nrm:.6g} != 1")
     return psi / nrm
 

@@ -41,6 +41,7 @@ from .oracle import MatrixOracle
 from .qpe import QPEConfig, _branch_masses, _read_spectrum
 
 SKEW_RATIO = 4.0
+RANK_TOL = 1e-8
 
 
 @dataclass
@@ -99,10 +100,11 @@ class ExtendedSpectrumReport:
     nonzero_count: int
 
 
-def extended_spectrum_check(ext: ExtendedMatrix, rank_tol: float = 1e-8) -> ExtendedSpectrumReport:
+def extended_spectrum_check(ext: ExtendedMatrix) -> ExtendedSpectrumReport:
     """Check spectrum = {+-sigma_j} plus zeros, and 1/sqrt(2) subvector norms.
 
     Classical verifier on the materialized embedding; no oracle calls.
+    Eigenvalues below RANK_TOL * max(1, max |w|) in magnitude count as zero.
     """
     if ext.total_dim > 128:
         raise ValueError("spectrum check is limited to M + N <= 128")
@@ -115,7 +117,7 @@ def extended_spectrum_check(ext: ExtendedMatrix, rank_tol: float = 1e-8) -> Exte
     w, v = np.linalg.eigh(dense)
     dev = float(np.max(np.abs(np.sort(w) - expected)))
 
-    cut = rank_tol * max(1.0, float(np.max(np.abs(w))))
+    cut = RANK_TOL * max(1.0, float(np.max(np.abs(w))))
     sub_dev = 0.0
     nonzero = 0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)

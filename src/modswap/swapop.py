@@ -23,10 +23,10 @@ Read elementwise from the matrix, the cosines, rotated sines and phases of
 every block at time t form two N x N factors (``kraus_factors``). Viewing a
 doubled-space vector as X[p, q], the exponential is C o X + S^T o X^T. The
 same factors give the uniform-ancilla channel step in closed form: each
-Kraus operator is a diagonal plus one column, so ``channel`` applies the
-whole Kraus sum with a few N x N products and never forms the N^2 x N^2
-joint state; ``channel_map`` builds those factors once for a fixed time, to
-be applied to many states. ``conjugate`` and the dense ``kraus`` stack
+Kraus operator is a diagonal plus one column, so ``channel_map`` builds
+those factors once for a fixed time and returns the whole Kraus sum as a
+map of a few N x N products, to be applied to many states; it never forms
+the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
 remain as references.
 """
 
@@ -54,29 +54,26 @@ class BlockPlan:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def apply(self, x, t: float, axis: int = 0) -> np.ndarray:
-        """Apply exp(-i t op) along one axis of x (length N^2).
+    def apply(self, x, t: float) -> np.ndarray:
+        """Apply exp(-i t op) along the first axis of x (length N^2).
 
         Read as X[p, q] at index p*N + q, that axis maps to C o X + S^T o X^T
-        with (C, S) the factors of ``kraus_factors``.
+        with (C, S) the factors of ``kraus_factors``; further axes are batch axes.
         """
         x = np.asarray(x, dtype=np.complex128)
         n = self.dim
-        if x.shape[axis] != n * n:
-            raise ValueError(
-                f"axis {axis} has length {x.shape[axis]}, expected {n * n}"
-            )
-        moved = np.moveaxis(x, axis, 0)
-        grid = moved.reshape((n, n) + moved.shape[1:])
-        tail = (1,) * (moved.ndim - 1)
+        if x.shape[0] != n * n:
+            raise ValueError(f"axis 0 has length {x.shape[0]}, expected {n * n}")
+        grid = x.reshape((n, n) + x.shape[1:])
+        tail = (1,) * (x.ndim - 1)
         c, s = (f.reshape((n, n) + tail) for f in self.kraus_factors(t))
         out = c * grid + s.swapaxes(0, 1) * grid.swapaxes(0, 1)
-        return np.moveaxis(out.reshape(moved.shape), 0, axis)
+        return out.reshape(x.shape)
 
     def conjugate(self, joint: np.ndarray, t: float) -> np.ndarray:
         """U J U† for the doubled-space density J, reusing this plan's sweep."""
-        left = self.apply(joint, t, axis=0)
-        return self.apply(left.conj().T, t, axis=0).conj().T
+        left = self.apply(joint, t)
+        return self.apply(left.conj().T, t).conj().T
 
     def kraus_factors(self, t: float):
         """(C, S), the N x N factors of the uniform-ancilla channel step at time t.
@@ -112,10 +109,6 @@ class BlockPlan:
         """
         return _kraus_map(*self.kraus_factors(t))
 
-    def channel(self, x, t: float) -> np.ndarray:
-        """sum_a K_a x K_a† over the last two axes of x (see ``channel_map``)."""
-        return self.channel_map(t)(x)
-
 
 def _kraus_map(c: np.ndarray, s: np.ndarray):
     """x -> sum_a K_a x K_a† for the factors (C, S) of ``BlockPlan.kraus_factors``.
@@ -137,21 +130,6 @@ def _kraus_map(c: np.ndarray, s: np.ndarray):
         return out / n
 
     return apply
-
-
-@dataclass(frozen=True)
-class SwapSpectrum:
-    """Doubled-space spectrum: N diagonal values plus +-|A[j,k]| sign pairs."""
-
-    diagonal_values: np.ndarray
-    pair_values: np.ndarray
-
-    def multiset(self) -> np.ndarray:
-        """All N^2 eigenvalues, ascending."""
-        vals = np.concatenate(
-            [self.diagonal_values, self.pair_values, -self.pair_values]
-        )
-        return np.sort(vals)
 
 
 class ModifiedSwapOperator:
@@ -192,10 +170,11 @@ class ModifiedSwapOperator:
         out[nn:] = self.build_plan().apply(psi[nn:], t)
         return out
 
-    def spectrum(self) -> SwapSpectrum:
-        """Closed-form eigenvalues: {A[j,j]} plus +-|A[j,k]| for j < k."""
+    def spectrum(self) -> np.ndarray:
+        """All N^2 eigenvalues, ascending, in closed form.
+
+        They are the diagonal values A[j,j] plus the pairs +-|A[j,k]| for j < k.
+        """
         a = self.build_plan().a
-        return SwapSpectrum(
-            diagonal_values=a.diagonal().real.copy(),
-            pair_values=np.abs(a[np.triu_indices(self.dim, 1)]),
-        )
+        pairs = np.abs(a[np.triu_indices(self.dim, 1)])
+        return np.sort(np.concatenate([a.diagonal().real, pairs, -pairs]))

@@ -104,20 +104,20 @@ def _pair_rotation(offdiag: np.ndarray, t: float):
     return np.cos(mag * t), np.sin(mag * t), unit
 
 
-def apply_by_pairs(a: np.ndarray, x, t: float, axis: int = 0) -> np.ndarray:
-    """exp(-i t op) along one axis of x, one 2 x 2 rotation per pair block."""
+def apply_by_pairs(a: np.ndarray, x, t: float) -> np.ndarray:
+    """exp(-i t op) along the first axis of x, one 2 x 2 rotation per pair block."""
     diag_index, diag_value, row_kj, row_jk, offdiag = pair_fields(a)
-    moved = np.moveaxis(np.asarray(x, dtype=np.complex128), axis, 0)
-    out = moved.copy()
-    tail = (1,) * (moved.ndim - 1)
+    x = np.asarray(x, dtype=np.complex128)
+    out = x.copy()
+    tail = (1,) * (x.ndim - 1)
     phase = np.exp(-1j * diag_value * t).reshape((-1,) + tail)
-    out[diag_index] = moved[diag_index] * phase
+    out[diag_index] = x[diag_index] * phase
     if offdiag.size:
         c, s, u = (f.reshape((-1,) + tail) for f in _pair_rotation(offdiag, t))
-        hi, lo = moved[row_kj], moved[row_jk]
+        hi, lo = x[row_kj], x[row_jk]
         out[row_kj] = c * hi - 1j * u * s * lo
         out[row_jk] = -1j * np.conj(u) * s * hi + c * lo
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def kraus_factors_by_pairs(a: np.ndarray, t: float):
@@ -222,7 +222,7 @@ def evolve_by_steps(oracle, sigma, config, baseline=None):
     cur = sigma
     worst_step = 0.0
     for _ in range(config.n):
-        nxt = channel_step(oracle, cur, dt, validate=False)
+        nxt = channel_step(oracle, cur, dt)
         step_err = nuclear_norm(nxt - exact_evolution(a, dt, cur))
         worst_step = max(worst_step, step_err)
         cur = nxt
@@ -247,7 +247,7 @@ def sweep_by_steps(oracle, sigma, delta_ts):
     rows = []
     for dt in (float(d) for d in delta_ts):
         measured = nuclear_norm(
-            channel_step(oracle, sigma, dt, validate=False)
+            channel_step(oracle, sigma, dt)
             - exact_evolution(a, dt, sigma)
         )
         rows.append(SweepRow(delta_t=dt, measured_error=measured,

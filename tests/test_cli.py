@@ -1,5 +1,7 @@
 import importlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,9 +162,26 @@ def test_svd_envelope_reports_unresolved_below_grid(tmp_path, capsys):
 def test_svd_rejects_trotter_backend(tmp_path):
     matrix = _gen(tmp_path)
     out = tmp_path / "svd.json"
-    assert main(["svd", "--matrix", str(matrix), "--bits", "8",
-                 "--threshold", "0.05", "--backend", "trotter",
-                 "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["svd", "--matrix", str(matrix), "--bits", "8",
+              "--threshold", "0.05", "--backend", "trotter",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["procrustes", "--bits", "8", "--threshold", "0.05", "--backend", "exact"],
+    ["error-sweep", "--dts", "0.1", "--timing"],
+])
+def test_flags_without_effect_are_usage_errors(tmp_path, argv):
+    # procrustes runs on the exact backend only, and error-sweep writes no
+    # envelope to time: neither flag exists
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--matrix", str(_gen(tmp_path)), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_procrustes_envelope(tmp_path):
@@ -217,6 +236,11 @@ def test_missing_matrix_file_exits_2(tmp_path):
     ("boolean-cols.json", '{"rows": 1, "cols": true, "data": [[1, 0]]}',
      "rows and cols must be integers, got 1 and True"),
     ("one-number-cell.csv", '"1,0",1\n', "row 1, cell 1 is '1'"),
+    ("boolean-entry.json", '{"rows": 1, "cols": 2, "data": [[1, 0], [true, false]]}',
+     "data entry 1 is [True, False], not a number pair (re, im)"),
+    ("nan-entry.json", '{"rows": 1, "cols": 2, "data": [[1, 0], [NaN, 0]]}',
+     "nan-entry.json: matrix contains NaN or infinity"),
+    ("infinite-cell.csv", '"1,0","0,inf"\n', "infinite-cell.csv: matrix contains NaN"),
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
     matrix = tmp_path / name
@@ -513,7 +537,6 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
 
     config, _, _ = run("svd", "--matrix", str(proc_matrix), "--bits", "9",
                        "--threshold", "0.05")
-    assert config["backend"] == "exact"
     assert config["state"] is None
 
 
@@ -544,3 +567,63 @@ def test_non_square_matrix_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "not square" in err and "broadcast" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("argv", [
+    ["qpe", "--bits", "3"],
+    ["qpe", "--bits", "3", "--backend", "trotter"],
+    ["procrustes", "--bits", "6", "--threshold", "0.05"],
+])
+def test_non_finite_state_file_exits_2(tmp_path, capsys, argv, value):
+    if argv[0] == "qpe":
+        matrix = _gen(tmp_path, n=3)
+    else:
+        matrix, _ = _rank_one_procrustes_inputs(tmp_path)
+    state = tmp_path / "psi.json"
+    state.write_text('{"rows": 3, "cols": 1, "data": [[1, 0], [%s, 0], [0, 1]]}' % value)
+    out = tmp_path / "o.json"
+    assert main([*argv, "--matrix", str(matrix), "--state", str(state),
+                 "--out", str(out)]) == 2
+    assert "matrix contains NaN or infinity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+@pytest.mark.parametrize("shape", [["--n", "4"], ["--m", "4", "--n", "6"]])
+def test_gen_matrix_rejects_bad_scale_for_both_shapes(tmp_path, capsys, shape, scale):
+    out = tmp_path / "a.json"
+    assert main(["gen-matrix", *shape, "--rank", "2", f"--scale={scale}",
+                 "--out", str(out)]) == 2
+    assert "scale must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_procrustes_rejects_shots_below_one_before_any_query(tmp_path, monkeypatch):
+    matrix, state = _rank_one_procrustes_inputs(tmp_path)
+    reads = []
+    monkeypatch.setattr(MatrixOracle, "read_upper_triangle",
+                        lambda self, *args: reads.append(args))
+    out = tmp_path / "o.json"
+    assert main(["procrustes", "--matrix", str(matrix), "--state", str(state),
+                 "--bits", "6", "--threshold", "0.05", "--shots", "0",
+                 "--out", str(out)]) == 2
+    assert not out.exists() and not reads
+
+
+def _readme_commands():
+    """The argv of every ``modswap`` line in README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("modswap ")]
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "gen-matrix", "evolve", "error-sweep", "qpe", "svd", "demo-phase-ambiguity",
+        "procrustes"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

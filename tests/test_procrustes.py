@@ -186,18 +186,6 @@ def test_partial_filtering_of_mixed_state():
     assert fid >= 0.99
 
 
-def test_shots_sampling_is_seeded():
-    rng_a = np.random.default_rng(12)
-    u = random_state(2, rng_a)
-    v = random_state(2, rng_a)
-    a = np.outer(u, v.conj())
-    kwargs = dict(config=QPEConfig(bits=6), threshold=0.05, shots=1000)
-    r1 = quantum_procrustes_apply(_oracle(a), v, rng=np.random.default_rng(99), **kwargs)
-    r2 = quantum_procrustes_apply(_oracle(a), v, rng=np.random.default_rng(99), **kwargs)
-    assert r1.sampled_success_probability == r2.sampled_success_probability
-    assert abs(r1.sampled_success_probability - 0.5) <= 0.1
-
-
 def test_rejects_unnormalized_state():
     a = np.eye(2, dtype=complex)
     with pytest.raises(ValueError, match="norm"):

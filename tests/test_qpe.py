@@ -180,6 +180,15 @@ def test_qpe_rejects_bad_state():
             QPEConfig(bits=2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("backend", ["exact-unitary", "trotter-channel"])
+def test_qpe_rejects_non_finite_state_before_any_query(backend, bad):
+    oracle = MatrixOracle.from_matrix(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="state norm"):
+        qpe(oracle, np.array([1.0, bad], dtype=complex), QPEConfig(bits=2, backend=backend))
+    assert oracle.report_calls() == 0
+
+
 def test_invert_joint_inverts_forward_map():
     rng = np.random.default_rng(3)
     a = random_hermitian(3, rng)
@@ -540,7 +549,7 @@ def test_query_scaling_exact_counts_rank2_n4():
     # the coupled schedule's eps^-3 law beyond N = 2: one more register bit and
     # twice the steps per application for each halving of eps
     rng = np.random.default_rng(7)
-    a = random_low_rank(4, 2, rng=rng)
+    a = random_low_rank(4, 2, 1.0, rng)
     result = query_scaling(MatrixOracle.from_matrix(a), random_state(4, rng),
                            [0.04 / 2**i for i in range(6)], base_bits=2)
     assert [r.oracle_calls for r in result.rows] == [
@@ -553,7 +562,7 @@ def test_trotter_steps_per_application_double_when_epsilon_halves():
     # at fixed bits each stage takes ceil(2 a_max^2 tau^2 / eps) steps, so
     # halving eps doubles every stage's count up to its ceiling
     rng = np.random.default_rng(7)
-    a = random_low_rank(4, 2, rng=rng)
+    a = random_low_rank(4, 2, 1.0, rng)
     psi = random_state(4, rng)
     bits, sweep = 3, 4 * 5 // 2
     epsilons = [0.04 / 2**i for i in range(5)]
