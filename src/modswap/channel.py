@@ -21,7 +21,7 @@ baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,18 +116,30 @@ def _check_budget(t: float, epsilon: float) -> None:
         raise ValueError("epsilon must be positive")
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Step plan for a total time t under a nuclear-norm error budget."""
-
+class _EvolutionConfig(NamedTuple):
     t: float
     epsilon: float
     n: int
 
-    def __post_init__(self):
+
+class EvolutionConfig(_EvolutionConfig):
+    """Step plan for a total time t under a nuclear-norm error budget.
+
+    Validated on construction, so also in ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("step count must be >= 1")
         _check_budget(self.t, self.epsilon)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def delta_t(self) -> float:
@@ -143,8 +155,7 @@ class EvolutionConfig:
         return cls(t=float(t), epsilon=float(epsilon), n=int(steps))
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Measured vs bounded nuclear-norm errors for one evolution run."""
 
     per_step_bound: float
@@ -194,8 +205,7 @@ def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
     return cur, report
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     delta_t: float
     measured_error: float
     bound: float
@@ -205,8 +215,7 @@ class SweepRow:
         return self.measured_error / self.bound if self.bound else float("nan")
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[SweepRow]
     slope: float
 

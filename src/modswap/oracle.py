@@ -171,6 +171,8 @@ def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
 
     if name == "all-ones":
         n = int(params["n"])
+        if n < 1:
+            raise ValueError(f"generator size n={n} must be >= 1")
         return MatrixOracle.from_matrix(np.ones((n, n), dtype=np.complex128))
     if name == "diagonal":
         vals = [float(v) for v in str(params["values"]).split(";")]

@@ -36,7 +36,7 @@ and fidelity loss rather than being assumed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ from .svdx import embed, _check_threshold, _warn_if_skewed
 RANK_CUT = 1e-10
 
 
-@dataclass(frozen=True)
-class PartialIsometry:
+class PartialIsometry(NamedTuple):
     """W = U V† from a truncated SVD; isometric exactly on col(V)."""
 
     matrix: np.ndarray
@@ -71,8 +70,7 @@ def classical_nearest_isometry(a) -> PartialIsometry:
     return PartialIsometry(matrix=u[:, keep] @ vh[keep, :], rank=r)
 
 
-@dataclass
-class ProcrustesResult:
+class ProcrustesResult(NamedTuple):
     output_state: np.ndarray
     success_probability: float
     fidelity_vs_oracle: float

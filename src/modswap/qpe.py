@@ -44,7 +44,7 @@ they are the reference the closed form is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,21 +56,26 @@ PEAK_MIN_WEIGHT = 0.01
 MAX_BYTES = 1 << 29  # largest array set either backend allocates, checked before any query
 
 
-@dataclass(frozen=True)
-class QPEConfig:
-    """Register size, base evolution time, backend, and channel budget.
-
-    base_time None means "resolve at run time" to pi / max_norm scaled just
-    under the aliasing bound. trotter_epsilon is the nuclear-norm error
-    budget for each controlled power application on the trotter backend.
-    """
-
+class _QPEConfig(NamedTuple):
     bits: int
     base_time: float | None = None
     backend: str = "exact-unitary"
     trotter_epsilon: float = 0.01
 
-    def __post_init__(self):
+
+class QPEConfig(_QPEConfig):
+    """Register size, base evolution time, backend, and channel budget.
+
+    base_time None means "resolve at run time" to pi / max_norm scaled just
+    under the aliasing bound. trotter_epsilon is the nuclear-norm error
+    budget for each controlled power application on the trotter backend.
+    Validated on construction, so also in ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bits < 1:
             raise ValueError("register needs at least one bit")
         if self.backend not in ("exact-unitary", "trotter-channel"):
@@ -80,14 +85,18 @@ class QPEConfig:
             raise ValueError("base_time must be positive and finite")
         if not math.isfinite(self.trotter_epsilon) or self.trotter_epsilon <= 0:
             raise ValueError("trotter_epsilon must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
         return 1 << self.bits
 
 
-@dataclass(frozen=True)
-class EigenEstimate:
+class EigenEstimate(NamedTuple):
     """One decoded register peak."""
 
     register_value: int
@@ -96,15 +105,14 @@ class EigenEstimate:
     sign: int
 
 
-@dataclass
-class QPEResult:
+class QPEResult(NamedTuple):
     distribution: np.ndarray
     estimates: list[EigenEstimate]
     backend: str
     bits: int
     base_time: float
     oracle_calls: int
-    trotter_error_bound: float | None = None
+    trotter_error_bound: float | None
 
 
 def decode_register(m, bits: int, t0: float):
@@ -346,8 +354,7 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     )
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     tv_distance: float
     trotter_error_bound: float
     trotter_calls: int
@@ -377,16 +384,14 @@ def backend_agreement(oracle: MatrixOracle, psi, config: QPEConfig) -> Agreement
     )
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     epsilon: float
     bits: int
     trotter_epsilon: float
     oracle_calls: int
 
 
-@dataclass(frozen=True)
-class ScalingResult:
+class ScalingResult(NamedTuple):
     rows: list[ScalingRow]
     slope: float
 

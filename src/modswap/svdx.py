@@ -32,7 +32,7 @@ come from the one counted read, so the readout adds no query.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ SKEW_RATIO = 4.0
 RANK_TOL = 1e-8
 
 
-@dataclass
-class ExtendedMatrix:
+class ExtendedMatrix(NamedTuple):
     """Oracle view of the block embedding; queries route to the base oracle.
 
     Diagonal-block queries return zero without touching the base; each
@@ -89,8 +88,7 @@ def embed(base: MatrixOracle) -> ExtendedMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ExtendedSpectrumReport:
+class ExtendedSpectrumReport(NamedTuple):
     """Dense verification of the embedding's eigenstructure."""
 
     eigenvalues: np.ndarray
@@ -138,8 +136,7 @@ def extended_spectrum_check(ext: ExtendedMatrix) -> ExtendedSpectrumReport:
     )
 
 
-@dataclass
-class SVDResult:
+class SVDResult(NamedTuple):
     """Phase-consistent singular triplets extracted from the embedding.
 
     grid_step is the register resolution 2*pi*(M+N) / (2^bits * t0) in
@@ -153,10 +150,10 @@ class SVDResult:
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    degenerate: list[bool] = field(default_factory=list)
-    oracle_calls: int = 0
-    unresolved: int = 0
-    grid_step: float = 0.0
+    degenerate: list[bool]
+    oracle_calls: int
+    unresolved: int
+    grid_step: float
 
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
@@ -229,8 +226,7 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     )
 
 
-@dataclass(frozen=True)
-class PhaseAmbiguityReport:
+class PhaseAmbiguityReport(NamedTuple):
     """Gram-preserving phase twist of the singular pairs and its visibility."""
 
     distance: float

@@ -33,15 +33,14 @@ remain as references.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .oracle import MatrixOracle, read_hermitian
 
 
-@dataclass
-class BlockPlan:
+class BlockPlan(NamedTuple):
     """One oracle sweep's worth of matrix data, reusable across time values.
 
     ``a`` is the N x N Hermitian matrix of one counted sweep; every block of

@@ -144,6 +144,8 @@ def test_evolution_config_rejects_non_finite(t, epsilon):
         EvolutionConfig.plan(1.0, t, epsilon, steps=3)
     with pytest.raises(ValueError, match="finite"):
         EvolutionConfig(t=t, epsilon=epsilon, n=3)
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig(t=1.0, epsilon=0.1, n=3)._replace(t=t, epsilon=epsilon)
 
 
 def test_channel_step_rejects_non_finite_oracle():

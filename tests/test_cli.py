@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +570,31 @@ def test_non_square_matrix_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "not square" in err and "broadcast" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["qpe", "--bits", "3"],
+    ["evolve", "--time", "0.2", "--epsilon", "0.05"],
+    ["error-sweep", "--dts", "0.1,0.05"],
+    ["svd", "--bits", "3", "--threshold", "0.1"],
+    ["procrustes", "--bits", "3", "--threshold", "0.1"],
+])
+def test_generator_size_below_one_exits_2(tmp_path, capsys, argv, n):
+    out = tmp_path / "o.json"
+    assert main([*argv, "--generator", f"all-ones:n={n}", "--out", str(out)]) == 2
+    assert f"generator size n={n} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_loads_no_dataclasses():
+    # every CLI run pays the import; building dataclasses costs milliseconds
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, modswap.cli; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

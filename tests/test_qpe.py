@@ -68,12 +68,29 @@ def test_decode_encode_round_trip_on_grid():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QPEConfig(bits=0)
-    with pytest.raises(ValueError):
-        QPEConfig(bits=3, backend="nonsense")
-    with pytest.raises(ValueError):
-        QPEConfig(bits=3, trotter_epsilon=0.0)
+    for kwargs in ({"bits": 0}, {"backend": "nonsense"}, {"trotter_epsilon": 0.0}):
+        with pytest.raises(ValueError):
+            QPEConfig(**{"bits": 3, **kwargs})
+        with pytest.raises(ValueError):
+            QPEConfig(bits=3)._replace(**kwargs)
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_E0 = np.array([1, 0], dtype=complex)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda o: qpe(o, _E0, QPEConfig(bits=3)), "oracle_calls"),
+    (lambda o: quantum_svd(o, QPEConfig(bits=6), threshold=0.05), "rank"),
+    (lambda o: quantum_procrustes_apply(o, _E0, QPEConfig(bits=6), threshold=0.05),
+     "success_probability"),
+    (embed, "m_rows"),
+    (lambda o: ModifiedSwapOperator(o).build_plan(), "a"),
+], ids=["QPEResult", "SVDResult", "ProcrustesResult", "ExtendedMatrix", "BlockPlan"])
+def test_records_are_immutable(make, field):
+    record = make(MatrixOracle.from_matrix(_PAULI_X))
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
 
 
 @pytest.mark.parametrize("kwargs", [{"base_time": np.nan}, {"base_time": np.inf},
@@ -82,6 +99,8 @@ def test_config_validation():
 def test_config_rejects_non_finite(kwargs):
     with pytest.raises(ValueError, match="finite"):
         QPEConfig(bits=3, **kwargs)
+    with pytest.raises(ValueError, match="finite"):
+        QPEConfig(bits=3)._replace(**kwargs)
 
 
 @pytest.mark.parametrize("t0", [0.0, -1.0, -100.0])
@@ -90,6 +109,8 @@ def test_config_rejects_non_positive_base_time(t0):
     # aliasing check t0 * max_norm <= pi at any magnitude
     with pytest.raises(ValueError, match="positive"):
         QPEConfig(bits=3, base_time=t0)
+    with pytest.raises(ValueError, match="positive"):
+        QPEConfig(bits=3)._replace(base_time=t0)
 
 
 def test_zero_matrix_peaks_at_zero():
@@ -575,6 +596,20 @@ def test_trotter_steps_per_application_double_when_epsilon_halves():
         assert 2 * prev - bits <= cur <= 2 * prev
     slope = np.polyfit(np.log(1 / np.array(epsilons)), np.log(steps), 1)[0]
     assert abs(slope - 1) <= 0.01
+
+
+def test_trotter_queries_grow_as_base_time_squared():
+    # at fixed eps and bits, doubling tau doubles every stage's time, so each
+    # stage takes ceil(2 a_max^2 tau^2 / eps) steps: slope 2 in tau
+    # (Kimmel et al.'s Theta(t^2 / eps))
+    taus = [0.25, 0.5, 1.0, 2.0]
+    calls = [qpe(MatrixOracle.from_matrix(_PAULI_X), _E0,
+                 QPEConfig(bits=3, base_time=tau, backend="trotter-channel",
+                           trotter_epsilon=0.01)).oracle_calls
+             for tau in taus]
+    assert calls == [792, 3153, 12603, 50403]
+    slope = np.polyfit(np.log(taus), np.log(calls), 1)[0]
+    assert abs(slope - 2) <= 0.05
 
 
 def test_trotter_reads_source_once_per_run_and_charges_every_step():
