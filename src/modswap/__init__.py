@@ -39,9 +39,8 @@ from .qpe import (
     query_scaling,
 )
 from .svdx import (
-    ExtendedMatrix,
     SVDResult,
-    embed,
+    embedding,
     extended_spectrum_check,
     phase_ambiguity_demo,
     quantum_svd,
@@ -49,13 +48,12 @@ from .svdx import (
 from .swapop import ModifiedSwapOperator
 
 __version__ = "0.1.0"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 __all__ = [
     "EigenEstimate",
     "ErrorReport",
     "EvolutionConfig",
-    "ExtendedMatrix",
     "FORMAT_VERSION",
     "MatrixOracle",
     "ModifiedSwapOperator",
@@ -68,7 +66,7 @@ __all__ = [
     "channel_step",
     "classical_nearest_isometry",
     "decode_register",
-    "embed",
+    "embedding",
     "error_sweep",
     "evolve",
     "exact_evolution",

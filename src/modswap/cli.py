@@ -1,7 +1,7 @@
 """Command-line front end: seeded experiment runs with persisted envelopes.
 
 Every run writes a JSON result envelope that echoes the full configuration
-that produced it, so reruns with the same seed are byte-identical. Wall-clock
+that produced it, so reruns with the same inputs are byte-identical. Wall-clock
 timing is opt-in (--timing) because embedding it would break that guarantee;
 without the flag the envelope carries "wall_ms": null.
 
@@ -26,7 +26,7 @@ from .matio import _complex_pairs, load_matrix, load_state, matrix_to_json_obj, 
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import quantum_procrustes_apply
 from .qpe import QPEConfig, qpe
-from .svdx import embed, phase_ambiguity_demo, quantum_svd
+from .svdx import embedding, phase_ambiguity_demo, quantum_svd
 
 BACKENDS = {"exact": "exact-unitary", "trotter": "trotter-channel"}
 
@@ -59,7 +59,7 @@ def _qram_latency_factor(n: int) -> float:
 
 def _resolve_oracle(args) -> MatrixOracle:
     if getattr(args, "matrix", None):
-        return MatrixOracle.from_matrix(load_matrix(args.matrix))
+        return MatrixOracle(load_matrix(args.matrix))
     if getattr(args, "generator", None):
         spec = args.generator
         name, _, tail = spec.partition(":")
@@ -98,7 +98,6 @@ def _source_config(args) -> dict:
         "matrix": getattr(args, "matrix", None),
         "generator": getattr(args, "generator", None),
         "state": getattr(args, "state", None),
-        "seed": getattr(args, "seed", None),
     }
 
 
@@ -109,7 +108,6 @@ def _add_source_flags(p, with_state=True, with_timing=True):
     if with_state:
         p.add_argument("--state", help="state file (vector, or density matrix "
                                        "where a density input is accepted)")
-    p.add_argument("--seed", type=int, default=0)
     if with_timing:
         p.add_argument("--timing", action="store_true",
                        help="embed wall-clock ms in the envelope (breaks "
@@ -124,10 +122,9 @@ def cmd_gen_matrix(args) -> int:
         a = random_low_rank(args.n, args.rank, args.scale, rng)
     save_matrix(args.out, a)
     if args.m is not None:
-        ext = embed(MatrixOracle.from_matrix(a)).materialize_baseline()
         out = Path(args.out)
         companion = out.with_name(out.stem + ".extended" + (out.suffix or ".json"))
-        save_matrix(companion, ext)
+        save_matrix(companion, embedding(a))
         print(f"wrote {args.out} ({args.m}x{args.n}, rank {args.rank}) "
               f"and {companion}")
     else:
@@ -292,7 +289,7 @@ def cmd_procrustes(args) -> int:
     _write_envelope(
         args.out, "procrustes",
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
-         "shots": args.shots},
+         "shots": args.shots, "seed": args.seed},
         {
             "output_state": _complex_pairs(result.output_state),
             "success_probability": result.success_probability,
@@ -381,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--t0", type=float)
     p.add_argument("--shots", type=int)
+    p.add_argument("--seed", type=int, default=0, help="seed of the --shots draw")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_procrustes)
 

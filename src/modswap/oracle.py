@@ -1,15 +1,16 @@
 """Call-counted element access to a matrix.
 
 The oracle is the only sanctioned data path for the simulated pipelines, so
-its counter is the simulator's query-complexity meter. Sources are either a
-dense backing array or a pure function (j, k) -> complex; both share the
-same counting interface and can be swapped freely. ``query`` reads one
-element; ``read_upper_triangle`` reads one whole sweep of the diagonal and
-upper triangle with a single counter update; ``charge_sweeps`` charges
-modelled sweeps whose values the caller already holds.
+its counter is the simulator's query-complexity meter. Its source is one
+dense array. ``query`` reads one element; ``read_upper_triangle`` reads one
+whole sweep of the diagonal and upper triangle, and ``read_all`` one sweep
+of every entry, each with a single counter update; ``charge_sweeps``
+charges modelled sweeps whose values the caller already holds.
 
-``read_hermitian`` is the one gate of the counted path: every counted
-Hermitian read goes through it, and it alone rejects a non-real diagonal.
+``read_hermitian`` is the one gate of the counted Hermitian path: every
+counted Hermitian read goes through it, and it alone rejects a non-real
+diagonal. The svd and Procrustes pipelines read their rectangular source
+with ``read_all`` and embed it themselves (``svdx.embedding``).
 
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
@@ -30,80 +31,66 @@ DIAG_IMAG_TOL = 1e-10
 class MatrixOracle:
     """Element oracle for an M x N matrix with a race-free query counter.
 
-    Out-of-range queries raise IndexError without touching the counter.
-    Concurrent sweeps should each own their own instance (``fork``).
+    The source is a dense array checked by ``as_matrix``; a complex128 array
+    is held without a copy, so later writes to it reach the oracle, and the
+    counted reads check what they return. Out-of-range queries raise
+    IndexError without touching the counter. Concurrent sweeps should each
+    own their own instance (``fork``).
     """
 
-    def __init__(self, source, shape=None):
-        if callable(source):
-            if shape is None:
-                raise ValueError("function-backed oracle needs an explicit shape")
-            self._matrix = None
-            self._fn = source
-            self._shape = (int(shape[0]), int(shape[1]))
-        else:
-            self._matrix = as_matrix(source)
-            self._fn = None
-            self._shape = self._matrix.shape
+    def __init__(self, a):
+        self._matrix = as_matrix(a)
         self._count = 0
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_matrix(cls, a) -> "MatrixOracle":
-        return cls(a)
-
-    @classmethod
-    def from_function(cls, fn, shape) -> "MatrixOracle":
-        return cls(fn, shape=shape)
-
     @property
     def shape(self) -> tuple[int, int]:
-        return self._shape
+        return self._matrix.shape
 
     @property
     def dim(self) -> int:
-        m, n = self._shape
+        m, n = self._matrix.shape
         if m != n:
-            raise ValueError(f"oracle is not square: shape {self._shape}")
+            raise ValueError(f"oracle is not square: shape {self._matrix.shape}")
         return m
 
     def fork(self) -> "MatrixOracle":
         """Same source, fresh counter."""
-        if self._matrix is not None:
-            return MatrixOracle(self._matrix)
-        return MatrixOracle(self._fn, shape=self._shape)
+        return MatrixOracle(self._matrix)
 
     def query(self, j: int, k: int) -> complex:
         """Return A[j, k]; one counted call."""
-        m, n = self._shape
+        m, n = self._matrix.shape
         if not (0 <= j < m and 0 <= k < n):
             raise IndexError(f"query ({j}, {k}) outside [0,{m}) x [0,{n})")
         with self._lock:
             self._count += 1
-        if self._matrix is not None:
-            return complex(self._matrix[j, k])
-        return complex(self._fn(j, k))
+        return complex(self._matrix[j, k])
+
+    def _charge_and_check(self, values: np.ndarray) -> np.ndarray:
+        with self._lock:
+            self._count += values.size
+        if not np.all(np.isfinite(values.view(np.float64))):
+            raise ValueError("oracle returned NaN or infinity")
+        return values
 
     def read_upper_triangle(self):
         """One counted sweep: (rows, cols, values) of the diagonal and upper triangle.
 
         Entries come in ``np.triu_indices`` (row-major) order. The sweep
-        charges N(N+1)/2 calls with one locked increment; a dense source is
-        read by fancy indexing, a function source once per element. A
-        non-finite value fails the sweep after it is charged.
+        charges N(N+1)/2 calls with one locked increment; a non-finite value
+        fails it after the charge.
         """
         rows, cols = np.triu_indices(self.dim)
-        with self._lock:
-            self._count += rows.size
-        if self._matrix is not None:
-            values = self._matrix[rows, cols]
-        else:
-            values = np.array([complex(self._fn(j, k))
-                               for j, k in zip(rows.tolist(), cols.tolist())],
-                              dtype=np.complex128)
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("oracle returned NaN or infinity")
-        return rows, cols, values
+        return rows, cols, self._charge_and_check(self._matrix[rows, cols])
+
+    def read_all(self) -> np.ndarray:
+        """One counted sweep of every entry: a copy of the M x N source.
+
+        Charges M*N calls with one locked increment; a non-finite value fails
+        the read after the charge, as in ``read_upper_triangle``.
+        """
+        return self._charge_and_check(self._matrix.copy())
 
     def charge_sweeps(self, sweeps: int) -> None:
         """Charge ``sweeps`` modelled triangle sweeps without reading the source.
@@ -125,16 +112,9 @@ class MatrixOracle:
         """Dense copy of the source, bypassing the counter.
 
         Reserved for classical baselines and verification; simulated
-        pipelines must use ``query`` or ``read_upper_triangle``.
+        pipelines must use ``query``, ``read_upper_triangle`` or ``read_all``.
         """
-        if self._matrix is not None:
-            return self._matrix.copy()
-        m, n = self._shape
-        out = np.empty((m, n), dtype=np.complex128)
-        for j in range(m):
-            for k in range(n):
-                out[j, k] = self._fn(j, k)
-        return as_matrix(out)
+        return self._matrix.copy()
 
 
 def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
@@ -160,6 +140,50 @@ def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
     return a
 
 
+def _values(text: str) -> list[float]:
+    return [float(v) for v in text.split(";")]
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("negative seed")
+    return seed
+
+
+# generator -> parameter -> (parser, default); a default of None marks a required one
+_GENERATORS = {
+    "all-ones": {"n": (int, None)},
+    "diagonal": {"values": (_values, None)},
+    "random-lowrank": {"n": (int, None), "r": (int, None),
+                       "scale": (float, 1.0), "seed": (_seed, 0)},
+}
+
+
+def _generator_params(name: str, params: dict[str, str]) -> dict:
+    """Parsed parameters of a generator spec; ValueError names the generator and the parameter."""
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator '{name}'")
+    spec = _GENERATORS[name]
+    for key in params:
+        if key not in spec:
+            raise ValueError(f"generator '{name}' takes no parameter '{key}' "
+                             f"(takes {', '.join(spec)})")
+    out = {}
+    for key, (parse, default) in spec.items():
+        if key not in params:
+            if default is None:
+                raise ValueError(f"generator '{name}' needs parameter '{key}'")
+            out[key] = default
+            continue
+        try:
+            out[key] = parse(params[key])
+        except ValueError:
+            raise ValueError(f"generator '{name}' parameter '{key}' is malformed: "
+                             f"'{params[key]}'") from None
+    return out
+
+
 def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
     """Named built-in oracle sources for the command line.
 
@@ -169,20 +193,12 @@ def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
     """
     from .linalg import random_low_rank
 
-    if name == "all-ones":
-        n = int(params["n"])
-        if n < 1:
-            raise ValueError(f"generator size n={n} must be >= 1")
-        return MatrixOracle.from_matrix(np.ones((n, n), dtype=np.complex128))
+    p = _generator_params(name, params)
     if name == "diagonal":
-        vals = [float(v) for v in str(params["values"]).split(";")]
-        return MatrixOracle.from_matrix(np.diag(np.array(vals, dtype=np.complex128)))
-    if name == "random-lowrank":
-        n = int(params["n"])
-        r = int(params["r"])
-        scale = float(params.get("scale", 1.0))
-        seed = int(params.get("seed", 0))
-        a = random_low_rank(n, r, scale, np.random.default_rng(seed))
-        return MatrixOracle.from_matrix(a)
-    raise ValueError(f"unknown generator '{name}'")
-
+        return MatrixOracle(np.diag(np.array(p["values"], dtype=np.complex128)))
+    if p["n"] < 1:
+        raise ValueError(f"generator size n={p['n']} must be >= 1")
+    if name == "all-ones":
+        return MatrixOracle(np.ones((p["n"], p["n"]), dtype=np.complex128))
+    a = random_low_rank(p["n"], p["r"], p["scale"], np.random.default_rng(p["seed"]))
+    return MatrixOracle(a)

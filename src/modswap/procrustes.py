@@ -17,6 +17,9 @@ The simulated protocol applies W to a state without ever forming it:
 4. projecting onto the first M coordinates succeeds with probability 1/2
    and leaves a state proportional to U V† psi.
 
+The embedding is built from one counted read of A (``base.read_all()``,
+M*N queries), as in ``svdx.quantum_svd``.
+
 The simulator evaluates steps 2-3 in closed form. Eigenvector l of the
 embedding leaves register state K[:, l] (``qpe.joint_from_eig``), and the
 post-selection, flip and uncompute act on each eigenvector separately, so by
@@ -43,7 +46,7 @@ import numpy as np
 from .linalg import as_matrix
 from .oracle import MatrixOracle
 from .qpe import QPEConfig, _branch_masses, _read_spectrum, _require_state
-from .svdx import embed, _check_threshold, _warn_if_skewed
+from .svdx import embedding, _check_threshold, _warn_if_skewed
 
 RANK_CUT = 1e-10
 
@@ -95,8 +98,8 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     _check_threshold(threshold)
 
     calls_before = base.report_calls()
-    ext = embed(base)
-    _, evals_over_n, v, t0 = _read_spectrum(ext.oracle, config)
+    _, evals_over_n, v, t0 = _read_spectrum(lambda: embedding(base.read_all()),
+                                            m + n, config)
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
     beta = v.conj().T @ x0
     weight = np.abs(beta) ** 2

@@ -157,20 +157,21 @@ def _require_bytes(needed: int, what: str) -> None:
         raise ValueError(f"{what} needs {needed} bytes (> {MAX_BYTES}); reduce bits or N")
 
 
-def _read_spectrum(oracle: MatrixOracle, config: QPEConfig):
-    """One counted Hermitian read and its eigendecomposition.
+def _read_spectrum(read, dim: int, config: QPEConfig):
+    """One counted read of a dim x dim Hermitian matrix and its eigendecomposition.
 
-    Returns (A, eigenvalues of A / N, eigenvectors, base time t0). The
-    register mass matrix that every exact readout builds, one 2^bits x N
-    float64 array at its peak, is checked against ``MAX_BYTES`` before the
-    read. ``eigh`` reads one triangle and the real part of the diagonal, so
-    A needs no hermitizing.
+    ``read`` is a zero-argument callable that makes the read. Returns (A,
+    eigenvalues of A / dim, eigenvectors, base time t0). The register mass
+    matrix that every exact readout builds, one 2^bits x dim float64 array
+    at its peak, is checked against ``MAX_BYTES`` before the read. ``eigh``
+    reads one triangle and the real part of the diagonal, so A needs no
+    hermitizing.
     """
-    _require_bytes(8 * config.size * oracle.dim, "exact backend register kernel mass")
-    a = read_hermitian(oracle)
+    _require_bytes(8 * config.size * dim, "exact backend register kernel mass")
+    a = read()
     t0 = _base_time(config, float(np.max(np.abs(a))))
     w, v = np.linalg.eigh(a)
-    return a, w / a.shape[0], v, t0
+    return a, w / dim, v, t0
 
 
 def _require_state(psi, n: int) -> np.ndarray:
@@ -283,7 +284,8 @@ def extract_estimates(distribution, bits: int, t0: float) -> list[EigenEstimate]
 
 def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     # Parseval: the row sums of |joint_from_eig|^2 without the joint state
-    _, evals_over_n, evecs, t0 = _read_spectrum(oracle, config)
+    _, evals_over_n, evecs, t0 = _read_spectrum(lambda: read_hermitian(oracle),
+                                                oracle.dim, config)
     weight = np.abs(evecs.conj().T @ psi) ** 2
     return _register_mass(evals_over_n, config.bits, t0) @ weight, t0, None
 

@@ -11,6 +11,11 @@ embedding therefore recovers phase-correct singular triplets, which the
 Gram-matrix route (simulating A A† alone) cannot do; ``phase_ambiguity_demo``
 exhibits that failure.
 
+The pipeline reads A once: ``base.read_all()`` is one counted sweep of its
+M*N entries, and ``embedding`` places them in the blocks. That is what one
+sweep of the paper's per-query embedded oracle costs: an off-block query of
+the embedding is one query of A, and a diagonal-block query is a free zero.
+
 Vector readout from the simulated pipeline: phase estimation leaves
 eigenvector l of the embedding in register state K[:, l], the register
 kernel of ``qpe.joint_from_eig``, whose outcome distribution |K[y, l]|^2 is
@@ -44,48 +49,18 @@ SKEW_RATIO = 4.0
 RANK_TOL = 1e-8
 
 
-class ExtendedMatrix(NamedTuple):
-    """Oracle view of the block embedding; queries route to the base oracle.
+def embedding(a: np.ndarray) -> np.ndarray:
+    """The (M+N)-dimensional Hermitian embedding [[0, A], [A^dagger, 0]] of an M x N A.
 
-    Diagonal-block queries return zero without touching the base; each
-    off-block query costs exactly one base call.
+    Hermitian with a zero diagonal by construction, so it needs no
+    Hermitian gate. The pipelines embed the one counted read
+    ``base.read_all()``; baselines and verifiers embed the uncounted source.
     """
-
-    m_rows: int
-    n_cols: int
-    oracle: MatrixOracle
-    base: MatrixOracle
-
-    @property
-    def total_dim(self) -> int:
-        return self.m_rows + self.n_cols
-
-    def materialize_baseline(self) -> np.ndarray:
-        """Dense embedding from the uncounted base source (verification path)."""
-        a = self.base.materialize()
-        d = self.total_dim
-        ext = np.zeros((d, d), dtype=np.complex128)
-        ext[: self.m_rows, self.m_rows:] = a
-        ext[self.m_rows:, : self.m_rows] = a.conj().T
-        return ext
-
-
-def embed(base: MatrixOracle) -> ExtendedMatrix:
-    m, n = base.shape
-    d = m + n
-
-    def element(j: int, k: int) -> complex:
-        if j < m and k >= m:
-            return base.query(j, k - m)
-        if j >= m and k < m:
-            return complex(np.conj(base.query(k, j - m)))
-        return 0.0
-
-    return ExtendedMatrix(
-        m_rows=m, n_cols=n,
-        oracle=MatrixOracle.from_function(element, (d, d)),
-        base=base,
-    )
+    m, n = a.shape
+    ext = np.zeros((m + n, m + n), dtype=np.complex128)
+    ext[:m, m:] = a
+    ext[m:, :m] = a.conj().T
+    return ext
 
 
 class ExtendedSpectrumReport(NamedTuple):
@@ -98,20 +73,20 @@ class ExtendedSpectrumReport(NamedTuple):
     nonzero_count: int
 
 
-def extended_spectrum_check(ext: ExtendedMatrix) -> ExtendedSpectrumReport:
-    """Check spectrum = {+-sigma_j} plus zeros, and 1/sqrt(2) subvector norms.
+def extended_spectrum_check(a) -> ExtendedSpectrumReport:
+    """Check the embedding of the M x N matrix A: spectrum = {+-sigma_j} plus
+    zeros, and 1/sqrt(2) subvector norms.
 
-    Classical verifier on the materialized embedding; no oracle calls.
-    Eigenvalues below RANK_TOL * max(1, max |w|) in magnitude count as zero.
+    Classical verifier on the dense embedding; no oracle calls. Eigenvalues
+    below RANK_TOL * max(1, max |w|) in magnitude count as zero.
     """
-    if ext.total_dim > 128:
+    a = as_matrix(a)
+    m, n = a.shape
+    if m + n > 128:
         raise ValueError("spectrum check is limited to M + N <= 128")
-    dense = ext.materialize_baseline()
-    a = dense[: ext.m_rows, ext.m_rows:]
+    dense = embedding(a)
     sig = np.linalg.svd(a, compute_uv=False)
-    expected = np.sort(np.concatenate(
-        [sig, -sig, np.zeros(ext.total_dim - 2 * sig.size)]
-    ))
+    expected = np.sort(np.concatenate([sig, -sig, np.zeros(m + n - 2 * sig.size)]))
     w, v = np.linalg.eigh(dense)
     dev = float(np.max(np.abs(np.sort(w) - expected)))
 
@@ -124,8 +99,8 @@ def extended_spectrum_check(ext: ExtendedMatrix) -> ExtendedSpectrumReport:
         vec = v[:, idx]
         sub_dev = max(
             sub_dev,
-            abs(np.linalg.norm(vec[: ext.m_rows]) - inv_sqrt2),
-            abs(np.linalg.norm(vec[ext.m_rows:]) - inv_sqrt2),
+            abs(np.linalg.norm(vec[:m]) - inv_sqrt2),
+            abs(np.linalg.norm(vec[m:]) - inv_sqrt2),
         )
     return ExtendedSpectrumReport(
         eigenvalues=np.sort(w),
@@ -190,8 +165,8 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     m, n = base.shape
     _warn_if_skewed(m, n)
     calls_before = base.report_calls()
-    ext = embed(base)
-    dense, evals_over_n, v, t0 = _read_spectrum(ext.oracle, config)
+    dense, evals_over_n, v, t0 = _read_spectrum(lambda: embedding(base.read_all()),
+                                                m + n, config)
     a = dense[:m, m:]
 
     m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)

@@ -13,7 +13,9 @@ references on top of a ``BlockPlan``. ``trotter_by_blocks`` is the trotter
 FFT pair) that the per-frequency N x N recursion replaced; it reads and
 charges the oracle the same way, so counts compare too. ``plan_by_queries``
 is the per-element ``query`` loop that ``build_plan`` replaced with one counted
-triangle read; it returns the plan's Hermitian matrix. ``pair_fields``,
+triangle read; it returns the plan's Hermitian matrix. ``embedding_by_queries``
+is the per-query embedded oracle of the svd and Procrustes pipelines, one
+base ``query`` per entry, that ``svdx.embedding(base.read_all())`` replaced. ``pair_fields``,
 ``apply_by_pairs`` and ``kraus_factors_by_pairs`` are the index-array plan
 layout (diagonal and pair-row indices) and the per-pair rotation and
 scatter that the elementwise factors of ``BlockPlan`` replaced.
@@ -28,7 +30,8 @@ files and envelopes before one ``tolist`` call replaced them.
 ``sign_flip`` and ``procrustes_by_uncompute`` are the Procrustes sign flip
 and the two ``invert_joint`` uncomputes that the closed-form window masses
 of ``quantum_procrustes_apply`` replaced. ``random_density`` and
-``random_state`` are the seeded test inputs.
+``random_state`` are the seeded test inputs, and ``RecordingOracle`` is an
+oracle that logs each real read of its source.
 """
 
 import math
@@ -38,6 +41,7 @@ from scipy.linalg import expm
 
 from modswap.channel import ErrorReport, SweepResult, SweepRow, channel_step, require_density
 from modswap.linalg import as_matrix, exact_evolution, hermitize, nuclear_norm, require_hermitian
+from modswap.oracle import MatrixOracle
 from modswap.qpe import (
     EigenEstimate,
     decode_register,
@@ -46,7 +50,6 @@ from modswap.qpe import (
     _base_time,
     _read_spectrum,
 )
-from modswap.svdx import embed
 from modswap.swapop import ModifiedSwapOperator, _kraus_map
 
 
@@ -84,6 +87,22 @@ def plan_by_queries(oracle) -> np.ndarray:
             a[k, j] = np.conj(value)
             a[j, k] = value
     return a
+
+
+def embedding_by_queries(base) -> np.ndarray:
+    """[[0, A], [A^dagger, 0]] from one ``query`` call per entry of the M x N base.
+
+    Each off-block pair (j, M + k), (M + k, j) costs one base query; the
+    diagonal blocks are zero and cost none.
+    """
+    m, n = base.shape
+    ext = np.zeros((m + n, m + n), dtype=np.complex128)
+    for j in range(m):
+        for k in range(n):
+            value = base.query(j, k)
+            ext[j, m + k] = value
+            ext[m + k, j] = np.conj(value)
+    return ext
 
 
 def pair_fields(a: np.ndarray):
@@ -323,7 +342,8 @@ def procrustes_by_uncompute(base, psi, config, threshold: float):
     each register half with ``invert_joint``, keeping row 0 of each.
     """
     m = base.shape[0]
-    _, evals_over_n, v, t0 = _read_spectrum(embed(base).oracle, config)
+    _, evals_over_n, v, t0 = _read_spectrum(lambda: embedding_by_queries(base),
+                                            sum(base.shape), config)
     size, bits = config.size, config.bits
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
     joint = joint_from_eig(evals_over_n, v, x0, bits, t0)
@@ -348,6 +368,34 @@ def hadamard(bits: int) -> np.ndarray:
     for _ in range(bits):
         h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
     return h
+
+
+class RecordingOracle(MatrixOracle):
+    """A dense oracle whose ``reads`` lists each real read of the source, by kind.
+
+    A triangle sweep logs "sweep", a whole read "all", an uncounted copy
+    "materialize" and an element query "query"; charged sweeps log nothing.
+    """
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.reads = []
+
+    def query(self, j, k):
+        self.reads.append("query")
+        return super().query(j, k)
+
+    def read_upper_triangle(self):
+        self.reads.append("sweep")
+        return super().read_upper_triangle()
+
+    def read_all(self):
+        self.reads.append("all")
+        return super().read_all()
+
+    def materialize(self):
+        self.reads.append("materialize")
+        return super().materialize()
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

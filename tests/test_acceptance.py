@@ -17,7 +17,7 @@ from modswap.matio import save_state
 from modswap.oracle import MatrixOracle
 from modswap.procrustes import classical_nearest_isometry, quantum_procrustes_apply
 from modswap.qpe import QPEConfig, backend_agreement, qpe, query_scaling
-from modswap.svdx import embed, extended_spectrum_check, phase_ambiguity_demo, quantum_svd
+from modswap.svdx import extended_spectrum_check, phase_ambiguity_demo, quantum_svd
 from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import dense_swap, random_density, random_state
@@ -37,7 +37,7 @@ def test_criterion_01_second_order_step_bound():
         a_max = np.max(np.abs(a))
         sigma = random_density(8, rng)
         dts = [f / a_max for f in (0.1, 0.05, 0.025, 0.0125)]
-        for row in error_sweep(MatrixOracle.from_matrix(a), sigma, dts).rows:
+        for row in error_sweep(MatrixOracle(a), sigma, dts).rows:
             worst = max(worst, row.measured_error / row.bound)
     elapsed = time.perf_counter() - start
     _report(1, worst <= 1.0 and elapsed < 10.0,
@@ -53,7 +53,7 @@ def test_criterion_02_quadratic_order_slope():
         a_max = np.max(np.abs(a))
         sigma = random_density(8, rng)
         dts = [f / a_max for f in (0.1, 0.05, 0.025, 0.0125)]
-        slopes.append(error_sweep(MatrixOracle.from_matrix(a), sigma, dts).slope)
+        slopes.append(error_sweep(MatrixOracle(a), sigma, dts).slope)
     lo, hi = min(slopes), max(slopes)
     _report(2, abs(lo - 2.0) <= 0.1 and abs(hi - 2.0) <= 0.1,
             f"log-log step-error slopes within 2.0 +- 0.1 (range [{lo:.3f}, {hi:.3f}])")
@@ -66,7 +66,7 @@ def test_criterion_03_total_error_budget():
     a = a / np.max(np.abs(a))
     sigma = random_density(4, rng)
     config = EvolutionConfig.plan(1.0, t=1.0, epsilon=0.05)
-    _, report = evolve(MatrixOracle.from_matrix(a), sigma, config)
+    _, report = evolve(MatrixOracle(a), sigma, config)
     elapsed = time.perf_counter() - start
     _report(3, report.total_measured <= 0.05 and elapsed < 30.0,
             f"n={config.n} steps, total nuclear error "
@@ -78,7 +78,7 @@ def test_criterion_04_channel_generator_richardson():
     a = random_low_rank(4, 2, 1.0, rng)
     a = a / np.max(np.abs(a))
     sigma = random_density(4, rng)
-    oracle = MatrixOracle.from_matrix(a)
+    oracle = MatrixOracle(a)
 
     def derivative(dt):
         return (channel_step(oracle, sigma, dt) - sigma) / dt
@@ -98,7 +98,7 @@ def test_criterion_05_swap_spectrum_vs_dense():
         rng = np.random.default_rng(500 + n)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = (g + g.conj().T) / 2
-        implicit = ModifiedSwapOperator(MatrixOracle.from_matrix(a)).spectrum()
+        implicit = ModifiedSwapOperator(MatrixOracle(a)).spectrum()
         dense = np.sort(np.linalg.eigvalsh(dense_swap(a)))
         worst = max(worst, float(np.max(np.abs(implicit - dense))))
     _report(5, worst <= 1e-10,
@@ -110,12 +110,12 @@ def test_criterion_06_qpe_two_complement_case():
     start = time.perf_counter()
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
-    exact = qpe(MatrixOracle.from_matrix(a), psi, QPEConfig(bits=3, base_time=np.pi))
+    exact = qpe(MatrixOracle(a), psi, QPEConfig(bits=3, base_time=np.pi))
     dist = exact.distribution
     peaks_ok = (abs(dist[2] - 0.5) <= 1e-10 and abs(dist[6] - 0.5) <= 1e-10
                 and np.all(np.abs(np.delete(dist, [2, 6])) <= 1e-10))
     agree = backend_agreement(
-        MatrixOracle.from_matrix(a), psi,
+        MatrixOracle(a), psi,
         QPEConfig(bits=3, base_time=np.pi, trotter_epsilon=0.01))
     elapsed = time.perf_counter() - start
     _report(6, peaks_ok and agree.tv_distance <= 0.05 and elapsed < 60.0,
@@ -126,7 +126,7 @@ def test_criterion_06_qpe_two_complement_case():
 def test_criterion_07_query_scaling_cubed():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
-    result = query_scaling(MatrixOracle.from_matrix(a), psi,
+    result = query_scaling(MatrixOracle(a), psi,
                            [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
     _report(7, abs(result.slope - 3.0) <= 0.5,
             f"trotter oracle calls vs 1/eps slope {result.slope:.3f} within 3 +- 0.5 "
@@ -140,7 +140,7 @@ def test_criterion_08_extended_eigenstructure():
     for i, (m, n, r) in enumerate(cases):
         rng = np.random.default_rng(800 + i)
         a = random_low_rank_rect(m, n, r, 1.0, rng)
-        report = extended_spectrum_check(embed(MatrixOracle.from_matrix(a)))
+        report = extended_spectrum_check(a)
         worst_eig = max(worst_eig, report.max_eigenvalue_deviation)
         worst_sub = max(worst_sub, report.max_subvector_norm_deviation)
         assert report.nonzero_count == 2 * r
@@ -156,7 +156,7 @@ def test_criterion_09_phase_ambiguity_and_svd_reconstruction():
     demo = phase_ambiguity_demo(a, thetas)
     gram_ok = demo.gram_deviation <= 1e-10
     dist_ok = demo.distance >= 0.1 * np.linalg.norm(a)
-    svd = quantum_svd(MatrixOracle.from_matrix(a), QPEConfig(bits=12), threshold=0.01)
+    svd = quantum_svd(MatrixOracle(a), QPEConfig(bits=12), threshold=0.01)
     residual = svd.residual(a)
     recon_ok = residual <= 1e-6 * np.linalg.norm(a)
     _report(9, gram_ok and dist_ok and recon_ok,
@@ -172,7 +172,7 @@ def test_criterion_10_procrustes_protocol():
     _, _, vh = np.linalg.svd(a)
     coeff = random_state(2, rng)
     psi = vh[:2].conj().T @ coeff
-    result = quantum_procrustes_apply(MatrixOracle.from_matrix(a), psi,
+    result = quantum_procrustes_apply(MatrixOracle(a), psi,
                                       QPEConfig(bits=10), threshold=0.02)
     elapsed = time.perf_counter() - start
     _report(10, abs(result.success_probability - 0.5) <= 0.02
@@ -221,13 +221,13 @@ def test_criterion_12_determinism_byte_identical(tmp_path):
 
         runs = {
             "evolve": ["evolve", "--matrix", str(matrix), "--time", "0.5",
-                       "--epsilon", "0.05", "--seed", "1"],
+                       "--epsilon", "0.05"],
             "sweep": ["error-sweep", "--matrix", str(matrix),
-                      "--dts", "0.05,0.025,0.0125", "--seed", "1"],
+                      "--dts", "0.05,0.025,0.0125"],
             "qpe": ["qpe", "--matrix", str(matrix), "--state", str(state),
-                    "--bits", "6", "--seed", "1"],
+                    "--bits", "6"],
             "svd": ["svd", "--matrix", str(rect), "--bits", "10",
-                    "--threshold", "0.02", "--seed", "1"],
+                    "--threshold", "0.02"],
             "demo": ["demo-phase-ambiguity", "--matrix", str(matrix),
                      "--seed", "5"],
             "procrustes": ["procrustes", "--matrix", str(rect),

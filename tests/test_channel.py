@@ -20,6 +20,7 @@ from modswap.linalg import (
 from modswap.oracle import MatrixOracle
 
 from dense_refs import (
+    RecordingOracle,
     dense_channel_step,
     evolve_by_steps,
     random_density,
@@ -30,7 +31,7 @@ from dense_refs import (
 
 
 def _oracle(a):
-    return MatrixOracle.from_matrix(a)
+    return MatrixOracle(a)
 
 
 def test_first_order_generator_zero():
@@ -149,8 +150,9 @@ def test_evolution_config_rejects_non_finite(t, epsilon):
 
 
 def test_channel_step_rejects_non_finite_oracle():
-    oracle = MatrixOracle.from_function(lambda j, k: np.nan if (j, k) == (0, 1) else 0.25,
-                                        (2, 2))
+    a = np.full((2, 2), 0.25, dtype=complex)
+    oracle = MatrixOracle(a)
+    a[0, 1] = np.nan  # the oracle holds the array itself: the read must catch it
     with pytest.raises(ValueError, match="NaN or infinity"):
         channel_step(oracle, uniform_density(2), 0.1)
     assert oracle.report_calls() == 3
@@ -302,17 +304,6 @@ def _run_matrix(kind, n, rng):
     return np.zeros((n, n), dtype=complex)
 
 
-def _function_oracle(a):
-    """Function-source oracle over a, with a list that records every source read."""
-    reads = []
-
-    def fn(j, k):
-        reads.append((j, k))
-        return a[j, k]
-
-    return MatrixOracle.from_function(fn, a.shape), reads
-
-
 @pytest.mark.parametrize("kind", ["random", "low-rank", "diagonal", "zero"])
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("t, steps", [(0.7, None), (-0.4, None), (0.3, 3)])
@@ -344,39 +335,37 @@ def test_error_sweep_equals_per_step_loop(kind, n):
     assert fast.report_calls() == ref.report_calls() == len(dts) * n * (n + 1) // 2
 
 
-def test_evolve_reads_function_source_once_and_charges_every_step():
+def test_evolve_reads_source_once_and_charges_every_step():
     rng = np.random.default_rng(21)
     n = 4
     a = random_hermitian(n, rng)
     sigma = random_density(n, rng)
     config = EvolutionConfig(t=0.6, epsilon=0.1, n=9)
-    fast, fast_reads = _function_oracle(a)
-    ref, ref_reads = _function_oracle(a)
+    fast, ref = RecordingOracle(a), RecordingOracle(a)
     got, got_report = evolve(fast, sigma, config, baseline=a)
     want, want_report = evolve_by_steps(ref, sigma, config, baseline=a)
     np.testing.assert_array_equal(got, want)
     assert got_report == want_report
     sweep = n * (n + 1) // 2
-    assert len(fast_reads) == sweep
-    assert len(ref_reads) == 9 * sweep
+    assert fast.reads == ["sweep"]
+    assert ref.reads == 9 * ["sweep"]
     assert fast.report_calls() == ref.report_calls() == 9 * sweep
 
 
-def test_error_sweep_reads_function_source_once_and_charges_every_dt():
+def test_error_sweep_reads_source_once_and_charges_every_dt():
     rng = np.random.default_rng(22)
     n = 3
     a = random_hermitian(n, rng)
     sigma = random_density(n, rng)
     dts = [0.1, 0.05, 0.02]
-    fast, fast_reads = _function_oracle(a)
-    ref, ref_reads = _function_oracle(a)
+    fast, ref = RecordingOracle(a), RecordingOracle(a)
     got = error_sweep(fast, sigma, dts)
     want = sweep_by_steps(ref, sigma, dts)
     assert got.rows == want.rows and got.slope == want.slope
     sweep = n * (n + 1) // 2
-    # both materialize the baseline once, uncounted: n * n reads
-    assert len(fast_reads) == n * n + sweep
-    assert len(ref_reads) == n * n + len(dts) * sweep
+    # both materialize the baseline once, uncounted
+    assert sorted(fast.reads) == ["materialize", "sweep"]
+    assert sorted(ref.reads) == ["materialize"] + len(dts) * ["sweep"]
     assert fast.report_calls() == ref.report_calls() == len(dts) * sweep
 
 
@@ -402,8 +391,9 @@ def test_evolve_and_error_sweep_reject_state_shape_before_reading():
 
 def test_evolve_non_finite_oracle_fails_after_one_sweep():
     a = np.full((3, 3), 0.25, dtype=complex)
-    oracle = MatrixOracle.from_function(lambda j, k: np.nan if (j, k) == (0, 1) else 0.25,
-                                        (3, 3))
+    source = a.copy()
+    oracle = MatrixOracle(source)
+    source[0, 1] = np.nan  # the oracle holds the array itself: the read must catch it
     with pytest.raises(ValueError, match="NaN or infinity"):
         evolve(oracle, uniform_density(3), EvolutionConfig(t=0.5, epsilon=0.1, n=7),
                baseline=a)

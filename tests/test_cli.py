@@ -92,7 +92,7 @@ def test_evolve_envelope_byte_identical_rerun(tmp_path):
     matrix = _gen(tmp_path)
     e1, e2 = tmp_path / "e1.json", tmp_path / "e2.json"
     args = ["evolve", "--matrix", str(matrix), "--time", "0.2",
-            "--epsilon", "0.05", "--seed", "3"]
+            "--epsilon", "0.05"]
     assert main(args + ["--out", str(e1)]) == 0
     assert main(args + ["--out", str(e2)]) == 0
     assert e1.read_bytes() == e2.read_bytes()
@@ -176,10 +176,15 @@ def test_svd_rejects_trotter_backend(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["procrustes", "--bits", "8", "--threshold", "0.05", "--backend", "exact"],
     ["error-sweep", "--dts", "0.1", "--timing"],
+    ["evolve", "--time", "0.2", "--epsilon", "0.05", "--seed", "1"],
+    ["error-sweep", "--dts", "0.1", "--seed", "1"],
+    ["qpe", "--bits", "3", "--seed", "1"],
+    ["svd", "--bits", "8", "--threshold", "0.05", "--seed", "1"],
 ])
 def test_flags_without_effect_are_usage_errors(tmp_path, argv):
-    # procrustes runs on the exact backend only, and error-sweep writes no
-    # envelope to time: neither flag exists
+    # procrustes runs on the exact backend only, error-sweep writes no
+    # envelope to time, and evolve, error-sweep, qpe and svd draw no random
+    # numbers: none of these flags exists
     out = tmp_path / "o.json"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--matrix", str(_gen(tmp_path)), "--out", str(out)])
@@ -384,7 +389,7 @@ def test_exact_memory_guard_boundary_exits_2_before_any_query(tmp_path, monkeypa
             return method(self, *args)
         return counted
 
-    for name in ("query", "read_upper_triangle"):
+    for name in ("query", "read_upper_triangle", "read_all"):
         monkeypatch.setattr(MatrixOracle, name, counting(getattr(MatrixOracle, name)))
     qpe_module = importlib.import_module("modswap.qpe")
     needed = 8 * (1 << bits) * d
@@ -541,6 +546,7 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
     config, _, _ = run("svd", "--matrix", str(proc_matrix), "--bits", "9",
                        "--threshold", "0.05")
     assert config["state"] is None
+    assert "seed" not in config
 
 
 @pytest.mark.parametrize("command", ["svd", "procrustes"])
@@ -584,6 +590,24 @@ def test_generator_size_below_one_exits_2(tmp_path, capsys, argv, n):
     out = tmp_path / "o.json"
     assert main([*argv, "--generator", f"all-ones:n={n}", "--out", str(out)]) == 2
     assert f"generator size n={n} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("random-lowrank:n=4", "generator 'random-lowrank' needs parameter 'r'"),
+    ("all-ones", "generator 'all-ones' needs parameter 'n'"),
+    ("random-lowrank:n=2.5,r=1",
+     "generator 'random-lowrank' parameter 'n' is malformed: '2.5'"),
+    ("diagonal:values=1;;2", "generator 'diagonal' parameter 'values' is malformed: '1;;2'"),
+    ("random-lowrank:n=8,r=2,sed=7", "generator 'random-lowrank' takes no parameter 'sed'"),
+    ("random-lowrank:n=8,r=2,seed=-1",
+     "generator 'random-lowrank' parameter 'seed' is malformed: '-1'"),
+])
+def test_bad_generator_spec_names_generator_and_parameter(tmp_path, capsys, spec, message):
+    out = tmp_path / "o.json"
+    assert main(["svd", "--bits", "3", "--threshold", "0.1", "--generator", spec,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,14 +17,14 @@ from dense_refs import random_hermitian
 
 
 def test_identity_queries():
-    oracle = MatrixOracle.from_matrix(np.eye(2))
+    oracle = MatrixOracle(np.eye(2))
     assert oracle.query(0, 0) == 1
     assert oracle.query(0, 1) == 0
     assert oracle.report_calls() == 2
 
 
 def test_out_of_range_does_not_count():
-    oracle = MatrixOracle.from_matrix(np.eye(2))
+    oracle = MatrixOracle(np.eye(2))
     with pytest.raises(IndexError):
         oracle.query(2, 0)
     with pytest.raises(IndexError):
@@ -37,31 +37,51 @@ def test_query_matches_file_entry(tmp_path):
     a = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     path = tmp_path / "a.json"
     save_matrix(path, a)
-    oracle = MatrixOracle.from_matrix(load_matrix(path))
+    oracle = MatrixOracle(load_matrix(path))
     assert oracle.query(2, 3) == complex(a[2, 3])
 
 
 def test_report_calls_counts_exactly():
-    oracle = MatrixOracle.from_matrix(np.eye(3))
+    oracle = MatrixOracle(np.eye(3))
     assert oracle.report_calls() == 0
     for _ in range(5):
         oracle.query(1, 1)
     assert oracle.report_calls() == 5
 
 
-def test_function_backed_oracle():
-    oracle = MatrixOracle.from_function(lambda j, k: j + 1j * k, (3, 3))
-    assert oracle.query(2, 1) == 2 + 1j
-    assert oracle.report_calls() == 1
+def test_read_all_is_one_counted_copy():
+    a = np.arange(6).reshape(2, 3) + 1j
+    oracle = MatrixOracle(a)
+    values = oracle.read_all()
+    np.testing.assert_array_equal(values, a)
+    assert values.dtype == np.complex128 and values.flags.c_contiguous
+    assert oracle.report_calls() == 6
+    values[0, 0] = 99
+    assert oracle.query(0, 0) == 1j  # a copy: the source is untouched
     dense = oracle.materialize()
-    assert oracle.report_calls() == 1  # materialize is the uncounted path
-    assert dense[2, 1] == 2 + 1j
+    assert oracle.report_calls() == 7  # materialize is the uncounted path
+    np.testing.assert_array_equal(dense, a)
+
+
+def test_read_all_of_fortran_ordered_source():
+    a = np.asfortranarray(np.arange(6).reshape(2, 3) + 1j)
+    np.testing.assert_array_equal(MatrixOracle(a).read_all(), a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_read_all_rejects_non_finite_after_the_charge(bad):
+    a = np.ones((2, 3), dtype=complex)
+    oracle = MatrixOracle(a)
+    a[1, 2] = bad  # the oracle holds the array itself, not a copy
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        oracle.read_all()
+    assert oracle.report_calls() == 6
 
 
 def test_determinism_identical_sequences():
     rng = np.random.default_rng(29)
     a = random_hermitian(3, rng)
-    o1, o2 = MatrixOracle.from_matrix(a), MatrixOracle.from_matrix(a)
+    o1, o2 = MatrixOracle(a), MatrixOracle(a)
     seq = [(0, 1), (2, 2), (1, 0), (0, 1)]
     vals1 = [o1.query(j, k) for j, k in seq]
     vals2 = [o2.query(j, k) for j, k in seq]
@@ -70,7 +90,7 @@ def test_determinism_identical_sequences():
 
 
 def test_fork_resets_counter_not_source():
-    oracle = MatrixOracle.from_matrix(np.eye(2))
+    oracle = MatrixOracle(np.eye(2))
     oracle.query(0, 0)
     fork = oracle.fork()
     assert fork.report_calls() == 0
@@ -79,7 +99,7 @@ def test_fork_resets_counter_not_source():
 
 
 def test_concurrent_counting_is_race_free():
-    oracle = MatrixOracle.from_matrix(np.eye(4))
+    oracle = MatrixOracle(np.eye(4))
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda _: oracle.query(1, 2), range(2000)))
     assert oracle.report_calls() == 2000
@@ -88,7 +108,7 @@ def test_concurrent_counting_is_race_free():
 def test_read_hermitian_counts_triangle():
     rng = np.random.default_rng(41)
     a = random_hermitian(5, rng)
-    oracle = MatrixOracle.from_matrix(a)
+    oracle = MatrixOracle(a)
     dense = read_hermitian(oracle)
     np.testing.assert_allclose(dense, a, atol=1e-15)
     assert oracle.report_calls() == 5 * 6 // 2
@@ -96,8 +116,9 @@ def test_read_hermitian_counts_triangle():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_read_hermitian_rejects_non_finite(bad):
-    oracle = MatrixOracle.from_function(lambda j, k: bad if (j, k) == (1, 2) else 1.0,
-                                        (3, 3))
+    a = np.ones((3, 3), dtype=complex)
+    oracle = MatrixOracle(a)
+    a[1, 2] = bad
     with pytest.raises(ValueError, match="NaN or infinity"):
         read_hermitian(oracle)
     assert oracle.report_calls() == 3 * 4 // 2
@@ -118,7 +139,7 @@ _GATED_READS = {
 @pytest.mark.parametrize("entry", list(_GATED_READS))
 def test_counted_read_rejects_non_real_diagonal_after_one_sweep(entry):
     a = np.diag([0.5, 1 + 1j, 1 + 1j]) + 0.25 * np.ones((3, 3))
-    oracle = MatrixOracle.from_matrix(a)
+    oracle = MatrixOracle(a)
     with pytest.raises(ValueError, match=r"^non-Hermitian source: diagonal \(1,1\) = "):
         _GATED_READS[entry](oracle)
     assert oracle.report_calls() == 3 * 4 // 2
@@ -127,29 +148,21 @@ def test_counted_read_rejects_non_real_diagonal_after_one_sweep(entry):
 @pytest.mark.parametrize("entry", list(_GATED_READS))
 def test_counted_read_accepts_diagonal_within_tolerance(entry):
     a = np.diag([0.5, 1 + 1e-11j, -1.0]) + 0.25 * np.ones((3, 3))
-    _GATED_READS[entry](MatrixOracle.from_matrix(a))
+    _GATED_READS[entry](MatrixOracle(a))
 
 
 @st.composite
 def _sources(draw):
     n = draw(st.integers(1, 10))
-    a = draw(arrays(np.complex128, (n, n), elements=st.complex_numbers(
+    return draw(arrays(np.complex128, (n, n), elements=st.complex_numbers(
         max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
-    return a, draw(st.sampled_from(["dense", "function"]))
-
-
-def _oracle_of(a, kind):
-    if kind == "dense":
-        return MatrixOracle.from_matrix(a)
-    return MatrixOracle.from_function(lambda j, k: a[j, k], a.shape)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_sources())
-def test_upper_triangle_read_matches_per_element_queries(source):
-    a, kind = source
+def test_upper_triangle_read_matches_per_element_queries(a):
     n = a.shape[0]
-    bulk, single = _oracle_of(a, kind), _oracle_of(a, kind)
+    bulk, single = MatrixOracle(a), MatrixOracle(a)
     rows, cols, values = bulk.read_upper_triangle()
     want_rows, want_cols = np.triu_indices(n)
     np.testing.assert_array_equal(rows, want_rows)
@@ -160,21 +173,13 @@ def test_upper_triangle_read_matches_per_element_queries(source):
     assert bulk.report_calls() == single.report_calls() == n * (n + 1) // 2
 
 
-def test_upper_triangle_read_calls_function_once_per_element():
-    calls = []
-    oracle = MatrixOracle.from_function(lambda j, k: calls.append((j, k)) or j - k, (4, 4))
-    oracle.read_upper_triangle()
-    assert calls == [(j, k) for j in range(4) for k in range(j, 4)]
-    assert oracle.report_calls() == 10
-
-
 def test_charge_sweeps_counts_triangles_without_reading():
-    calls = []
-    oracle = MatrixOracle.from_function(lambda j, k: calls.append((j, k)) or 0.0, (3, 3))
+    a = np.zeros((3, 3), dtype=complex)
+    oracle = MatrixOracle(a)
+    a[0, 1] = np.nan  # any read of the source would now fail
     oracle.charge_sweeps(4)
     oracle.charge_sweeps(0)
     assert oracle.report_calls() == 4 * 6
-    assert calls == []
     with pytest.raises(ValueError, match="non-negative"):
         oracle.charge_sweeps(-1)
     assert oracle.report_calls() == 4 * 6
@@ -182,11 +187,11 @@ def test_charge_sweeps_counts_triangles_without_reading():
 
 def test_charge_sweeps_needs_square_oracle():
     with pytest.raises(ValueError, match="not square"):
-        MatrixOracle.from_matrix(np.ones((2, 3))).charge_sweeps(1)
+        MatrixOracle(np.ones((2, 3))).charge_sweeps(1)
 
 
 def test_concurrent_sweeps_and_charges_are_race_free():
-    oracle = MatrixOracle.from_matrix(np.eye(4))
+    oracle = MatrixOracle(np.eye(4))
 
     def work(i):
         if i % 2:

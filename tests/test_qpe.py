@@ -24,10 +24,11 @@ from modswap.qpe import (
     qpe,
     query_scaling,
 )
-from modswap.svdx import embed, quantum_svd
+from modswap.svdx import embedding, quantum_svd
 from modswap.swapop import BlockPlan, ModifiedSwapOperator
 
 from dense_refs import (
+    RecordingOracle,
     controlled_kraus_step,
     decode_register_scalar,
     extract_estimates_by_loop,
@@ -84,11 +85,10 @@ _E0 = np.array([1, 0], dtype=complex)
     (lambda o: quantum_svd(o, QPEConfig(bits=6), threshold=0.05), "rank"),
     (lambda o: quantum_procrustes_apply(o, _E0, QPEConfig(bits=6), threshold=0.05),
      "success_probability"),
-    (embed, "m_rows"),
     (lambda o: ModifiedSwapOperator(o).build_plan(), "a"),
-], ids=["QPEResult", "SVDResult", "ProcrustesResult", "ExtendedMatrix", "BlockPlan"])
+], ids=["QPEResult", "SVDResult", "ProcrustesResult", "BlockPlan"])
 def test_records_are_immutable(make, field):
-    record = make(MatrixOracle.from_matrix(_PAULI_X))
+    record = make(MatrixOracle(_PAULI_X))
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
 
@@ -114,7 +114,7 @@ def test_config_rejects_non_positive_base_time(t0):
 
 
 def test_zero_matrix_peaks_at_zero():
-    oracle = MatrixOracle.from_matrix(np.zeros((3, 3)))
+    oracle = MatrixOracle(np.zeros((3, 3)))
     psi = random_state(3, np.random.default_rng(0))
     result = qpe(oracle, psi, QPEConfig(bits=4))
     assert result.distribution[0] == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +125,7 @@ def test_signed_half_eigenvalues_exact_peaks():
     # lam/N = +-1/2 at t0 = pi puts all weight on m = 2 and m = 6
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
-    result = qpe(MatrixOracle.from_matrix(a), psi, QPEConfig(bits=3, base_time=np.pi))
+    result = qpe(MatrixOracle(a), psi, QPEConfig(bits=3, base_time=np.pi))
     np.testing.assert_allclose(result.distribution[[2, 6]], [0.5, 0.5], atol=1e-10)
     np.testing.assert_allclose(np.delete(result.distribution, [2, 6]), 0, atol=1e-10)
     values = sorted(e.value for e in result.estimates)
@@ -141,7 +141,7 @@ def test_exactly_representable_phases_peak_sharply():
     t0 = np.pi / c
     weights = np.array([0.5, 0.3, 0.2, 0.0])
     psi = np.sqrt(weights).astype(complex)
-    result = qpe(MatrixOracle.from_matrix(a), psi, QPEConfig(bits=3, base_time=t0))
+    result = qpe(MatrixOracle(a), psi, QPEConfig(bits=3, base_time=t0))
     # lam/N = +-c/4 -> phases +-1/8 -> m = 1 and 7; zero eigenvalue at m = 0
     assert result.distribution[1] == pytest.approx(0.5, abs=1e-6)
     assert result.distribution[7] == pytest.approx(0.3, abs=1e-6)
@@ -152,7 +152,7 @@ def test_single_eigenvector_peak_probability_one():
     c = 2.0
     a = np.diag([c, -c]).astype(complex)
     psi = np.array([1, 0], dtype=complex)
-    result = qpe(MatrixOracle.from_matrix(a), psi,
+    result = qpe(MatrixOracle(a), psi,
                  QPEConfig(bits=4, base_time=np.pi / c))
     peak = int(np.argmax(result.distribution))
     assert result.distribution[peak] == pytest.approx(1.0, abs=1e-10)
@@ -161,7 +161,7 @@ def test_single_eigenvector_peak_probability_one():
 def test_register_distribution_sums_to_one():
     rng = np.random.default_rng(1)
     a = random_hermitian(4, rng)
-    result = qpe(MatrixOracle.from_matrix(a), random_state(4, rng), QPEConfig(bits=6))
+    result = qpe(MatrixOracle(a), random_state(4, rng), QPEConfig(bits=6))
     assert np.sum(result.distribution) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_peaks_within_one_register_unit_of_truth():
     a = random_low_rank(4, 2, 1.0, rng)
     psi = random_state(4, rng)
     bits = 8
-    result = qpe(MatrixOracle.from_matrix(a), psi, QPEConfig(bits=bits))
+    result = qpe(MatrixOracle(a), psi, QPEConfig(bits=bits))
     t0 = result.base_time
     size = 1 << bits
     w, v = np.linalg.eigh(a)
@@ -186,7 +186,7 @@ def test_peaks_within_one_register_unit_of_truth():
 def test_aliasing_rejected():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError, match="aliasing"):
-        qpe(MatrixOracle.from_matrix(a), np.array([1, 0], dtype=complex),
+        qpe(MatrixOracle(a), np.array([1, 0], dtype=complex),
             QPEConfig(bits=3, base_time=4.0))
 
 
@@ -197,14 +197,14 @@ def test_default_base_time_is_aliasing_safe():
 def test_qpe_rejects_bad_state():
     a = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        qpe(MatrixOracle.from_matrix(a), np.array([1.0, 1.0], dtype=complex),
+        qpe(MatrixOracle(a), np.array([1.0, 1.0], dtype=complex),
             QPEConfig(bits=2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("backend", ["exact-unitary", "trotter-channel"])
 def test_qpe_rejects_non_finite_state_before_any_query(backend, bad):
-    oracle = MatrixOracle.from_matrix(np.eye(2, dtype=complex))
+    oracle = MatrixOracle(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="state norm"):
         qpe(oracle, np.array([1.0, bad], dtype=complex), QPEConfig(bits=2, backend=backend))
     assert oracle.report_calls() == 0
@@ -330,22 +330,24 @@ def test_exact_qpe_distribution_equals_joint_row_sums(kind, seed):
     w, v = np.linalg.eigh(a)
     psi = random_state(n, np.random.default_rng(seed + 200))
     for bits in (1, 5, 8, 12):
-        result = qpe(MatrixOracle.from_matrix(a), psi, QPEConfig(bits=bits, base_time=t0))
+        result = qpe(MatrixOracle(a), psi, QPEConfig(bits=bits, base_time=t0))
         joint = joint_from_eig(w / n, v, psi, bits, t0)
         np.testing.assert_allclose(result.distribution, np.sum(np.abs(joint) ** 2, axis=1),
                                    rtol=0, atol=1e-12)
 
 
 def test_qpe_rejects_non_finite_oracle():
-    oracle = MatrixOracle.from_function(lambda j, k: np.nan if j == k == 1 else 0.0,
-                                        (2, 2))
+    a = np.zeros((2, 2), dtype=complex)
+    oracle = MatrixOracle(a)
+    a[1, 1] = np.nan  # the oracle holds the array itself: the read must catch it
     with pytest.raises(ValueError, match="NaN or infinity"):
         qpe(oracle, np.array([1, 0], dtype=complex), QPEConfig(bits=3))
 
 
 def test_trotter_qpe_rejects_non_finite_oracle():
-    oracle = MatrixOracle.from_function(lambda j, k: np.nan if (j, k) == (0, 1) else 0.5,
-                                        (2, 2))
+    a = np.full((2, 2), 0.5, dtype=complex)
+    oracle = MatrixOracle(a)
+    a[0, 1] = np.nan  # the oracle holds the array itself: the read must catch it
     with pytest.raises(ValueError, match="NaN or infinity"):
         qpe(oracle, np.array([1, 0], dtype=complex),
             QPEConfig(bits=2, base_time=1.0, backend="trotter-channel"))
@@ -356,7 +358,7 @@ def test_exact_register_kernel_guard(pipeline):
     # a 2^40 x N register kernel is refused before any query or allocation
     cfg = QPEConfig(bits=40)
     assert 8 * cfg.size * 2 > MAX_BYTES
-    oracle = MatrixOracle.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    oracle = MatrixOracle(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="register kernel"):
         if pipeline == "qpe":
             qpe(oracle, np.array([1, 0], dtype=complex), cfg)
@@ -368,7 +370,7 @@ def test_exact_register_kernel_guard(pipeline):
 
 
 def test_backend_agreement_zero_matrix():
-    oracle = MatrixOracle.from_matrix(np.zeros((2, 2)))
+    oracle = MatrixOracle(np.zeros((2, 2)))
     psi = np.array([1, 0], dtype=complex)
     report = backend_agreement(oracle, psi, QPEConfig(bits=2))
     assert report.tv_distance <= 1e-12
@@ -378,7 +380,7 @@ def test_backend_agreement_small_case():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
     report = backend_agreement(
-        MatrixOracle.from_matrix(a), psi,
+        MatrixOracle(a), psi,
         QPEConfig(bits=2, base_time=np.pi, trotter_epsilon=0.05))
     assert report.tv_distance <= 0.05
     assert report.trotter_calls > 0
@@ -390,10 +392,10 @@ def test_backend_agreement_guards_size():
     # is refused before a query
     rng = np.random.default_rng(4)
     a = random_hermitian(5, rng)
-    report = backend_agreement(MatrixOracle.from_matrix(a), random_state(5, rng),
+    report = backend_agreement(MatrixOracle(a), random_state(5, rng),
                                QPEConfig(bits=2))
     assert report.tv_distance <= report.trotter_error_bound
-    oracle = MatrixOracle.from_matrix(random_hermitian(64, rng))
+    oracle = MatrixOracle(random_hermitian(64, rng))
     with pytest.raises(ValueError, match="trotter backend"):
         backend_agreement(oracle, random_state(64, rng), QPEConfig(bits=7))
     assert oracle.report_calls() == 0
@@ -405,7 +407,7 @@ def test_backend_agreement_within_trotter_bound(n):
     a = random_hermitian(n, rng)
     psi = random_state(n, rng)
     for bits in range(1, 6):
-        report = backend_agreement(MatrixOracle.from_matrix(a), psi,
+        report = backend_agreement(MatrixOracle(a), psi,
                                    QPEConfig(bits=bits, trotter_epsilon=0.02))
         assert report.tv_distance <= report.trotter_error_bound
 
@@ -414,7 +416,7 @@ def test_trotter_distribution_close_to_exact_n3():
     rng = np.random.default_rng(5)
     a = random_hermitian(3, rng)
     psi = random_state(3, rng)
-    report = backend_agreement(MatrixOracle.from_matrix(a), psi,
+    report = backend_agreement(MatrixOracle(a), psi,
                                QPEConfig(bits=3, trotter_epsilon=0.02))
     assert report.tv_distance <= 0.06  # ~ b * budget
 
@@ -432,12 +434,12 @@ def test_eigh_of_counted_read_equals_eigh_of_hermitized_read(n, seed, kind):
     scale = 10.0 ** rng.uniform(-3, 3)
     z = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     if kind == "embedding" and n > 1:
-        oracle = embed(MatrixOracle.from_matrix(z[: n // 2, n // 2:])).oracle
+        oracle = MatrixOracle(embedding(z[: n // 2, n // 2:]))
     else:
         # a non-Hermitian source whose diagonal passes the gate
         imag = DIAG_IMAG_TOL * rng.uniform(-1, 1, n) if kind == "tolerance-diagonal" else 0.0
         z[np.diag_indices(n)] = z.diagonal().real * (1 + 1j * imag)
-        oracle = MatrixOracle.from_matrix(z)
+        oracle = MatrixOracle(z)
     a = read_hermitian(oracle)
     w, v = np.linalg.eigh(a)
     w_h, v_h = np.linalg.eigh(hermitize(a))
@@ -447,7 +449,7 @@ def test_eigh_of_counted_read_equals_eigh_of_hermitized_read(n, seed, kind):
 def test_trotter_memory_guard():
     # 2^24 register frequencies at N = 2: three 1 GiB operator stacks, refused
     # before any query
-    oracle = MatrixOracle.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
+    oracle = MatrixOracle(np.array([[0, 1], [1, 0]], dtype=complex))
     with pytest.raises(ValueError, match="trotter backend"):
         qpe(oracle, np.array([1, 0], dtype=complex),
             QPEConfig(bits=24, base_time=np.pi, backend="trotter-channel"))
@@ -462,7 +464,7 @@ def test_trotter_memory_guard_boundary(monkeypatch, spare):
     size = 1 << bits
     monkeypatch.setattr(importlib.import_module("modswap.qpe"), "MAX_BYTES",
                         16 * (3 * size * n * n + 2 * size + 6 * n**4) + spare)
-    oracle = MatrixOracle.from_matrix(random_hermitian(n, np.random.default_rng(2)))
+    oracle = MatrixOracle(random_hermitian(n, np.random.default_rng(2)))
     cfg = QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.1)
     if spare == 0:
         assert qpe(oracle, np.array([1, 0, 0], dtype=complex), cfg).oracle_calls > 0
@@ -477,7 +479,7 @@ def test_trotter_runs_eleven_bits_at_n4():
     # operator per register frequency needs under 2 MB
     rng = np.random.default_rng(11)
     a = random_hermitian(4, rng)
-    report = backend_agreement(MatrixOracle.from_matrix(a), random_state(4, rng),
+    report = backend_agreement(MatrixOracle(a), random_state(4, rng),
                                QPEConfig(bits=11))
     dist = report.trotter_distribution
     assert dist.shape == (1 << 11,)
@@ -489,7 +491,7 @@ def test_trotter_runs_eleven_bits_at_n4():
 def _trotter_by_kraus_steps(a, psi, bits, epsilon):
     """Register x system density from one dense Kraus-stack step at a time."""
     n, size = a.shape[0], 1 << bits
-    plan = ModifiedSwapOperator(MatrixOracle.from_matrix(a)).build_plan()
+    plan = ModifiedSwapOperator(MatrixOracle(a)).build_plan()
     a_max = np.max(np.abs(a))
     t0 = default_base_time(a_max)
     x = np.kron(np.full(size, 1 / np.sqrt(size)), psi)
@@ -511,12 +513,12 @@ def test_trotter_joint_matches_kraus_step_reference(bits, n):
     a = random_hermitian(n, rng)
     psi = random_state(n, rng)
     cfg = QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.2)
-    dist, _, _ = _trotter_backend(MatrixOracle.from_matrix(a), psi, cfg)
+    dist, _, _ = _trotter_backend(MatrixOracle(a), psi, cfg)
     want = _trotter_by_kraus_steps(a, psi, bits, 0.2)
     np.testing.assert_allclose(dist, np.real(np.diagonal(want)).reshape(-1, n).sum(axis=1),
                                rtol=0, atol=1e-11)
     # the block reference's whole density matches too, so both references agree
-    dens, _, _, _ = trotter_by_blocks(MatrixOracle.from_matrix(a), psi, cfg)
+    dens, _, _, _ = trotter_by_blocks(MatrixOracle(a), psi, cfg)
     np.testing.assert_allclose(dens, want, rtol=0, atol=1e-11)
 
 
@@ -533,10 +535,8 @@ def _trotter_case_matrix(kind, n, rng):
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 6), bits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "ones", "diagonal", "zero"]),
-       source=st.sampled_from(["dense", "function"]),
        epsilon=st.sampled_from([0.05, 0.2, 1.0]), near_aliasing=st.booleans())
-def test_trotter_backend_equals_block_reference(n, bits, seed, kind, source, epsilon,
-                                                near_aliasing):
+def test_trotter_backend_equals_block_reference(n, bits, seed, kind, epsilon, near_aliasing):
     rng = np.random.default_rng(seed)
     a = _trotter_case_matrix(kind, n, rng)
     psi = random_state(n, rng)
@@ -546,12 +546,7 @@ def test_trotter_backend_equals_block_reference(n, bits, seed, kind, source, eps
     cfg = QPEConfig(bits=bits, base_time=t0, backend="trotter-channel",
                     trotter_epsilon=epsilon)
 
-    def oracle():
-        if source == "dense":
-            return MatrixOracle.from_matrix(a)
-        return MatrixOracle.from_function(lambda j, k: a[j, k], (n, n))
-
-    got_oracle, want_oracle = oracle(), oracle()
+    got_oracle, want_oracle = MatrixOracle(a), MatrixOracle(a)
     dist, got_t0, bound = _trotter_backend(got_oracle, psi, cfg)
     _, want, want_t0, want_bound = trotter_by_blocks(want_oracle, psi, cfg)
     np.testing.assert_allclose(dist, want, rtol=0, atol=1e-12)
@@ -561,7 +556,7 @@ def test_trotter_backend_equals_block_reference(n, bits, seed, kind, source, eps
 
 def test_query_scaling_exact_counts():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
-    result = query_scaling(MatrixOracle.from_matrix(a), np.array([1, 0], dtype=complex),
+    result = query_scaling(MatrixOracle(a), np.array([1, 0], dtype=complex),
                            [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
     assert [r.oracle_calls for r in result.rows] == [7407, 62184, 503355]
 
@@ -571,7 +566,7 @@ def test_query_scaling_exact_counts_rank2_n4():
     # twice the steps per application for each halving of eps
     rng = np.random.default_rng(7)
     a = random_low_rank(4, 2, 1.0, rng)
-    result = query_scaling(MatrixOracle.from_matrix(a), random_state(4, rng),
+    result = query_scaling(MatrixOracle(a), random_state(4, rng),
                            [0.04 / 2**i for i in range(6)], base_bits=2)
     assert [r.oracle_calls for r in result.rows] == [
         24690, 207280, 1677850, 13462170, 107776100, 862366590]
@@ -589,7 +584,7 @@ def test_trotter_steps_per_application_double_when_epsilon_halves():
     epsilons = [0.04 / 2**i for i in range(5)]
     steps = []
     for eps in epsilons:
-        result = qpe(MatrixOracle.from_matrix(a), psi,
+        result = qpe(MatrixOracle(a), psi,
                      QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=eps))
         steps.append(result.oracle_calls // sweep - 1)
     for prev, cur in zip(steps, steps[1:]):
@@ -603,7 +598,7 @@ def test_trotter_queries_grow_as_base_time_squared():
     # stage takes ceil(2 a_max^2 tau^2 / eps) steps: slope 2 in tau
     # (Kimmel et al.'s Theta(t^2 / eps))
     taus = [0.25, 0.5, 1.0, 2.0]
-    calls = [qpe(MatrixOracle.from_matrix(_PAULI_X), _E0,
+    calls = [qpe(MatrixOracle(_PAULI_X), _E0,
                  QPEConfig(bits=3, base_time=tau, backend="trotter-channel",
                            trotter_epsilon=0.01)).oracle_calls
              for tau in taus]
@@ -612,17 +607,28 @@ def test_trotter_queries_grow_as_base_time_squared():
     assert abs(slope - 2) <= 0.05
 
 
+def test_register_doubling_alone_quadruples_trotter_queries():
+    # fixed eps and default base time on [[0,1],[1,0]]: going from b to b + 1
+    # register bits adds stage k = b, which evolves for time 2^k t0 and takes
+    # ceil(2 a^2 (2^k t0)^2 / eps) steps of one 3-query sweep, four times the
+    # steps of stage k - 1, so the total grows by about 4 per bit
+    bits = [2, 3, 4, 5]
+    calls = [qpe(MatrixOracle(_PAULI_X), _E0,
+                 QPEConfig(bits=b, backend="trotter-channel",
+                           trotter_epsilon=0.01)).oracle_calls
+             for b in bits]
+    assert calls == [29613, 124362, 503355, 2019327]
+    t0 = default_base_time(1.0)
+    for k, prev, cur in zip(bits, calls, calls[1:]):
+        assert cur - prev == 3 * int(np.ceil(2 * ((1 << k) * t0) ** 2 / 0.01))
+        assert 4 <= cur / prev <= 4.25
+
+
 def test_trotter_reads_source_once_per_run_and_charges_every_step():
     rng = np.random.default_rng(31)
     n, bits, epsilon = 3, 3, 0.05
     a = random_hermitian(n, rng)
-    reads = []
-
-    def source(j, k):
-        reads.append((j, k))
-        return a[j, k]
-
-    oracle = MatrixOracle.from_function(source, (n, n))
+    oracle = RecordingOracle(a)
     result = qpe(oracle, random_state(n, rng),
                  QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=epsilon))
     sweep = n * (n + 1) // 2
@@ -631,7 +637,7 @@ def test_trotter_reads_source_once_per_run_and_charges_every_step():
     steps = [max(1, int(np.ceil(2 * a_max**2 * ((1 << k) * t0) ** 2 / epsilon)))
              for k in range(bits)]
     assert sum(steps) > 3 * bits  # the stages really model many sweeps
-    assert len(reads) == sweep  # one real read serves max_norm and every stage
+    assert oracle.reads == ["sweep"]  # one real read serves max_norm and every stage
     assert result.oracle_calls == (1 + sum(steps)) * sweep
 
 
@@ -646,7 +652,7 @@ def test_trotter_factorises_kraus_once_per_stage(monkeypatch):
     monkeypatch.setattr(BlockPlan, "kraus_factors", counted)
     bits = 3
     a = random_hermitian(3, np.random.default_rng(5))
-    qpe(MatrixOracle.from_matrix(a), np.array([1, 0, 0], dtype=complex),
+    qpe(MatrixOracle(a), np.array([1, 0, 0], dtype=complex),
         QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.05))
     assert len(calls) == bits
 
@@ -654,7 +660,7 @@ def test_trotter_factorises_kraus_once_per_stage(monkeypatch):
 def test_trotter_error_bound_reported():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
-    result = qpe(MatrixOracle.from_matrix(a), psi,
+    result = qpe(MatrixOracle(a), psi,
                  QPEConfig(bits=2, base_time=np.pi, backend="trotter-channel",
                            trotter_epsilon=0.05))
     assert result.trotter_error_bound is not None

@@ -18,26 +18,26 @@ from modswap.qpe import (
     _register_kernel,
 )
 from modswap.svdx import (
-    embed,
+    embedding,
     extended_spectrum_check,
     phase_ambiguity_demo,
     quantum_svd,
 )
 
+from dense_refs import embedding_by_queries
+
 
 def _oracle(a):
-    return MatrixOracle.from_matrix(np.asarray(a, dtype=complex))
+    return MatrixOracle(np.asarray(a, dtype=complex))
 
 
 def test_embed_scalar():
-    ext = embed(_oracle([[1.0]]))
-    dense = ext.materialize_baseline()
+    dense = embedding(np.array([[1.0 + 0j]]))
     np.testing.assert_allclose(dense, [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_embed_diagonal_eigenvalues():
-    ext = embed(_oracle(np.diag([3.0, 2.0])))
-    w = np.linalg.eigvalsh(ext.materialize_baseline())
+    w = np.linalg.eigvalsh(embedding(np.diag([3.0, 2.0]).astype(complex)))
     np.testing.assert_allclose(np.sort(w), [-3, -2, 2, 3], atol=1e-12)
 
 
@@ -45,24 +45,46 @@ def test_embed_query_routing_and_counting():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     base = _oracle(a)
-    ext = embed(base)
-    # upper-right block forwards one call
-    assert ext.oracle.query(1, 3 + 2) == complex(a[1, 2])
-    assert base.report_calls() == 1
-    # lower-left block conjugates, one call
-    assert ext.oracle.query(3 + 2, 1) == complex(np.conj(a[1, 2]))
-    assert base.report_calls() == 2
-    # diagonal blocks are free
-    assert ext.oracle.query(0, 1) == 0
-    assert ext.oracle.query(3 + 1, 3 + 4) == 0
-    assert base.report_calls() == 2
+    dense = embedding(base.read_all())
+    # one counted sweep of the base: one call per entry, none for the zero blocks
+    assert base.report_calls() == 3 * 5
+    assert dense[1, 3 + 2] == complex(a[1, 2])
+    assert dense[3 + 2, 1] == complex(np.conj(a[1, 2]))
+    assert dense[0, 1] == 0 and dense[3 + 1, 3 + 4] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 7), n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_embedding_of_read_all_equals_per_query_embedding(m, n, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    a = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    bulk, single = _oracle(a), _oracle(a)
+    got = embedding(bulk.read_all())
+    want = embedding_by_queries(single)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert bulk.report_calls() == single.report_calls() == m * n
+
+
+@pytest.mark.filterwarnings("ignore:matrix is skewed")
+@pytest.mark.parametrize("m, n", [(24, 16), (8, 8), (1, 5), (5, 1), (3, 7)])
+def test_svd_and_procrustes_charge_one_query_per_entry(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    a = random_low_rank_rect(m, n, 1, 1.0, rng)
+    config, threshold = QPEConfig(bits=8), 0.05
+    base = _oracle(a)
+    assert quantum_svd(base, config, threshold).oracle_calls == m * n
+    psi = np.linalg.svd(a)[2][0].conj()
+    result = quantum_procrustes_apply(base, psi, config, threshold)
+    assert result.oracle_calls == m * n
+    assert base.report_calls() == 2 * m * n
 
 
 def test_embed_matches_blockwise_construction():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    ext = embed(_oracle(a))
-    dense = ext.oracle.materialize()
+    dense = embedding(a)
     assert np.max(np.abs(dense - dense.conj().T)) <= 1e-15
     np.testing.assert_allclose(dense[:3, 3:], a, atol=1e-15)
     np.testing.assert_allclose(dense[3:, :3], a.conj().T, atol=1e-15)
@@ -71,13 +93,13 @@ def test_embed_matches_blockwise_construction():
 
 
 def test_extended_spectrum_scalar_eigenpairs():
-    report = extended_spectrum_check(embed(_oracle([[1.0]])))
+    report = extended_spectrum_check([[1.0]])
     np.testing.assert_allclose(report.eigenvalues, [-1, 1], atol=1e-14)
     assert report.max_subvector_norm_deviation <= 1e-14
 
 
 def test_extended_spectrum_wide_row():
-    report = extended_spectrum_check(embed(_oracle([[1.0, 0.0]])))
+    report = extended_spectrum_check([[1.0, 0.0]])
     np.testing.assert_allclose(report.eigenvalues, [-1, 0, 1], atol=1e-12)
     assert report.max_eigenvalue_deviation <= 1e-12
 
@@ -85,7 +107,7 @@ def test_extended_spectrum_wide_row():
 def test_extended_spectrum_random_low_rank():
     rng = np.random.default_rng(2)
     a = random_low_rank_rect(4, 6, 2, 1.0, rng)
-    report = extended_spectrum_check(embed(_oracle(a)))
+    report = extended_spectrum_check(a)
     assert report.max_eigenvalue_deviation <= 1e-10
     assert report.max_subvector_norm_deviation <= 1e-10
     assert report.nonzero_count == 4  # rank doubling: 2r nonzero eigenvalues
@@ -94,7 +116,7 @@ def test_extended_spectrum_random_low_rank():
 def test_extended_spectrum_symmetry():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    w = extended_spectrum_check(embed(_oracle(a))).eigenvalues
+    w = extended_spectrum_check(a).eigenvalues
     np.testing.assert_allclose(np.sort(w), np.sort(-w), atol=1e-10)
 
 
@@ -104,7 +126,7 @@ def test_eigenvector_phase_ambiguity_residual_identity():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     u, s, vh = np.linalg.svd(a)
-    dense = embed(_oracle(a)).materialize_baseline()
+    dense = embedding(a)
     theta = 0.3
     j = 0
     twisted = np.concatenate([np.exp(1j * theta) * u[:, j], vh[j].conj()]) / np.sqrt(2)
@@ -247,7 +269,7 @@ def _embedding_case(kind: str, seed: int):
         a = (u[:, :2] * np.array([1.2, 1.2])) @ v[:, :2].conj().T
     else:
         a = random_low_rank_rect(3, 4, 2, 1.0, rng)
-    dense = embed(_oracle(a)).materialize_baseline()
+    dense = embedding(a)
     a_max = np.max(np.abs(dense))
     if kind == "near-aliasing":
         return dense, np.pi * (1 - 1e-9) / a_max
@@ -342,7 +364,7 @@ def test_quantum_svd_close_and_degenerate_singular_values(data, m, n, gap, bits)
 def test_svd_and_procrustes_read_the_same_sign_bit_branch_masses(monkeypatch):
     a = random_low_rank_rect(8, 8, 3, 1.0, np.random.default_rng(4))
     config, threshold = QPEConfig(bits=11), 0.02
-    _, evals_over_n, _, t0 = _read_spectrum(embed(_oracle(a)).oracle, config)
+    _, evals_over_n, _, t0 = _read_spectrum(lambda: embedding(a), 16, config)
     m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
     # the aliasing value 2^(bits-1) decodes to -pi/t0 and holds about 2e-7 of
     # each +-sigma eigenvector's mass; the negative window counts it, the

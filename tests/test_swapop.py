@@ -21,7 +21,7 @@ from dense_refs import (
 
 
 def _op(a):
-    return ModifiedSwapOperator(MatrixOracle.from_matrix(a))
+    return ModifiedSwapOperator(MatrixOracle(a))
 
 
 def test_all_ones_reduces_to_swap_with_phase():
@@ -151,7 +151,7 @@ def test_spectrum_max_abs_equals_max_norm():
 
 
 def test_plan_queries_upper_triangle_once():
-    oracle = MatrixOracle.from_matrix(random_hermitian(5, np.random.default_rng(25)))
+    oracle = MatrixOracle(random_hermitian(5, np.random.default_rng(25)))
     op = ModifiedSwapOperator(oracle)
     op.build_plan()
     assert oracle.report_calls() == 5 * 6 // 2
@@ -191,8 +191,7 @@ def _source(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_plan_matches_per_element_query_loop(kind, n):
     a = _source(kind, n, np.random.default_rng(100 + n))
-    fast = MatrixOracle.from_function(lambda j, k: a[j, k], (n, n))
-    slow = MatrixOracle.from_matrix(a)
+    fast, slow = MatrixOracle(a), MatrixOracle(a)
     plan = ModifiedSwapOperator(fast).build_plan()
     want = plan_by_queries(slow)
     np.testing.assert_array_equal(plan.a, want)
@@ -208,7 +207,7 @@ def test_kraus_factors_equal_pair_layout(n, kind, seed, t):
     # exact equality, no tolerance: each nonzero entry is the same
     # floating-point expression in both layouts (a zero may differ in sign)
     a = _source(kind, n, np.random.default_rng(seed))
-    c, s = ModifiedSwapOperator(MatrixOracle.from_matrix(a)).build_plan().kraus_factors(t)
+    c, s = ModifiedSwapOperator(MatrixOracle(a)).build_plan().kraus_factors(t)
     c_ref, s_ref = kraus_factors_by_pairs(a, t)
     np.testing.assert_array_equal(c, c_ref)
     np.testing.assert_array_equal(s, s_ref)
@@ -217,7 +216,9 @@ def test_kraus_factors_equal_pair_layout(n, kind, seed, t):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_plan_rejects_non_finite_source(bad):
-    oracle = MatrixOracle.from_function(lambda j, k: bad if (j, k) == (0, 0) else 0.5, (3, 3))
+    a = np.full((3, 3), 0.5, dtype=complex)
+    oracle = MatrixOracle(a)
+    a[0, 0] = bad  # the oracle holds the array itself: the read must catch it
     with pytest.raises(ValueError, match="NaN or infinity"):
         ModifiedSwapOperator(oracle).build_plan()
 
