@@ -38,6 +38,7 @@ from .swapop import BlockPlan, ModifiedSwapOperator
 
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+MAX_STEPS = 10**6  # largest step count evolve loops over, checked before any query
 
 
 def uniform_density(n: int) -> np.ndarray:
@@ -174,8 +175,12 @@ def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
     materialized and gated here, so each run passes the Hermitian gate once.
     The run makes one counted sweep and charges the other n - 1; the step
     map and the baseline unitaries come from one Kraus factorisation and one
-    ``eigh``.
+    ``eigh``. A run of more than ``MAX_STEPS`` steps is refused first, since
+    the loop runs once per step.
     """
+    if config.n > MAX_STEPS:
+        raise ValueError(f"{config.n} steps exceed MAX_STEPS = {MAX_STEPS}; "
+                         f"raise epsilon or shorten the time")
     sigma = require_density(sigma)
     a = require_hermitian(oracle.materialize()) if baseline is None else baseline
     a_max = float(np.max(np.abs(a)))

@@ -12,12 +12,24 @@ States are stored as single-column matrices. A file that does not follow
 its format raises ``ValueError`` naming the first bad entry; the loader
 converts the entries in one pass and looks for the culprit only after that
 pass fails. A NaN or infinite entry raises ``ValueError`` as well.
+
+A JSON file in ``save_matrix``'s own layout, exactly
+``{"cols": N, "data": [[re, im], ...], "rows": M}`` and an optional newline,
+is read by orjson in slices of about 256 KB into one preallocated array,
+with the same values as the stdlib parser and without a Python list of the
+whole file. The slices are taken only when the data holds no ``"``, ``u`` or
+``f`` byte, so no string, boolean or null. Every other file, and every
+file with a slice that orjson refuses (NaN, Infinity, an integer past the
+float range) or that is not a list of number pairs of the header's count,
+goes whole through the stdlib parser, so the accepted values and the error
+messages are those of ``json``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +75,7 @@ def _first_bad(items, convert, what: str) -> ValueError:
     for index, item in enumerate(items):
         try:
             convert(item)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return ValueError(f"{what} {index} is {item!r}, not a number pair (re, im)")
     return ValueError(f"malformed {what} list")
 
@@ -86,7 +98,7 @@ def matrix_from_json_obj(obj: dict) -> np.ndarray:
     try:
         # the same conversion as _json_entry, inline: no call per entry
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int too large for a float
         raise _first_bad(data, _json_entry, "data entry") from None
     return flat.reshape(m, n)
 
@@ -102,6 +114,53 @@ def save_matrix(path, a) -> None:
                 writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in row])
     else:
         path.write_text(json.dumps(matrix_to_json_obj(a), sort_keys=True) + "\n")
+
+
+_SAVED_HEAD = re.compile(rb'\{"cols": ([1-9][0-9]*), "data": \[')
+_SAVED_TAIL = re.compile(rb'\], "rows": ([1-9][0-9]*)\}\n?')
+_SLICE_BYTES = 1 << 18
+
+
+def _read_saved_layout(raw: bytes) -> np.ndarray | None:
+    """The matrix of a file in ``save_matrix``'s JSON layout, else None.
+
+    The data array is parsed by orjson in slices cut at ``], [`` and copied
+    into one (M*N, 2) float64 array, allocated only once the body is long
+    enough to hold M*N pairs. None leaves the file to the stdlib parser,
+    which then accepts it with the same values or rejects it.
+    """
+    import orjson
+
+    head = _SAVED_HEAD.match(raw)
+    end = raw.rfind(b'], "rows": ')
+    tail = _SAVED_TAIL.fullmatch(raw, end) if head and end >= head.end() else None
+    if tail is None:
+        return None
+    n, m = int(head[1]), int(tail[1])
+    body = raw[head.end():end]
+    count = m * n
+    if len(body) < 6 * count - 1:  # "[0,0]," is the shortest pair
+        return None
+    out = np.empty((count, 2))
+    filled = start = 0
+    while start < len(body):
+        cut = body.find(b"], [", start + _SLICE_BYTES)
+        stop = len(body) if cut < 0 else cut + 1
+        chunk = body[start:stop]
+        if b'"' in chunk or b"u" in chunk or b"f" in chunk:
+            return None
+        try:
+            pairs = np.array(orjson.loads(b"[" + chunk + b"]"), dtype=np.float64)
+        except (orjson.JSONDecodeError, TypeError, ValueError):
+            return None
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or filled + len(pairs) > count:
+            return None
+        out[filled:filled + len(pairs)] = pairs
+        filled += len(pairs)
+        start = stop + 2  # past the ", " between two slices
+    if filled != count:
+        return None
+    return out.view(np.complex128).reshape(m, n)
 
 
 def _read_json(path: Path):
@@ -129,11 +188,13 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"empty matrix file: {path}")
         a = np.array(rows, dtype=np.complex128)
     else:
-        obj, may_hold_bool = _read_json(path)
-        a = matrix_from_json_obj(obj)
-        if may_hold_bool and any(
-                isinstance(x, bool) for entry in obj["data"] for x in entry):
-            raise _first_bad(obj["data"], _json_entry, "data entry")
+        a = _read_saved_layout(path.read_bytes())
+        if a is None:
+            obj, may_hold_bool = _read_json(path)
+            a = matrix_from_json_obj(obj)
+            if may_hold_bool and any(
+                    isinstance(x, bool) for entry in obj["data"] for x in entry):
+                raise _first_bad(obj["data"], _json_entry, "data entry")
     if not np.isfinite(a).all():
         raise ValueError(f"{path}: matrix contains NaN or infinity")
     return a

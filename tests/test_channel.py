@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import modswap.channel as channel
 from modswap.channel import (
     EvolutionConfig,
     channel_step,
@@ -350,6 +351,22 @@ def test_evolve_reads_source_once_and_charges_every_step():
     assert fast.reads == ["sweep"]
     assert ref.reads == 9 * ["sweep"]
     assert fast.report_calls() == ref.report_calls() == 9 * sweep
+
+
+def test_evolve_step_cap_boundary(monkeypatch):
+    # the cap is a count of loop iterations: cap steps run, one more is
+    # refused before the source is read
+    rng = np.random.default_rng(23)
+    a = random_hermitian(3, rng)
+    sigma = random_density(3, rng)
+    monkeypatch.setattr(channel, "MAX_STEPS", 5)
+    oracle = RecordingOracle(a)
+    evolve(oracle, sigma, EvolutionConfig(t=0.5, epsilon=0.1, n=5))
+    assert oracle.report_calls() == 5 * (3 * 4 // 2)
+    oracle = RecordingOracle(a)
+    with pytest.raises(ValueError, match="6 steps exceed MAX_STEPS = 5"):
+        evolve(oracle, sigma, EvolutionConfig(t=0.5, epsilon=0.1, n=6))
+    assert oracle.report_calls() == 0 and oracle.reads == []
 
 
 def test_error_sweep_reads_source_once_and_charges_every_dt():

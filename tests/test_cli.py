@@ -248,6 +248,8 @@ def test_missing_matrix_file_exits_2(tmp_path):
      "data entry 1 is [True, False], not a number pair (re, im)"),
     ("nan-entry.json", '{"rows": 1, "cols": 2, "data": [[1, 0], [NaN, 0]]}',
      "nan-entry.json: matrix contains NaN or infinity"),
+    ("huge-int-entry.json", '{"cols": 1, "data": [[1%s, 0]], "rows": 1}' % ("0" * 400),
+     "data entry 0 is [1%s, 0], not a number pair (re, im)" % ("0" * 400)),
     ("infinite-cell.csv", '"1,0","0,inf"\n', "infinite-cell.csv: matrix contains NaN"),
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
@@ -357,6 +359,17 @@ def test_evolve_rejects_non_finite_options_exits_2(tmp_path):
     assert main(["evolve", "--matrix", str(matrix), "--time", "inf", "--epsilon", "0.05",
                  "--steps", "3", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("plan", [["--steps", "1000000000000000000000"],
+                                  ["--time", "1e6", "--epsilon", "1e-9"]])
+def test_evolve_work_guard_exits_2(tmp_path, capsys, plan):
+    # about 1e21 and 1.9e22 steps: refused before the loop, not run for ever
+    argv = ["evolve", "--matrix", str(_gen(tmp_path, rank=2, seed=1)),
+            "--time", "1", "--epsilon", "0.1", *plan, "--out", str(tmp_path / "e.json")]
+    assert main(argv) == 2
+    assert "exceed MAX_STEPS" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_qpe_register_kernel_guard_exits_2(tmp_path):
@@ -611,14 +624,25 @@ def test_bad_generator_spec_names_generator_and_parameter(tmp_path, capsys, spec
     assert not out.exists()
 
 
-def test_import_loads_no_dataclasses():
-    # every CLI run pays the import; building dataclasses costs milliseconds
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh ``import modswap.cli`` puts module in sys.modules."""
     src = Path(cli.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, modswap.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, modswap.cli; print({module!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_loads_no_dataclasses():
+    # every CLI run pays the import; building dataclasses costs milliseconds
+    assert not _loaded_by_cli_import("dataclasses")
+
+
+def test_import_loads_no_orjson():
+    # only the JSON matrix loader needs orjson; gen-matrix and --version
+    # should not pay its import
+    assert not _loaded_by_cli_import("orjson")
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

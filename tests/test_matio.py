@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from modswap import matio
 from modswap.matio import (
     _complex_pairs,
+    _read_json,
+    _read_saved_layout,
     load_matrix,
     load_state,
+    matrix_from_json_obj,
     matrix_to_json_obj,
     save_matrix,
     save_state,
@@ -132,3 +137,114 @@ def test_saved_matrix_bytes_equal_per_element_loop(tmp_path_factory, a):
     ref = matrix_to_json_obj_by_loop(a)
     assert matrix_to_json_obj(a) == ref
     assert path.read_bytes() == (json.dumps(ref, sort_keys=True) + "\n").encode()
+
+
+def _stdlib_load(path):
+    """load_matrix's result through the stdlib parser alone."""
+    return matrix_from_json_obj(_read_json(path)[0])
+
+
+def _assert_same_array(fast, ref):
+    assert fast.dtype == ref.dtype == np.complex128
+    assert fast.shape == ref.shape
+    assert fast.tobytes() == ref.tobytes()  # bit for bit: -0.0, subnormals
+
+
+# integers of any width that stays inside the float range, exact or rounded
+_ENTRIES = st.one_of(_REALS, st.integers(-2**64, 2**64),
+                     st.integers(-10**308, 10**308))
+
+
+@st.composite
+def _saved_layouts(draw):
+    """(rows, cols, data) of a file in save_matrix's layout, ints allowed."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.sampled_from([1, *range(1, 6)]))  # state columns twice as often
+    data = draw(st.lists(st.lists(_ENTRIES, min_size=2, max_size=2),
+                         min_size=rows * cols, max_size=rows * cols))
+    return rows, cols, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_saved_layouts(), st.sampled_from([1, matio._SLICE_BYTES]))
+def test_saved_layout_equals_stdlib_parse(tmp_path_factory, layout, slice_bytes):
+    # a slice of 1 byte cuts the data after every pair
+    rows, cols, data = layout
+    path = tmp_path_factory.mktemp("layout") / "a.json"
+    path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data},
+                               sort_keys=True) + "\n")
+    with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
+        fast = _read_saved_layout(path.read_bytes())
+    assert fast is not None
+    _assert_same_array(fast, _stdlib_load(path))
+
+
+def test_saved_layout_over_many_slices(tmp_path):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    a[::7, ::5] *= 1e-300  # subnormal and tiny entries among the slices
+    path = tmp_path / "big.json"
+    save_matrix(path, a)
+    raw = path.read_bytes()
+    assert len(raw) > 8 * matio._SLICE_BYTES
+    fast = _read_saved_layout(raw)
+    _assert_same_array(fast, _stdlib_load(path))
+    _assert_same_array(load_matrix(path), fast)
+    np.testing.assert_array_equal(fast, a)
+
+
+_HUGE_INT = "1" + "0" * 400
+
+
+def _layout_bytes(data: str, rows: int = 1, cols: int = 2) -> bytes:
+    return ('{"cols": %d, "data": %s, "rows": %d}\n' % (cols, data, rows)).encode()
+
+
+def _entry_1(text: str) -> str:
+    return f"data entry 1 is {text}, not a number pair (re, im)"
+
+
+# near-canonical files: each breaks save_matrix's layout in one place, and the
+# message is the one the stdlib parser gives
+_BAD_FILES = {
+    "nan": (_layout_bytes("[[1.5, 0.0], [NaN, 0.0]]"),
+            "{path}: matrix contains NaN or infinity"),
+    "infinity": (_layout_bytes("[[1.5, 0.0], [-Infinity, 0.0]]"),
+                 "{path}: matrix contains NaN or infinity"),
+    "true": (_layout_bytes("[[1.5, 0.0], [true, 0.0]]"), _entry_1("[True, 0.0]")),
+    "null": (_layout_bytes("[[1.5, 0.0], [0.0, null]]"), _entry_1("[0.0, None]")),
+    "string": (_layout_bytes('[[1.5, 0.0], ["1", 0]]'), _entry_1("['1', 0]")),
+    "one-element-pair": (_layout_bytes("[[1.5, 0.0], [1.5]]"), _entry_1("[1.5]")),
+    "three-element-pair": (_layout_bytes("[[1.5, 0.0], [1.5, 0.0, 2.5]]"),
+                           _entry_1("[1.5, 0.0, 2.5]")),
+    "nested-pair": (_layout_bytes("[[1.5, 0.0], [[1.5, 0.0], 0.0]]"),
+                    _entry_1("[[1.5, 0.0], 0.0]")),
+    "int-past-float-range": (_layout_bytes(f"[[1.5, 0.0], [{_HUGE_INT}, 0]]"),
+                             _entry_1(f"[{_HUGE_INT}, 0]")),
+    "too-few-pairs": (_layout_bytes("[[1.5, 0.0]]"), "data length 1 != rows*cols = 2"),
+    # long enough a body for two pairs, so only the pair count can refuse it
+    "too-few-long-pairs": (_layout_bytes("[[1.5000000000000002, 0.0]]"),
+                           "data length 1 != rows*cols = 2"),
+    "too-many-pairs": (_layout_bytes("[[1.5, 0.0], [1.5, 0.0], [1.5, 0.0]]"),
+                       "data length 3 != rows*cols = 2"),
+    # 1e18 pairs claimed over one: refused before any allocation
+    "huge-header": (_layout_bytes("[[1.5, 0.0]]", 10**9, 10**9),
+                    "data length 1 != rows*cols = 1000000000000000000"),
+    "trailing-bytes": (_layout_bytes("[[1.5, 0.0]]", 1, 1) + b"x",
+                       "Extra data: line 2 column 1 (char 45)"),
+    "utf8-bom": (b"\xef\xbb\xbf" + _layout_bytes("[[1.5, 0.0]]", 1, 1),
+                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("slice_bytes", [1, matio._SLICE_BYTES])
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_bad_saved_layout_falls_back_to_stdlib_message(tmp_path, case, slice_bytes):
+    raw, message = _BAD_FILES[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
+        assert _read_saved_layout(raw) is None
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+    assert str(info.value) == message.format(path=path)
