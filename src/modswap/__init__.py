@@ -5,7 +5,6 @@ pipeline built on top.
 """
 
 from .channel import (
-    EvolutionConfig,
     ErrorReport,
     channel_step,
     error_sweep,
@@ -53,7 +52,6 @@ FORMAT_VERSION = 3
 __all__ = [
     "EigenEstimate",
     "ErrorReport",
-    "EvolutionConfig",
     "FORMAT_VERSION",
     "MatrixOracle",
     "ModifiedSwapOperator",

@@ -6,14 +6,17 @@ in dt this reproduces conjugation of sigma by exp(-i (A/N) dt); iterating n
 forward-Euler steps of size t/n approximates the full evolution, with the
 per-step trace-norm error bounded by 2 * max_norm(A)^2 * dt^2. That bound
 fixes the concrete step count n = ceil(2 * max_norm^2 * t^2 / epsilon) for a
-total error budget epsilon.
+total error budget epsilon. ``plan_steps`` is the one place that computes
+that count, for ``evolve`` and for every trotter ``qpe`` stage; a count or
+bound past the float range raises ``ValueError`` there, before any query.
 
 In the modelled protocol each step performs one counted oracle sweep
 (N(N+1)/2 queries) and consumes a new ancilla copy; nothing is carried over
-between steps. Every step of one run applies the same linear map, so the
-simulator reads the source once per run, charges the run's other sweeps as
-modelled ones (``MatrixOracle.charge_sweeps``), builds the Kraus factors and
-the baseline's eigendecomposition once, and then loops over the state only.
+between steps. Every step of one run applies the same linear map, so an
+``evolve`` or ``error_sweep`` run gates the uncounted baseline once, reads
+the source once and charges its other sweeps as modelled ones
+(``MatrixOracle.charge_sweeps``), builds the Kraus factors and the
+baseline's one eigendecomposition, and then loops over the state only.
 All error metrics are nuclear (trace) norms against the exact unitary
 baseline.
 """
@@ -96,6 +99,13 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     return hermitize(_read_once(oracle, sigma, 1).channel_map(delta_t)(sigma))
 
 
+def _gate(oracle: MatrixOracle, sigma):
+    """Check the state, then gate the uncounted baseline: (sigma, A, max_norm)."""
+    sigma = require_density(sigma)
+    a = require_hermitian(oracle.materialize())
+    return sigma, a, float(np.max(np.abs(a)))
+
+
 def _read_once(oracle: MatrixOracle, sigma: np.ndarray, sweeps: int) -> BlockPlan:
     """Check the state's shape, then read the plan for a run of ``sweeps`` steps.
 
@@ -110,102 +120,94 @@ def _read_once(oracle: MatrixOracle, sigma: np.ndarray, sweeps: int) -> BlockPla
     return plan
 
 
-def _check_budget(t: float, epsilon: float) -> None:
+def _step_bound(max_norm: float, dt: float) -> float:
+    """Per-step trace-norm bound 2 * max_norm^2 * dt^2, refused if it overflows."""
+    try:
+        bound = 2.0 * max_norm**2 * dt**2
+    except OverflowError:  # a square past the float range
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(f"per-step bound 2 * max_norm^2 * dt^2 overflows at dt = {dt:.3g}")
+    return bound
+
+
+def plan_steps(max_norm: float, t: float, epsilon: float, steps: int | None = None):
+    """(n, dt, per-step bound) for time t under a nuclear-norm budget epsilon.
+
+    n = ceil(2 * max_norm^2 * t^2 / epsilon) unless ``steps`` gives it, and
+    dt = t / n. A count or bound past the float range raises ``ValueError``.
+    """
     if not (math.isfinite(t) and math.isfinite(epsilon)):
         raise ValueError("time and epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-
-
-class _EvolutionConfig(NamedTuple):
-    t: float
-    epsilon: float
-    n: int
-
-
-class EvolutionConfig(_EvolutionConfig):
-    """Step plan for a total time t under a nuclear-norm error budget.
-
-    Validated on construction, so also in ``_replace``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1:
-            raise ValueError("step count must be >= 1")
-        _check_budget(self.t, self.epsilon)
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def delta_t(self) -> float:
-        return self.t / self.n
-
-    @classmethod
-    def plan(cls, max_norm: float, t: float, epsilon: float,
-             steps: int | None = None) -> "EvolutionConfig":
-        """n = ceil(2 * max_norm^2 * t^2 / epsilon) unless overridden."""
-        _check_budget(t, epsilon)
-        if steps is None:
-            steps = max(1, math.ceil(2.0 * max_norm**2 * t**2 / epsilon))
-        return cls(t=float(t), epsilon=float(epsilon), n=int(steps))
+    if steps is not None and steps < 1:
+        raise ValueError("step count must be >= 1")
+    try:
+        n = steps if steps is not None else max(1, math.ceil(2.0 * max_norm**2 * t**2 / epsilon))
+        dt = t / n
+    except OverflowError:
+        raise ValueError(f"step count overflows a float at t = {t:.3g}, "
+                         f"epsilon = {epsilon:.3g}") from None
+    return n, dt, _step_bound(max_norm, dt)
 
 
 class ErrorReport(NamedTuple):
-    """Measured vs bounded nuclear-norm errors for one evolution run."""
+    """Step plan, measured vs bounded nuclear-norm errors and effective rank of one run.
 
+    effective_rank counts the eigenvalues of A/N at least 1/t in magnitude
+    (0 for t <= 0).
+    """
+
+    steps: int
+    delta_t: float
     per_step_bound: float
     measured_step_error: float
     total_measured: float
     total_bound: float
+    effective_rank: int
 
 
-def evolve(oracle: MatrixOracle, sigma, config: EvolutionConfig, baseline=None):
-    """Run n channel steps and compare against the exact unitary baseline.
+def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | None = None):
+    """Run the planned channel steps and compare against the exact unitary baseline.
 
     Returns (final density matrix, ErrorReport). measured_step_error is the
-    largest single-step deviation encountered along the chain. baseline is
-    the oracle's uncounted dense matrix as ``require_hermitian`` returned it,
-    when the caller has already gated it; otherwise the matrix is
-    materialized and gated here, so each run passes the Hermitian gate once.
-    The run makes one counted sweep and charges the other n - 1; the step
-    map and the baseline unitaries come from one Kraus factorisation and one
-    ``eigh``. A run of more than ``MAX_STEPS`` steps is refused first, since
-    the loop runs once per step.
+    largest single-step deviation encountered along the chain. The run
+    gates the oracle's uncounted dense matrix once (``require_hermitian``),
+    plans its steps from that matrix's max_norm (``plan_steps``; ``steps``
+    overrides the count), refuses more than ``MAX_STEPS`` of them, since the
+    loop runs once per step, and then makes one counted sweep and charges
+    the other n - 1. The step map comes from one Kraus factorisation, and
+    the baseline unitaries and the effective rank from one ``eigh``.
     """
-    if config.n > MAX_STEPS:
-        raise ValueError(f"{config.n} steps exceed MAX_STEPS = {MAX_STEPS}; "
+    sigma, a, a_max = _gate(oracle, sigma)
+    n, dt, per_step_bound = plan_steps(a_max, t, epsilon, steps)
+    if n > MAX_STEPS:
+        raise ValueError(f"{n:.3g} steps exceed MAX_STEPS = {MAX_STEPS}; "
                          f"raise epsilon or shorten the time")
-    sigma = require_density(sigma)
-    a = require_hermitian(oracle.materialize()) if baseline is None else baseline
-    a_max = float(np.max(np.abs(a)))
-    dt = config.delta_t
-    per_step_bound = 2.0 * a_max**2 * dt**2
 
-    step = _read_once(oracle, sigma, config.n).channel_map(dt)
+    step = _read_once(oracle, sigma, n).channel_map(dt)
     w, v = np.linalg.eigh(a)
     u_dt = unitary_from_eigh(w, v, dt)
     u_dt_h = u_dt.conj().T
     cur = sigma
     worst_step = 0.0
-    for _ in range(config.n):
+    for _ in range(n):
         nxt = hermitize(step(cur))
         step_err = nuclear_norm(nxt - u_dt @ cur @ u_dt_h)
         worst_step = max(worst_step, step_err)
         cur = nxt
 
-    u_t = unitary_from_eigh(w, v, config.t)
+    u_t = unitary_from_eigh(w, v, t)
     total = nuclear_norm(cur - u_t @ sigma @ u_t.conj().T)
     report = ErrorReport(
+        steps=n,
+        delta_t=dt,
         per_step_bound=per_step_bound,
         measured_step_error=worst_step,
         total_measured=total,
-        total_bound=config.n * per_step_bound,
+        total_bound=n * per_step_bound,
+        effective_rank=int(np.sum(np.abs(w / a.shape[0]) >= 1.0 / t)) if t > 0 else 0,
     )
     return cur, report
 
@@ -239,35 +241,22 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
         raise ValueError("delta_t values must be positive")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("delta_t values must be strictly descending")
-    sigma = require_density(sigma)
-    a = require_hermitian(oracle.materialize())
-    a_max = float(np.max(np.abs(a)))
+    sigma, a, a_max = _gate(oracle, sigma)
     if a_max == 0.0:
         raise ValueError("error sweep needs a nonzero matrix; every bound would be 0")
+    bounds = [_step_bound(a_max, dt) for dt in dts]
 
     plan = _read_once(oracle, sigma, len(dts))
     w, v = np.linalg.eigh(a)
     rows = []
-    for dt in dts:
+    for dt, bound in zip(dts, bounds):
         u = unitary_from_eigh(w, v, dt)
         measured = nuclear_norm(
             hermitize(plan.channel_map(dt)(sigma)) - u @ sigma @ u.conj().T
         )
-        rows.append(SweepRow(delta_t=dt, measured_error=measured,
-                             bound=2.0 * a_max**2 * dt**2))
+        rows.append(SweepRow(delta_t=dt, measured_error=measured, bound=bound))
     xs = np.log([r.delta_t for r in rows])
     ys = np.log([max(r.measured_error, 1e-300) for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")
     return SweepResult(rows=rows, slope=slope)
 
-
-def effective_rank(a, t: float) -> int:
-    """Number of eigenvalues of A/N at least 1/t in magnitude (reported only).
-
-    A is a Hermitian matrix that already passed ``require_hermitian``.
-    """
-    a = as_matrix(a)
-    if t <= 0:
-        return 0
-    w = np.linalg.eigvalsh(a) / a.shape[0]
-    return int(np.sum(np.abs(w) >= 1.0 / t))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
-from .channel import EvolutionConfig, effective_rank, error_sweep, evolve, pure_density
+from .channel import error_sweep, evolve, pure_density
 from .linalg import random_low_rank, random_low_rank_rect, require_hermitian
 from .matio import _complex_pairs, load_matrix, load_state, matrix_to_json_obj, save_matrix
 from .oracle import MatrixOracle, oracle_from_generator
@@ -136,30 +136,27 @@ def cmd_evolve(args) -> int:
     start = time.perf_counter()
     oracle = _resolve_oracle(args)
     n = oracle.dim
-    sigma = _resolve_sigma(args, n)
-    a = require_hermitian(oracle.materialize())
-    a_max = float(np.max(np.abs(a)))
-    config = EvolutionConfig.plan(a_max, args.time, args.epsilon, steps=args.steps)
-    final, report = evolve(oracle, sigma, config, baseline=a)
+    final, report = evolve(oracle, _resolve_sigma(args, n), args.time, args.epsilon,
+                           steps=args.steps)
     wall = (time.perf_counter() - start) * 1000.0
     _write_envelope(
         args.out, "evolve",
         {**_source_config(args), "time": args.time, "epsilon": args.epsilon,
-         "steps": config.n},
+         "steps": report.steps},
         {
             "final_state": matrix_to_json_obj(final),
-            "delta_t": config.delta_t,
+            "delta_t": report.delta_t,
             "per_step_bound": report.per_step_bound,
             "measured_step_error": report.measured_step_error,
             "total_measured": report.total_measured,
             "total_bound": report.total_bound,
-            "effective_rank": effective_rank(a, args.time),
+            "effective_rank": report.effective_rank,
             "qram_latency_factor": _qram_latency_factor(n),
         },
         oracle.report_calls(),
         wall if args.timing else None,
     )
-    print(f"evolve: n={config.n} total_measured={report.total_measured:.6g} "
+    print(f"evolve: n={report.steps} total_measured={report.total_measured:.6g} "
           f"(budget {args.epsilon})")
     return 0
 

@@ -33,9 +33,7 @@ def hermiticity_residual(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
+    """Whether a square matrix, as ``as_matrix`` returns it, is within tol of Hermitian."""
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     return hermiticity_residual(a) <= tol * scale
 

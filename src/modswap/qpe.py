@@ -24,8 +24,11 @@ Two interchangeable backends:
   counted oracle sweep per step). Every step reads the same matrix, so one
   real ``build_plan`` read, which also gives max_norm(A), serves the run,
   and the reported cost charges that sweep and every step
-  (``MatrixOracle.charge_sweeps``). A stage is one matrix power of the
-  channel's N^2 x N^2 transfer matrix over ``EvolutionConfig.plan``'s steps.
+  (``MatrixOracle.charge_sweeps``). Every stage k is planned by
+  ``channel.plan_steps`` for time 2^k t0 under ``trotter_epsilon`` before
+  any stage runs, so a step count or bound past the float range fails
+  after that one read and before any stage work. A stage is one matrix
+  power of the channel's N^2 x N^2 transfer matrix over its planned steps.
   The uniform register state and the Fourier phase factor over register
   bits, so the backend evolves one N x N operator per register frequency,
   from psi psi^dagger, and p(y) is its trace; no register x system density
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import EvolutionConfig
+from .channel import plan_steps
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator, _kraus_map
 
@@ -301,6 +304,9 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     plan = ModifiedSwapOperator(oracle).build_plan()
     a_max = float(np.max(np.abs(plan.a)))
     t0 = _base_time(config, a_max)
+    # every stage is planned before any runs, so a plan that overflows fails here
+    stages = [plan_steps(a_max, (1 << k) * t0, config.trotter_epsilon)
+              for k in range(config.bits)]
 
     # x[y] is the N x N operator of register frequency y, p(y) = Re tr x[y];
     # out and tmp are the other two buffers every stage reuses
@@ -308,9 +314,9 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     x = np.tile(np.outer(psi, psi.conj()), (size, 1, 1))
     out, tmp = np.empty_like(x), np.empty_like(x)
     error_bound = 0.0
-    for k in range(config.bits):
-        stage = EvolutionConfig.plan(a_max, (1 << k) * t0, config.trotter_epsilon)
-        steps, dt = stage.n, stage.delta_t
+    for steps, dt, _ in stages:
+        # not steps * the plan's bound, which rounds differently in about a
+        # third of cases: this order keeps the reported bound bit-for-bit
         error_bound += steps * 2.0 * a_max**2 * dt**2
         oracle.charge_sweeps(steps)
         # Bit k of register row m and column q selects the channel Phi, M x,
@@ -370,12 +376,8 @@ def backend_agreement(oracle: MatrixOracle, psi, config: QPEConfig) -> Agreement
     The trotter run goes first, so a configuration over ``MAX_BYTES`` is
     rejected before either backend reads the source.
     """
-    trotter = qpe(oracle.fork(), psi, QPEConfig(
-        bits=config.bits, base_time=config.base_time,
-        backend="trotter-channel", trotter_epsilon=config.trotter_epsilon))
-    exact = qpe(oracle.fork(), psi, QPEConfig(
-        bits=config.bits, base_time=config.base_time,
-        backend="exact-unitary", trotter_epsilon=config.trotter_epsilon))
+    trotter = qpe(oracle.fork(), psi, config._replace(backend="trotter-channel"))
+    exact = qpe(oracle.fork(), psi, config._replace(backend="exact-unitary"))
     tv = 0.5 * float(np.sum(np.abs(exact.distribution - trotter.distribution)))
     return AgreementReport(
         tv_distance=tv,
@@ -389,7 +391,6 @@ def backend_agreement(oracle: MatrixOracle, psi, config: QPEConfig) -> Agreement
 class ScalingRow(NamedTuple):
     epsilon: float
     bits: int
-    trotter_epsilon: float
     oracle_calls: int
 
 
@@ -417,8 +418,7 @@ def query_scaling(oracle: MatrixOracle, psi, epsilons,
                         backend="trotter-channel", trotter_epsilon=e)
         fork = oracle.fork()
         result = qpe(fork, psi, cfg)
-        rows.append(ScalingRow(epsilon=e, bits=cfg.bits,
-                               trotter_epsilon=e, oracle_calls=result.oracle_calls))
+        rows.append(ScalingRow(epsilon=e, bits=cfg.bits, oracle_calls=result.oracle_calls))
     xs = np.log([1.0 / r.epsilon for r in rows])
     ys = np.log([r.oracle_calls for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")

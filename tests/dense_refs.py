@@ -228,30 +228,37 @@ def trotter_by_blocks(oracle, psi, config):
     return dens, dist, t0, error_bound
 
 
-def evolve_by_steps(oracle, sigma, config, baseline=None):
-    """``evolve`` as n calls of ``channel_step`` and ``exact_evolution``."""
+def evolve_by_steps(oracle, sigma, t, epsilon, steps=None):
+    """``evolve`` as n calls of ``channel_step`` and ``exact_evolution``.
+
+    n = ceil(2 max_norm^2 t^2 / epsilon) unless ``steps`` gives it, and the
+    effective rank comes from its own ``eigvalsh``.
+    """
     sigma = require_density(sigma)
-    if baseline is None:
-        baseline = oracle.materialize()
-    a = require_hermitian(baseline)
+    a = require_hermitian(oracle.materialize())
     a_max = float(np.max(np.abs(a)))
-    dt = config.delta_t
+    n = steps if steps is not None else max(1, math.ceil(2.0 * a_max**2 * t**2 / epsilon))
+    dt = t / n
     per_step_bound = 2.0 * a_max**2 * dt**2
 
     cur = sigma
     worst_step = 0.0
-    for _ in range(config.n):
+    for _ in range(n):
         nxt = channel_step(oracle, cur, dt)
         step_err = nuclear_norm(nxt - exact_evolution(a, dt, cur))
         worst_step = max(worst_step, step_err)
         cur = nxt
 
-    total = nuclear_norm(cur - exact_evolution(a, config.t, sigma))
+    total = nuclear_norm(cur - exact_evolution(a, t, sigma))
+    evals = np.linalg.eigvalsh(a) / a.shape[0]
     return cur, ErrorReport(
+        steps=n,
+        delta_t=dt,
         per_step_bound=per_step_bound,
         measured_step_error=worst_step,
         total_measured=total,
-        total_bound=config.n * per_step_bound,
+        total_bound=n * per_step_bound,
+        effective_rank=int(np.sum(np.abs(evals) >= 1.0 / t)) if t > 0 else 0,
     )
 
 

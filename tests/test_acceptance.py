@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from modswap.channel import EvolutionConfig, channel_step, error_sweep, evolve, first_order_generator
+from modswap.channel import channel_step, error_sweep, evolve, first_order_generator
 from modswap.cli import main as cli_main
 from modswap.linalg import random_low_rank, random_low_rank_rect
 from modswap.matio import save_state
@@ -65,11 +65,10 @@ def test_criterion_03_total_error_budget():
     a = random_low_rank(4, 2, 1.0, rng)
     a = a / np.max(np.abs(a))
     sigma = random_density(4, rng)
-    config = EvolutionConfig.plan(1.0, t=1.0, epsilon=0.05)
-    _, report = evolve(MatrixOracle(a), sigma, config)
+    _, report = evolve(MatrixOracle(a), sigma, 1.0, 0.05)
     elapsed = time.perf_counter() - start
-    _report(3, report.total_measured <= 0.05 and elapsed < 30.0,
-            f"n={config.n} steps, total nuclear error "
+    _report(3, report.steps == 40 and report.total_measured <= 0.05 and elapsed < 30.0,
+            f"n={report.steps} steps, total nuclear error "
             f"{report.total_measured:.4f} <= 0.05 ({elapsed:.1f}s)")
 
 

@@ -3,12 +3,11 @@ import pytest
 
 import modswap.channel as channel
 from modswap.channel import (
-    EvolutionConfig,
     channel_step,
-    effective_rank,
     error_sweep,
     evolve,
     first_order_generator,
+    plan_steps,
     pure_density,
     uniform_density,
 )
@@ -127,27 +126,29 @@ def test_channel_step_time_reversal_composes_to_identity():
 
 
 def test_evolution_config_step_formula():
-    config = EvolutionConfig.plan(max_norm=1.0, t=1.0, epsilon=0.05)
-    assert config.n == 40
-    assert config.delta_t == pytest.approx(0.025)
+    n, dt, bound = plan_steps(max_norm=1.0, t=1.0, epsilon=0.05)
+    assert n == 40
+    assert dt == pytest.approx(0.025)
+    assert bound == 2.0 * dt**2
 
 
 def test_evolution_config_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        EvolutionConfig.plan(1.0, 1.0, 0.0)
+        plan_steps(1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("t, epsilon", [(np.inf, 0.1), (-np.inf, 0.1), (np.nan, 0.1),
                                         (1.0, np.nan), (1.0, np.inf)])
 def test_evolution_config_rejects_non_finite(t, epsilon):
     with pytest.raises(ValueError, match="finite"):
-        EvolutionConfig.plan(1.0, t, epsilon)
+        plan_steps(1.0, t, epsilon)
     with pytest.raises(ValueError, match="finite"):
-        EvolutionConfig.plan(1.0, t, epsilon, steps=3)
-    with pytest.raises(ValueError, match="finite"):
-        EvolutionConfig(t=t, epsilon=epsilon, n=3)
-    with pytest.raises(ValueError, match="finite"):
-        EvolutionConfig(t=1.0, epsilon=0.1, n=3)._replace(t=t, epsilon=epsilon)
+        plan_steps(1.0, t, epsilon, steps=3)
+    oracle = _oracle(np.eye(2))
+    for steps in (None, 3):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(oracle, uniform_density(2), t, epsilon, steps=steps)
+    assert oracle.report_calls() == 0
 
 
 def test_channel_step_rejects_non_finite_oracle():
@@ -159,28 +160,11 @@ def test_channel_step_rejects_non_finite_oracle():
     assert oracle.report_calls() == 3
 
 
-def test_evolve_uses_given_baseline_without_materializing():
-    rng = np.random.default_rng(12)
-    a = random_hermitian(3, rng)
-    sigma = random_density(3, rng)
-    config = EvolutionConfig.plan(float(np.max(np.abs(a))), 0.5, 0.05)
-
-    def unreadable():
-        raise AssertionError("materialize called")
-
-    oracle = _oracle(a)
-    oracle.materialize = unreadable
-    got, got_report = evolve(oracle, sigma, config, baseline=a)
-    want, want_report = evolve(_oracle(a), sigma, config)
-    np.testing.assert_array_equal(got, want)
-    assert got_report == want_report
-
-
 def test_evolve_zero_time():
     rng = np.random.default_rng(9)
     a = random_hermitian(3, rng)
     sigma = random_density(3, rng)
-    out, report = evolve(_oracle(a), sigma, EvolutionConfig(t=0.0, epsilon=0.1, n=1))
+    out, report = evolve(_oracle(a), sigma, 0.0, 0.1, steps=1)
     np.testing.assert_allclose(out, sigma, atol=1e-13)
     assert report.total_measured <= 1e-12
 
@@ -190,9 +174,8 @@ def test_evolve_meets_budget():
     a = random_hermitian(4, rng)
     a = a / np.max(np.abs(a))  # max element exactly 1
     sigma = random_density(4, rng)
-    config = EvolutionConfig.plan(1.0, t=1.0, epsilon=0.05)
-    assert config.n == 40
-    out, report = evolve(_oracle(a), sigma, config)
+    out, report = evolve(_oracle(a), sigma, 1.0, 0.05)
+    assert report.steps == 40
     assert report.total_measured <= 0.05
     assert report.measured_step_error <= report.per_step_bound
     assert abs(np.trace(out) - 1.0) <= 1e-11
@@ -202,8 +185,7 @@ def test_evolve_counts_queries_per_step():
     rng = np.random.default_rng(11)
     a = random_hermitian(3, rng)
     oracle = _oracle(a)
-    config = EvolutionConfig(t=0.5, epsilon=0.1, n=7)
-    evolve(oracle, random_density(3, rng), config)
+    evolve(oracle, random_density(3, rng), 0.5, 0.1, steps=7)
     assert oracle.report_calls() == 7 * (3 * 4 // 2)
 
 
@@ -212,8 +194,7 @@ def test_evolve_linear_error_accumulation():
     a = random_hermitian(3, rng)
     a = a / np.max(np.abs(a))
     sigma = random_density(3, rng)
-    config = EvolutionConfig(t=1.0, epsilon=1.0, n=100)
-    _, report = evolve(_oracle(a), sigma, config)
+    _, report = evolve(_oracle(a), sigma, 1.0, 1.0, steps=100)
     assert report.total_measured <= 100 * report.measured_step_error + 1e-12
 
 
@@ -266,9 +247,10 @@ def test_first_order_consistency_richardson():
 def test_effective_rank_reporting():
     rng = np.random.default_rng(16)
     a = random_low_rank(8, 2, 1.0, rng)
+    sigma = random_density(8, rng)
     # nonzero eigenvalues have |lambda|/N >= 0.5, so t = 10 sees exactly rank 2
-    assert effective_rank(a, 10.0) == 2
-    assert effective_rank(a, 0.0) == 0
+    assert evolve(_oracle(a), sigma, 10.0, 0.1, steps=1)[1].effective_rank == 2
+    assert evolve(_oracle(a), sigma, 0.0, 0.1, steps=1)[1].effective_rank == 0
 
 
 def test_uniform_density_purity():
@@ -312,13 +294,12 @@ def test_evolve_equals_per_step_loop(kind, n, t, steps):
     rng = np.random.default_rng(100 + n)
     a = _run_matrix(kind, n, rng)
     sigma = random_density(n, rng)
-    config = EvolutionConfig.plan(float(np.max(np.abs(a))), t, 0.05, steps=steps)
     fast, ref = _oracle(a), _oracle(a)
-    got, got_report = evolve(fast, sigma, config)
-    want, want_report = evolve_by_steps(ref, sigma, config)
+    got, got_report = evolve(fast, sigma, t, 0.05, steps=steps)
+    want, want_report = evolve_by_steps(ref, sigma, t, 0.05, steps=steps)
     np.testing.assert_array_equal(got, want)
     assert got_report == want_report
-    assert fast.report_calls() == ref.report_calls() == config.n * n * (n + 1) // 2
+    assert fast.report_calls() == ref.report_calls() == got_report.steps * n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("kind", ["random", "low-rank", "diagonal"])
@@ -341,32 +322,33 @@ def test_evolve_reads_source_once_and_charges_every_step():
     n = 4
     a = random_hermitian(n, rng)
     sigma = random_density(n, rng)
-    config = EvolutionConfig(t=0.6, epsilon=0.1, n=9)
     fast, ref = RecordingOracle(a), RecordingOracle(a)
-    got, got_report = evolve(fast, sigma, config, baseline=a)
-    want, want_report = evolve_by_steps(ref, sigma, config, baseline=a)
+    got, got_report = evolve(fast, sigma, 0.6, 0.1, steps=9)
+    want, want_report = evolve_by_steps(ref, sigma, 0.6, 0.1, steps=9)
     np.testing.assert_array_equal(got, want)
     assert got_report == want_report
     sweep = n * (n + 1) // 2
-    assert fast.reads == ["sweep"]
-    assert ref.reads == 9 * ["sweep"]
+    # both materialize the baseline once, uncounted, before the counted sweeps
+    assert fast.reads == ["materialize", "sweep"]
+    assert ref.reads == ["materialize"] + 9 * ["sweep"]
     assert fast.report_calls() == ref.report_calls() == 9 * sweep
 
 
 def test_evolve_step_cap_boundary(monkeypatch):
     # the cap is a count of loop iterations: cap steps run, one more is
-    # refused before the source is read
+    # refused before any query (after the uncounted gate, which gives the
+    # plan its max_norm)
     rng = np.random.default_rng(23)
     a = random_hermitian(3, rng)
     sigma = random_density(3, rng)
     monkeypatch.setattr(channel, "MAX_STEPS", 5)
     oracle = RecordingOracle(a)
-    evolve(oracle, sigma, EvolutionConfig(t=0.5, epsilon=0.1, n=5))
+    evolve(oracle, sigma, 0.5, 0.1, steps=5)
     assert oracle.report_calls() == 5 * (3 * 4 // 2)
     oracle = RecordingOracle(a)
     with pytest.raises(ValueError, match="6 steps exceed MAX_STEPS = 5"):
-        evolve(oracle, sigma, EvolutionConfig(t=0.5, epsilon=0.1, n=6))
-    assert oracle.report_calls() == 0 and oracle.reads == []
+        evolve(oracle, sigma, 0.5, 0.1, steps=6)
+    assert oracle.report_calls() == 0 and oracle.reads == ["materialize"]
 
 
 def test_error_sweep_reads_source_once_and_charges_every_dt():
@@ -400,7 +382,7 @@ def test_evolve_and_error_sweep_reject_state_shape_before_reading():
     oracle = _oracle(random_hermitian(3, rng))
     sigma = random_density(4, rng)
     with pytest.raises(ValueError, match="dim"):
-        evolve(oracle, sigma, EvolutionConfig(t=0.5, epsilon=0.1, n=5))
+        evolve(oracle, sigma, 0.5, 0.1, steps=5)
     with pytest.raises(ValueError, match="dim"):
         error_sweep(oracle, sigma, [0.1, 0.05])
     assert oracle.report_calls() == 0
@@ -408,10 +390,15 @@ def test_evolve_and_error_sweep_reject_state_shape_before_reading():
 
 def test_evolve_non_finite_oracle_fails_after_one_sweep():
     a = np.full((3, 3), 0.25, dtype=complex)
+
+    class CleanBaseline(MatrixOracle):
+        # the uncounted gate sees a clean copy, so the counted read must catch it
+        def materialize(self):
+            return a.copy()
+
     source = a.copy()
-    oracle = MatrixOracle(source)
-    source[0, 1] = np.nan  # the oracle holds the array itself: the read must catch it
+    oracle = CleanBaseline(source)
+    source[0, 1] = np.nan  # the oracle holds the array itself
     with pytest.raises(ValueError, match="NaN or infinity"):
-        evolve(oracle, uniform_density(3), EvolutionConfig(t=0.5, epsilon=0.1, n=7),
-               baseline=a)
+        evolve(oracle, uniform_density(3), 0.5, 0.1, steps=7)
     assert oracle.report_calls() == 3 * 4 // 2

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import modswap.cli as cli
 from modswap import FORMAT_VERSION, __version__
-from modswap.channel import EvolutionConfig
+from modswap.channel import plan_steps
 from modswap.cli import build_parser, main
 from modswap.oracle import MatrixOracle
 from modswap.matio import load_matrix, save_matrix, save_state
@@ -310,10 +311,8 @@ def test_error_sweep_rejects_zero_matrix_exits_2(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dts", ["0.1,nan", "inf,0.1", "0.1,-inf"])
-def test_error_sweep_rejects_non_finite_dts_exits_2(tmp_path, monkeypatch, capsys, dts):
-    import modswap.cli as cli
-
+def _record_oracles(monkeypatch):
+    """The list of every oracle the CLI resolves, in order."""
     oracles = []
     resolve = cli._resolve_oracle
 
@@ -322,10 +321,23 @@ def test_error_sweep_rejects_non_finite_dts_exits_2(tmp_path, monkeypatch, capsy
         return oracles[-1]
 
     monkeypatch.setattr(cli, "_resolve_oracle", recording)
+    return oracles
+
+
+@pytest.mark.parametrize("dts, message", [
+    pytest.param(dts, "delta_t values must be finite", id=dts)
+    for dts in ("0.1,nan", "inf,0.1", "0.1,-inf")
+] + [
+    # finite, but the bound 2 * max_norm^2 * dt^2 is past the float range
+    pytest.param("1e200,1e100", "overflows at dt = 1e+200", id="1e200,1e100"),
+])
+def test_error_sweep_rejects_non_finite_dts_exits_2(tmp_path, monkeypatch, capsys, dts,
+                                                    message):
+    oracles = _record_oracles(monkeypatch)
     out = tmp_path / "s.csv"
     assert main(["error-sweep", "--matrix", str(_gen(tmp_path)), "--dts", dts,
                  "--out", str(out)]) == 2
-    assert "delta_t values must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
     assert [o.report_calls() for o in oracles] == [0]
 
@@ -361,15 +373,41 @@ def test_evolve_rejects_non_finite_options_exits_2(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("plan", [["--steps", "1000000000000000000000"],
-                                  ["--time", "1e6", "--epsilon", "1e-9"]])
-def test_evolve_work_guard_exits_2(tmp_path, capsys, plan):
-    # about 1e21 and 1.9e22 steps: refused before the loop, not run for ever
+@pytest.mark.parametrize("plan", [
+    # about 1e21, 1.9e22 and 1.9e301 steps: refused before the loop, not run for ever
+    (["--steps", "1000000000000000000000"], "1e+21 steps exceed MAX_STEPS"),
+    (["--time", "1e6", "--epsilon", "1e-9"], "exceed MAX_STEPS"),
+    # a step count or per-step bound past the float range
+    (["--time", "1e200"], "step count overflows a float at t = 1e+200"),
+    (["--time", "1e200", "--steps", "3"], "per-step bound 2 * max_norm^2 * dt^2 overflows"),
+    (["--time", "1e150", "--epsilon", "1e-100"], "overflows a float at t = 1e+150"),
+    (["--epsilon", "1e-300"], "1.93e+301 steps exceed MAX_STEPS"),
+])
+def test_evolve_work_guard_exits_2(tmp_path, monkeypatch, capsys, plan):
+    flags, message = plan
+    oracles = _record_oracles(monkeypatch)
     argv = ["evolve", "--matrix", str(_gen(tmp_path, rank=2, seed=1)),
-            "--time", "1", "--epsilon", "0.1", *plan, "--out", str(tmp_path / "e.json")]
+            "--time", "1", "--epsilon", "0.1", *flags, "--out", str(tmp_path / "e.json")]
     assert main(argv) == 2
-    assert "exceed MAX_STEPS" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert not re.search(r"\d{20}", err)  # counts print as %.3g, not in full
     assert not (tmp_path / "e.json").exists()
+    assert [o.report_calls() for o in oracles] == [0]
+
+
+@pytest.mark.parametrize("epsilon", ["1e-310", "1e-306"])
+def test_trotter_plan_overflow_exits_2_after_one_read(tmp_path, monkeypatch, capsys,
+                                                      epsilon):
+    # every stage is planned before any runs: only the read that gives
+    # max_norm is charged, also at 1e-306, where only the last stage overflows
+    oracles = _record_oracles(monkeypatch)
+    out = tmp_path / "q.json"
+    assert main(["qpe", "--matrix", str(_gen(tmp_path)), "--backend", "trotter",
+                 "--bits", "3", "--trotter-epsilon", epsilon, "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+    assert [o.report_calls() for o in oracles] == [4 * 5 // 2]
 
 
 def test_qpe_register_kernel_guard_exits_2(tmp_path):
@@ -453,6 +491,23 @@ def test_evolve_gates_the_matrix_once(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--matrix", str(bad), "--out", str(out)]) == 2
     assert "not Hermitian" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evolve_decomposes_the_matrix_once(tmp_path, monkeypatch):
+    # one eigh gives the baseline unitaries and the effective rank
+    matrix = _gen(tmp_path)
+    gated = require_hermitian(load_matrix(matrix))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == gated.shape and np.array_equal(a, gated):
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["evolve", "--matrix", str(matrix), "--time", "0.3",
+                 "--epsilon", "0.05", "--out", str(tmp_path / "e.json")]) == 0
+    assert calls == ["eigh"]
 
 
 def test_config_echo_reproduces_numerics(tmp_path):
@@ -544,7 +599,7 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
     config, _, wall = run("evolve", "--matrix", str(herm), "--time", "0.2",
                           "--epsilon", "0.05")
     a_max = float(np.max(np.abs(load_matrix(herm))))
-    assert config["steps"] == EvolutionConfig.plan(a_max, 0.2, 0.05).n != 3
+    assert config["steps"] == plan_steps(a_max, 0.2, 0.05)[0] != 3
     assert wall is None
 
     proc = ("procrustes", "--matrix", str(proc_matrix), "--state", str(proc_state),

@@ -412,6 +412,19 @@ def test_backend_agreement_within_trotter_bound(n):
         assert report.tv_distance <= report.trotter_error_bound
 
 
+@pytest.mark.xfail(strict=True, reason="trotter rounding floor: TV stays near 1e-8 "
+                                       "while the bound falls to 3e-10 at epsilon 1e-10")
+def test_trotter_agreement_within_bound_at_tight_epsilon():
+    # gen-matrix --n 4 --rank 2 --seed 1, psi = A z. The exact backend matches
+    # the circuit reference to about 1e-16; the trotter distribution sums to
+    # 1 + about 1e-8, so the floor is the trotter backend's rounding
+    a = random_low_rank(4, 2, 1.0, np.random.default_rng(1))
+    psi = a @ np.ones(4)
+    report = backend_agreement(MatrixOracle(a), psi / np.linalg.norm(psi),
+                               QPEConfig(bits=3, trotter_epsilon=1e-10))
+    assert report.tv_distance <= report.trotter_error_bound
+
+
 def test_trotter_distribution_close_to_exact_n3():
     rng = np.random.default_rng(5)
     a = random_hermitian(3, rng)
