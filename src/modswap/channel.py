@@ -155,8 +155,8 @@ def plan_steps(max_norm: float, t: float, epsilon: float, steps: int | None = No
 class ErrorReport(NamedTuple):
     """Step plan, measured vs bounded nuclear-norm errors and effective rank of one run.
 
-    effective_rank counts the eigenvalues of A/N at least 1/t in magnitude
-    (0 for t <= 0).
+    effective_rank counts the eigenvalues of A/N at least 1/|t| in magnitude
+    (0 for t = 0).
     """
 
     steps: int
@@ -207,7 +207,7 @@ def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | N
         measured_step_error=worst_step,
         total_measured=total,
         total_bound=n * per_step_bound,
-        effective_rank=int(np.sum(np.abs(w / a.shape[0]) >= 1.0 / t)) if t > 0 else 0,
+        effective_rank=int(np.sum(np.abs(w / a.shape[0]) >= 1.0 / abs(t))) if t else 0,
     )
     return cur, report
 

@@ -3,7 +3,10 @@
 Every run writes a JSON result envelope that echoes the full configuration
 that produced it, so reruns with the same inputs are byte-identical. Wall-clock
 timing is opt-in (--timing) because embedding it would break that guarantee;
-without the flag the envelope carries "wall_ms": null.
+without the flag the envelope carries "wall_ms": null. Envelopes and matrix
+files go through the one writer ``matio._write_json``: the states and
+distributions are handed to it as numpy arrays, and a non-finite number
+exits 2 with no file written.
 
 Exit codes: 0 success, 2 validation/usage error, 1 runtime failure.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -22,7 +24,8 @@ import numpy as np
 from . import FORMAT_VERSION, __version__
 from .channel import error_sweep, evolve, pure_density
 from .linalg import random_low_rank, random_low_rank_rect, require_hermitian
-from .matio import _complex_pairs, load_matrix, load_state, matrix_to_json_obj, save_matrix
+from .matio import (_complex_pairs, _write_json, load_matrix, load_state, matrix_to_json_obj,
+                    save_matrix)
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import quantum_procrustes_apply
 from .qpe import QPEConfig, qpe
@@ -42,8 +45,7 @@ def _write_envelope(path, command: str, config: dict, results: dict,
         "oracle_calls": oracle_calls,
         "wall_ms": wall_ms,
     }
-    # No indent: any indent makes json fall back to its pure-Python encoder.
-    Path(path).write_text(json.dumps(envelope, sort_keys=True) + "\n")
+    _write_json(path, envelope)
 
 
 def _qram_latency_factor(n: int) -> float:
@@ -190,7 +192,7 @@ def cmd_qpe(args) -> int:
         {**_source_config(args), "bits": args.bits, "backend": args.backend,
          "t0": result.base_time, "trotter_epsilon": args.trotter_epsilon},
         {
-            "distribution": result.distribution.tolist(),
+            "distribution": np.ascontiguousarray(result.distribution),
             "estimates": [
                 {"register_value": e.register_value, "value": e.value,
                  "weight": e.weight, "sign": e.sign}
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, IndexError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover

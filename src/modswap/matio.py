@@ -1,9 +1,9 @@
-"""Matrix and state file round-trip.
+"""Matrix and state file round-trip, and the one JSON writer of the CLI.
 
-Two formats, both exact round-trip (Python's shortest-repr float
-serialization is bit-faithful for doubles):
+Two formats, both exact round-trip (shortest-repr float serialization is
+bit-faithful for doubles):
 
-* JSON: {"rows": M, "cols": N, "data": [[re, im], ...]} with data a flat
+* JSON: {"cols": N, "data": [[re, im], ...], "rows": M} with data a flat
   row-major list of M*N [re, im] pairs.
 * CSV: M rows of N cells, each cell the string "re,im" (quoted by the csv
   module because of the embedded comma).
@@ -13,12 +13,24 @@ its format raises ``ValueError`` naming the first bad entry; the loader
 converts the entries in one pass and looks for the culprit only after that
 pass fails. A NaN or infinite entry raises ``ValueError`` as well.
 
-A JSON file in ``save_matrix``'s own layout, exactly
-``{"cols": N, "data": [[re, im], ...], "rows": M}`` and an optional newline,
-is read by orjson in slices of about 256 KB into one preallocated array,
-with the same values as the stdlib parser and without a Python list of the
-whole file. The slices are taken only when the data holds no ``"``, ``u`` or
-``f`` byte, so no string, boolean or null. Every other file, and every
+``_write_json`` writes every JSON file: matrix files and the CLI's result
+envelopes. It is one orjson call over the object, numpy arrays included,
+so no Python list of a matrix, state or distribution is built. The output
+is one line with sorted keys, no spaces and a closing newline; floats take
+orjson's shortest round-trip spelling (``0.00001``, ``1e16``), which reads
+back bit for bit through both ``json`` and orjson. A NaN or an infinity,
+which JSON cannot hold, raises ``ValueError`` naming its key, and no file is
+written.
+
+A JSON file in ``save_matrix``'s own compact layout,
+``{"cols":N,"data":[[re,im],...],"rows":M}``, or in the spaced layout that
+``json.dumps(obj, sort_keys=True)`` writes (files from before the compact
+writer), with an optional newline, is read by orjson in slices of about
+256 KB into one preallocated array, with the same values as the stdlib
+parser and without a Python list of the whole file. Each layout is cut at
+its own pair separator, ``],[`` or ``], [``. The slices are taken only when
+the data holds no ``"``, ``u`` or ``f`` byte, so no string, boolean or null,
+and no pair separator of the other layout. Every other file, and every
 file with a slice that orjson refuses (NaN, Infinity, an integer past the
 float range) or that is not a list of number pairs of the header's count,
 goes whole through the stdlib parser, so the accepted values and the error
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -37,20 +50,48 @@ import numpy as np
 from .linalg import as_matrix
 
 
-def _complex_pairs(values) -> list:
-    """[re, im] Python-float pairs of the entries of values, in row-major order.
+def _complex_pairs(values) -> np.ndarray:
+    """The (k, 2) float64 [re, im] pairs of the entries of values, row-major.
 
-    One ``tolist`` over the float64 view; the contiguous copy lets strided
-    views (matrix columns) and Fortran-ordered arrays through.
+    A view of a C-contiguous complex128 copy, made only when values is not
+    one already; the copy lets strided views (matrix columns) and
+    Fortran-ordered arrays through.
     """
     flat = np.ascontiguousarray(values, dtype=np.complex128)
-    return flat.view(np.float64).reshape(-1, 2).tolist()
+    return flat.view(np.float64).reshape(-1, 2)
 
 
 def matrix_to_json_obj(a) -> dict:
     a = as_matrix(a)
     m, n = a.shape
     return {"rows": m, "cols": n, "data": _complex_pairs(a)}
+
+
+def _require_finite(value, key: str) -> None:
+    """Raise ValueError naming key if value holds a NaN or an infinity."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _require_finite(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _require_finite(item, key)
+    elif isinstance(value, float) and not math.isfinite(value) or (
+            isinstance(value, np.ndarray) and not np.isfinite(value).all()):
+        raise ValueError(f"{key} holds NaN or infinity, which JSON cannot represent")
+
+
+def _write_json(path, obj: dict) -> None:
+    """Write obj as one line of JSON: sorted keys, no spaces, a closing newline.
+
+    numpy arrays are encoded by orjson directly and must be C-contiguous, as
+    ``_complex_pairs`` returns them. Nothing is written if obj holds a
+    non-finite number.
+    """
+    import orjson
+
+    _require_finite(obj, "")
+    Path(path).write_bytes(orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY
+                                        | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
 
 
 def _json_entry(entry) -> complex:
@@ -113,27 +154,39 @@ def save_matrix(path, a) -> None:
             for row in a:
                 writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in row])
     else:
-        path.write_text(json.dumps(matrix_to_json_obj(a), sort_keys=True) + "\n")
+        _write_json(path, matrix_to_json_obj(a))
 
 
-_SAVED_HEAD = re.compile(rb'\{"cols": ([1-9][0-9]*), "data": \[')
-_SAVED_TAIL = re.compile(rb'\], "rows": ([1-9][0-9]*)\}\n?')
+# (header, the bytes before the row count, pair separator, the other
+# layout's separator) of save_matrix's compact layout and of the spaced one
+# of json.dumps(obj, sort_keys=True)
+_LAYOUTS = (
+    (re.compile(rb'\{"cols":([1-9][0-9]*),"data":\['), b'],"rows":', b"],[", b"], ["),
+    (re.compile(rb'\{"cols": ([1-9][0-9]*), "data": \['), b'], "rows": ', b"], [", b"],["),
+)
+_SAVED_ROWS = re.compile(rb'([1-9][0-9]*)\}\n?')
 _SLICE_BYTES = 1 << 18
 
 
 def _read_saved_layout(raw: bytes) -> np.ndarray | None:
-    """The matrix of a file in ``save_matrix``'s JSON layout, else None.
+    """The matrix of a file in one of ``save_matrix``'s JSON layouts, else None.
 
-    The data array is parsed by orjson in slices cut at ``], [`` and copied
-    into one (M*N, 2) float64 array, allocated only once the body is long
-    enough to hold M*N pairs. None leaves the file to the stdlib parser,
-    which then accepts it with the same values or rejects it.
+    The data array is parsed by orjson in slices cut at the layout's pair
+    separator and copied into one (M*N, 2) float64 array, allocated only
+    once the body is long enough to hold M*N pairs. None leaves the file to
+    the stdlib parser, which then accepts it with the same values or
+    rejects it.
     """
     import orjson
 
-    head = _SAVED_HEAD.match(raw)
-    end = raw.rfind(b'], "rows": ')
-    tail = _SAVED_TAIL.fullmatch(raw, end) if head and end >= head.end() else None
+    for header, rows_key, sep, other_sep in _LAYOUTS:
+        head = header.match(raw)
+        if head:
+            break
+    else:
+        return None
+    end = raw.rfind(rows_key)
+    tail = _SAVED_ROWS.fullmatch(raw, end + len(rows_key)) if end >= head.end() else None
     if tail is None:
         return None
     n, m = int(head[1]), int(tail[1])
@@ -144,10 +197,10 @@ def _read_saved_layout(raw: bytes) -> np.ndarray | None:
     out = np.empty((count, 2))
     filled = start = 0
     while start < len(body):
-        cut = body.find(b"], [", start + _SLICE_BYTES)
+        cut = body.find(sep, start + _SLICE_BYTES)
         stop = len(body) if cut < 0 else cut + 1
         chunk = body[start:stop]
-        if b'"' in chunk or b"u" in chunk or b"f" in chunk:
+        if b'"' in chunk or b"u" in chunk or b"f" in chunk or other_sep in chunk:
             return None
         try:
             pairs = np.array(orjson.loads(b"[" + chunk + b"]"), dtype=np.float64)
@@ -157,7 +210,7 @@ def _read_saved_layout(raw: bytes) -> np.ndarray | None:
             return None
         out[filled:filled + len(pairs)] = pairs
         filled += len(pairs)
-        start = stop + 2  # past the ", " between two slices
+        start = stop + len(sep) - 2  # at the "[" that ends the separator
     if filled != count:
         return None
     return out.view(np.complex128).reshape(m, n)

@@ -26,7 +26,8 @@ counted sweep, one Kraus factorisation and one ``eigh`` per step) that
 per-register Python loops that the array decode and peak scan replaced.
 ``complex_pairs_by_loop`` and ``matrix_to_json_obj_by_loop`` are the
 per-element ``float()`` loops that built the [re, im] pair lists of matrix
-files and envelopes before one ``tolist`` call replaced them.
+files and envelopes before the (k, 2) float64 view that orjson encodes
+directly replaced them.
 ``sign_flip`` and ``procrustes_by_uncompute`` are the Procrustes sign flip
 and the two ``invert_joint`` uncomputes that the closed-form window masses
 of ``quantum_procrustes_apply`` replaced. ``random_density`` and
@@ -258,7 +259,7 @@ def evolve_by_steps(oracle, sigma, t, epsilon, steps=None):
         measured_step_error=worst_step,
         total_measured=total,
         total_bound=n * per_step_bound,
-        effective_rank=int(np.sum(np.abs(evals) >= 1.0 / t)) if t > 0 else 0,
+        effective_rank=int(np.sum(np.abs(evals) >= 1.0 / abs(t))) if t else 0,
     )
 
 

@@ -132,6 +132,17 @@ def test_criterion_07_query_scaling_cubed():
             f"(calls {[r.oracle_calls for r in result.rows]})")
 
 
+def test_query_law_n2_down_to_eps_6e_4():
+    # criterion 07's input and schedule, four halvings further
+    a = np.array([[0, 1], [1, 0]], dtype=complex)
+    psi = np.array([1, 0], dtype=complex)
+    result = query_scaling(MatrixOracle(a), psi, [0.04 * 2.0 ** -k for k in range(7)],
+                           base_bits=2, base_time=np.pi)
+    assert [r.oracle_calls for r in result.rows] == [
+        7407, 62184, 503355, 4038651, 32332830, 258709977, 2069774487]
+    assert abs(result.slope - 3.0) <= 0.05
+
+
 def test_criterion_08_extended_eigenstructure():
     worst_eig, worst_sub = 0.0, 0.0
     cases = [(4, 6, 2), (3, 5, 2), (8, 8, 3), (5, 4, 2), (7, 3, 3),

@@ -250,6 +250,8 @@ def test_effective_rank_reporting():
     sigma = random_density(8, rng)
     # nonzero eigenvalues have |lambda|/N >= 0.5, so t = 10 sees exactly rank 2
     assert evolve(_oracle(a), sigma, 10.0, 0.1, steps=1)[1].effective_rank == 2
+    # a time-reversed run evolves the same modes
+    assert evolve(_oracle(a), sigma, -10.0, 0.1, steps=1)[1].effective_rank == 2
     assert evolve(_oracle(a), sigma, 0.0, 0.1, steps=1)[1].effective_rank == 0
 
 

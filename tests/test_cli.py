@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import modswap.cli as cli
@@ -550,6 +551,15 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def _plain(value):
+    """value with every numpy array replaced by its nested list."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
     """One process, one parser: each call sees only its own options.
 
@@ -572,6 +582,7 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
         out = tmp_path / f"out{len(written)}.json"
         assert main([*argv, "--out", str(out)]) == 0
         path, expected = written[-1]
+        expected = _plain(expected)
         assert path == str(out)
         text = out.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
@@ -615,6 +626,46 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
                        "--threshold", "0.05")
     assert config["state"] is None
     assert "seed" not in config
+
+
+@pytest.mark.parametrize("results, key", [
+    ({"total_measured": float("nan")}, "results.total_measured"),
+    ({"final_state": {"cols": 1, "rows": 2, "data": np.array([[1.0, 0.0], [np.inf, 0.0]])}},
+     "results.final_state.data"),
+    ({"left_vectors": [np.zeros((2, 2)), np.array([[0.0, -np.inf]])]}, "results.left_vectors"),
+])
+def test_envelope_refuses_non_finite_numbers(tmp_path, results, key):
+    # json.dumps would write a bare NaN or Infinity, and orjson a null
+    out = tmp_path / "o.json"
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} holds NaN or infinity"):
+        cli._write_envelope(out, "evolve", {"time": 1.0}, results, 0, None)
+    assert not out.exists()
+
+
+def test_every_json_output_reads_the_same_through_json_and_orjson(tmp_path):
+    matrix, rect, state = _gen(tmp_path), tmp_path / "r.json", tmp_path / "psi.json"
+    assert main(["gen-matrix", "--m", "3", "--n", "4", "--rank", "2", "--seed", "8",
+                 "--out", str(rect)]) == 0
+    save_state(state, np.array([1, 1e-05, -0.0, 1e16]))
+    runs = {
+        "evolve": ["evolve", "--matrix", str(matrix), "--time", "0.5", "--epsilon", "0.05"],
+        "qpe": ["qpe", "--matrix", str(matrix), "--state", str(state), "--bits", "6"],
+        "trotter": ["qpe", "--matrix", str(matrix), "--state", str(state), "--bits", "3",
+                    "--backend", "trotter", "--trotter-epsilon", "0.1"],
+        "svd": ["svd", "--matrix", str(rect), "--bits", "10", "--threshold", "0.02"],
+        "demo": ["demo-phase-ambiguity", "--matrix", str(matrix), "--seed", "5"],
+        "procrustes": ["procrustes", "--matrix", str(rect), "--state", str(state),
+                       "--bits", "8", "--threshold", "0.02", "--shots", "100"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / f"{name}.out.json")]) == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 3 + 1 + len(runs)  # with the embedding of r.json
+    for path in paths:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 1 and b" " not in raw
+        # repr tells -0.0 from 0.0 and is the shortest round-trip spelling
+        assert repr(json.loads(raw)) == repr(orjson.loads(raw))
 
 
 @pytest.mark.parametrize("command", ["svd", "procrustes"])

@@ -2,6 +2,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,7 +125,9 @@ def _complex_layouts(draw):
 @given(_complex_layouts())
 def test_complex_pairs_equal_per_element_loop(a):
     for values in (a, a[:, 0]):  # a[:, 0] is a strided 1-d column view
-        fast, ref = _complex_pairs(values), complex_pairs_by_loop(values)
+        pairs = _complex_pairs(values)
+        assert pairs.dtype == np.float64 and pairs.flags.c_contiguous  # as orjson takes it
+        fast, ref = pairs.tolist(), complex_pairs_by_loop(values)
         assert fast == ref
         assert json.dumps(fast) == json.dumps(ref)  # also tells -0.0 from 0.0
 
@@ -135,8 +138,18 @@ def test_saved_matrix_bytes_equal_per_element_loop(tmp_path_factory, a):
     path = tmp_path_factory.mktemp("pairs") / "a.json"
     save_matrix(path, a)
     ref = matrix_to_json_obj_by_loop(a)
-    assert matrix_to_json_obj(a) == ref
-    assert path.read_bytes() == (json.dumps(ref, sort_keys=True) + "\n").encode()
+    obj = matrix_to_json_obj(a)
+    assert {**obj, "data": obj["data"].tolist()} == ref
+    raw = path.read_bytes()
+    # the compact encoding of the loop's Python floats
+    assert raw == orjson.dumps(ref, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    for loads in (json.loads, orjson.loads):
+        back = loads(raw)
+        assert (back["rows"], back["cols"]) == (ref["rows"], ref["cols"])
+        assert repr(back["data"]) == repr(ref["data"])  # bit for bit: -0.0, subnormals
+    fast = _read_saved_layout(raw)
+    assert fast is not None
+    assert fast.tobytes() == np.ascontiguousarray(a).tobytes()
 
 
 def _stdlib_load(path):
@@ -155,6 +168,11 @@ _ENTRIES = st.one_of(_REALS, st.integers(-2**64, 2**64),
                      st.integers(-10**308, 10**308))
 
 
+# json.dumps separators of save_matrix's compact layout and of the spaced
+# layout of older files
+_SEPARATORS = {"compact": (",", ":"), "spaced": (", ", ": ")}
+
+
 @st.composite
 def _saved_layouts(draw):
     """(rows, cols, data) of a file in save_matrix's layout, ints allowed."""
@@ -166,13 +184,14 @@ def _saved_layouts(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_saved_layouts(), st.sampled_from([1, matio._SLICE_BYTES]))
-def test_saved_layout_equals_stdlib_parse(tmp_path_factory, layout, slice_bytes):
+@given(_saved_layouts(), st.sampled_from(sorted(_SEPARATORS)),
+       st.sampled_from([1, matio._SLICE_BYTES]))
+def test_saved_layout_equals_stdlib_parse(tmp_path_factory, layout, style, slice_bytes):
     # a slice of 1 byte cuts the data after every pair
     rows, cols, data = layout
     path = tmp_path_factory.mktemp("layout") / "a.json"
     path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data},
-                               sort_keys=True) + "\n")
+                               sort_keys=True, separators=_SEPARATORS[style]) + "\n")
     with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
         fast = _read_saved_layout(path.read_bytes())
     assert fast is not None
@@ -196,51 +215,74 @@ def test_saved_layout_over_many_slices(tmp_path):
 _HUGE_INT = "1" + "0" * 400
 
 
-def _layout_bytes(data: str, rows: int = 1, cols: int = 2) -> bytes:
-    return ('{"cols": %d, "data": %s, "rows": %d}\n' % (cols, data, rows)).encode()
+def _layout_bytes(style: str, data: str, rows: int = 1, cols: int = 2) -> bytes:
+    """A file in one layout; data is written spaced and respaced to the style."""
+    comma, colon = _SEPARATORS[style]
+    data = data.replace(", ", comma)
+    return (f'{{"cols"{colon}{cols}{comma}"data"{colon}{data}{comma}"rows"{colon}{rows}}}\n'
+            .encode())
 
 
 def _entry_1(text: str) -> str:
     return f"data entry 1 is {text}, not a number pair (re, im)"
 
 
-# near-canonical files: each breaks save_matrix's layout in one place, and the
-# message is the one the stdlib parser gives
-_BAD_FILES = {
-    "nan": (_layout_bytes("[[1.5, 0.0], [NaN, 0.0]]"),
-            "{path}: matrix contains NaN or infinity"),
-    "infinity": (_layout_bytes("[[1.5, 0.0], [-Infinity, 0.0]]"),
-                 "{path}: matrix contains NaN or infinity"),
-    "true": (_layout_bytes("[[1.5, 0.0], [true, 0.0]]"), _entry_1("[True, 0.0]")),
-    "null": (_layout_bytes("[[1.5, 0.0], [0.0, null]]"), _entry_1("[0.0, None]")),
-    "string": (_layout_bytes('[[1.5, 0.0], ["1", 0]]'), _entry_1("['1', 0]")),
-    "one-element-pair": (_layout_bytes("[[1.5, 0.0], [1.5]]"), _entry_1("[1.5]")),
-    "three-element-pair": (_layout_bytes("[[1.5, 0.0], [1.5, 0.0, 2.5]]"),
-                           _entry_1("[1.5, 0.0, 2.5]")),
-    "nested-pair": (_layout_bytes("[[1.5, 0.0], [[1.5, 0.0], 0.0]]"),
-                    _entry_1("[[1.5, 0.0], 0.0]")),
-    "int-past-float-range": (_layout_bytes(f"[[1.5, 0.0], [{_HUGE_INT}, 0]]"),
-                             _entry_1(f"[{_HUGE_INT}, 0]")),
-    "too-few-pairs": (_layout_bytes("[[1.5, 0.0]]"), "data length 1 != rows*cols = 2"),
-    # long enough a body for two pairs, so only the pair count can refuse it
-    "too-few-long-pairs": (_layout_bytes("[[1.5000000000000002, 0.0]]"),
-                           "data length 1 != rows*cols = 2"),
-    "too-many-pairs": (_layout_bytes("[[1.5, 0.0], [1.5, 0.0], [1.5, 0.0]]"),
-                       "data length 3 != rows*cols = 2"),
-    # 1e18 pairs claimed over one: refused before any allocation
-    "huge-header": (_layout_bytes("[[1.5, 0.0]]", 10**9, 10**9),
-                    "data length 1 != rows*cols = 1000000000000000000"),
-    "trailing-bytes": (_layout_bytes("[[1.5, 0.0]]", 1, 1) + b"x",
-                       "Extra data: line 2 column 1 (char 45)"),
-    "utf8-bom": (b"\xef\xbb\xbf" + _layout_bytes("[[1.5, 0.0]]", 1, 1),
-                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+def _bad_files(style: str) -> dict:
+    """Near-canonical files in one layout, each broken in one place, with the
+    message the stdlib parser gives."""
+    def layout(data, rows=1, cols=2):
+        return _layout_bytes(style, data, rows, cols)
+
+    one_pair = layout("[[1.5, 0.0]]", 1, 1)
+    return {
+        "nan": (layout("[[1.5, 0.0], [NaN, 0.0]]"), "{path}: matrix contains NaN or infinity"),
+        "infinity": (layout("[[1.5, 0.0], [-Infinity, 0.0]]"),
+                     "{path}: matrix contains NaN or infinity"),
+        "true": (layout("[[1.5, 0.0], [true, 0.0]]"), _entry_1("[True, 0.0]")),
+        "null": (layout("[[1.5, 0.0], [0.0, null]]"), _entry_1("[0.0, None]")),
+        "string": (layout('[[1.5, 0.0], ["1", 0]]'), _entry_1("['1', 0]")),
+        "one-element-pair": (layout("[[1.5, 0.0], [1.5]]"), _entry_1("[1.5]")),
+        "three-element-pair": (layout("[[1.5, 0.0], [1.5, 0.0, 2.5]]"),
+                               _entry_1("[1.5, 0.0, 2.5]")),
+        "nested-pair": (layout("[[1.5, 0.0], [[1.5, 0.0], 0.0]]"),
+                        _entry_1("[[1.5, 0.0], 0.0]")),
+        "int-past-float-range": (layout(f"[[1.5, 0.0], [{_HUGE_INT}, 0]]"),
+                                 _entry_1(f"[{_HUGE_INT}, 0]")),
+        "too-few-pairs": (layout("[[1.5, 0.0]]"), "data length 1 != rows*cols = 2"),
+        # long enough a body for two pairs, so only the pair count can refuse it
+        "too-few-long-pairs": (layout("[[1.5000000000000002, 0.0]]"),
+                               "data length 1 != rows*cols = 2"),
+        "too-many-pairs": (layout("[[1.5, 0.0], [1.5, 0.0], [1.5, 0.0]]"),
+                           "data length 3 != rows*cols = 2"),
+        # 1e18 pairs claimed over one: refused before any allocation
+        "huge-header": (layout("[[1.5, 0.0]]", 10**9, 10**9),
+                        "data length 1 != rows*cols = 1000000000000000000"),
+        "trailing-bytes": (one_pair + b"x",
+                           f"Extra data: line 2 column 1 (char {len(one_pair)})"),
+        "utf8-bom": (b"\xef\xbb\xbf" + one_pair,
+                     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    }
+
+
+# one layout's header with the other's pair separator
+_MIXED_FILES = {
+    "mixed-compact-header": (
+        b'{"cols":2,"data":[[1.5,0.0], [1.5,0.0], [1.5,0.0]],"rows":1}\n',
+        "data length 3 != rows*cols = 2"),
+    "mixed-spaced-header": (
+        b'{"cols": 2, "data": [[1.5, 0.0],[true, 0.0]], "rows": 1}\n',
+        _entry_1("[True, 0.0]")),
 }
+# the spaced cases keep the bare names they had before the compact layout
+_ALL_BAD_FILES = {**_bad_files("spaced"),
+                  **{f"compact-{case}": entry for case, entry in _bad_files("compact").items()},
+                  **_MIXED_FILES}
 
 
 @pytest.mark.parametrize("slice_bytes", [1, matio._SLICE_BYTES])
-@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+@pytest.mark.parametrize("case", sorted(_ALL_BAD_FILES))
 def test_bad_saved_layout_falls_back_to_stdlib_message(tmp_path, case, slice_bytes):
-    raw, message = _BAD_FILES[case]
+    raw, message = _ALL_BAD_FILES[case]
     path = tmp_path / "bad.json"
     path.write_bytes(raw)
     with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
@@ -248,3 +290,15 @@ def test_bad_saved_layout_falls_back_to_stdlib_message(tmp_path, case, slice_byt
         with pytest.raises(ValueError) as info:
             load_matrix(path)
     assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"cols":1,"data":[[1.5,0.0], [-0.0,2.5]],"rows":2}\n',
+    b'{"cols": 1, "data": [[1.5, 0.0],[-0.0, 2.5]], "rows": 2}\n',
+])
+def test_mixed_layout_goes_to_stdlib_parser(tmp_path, raw):
+    path = tmp_path / "mixed.json"
+    path.write_bytes(raw)
+    assert _read_saved_layout(raw) is None
+    _assert_same_array(load_matrix(path), np.array([[1.5], [complex(-0.0, 2.5)]]))
+
