@@ -1,12 +1,16 @@
 """Command-line front end: seeded experiment runs with persisted envelopes.
 
 Every run writes a JSON result envelope that echoes the full configuration
-that produced it, so reruns with the same inputs are byte-identical. Wall-clock
-timing is opt-in (--timing) because embedding it would break that guarantee;
-without the flag the envelope carries "wall_ms": null. Envelopes and matrix
-files go through the one writer ``matio._write_json``: the states and
-distributions are handed to it as numpy arrays, and a non-finite number
-exits 2 with no file written.
+that produced it, so reruns with the same inputs are byte-identical. Each
+envelope command returns (config, results, oracle_calls, summary), and
+``main`` alone times it, writes the envelope and prints the summary;
+``gen-matrix`` and ``error-sweep`` write their own files and return None.
+Wall-clock timing is opt-in (--timing) because embedding it would break that
+guarantee; without the flag the envelope carries "wall_ms": null. With it,
+wall_ms runs from input resolution to the built results, without the write.
+Envelopes and matrix files go through the one writer ``matio._write_json``:
+the states and distributions are handed to it as numpy arrays, and a
+non-finite number exits 2 with no file written.
 
 Exit codes: 0 success, 2 validation/usage error, 1 runtime failure.
 """
@@ -24,8 +28,8 @@ import numpy as np
 from . import FORMAT_VERSION, __version__
 from .channel import error_sweep, evolve, pure_density
 from .linalg import random_low_rank, random_low_rank_rect, require_hermitian
-from .matio import (_complex_pairs, _write_json, load_matrix, load_state, matrix_to_json_obj,
-                    save_matrix)
+from .matio import (_complex_pairs, _state_from_matrix, _write_json, load_matrix, load_state,
+                    matrix_to_json_obj, save_matrix)
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import quantum_procrustes_apply
 from .qpe import QPEConfig, qpe
@@ -80,7 +84,8 @@ def _resolve_sigma(args, n: int) -> np.ndarray:
     if getattr(args, "state", None):
         loaded = load_matrix(args.state)
         if 1 in loaded.shape:
-            return pure_density(loaded.reshape(-1))
+            psi = _state_from_matrix(loaded)
+            return np.outer(psi, psi.conj())
         return loaded
     ground = np.zeros(n, dtype=np.complex128)
     ground[0] = 1.0
@@ -116,7 +121,7 @@ def _add_source_flags(p, with_state=True, with_timing=True):
                             "byte-identical reruns)")
 
 
-def cmd_gen_matrix(args) -> int:
+def cmd_gen_matrix(args) -> None:
     rng = np.random.default_rng(args.seed)
     if args.m is not None:
         a = random_low_rank_rect(args.m, args.n, args.rank, args.scale, rng)
@@ -131,39 +136,27 @@ def cmd_gen_matrix(args) -> int:
               f"and {companion}")
     else:
         print(f"wrote {args.out} ({args.n}x{args.n} Hermitian, rank {args.rank})")
-    return 0
 
 
-def cmd_evolve(args) -> int:
-    start = time.perf_counter()
+def cmd_evolve(args):
     oracle = _resolve_oracle(args)
     n = oracle.dim
     final, report = evolve(oracle, _resolve_sigma(args, n), args.time, args.epsilon,
                            steps=args.steps)
-    wall = (time.perf_counter() - start) * 1000.0
-    _write_envelope(
-        args.out, "evolve",
+    results = report._asdict()
+    del results["steps"]
+    return (
         {**_source_config(args), "time": args.time, "epsilon": args.epsilon,
          "steps": report.steps},
-        {
-            "final_state": matrix_to_json_obj(final),
-            "delta_t": report.delta_t,
-            "per_step_bound": report.per_step_bound,
-            "measured_step_error": report.measured_step_error,
-            "total_measured": report.total_measured,
-            "total_bound": report.total_bound,
-            "effective_rank": report.effective_rank,
-            "qram_latency_factor": _qram_latency_factor(n),
-        },
+        {**results, "final_state": matrix_to_json_obj(final),
+         "qram_latency_factor": _qram_latency_factor(n)},
         oracle.report_calls(),
-        wall if args.timing else None,
+        f"evolve: n={report.steps} total_measured={report.total_measured:.6g} "
+        f"(budget {args.epsilon})",
     )
-    print(f"evolve: n={report.steps} total_measured={report.total_measured:.6g} "
-          f"(budget {args.epsilon})")
-    return 0
 
 
-def cmd_error_sweep(args) -> int:
+def cmd_error_sweep(args) -> None:
     oracle = _resolve_oracle(args)
     sigma = _resolve_sigma(args, oracle.dim)
     dts = [float(x) for x in args.dts.split(",")]
@@ -174,11 +167,9 @@ def cmd_error_sweep(args) -> int:
                      f"{row.bound!r},{row.ratio!r}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"error-sweep: slope={result.slope:.4f} over {len(result.rows)} points")
-    return 0
 
 
-def cmd_qpe(args) -> int:
-    start = time.perf_counter()
+def cmd_qpe(args):
     oracle = _resolve_oracle(args)
     require_hermitian(oracle.materialize())
     psi = _resolve_psi(args, oracle.dim)
@@ -186,39 +177,27 @@ def cmd_qpe(args) -> int:
                        backend=BACKENDS[args.backend],
                        trotter_epsilon=args.trotter_epsilon)
     result = qpe(oracle, psi, config)
-    wall = (time.perf_counter() - start) * 1000.0
-    _write_envelope(
-        args.out, "qpe",
+    return (
         {**_source_config(args), "bits": args.bits, "backend": args.backend,
          "t0": result.base_time, "trotter_epsilon": args.trotter_epsilon},
         {
             "distribution": np.ascontiguousarray(result.distribution),
-            "estimates": [
-                {"register_value": e.register_value, "value": e.value,
-                 "weight": e.weight, "sign": e.sign}
-                for e in result.estimates
-            ],
+            "estimates": [e._asdict() for e in result.estimates],
             "trotter_error_bound": result.trotter_error_bound,
             "qram_latency_factor": _qram_latency_factor(oracle.dim),
         },
         result.oracle_calls,
-        wall if args.timing else None,
+        f"qpe: {len(result.estimates)} peak(s), {result.oracle_calls} oracle calls",
     )
-    print(f"qpe: {len(result.estimates)} peak(s), {result.oracle_calls} oracle calls")
-    return 0
 
 
-def cmd_svd(args) -> int:
-    start = time.perf_counter()
+def cmd_svd(args):
     oracle = _resolve_oracle(args)
     config = QPEConfig(bits=args.bits, base_time=args.t0)
     result = quantum_svd(oracle, config, args.threshold)
-    a = oracle.materialize()
-    wall = (time.perf_counter() - start) * 1000.0
-    residual = result.residual(a)
+    residual = result.residual(oracle.materialize())
     sqrt2 = float(np.sqrt(2.0))
-    _write_envelope(
-        args.out, "svd",
+    return (
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold},
         {
             "rank": result.rank,
@@ -239,22 +218,21 @@ def cmd_svd(args) -> int:
             "qram_latency_factor": _qram_latency_factor(sum(oracle.shape)),
         },
         result.oracle_calls,
-        wall if args.timing else None,
+        f"svd: rank {result.rank}, residual {residual:.3e}, "
+        f"{result.unresolved} unresolved at grid step {result.grid_step:.3g}",
     )
-    print(f"svd: rank {result.rank}, residual {residual:.3e}, "
-          f"{result.unresolved} unresolved at grid step {result.grid_step:.3g}")
-    return 0
 
 
-def cmd_demo_phase_ambiguity(args) -> int:
+def cmd_demo_phase_ambiguity(args):
     a = load_matrix(args.matrix)
     rng = np.random.default_rng(args.seed)
     s = np.linalg.svd(a, compute_uv=False)
     r = int(np.sum(s > 1e-10 * s[0]))
+    if r == 0:
+        raise ValueError("zero matrix has no singular pairs to twist")
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=r)
     report = phase_ambiguity_demo(a, thetas)
-    _write_envelope(
-        args.out, "demo-phase-ambiguity",
+    return (
         {"matrix": args.matrix, "seed": args.seed},
         {
             "thetas": [float(t) for t in thetas],
@@ -265,15 +243,12 @@ def cmd_demo_phase_ambiguity(args) -> int:
             "singular_values_modified": [float(x) for x in report.singular_values_modified],
         },
         0,
-        None,
+        f"demo-phase-ambiguity: distance {report.distance:.6g}, "
+        f"gram deviation {report.gram_deviation:.3e}",
     )
-    print(f"demo-phase-ambiguity: distance {report.distance:.6g}, "
-          f"gram deviation {report.gram_deviation:.3e}")
-    return 0
 
 
-def cmd_procrustes(args) -> int:
-    start = time.perf_counter()
+def cmd_procrustes(args):
     if args.shots is not None and args.shots < 1:
         raise ValueError("shots must be >= 1")
     oracle = _resolve_oracle(args)
@@ -284,26 +259,18 @@ def cmd_procrustes(args) -> int:
     success = min(max(result.success_probability, 0.0), 1.0)
     sampled = None if args.shots is None else float(
         np.random.default_rng(args.seed).binomial(args.shots, success) / args.shots)
-    wall = (time.perf_counter() - start) * 1000.0
-    _write_envelope(
-        args.out, "procrustes",
+    results = result._asdict()
+    del results["oracle_calls"]
+    return (
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
          "shots": args.shots, "seed": args.seed},
-        {
-            "output_state": _complex_pairs(result.output_state),
-            "success_probability": result.success_probability,
-            "sampled_success_probability": sampled,
-            "fidelity_vs_oracle": result.fidelity_vs_oracle,
-            "retained_pairs": result.retained_pairs,
-            "uncompute_leakage": result.uncompute_leakage,
-            "qram_latency_factor": _qram_latency_factor(sum(oracle.shape)),
-        },
+        {**results, "output_state": _complex_pairs(result.output_state),
+         "sampled_success_probability": sampled,
+         "qram_latency_factor": _qram_latency_factor(sum(oracle.shape))},
         result.oracle_calls,
-        wall if args.timing else None,
+        f"procrustes: success={result.success_probability:.4f} "
+        f"fidelity={result.fidelity_vs_oracle:.6f}",
     )
-    print(f"procrustes: success={result.success_probability:.4f} "
-          f"fidelity={result.fidelity_vs_oracle:.6f}")
-    return 0
 
 
 @functools.cache
@@ -387,7 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        start = time.perf_counter()
+        record = args.fn(args)
+        if record is not None:
+            config, results, oracle_calls, summary = record
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            _write_envelope(args.out, args.command, config, results, oracle_calls,
+                            wall_ms if getattr(args, "timing", False) else None)
+            print(summary)
+        return 0
     except (ValueError, IndexError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

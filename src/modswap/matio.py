@@ -255,7 +255,11 @@ def load_matrix(path) -> np.ndarray:
 
 def load_state(path) -> np.ndarray:
     """Load a pure state stored as a single-column (or single-row) matrix."""
-    a = load_matrix(path)
+    return _state_from_matrix(load_matrix(path))
+
+
+def _state_from_matrix(a) -> np.ndarray:
+    """The normalized pure state a loaded single-column (or single-row) matrix holds."""
     if 1 not in a.shape:
         raise ValueError(f"state file must be a vector, got shape {a.shape}")
     psi = a.reshape(-1)

@@ -168,8 +168,11 @@ def _read_spectrum(read, dim: int, config: QPEConfig):
     matrix that every exact readout builds, one 2^bits x dim float64 array
     at its peak, is checked against ``MAX_BYTES`` before the read. ``eigh``
     reads one triangle and the real part of the diagonal, so A needs no
-    hermitizing.
+    hermitizing. A config whose backend is not exact-unitary is refused first.
     """
+    if config.backend != "exact-unitary":
+        raise ValueError("this readout runs on the exact-unitary backend only, "
+                         f"not '{config.backend}'")
     _require_bytes(8 * config.size * dim, "exact backend register kernel mass")
     a = read()
     t0 = _base_time(config, float(np.max(np.abs(a))))

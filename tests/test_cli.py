@@ -312,6 +312,30 @@ def test_error_sweep_rejects_zero_matrix_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--time", "0.2", "--epsilon", "0.05"],
+    ["error-sweep", "--dts", "0.1,0.05"],
+])
+def test_zero_state_vector_exits_2(tmp_path, capsys, argv):
+    # read by load_state's rule, before a division by its zero norm
+    state = tmp_path / "zero_psi.json"
+    save_state(state, np.zeros(4))
+    out = tmp_path / "o.out"
+    assert main([*argv, "--matrix", str(_gen(tmp_path)), "--state", str(state),
+                 "--out", str(out)]) == 2
+    assert "error: state file holds the zero vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_demo_phase_ambiguity_rejects_zero_matrix_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "zero.json"
+    save_matrix(matrix, np.zeros((3, 4)))
+    out = tmp_path / "d.json"
+    assert main(["demo-phase-ambiguity", "--matrix", str(matrix), "--out", str(out)]) == 2
+    assert "error: zero matrix has no singular pairs to twist" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _record_oracles(monkeypatch):
     """The list of every oracle the CLI resolves, in order."""
     oracles = []
@@ -578,6 +602,29 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_envelope", spy)
 
+    # a key added to or dropped from any envelope (a record field that comes
+    # through ``_asdict()`` included) fails here, so format_version is decided
+    source = {"matrix", "generator", "state"}
+    keys = {
+        "evolve": (source | {"time", "epsilon", "steps"},
+                   {"final_state", "delta_t", "per_step_bound", "measured_step_error",
+                    "total_measured", "total_bound", "effective_rank",
+                    "qram_latency_factor"}),
+        "qpe": (source | {"bits", "backend", "t0", "trotter_epsilon"},
+                {"distribution", "estimates", "trotter_error_bound", "qram_latency_factor"}),
+        "svd": (source | {"bits", "threshold"},
+                {"rank", "singular_values", "left_vectors", "right_vectors", "degenerate",
+                 "unresolved", "grid_step", "reconstruction_residual", "subvector_norms",
+                 "qram_latency_factor"}),
+        "demo-phase-ambiguity": ({"matrix", "seed"},
+                                 {"thetas", "distance", "gram_deviation", "pairing_residual",
+                                  "singular_values_original", "singular_values_modified"}),
+        "procrustes": (source | {"bits", "threshold", "shots", "seed"},
+                       {"output_state", "success_probability", "sampled_success_probability",
+                        "fidelity_vs_oracle", "retained_pairs", "uncompute_leakage",
+                        "qram_latency_factor"}),
+    }
+
     def run(*argv):
         out = tmp_path / f"out{len(written)}.json"
         assert main([*argv, "--out", str(out)]) == 0
@@ -586,7 +633,14 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
         assert path == str(out)
         text = out.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text) == expected
+        envelope = json.loads(text)
+        assert envelope == expected
+        assert set(envelope) == {"artifact_version", "format_version", "command", "config",
+                                 "results", "oracle_calls", "wall_ms"}
+        assert envelope["format_version"] == 3
+        assert (set(envelope["config"]), set(envelope["results"])) == keys[argv[0]]
+        for estimate in envelope["results"].get("estimates", []):
+            assert set(estimate) == {"register_value", "value", "weight", "sign"}
         return expected["config"], expected["results"], expected["wall_ms"]
 
     pauli = tmp_path / "x.json"
@@ -598,7 +652,8 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
                           "--backend", "trotter", "--trotter-epsilon", "0.1", "--timing")
     assert (config["backend"], config["t0"], config["trotter_epsilon"]) == ("trotter", 0.5, 0.1)
     assert wall > 0
-    config, _, wall = run("qpe", "--matrix", str(pauli), "--bits", "3")
+    config, results, wall = run("qpe", "--matrix", str(pauli), "--bits", "3")
+    assert results["estimates"]
     assert config["backend"] == "exact"
     assert config["t0"] == default_base_time(1.0)
     assert config["trotter_epsilon"] == 0.01
@@ -626,6 +681,10 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
                        "--threshold", "0.05")
     assert config["state"] is None
     assert "seed" not in config
+
+    config, results, _ = run("demo-phase-ambiguity", "--matrix", str(proc_matrix),
+                             "--seed", "2")
+    assert config["seed"] == 2 and len(results["thetas"]) == 1
 
 
 @pytest.mark.parametrize("results, key", [

@@ -81,6 +81,16 @@ def test_svd_and_procrustes_charge_one_query_per_entry(m, n):
     assert base.report_calls() == 2 * m * n
 
 
+def test_svd_and_procrustes_refuse_a_non_exact_backend_before_any_query():
+    a = random_low_rank_rect(5, 4, 3, 1.0, np.random.default_rng(3))
+    config, base = QPEConfig(bits=10, backend="trotter-channel"), _oracle(a)
+    with pytest.raises(ValueError, match="exact-unitary backend only"):
+        quantum_svd(base, config, 0.05)
+    with pytest.raises(ValueError, match="exact-unitary backend only"):
+        quantum_procrustes_apply(base, np.linalg.svd(a)[2][0].conj(), config, 0.05)
+    assert base.report_calls() == 0
+
+
 def test_embed_matches_blockwise_construction():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
