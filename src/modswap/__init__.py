@@ -9,9 +9,7 @@ from .channel import (
     channel_step,
     error_sweep,
     evolve,
-    first_order_generator,
     pure_density,
-    uniform_density,
 )
 from .linalg import (
     exact_evolution,
@@ -69,7 +67,6 @@ __all__ = [
     "evolve",
     "exact_evolution",
     "extended_spectrum_check",
-    "first_order_generator",
     "haar_unitary",
     "load_matrix",
     "load_state",
@@ -85,5 +82,4 @@ __all__ = [
     "random_low_rank_rect",
     "save_matrix",
     "save_state",
-    "uniform_density",
 ]

@@ -18,7 +18,12 @@ the source once and charges its other sweeps as modelled ones
 (``MatrixOracle.charge_sweeps``), builds the Kraus factors and the
 baseline's one eigendecomposition, and then loops over the state only.
 All error metrics are nuclear (trace) norms against the exact unitary
-baseline.
+baseline. The steps run one after another, but their errors are measured
+in batches: ``evolve`` copies each state and its successor into two
+buffers of at most ``ERROR_BUFFER_BYTES`` (64 KB, and never less than one
+matrix), and each filled buffer gets one stacked baseline product and one
+ungated ``linalg.trace_norms`` call. ``error_sweep`` stacks its dts the
+same way. Memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -34,19 +39,16 @@ from .linalg import (
     is_hermitian,
     nuclear_norm,
     require_hermitian,
+    trace_norms,
     unitary_from_eigh,
 )
-from .oracle import MatrixOracle, read_hermitian
+from .oracle import MatrixOracle
 from .swapop import BlockPlan, ModifiedSwapOperator
 
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 MAX_STEPS = 10**6  # largest step count evolve loops over, checked before any query
-
-
-def uniform_density(n: int) -> np.ndarray:
-    """Projector onto the uniform superposition: every entry 1/n."""
-    return np.full((n, n), 1.0 / n, dtype=np.complex128)
+ERROR_BUFFER_BYTES = 2**16  # per buffer of states whose step errors are measured together
 
 
 def require_density(rho) -> np.ndarray:
@@ -70,20 +72,6 @@ def pure_density(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     psi = psi / np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
-
-
-def first_order_generator(oracle: MatrixOracle, sigma) -> np.ndarray:
-    """(A/N) sigma via the partial-trace contraction with the uniform ancilla.
-
-    The contraction sums A[j,k] <j|rho|k> |j><k| sigma; with the uniform
-    ancilla every <j|rho|k> is 1/N, so the result equals (A/N) @ sigma.
-    """
-    sigma = as_matrix(sigma)
-    n = oracle.dim
-    if sigma.shape != (n, n):
-        raise ValueError(f"state dim {sigma.shape} != oracle dim {n}")
-    a = read_hermitian(oracle)
-    return (a * uniform_density(n)) @ sigma
 
 
 def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
@@ -118,6 +106,11 @@ def _read_once(oracle: MatrixOracle, sigma: np.ndarray, sweeps: int) -> BlockPla
     plan = ModifiedSwapOperator(oracle).build_plan()
     oracle.charge_sweeps(sweeps - 1)
     return plan
+
+
+def _chunk(n: int) -> int:
+    """Matrices per error buffer: ERROR_BUFFER_BYTES of complex N x N, at least one."""
+    return max(1, ERROR_BUFFER_BYTES // (16 * n * n))
 
 
 def _step_bound(max_norm: float, dt: float) -> float:
@@ -178,7 +171,11 @@ def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | N
     overrides the count), refuses more than ``MAX_STEPS`` of them, since the
     loop runs once per step, and then makes one counted sweep and charges
     the other n - 1. The step map comes from one Kraus factorisation, and
-    the baseline unitaries and the effective rank from one ``eigh``.
+    the baseline unitaries and the effective rank from one ``eigh``. Each
+    state and its successor are copied into two buffers of ``_chunk(N)``
+    matrices; a filled buffer (or the last, partial one) is measured with
+    one stacked product u_dt·before·u_dt† and one ``trace_norms`` call, bit
+    for bit the errors of one ``nuclear_norm`` call per step.
     """
     sigma, a, a_max = _gate(oracle, sigma)
     n, dt, per_step_bound = plan_steps(a_max, t, epsilon, steps)
@@ -190,13 +187,18 @@ def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | N
     w, v = np.linalg.eigh(a)
     u_dt = unitary_from_eigh(w, v, dt)
     u_dt_h = u_dt.conj().T
+    chunk = min(n, _chunk(a.shape[0]))
+    before = np.empty((chunk, *a.shape), dtype=np.complex128)
+    after = np.empty_like(before)
     cur = sigma
     worst_step = 0.0
-    for _ in range(n):
-        nxt = hermitize(step(cur))
-        step_err = nuclear_norm(nxt - u_dt @ cur @ u_dt_h)
-        worst_step = max(worst_step, step_err)
-        cur = nxt
+    for done in range(0, n, chunk):
+        k = min(chunk, n - done)
+        for j in range(k):
+            before[j] = cur
+            cur = after[j] = hermitize(step(cur))
+        errs = trace_norms(after[:k] - u_dt @ before[:k] @ u_dt_h)
+        worst_step = max(worst_step, float(errs.max()))
 
     u_t = unitary_from_eigh(w, v, t)
     total = nuclear_norm(cur - u_t @ sigma @ u_t.conj().T)
@@ -233,6 +235,9 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     delta_ts must be finite, positive and strictly descending, and the matrix
     must be nonzero: a zero matrix makes every bound 2 * max_norm^2 * dt^2
     zero. One counted sweep serves every dt; the other sweeps are charged.
+    The dts are stacked ``_chunk(N)`` at a time: one stacked product
+    u·sigma·u† and one ``trace_norms`` call per stack, bit for bit the
+    errors of one ``nuclear_norm`` call per dt.
     """
     dts = [float(d) for d in delta_ts]
     if not all(math.isfinite(d) for d in dts):
@@ -248,13 +253,15 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
 
     plan = _read_once(oracle, sigma, len(dts))
     w, v = np.linalg.eigh(a)
-    rows = []
-    for dt, bound in zip(dts, bounds):
-        u = unitary_from_eigh(w, v, dt)
-        measured = nuclear_norm(
-            hermitize(plan.channel_map(dt)(sigma)) - u @ sigma @ u.conj().T
-        )
-        rows.append(SweepRow(delta_t=dt, measured_error=measured, bound=bound))
+    chunk = _chunk(a.shape[0])
+    measured = []
+    for done in range(0, len(dts), chunk):
+        part = dts[done:done + chunk]
+        u = np.stack([unitary_from_eigh(w, v, dt) for dt in part])
+        after = np.stack([hermitize(plan.channel_map(dt)(sigma)) for dt in part])
+        measured += trace_norms(after - u @ sigma @ u.conj().swapaxes(-1, -2)).tolist()
+    rows = [SweepRow(delta_t=dt, measured_error=err, bound=bound)
+            for dt, err, bound in zip(dts, measured, bounds)]
     xs = np.log([r.delta_t for r in rows])
     ys = np.log([max(r.measured_error, 1e-300) for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")

@@ -5,7 +5,9 @@ Everything here is a classical baseline: plain numpy on dense arrays, no
 oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
 ``require_hermitian`` is the one gate of the uncounted path: it returns the
 exactly-Hermitian part of a matrix that passed, so no caller hermitizes its
-result again.
+result again. ``trace_norms`` is the one trace-norm kernel: ``nuclear_norm``
+runs it after its checks, and ``evolve`` and ``error_sweep`` run it ungated
+on stacks of step differences.
 """
 
 from __future__ import annotations
@@ -51,15 +53,34 @@ def require_hermitian(a) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2, the exactly-Hermitian part."""
-    return (a + a.conj().T) / 2
+    """Return (A + A†)/2, the exactly-Hermitian part, over the last two axes.
+
+    A stack of matrices is hermitized matrix by matrix; on a 2-d array the
+    result is the same bits as ``(A + A.conj().T) / 2``.
+    """
+    return (a + a.swapaxes(-1, -2).conj()) / 2
+
+
+def trace_norms(d: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| of hermitize(D), for each matrix of the last two axes.
+
+    The ungated kernel behind ``nuclear_norm``: no finiteness, shape or
+    Hermiticity check, so a caller passes a (stack of) square difference(s)
+    of Hermitian matrices. A stack gives each matrix's value bit for bit as
+    a call on that matrix alone.
+    """
+    return np.sum(np.abs(np.linalg.eigvalsh(hermitize(d))), axis=-1)
 
 
 def nuclear_norm(a) -> float:
-    """Sum of singular values. For Hermitian input this is sum |eigenvalues|."""
+    """Sum of singular values: ``trace_norms`` once A passes the checks.
+
+    The checks are ``as_matrix``, a square shape and Hermiticity within 1e-9;
+    any other matrix takes an SVD.
+    """
     a = as_matrix(a)
     if a.shape[0] == a.shape[1] and is_hermitian(a, tol=1e-9):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(a)))))
+        return float(trace_norms(a))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 

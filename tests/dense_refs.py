@@ -28,6 +28,9 @@ per-register Python loops that the array decode and peak scan replaced.
 per-element ``float()`` loops that built the [re, im] pair lists of matrix
 files and envelopes before the (k, 2) float64 view that orjson encodes
 directly replaced them.
+``uniform_density`` is the uniform-ancilla projector, and
+``first_order_generator`` the (A/N)·sigma contraction that the channel step
+reproduces to first order in dt; no pipeline calls either.
 ``sign_flip`` and ``procrustes_by_uncompute`` are the Procrustes sign flip
 and the two ``invert_joint`` uncomputes that the closed-form window masses
 of ``quantum_procrustes_apply`` replaced. ``random_density`` and
@@ -42,7 +45,7 @@ from scipy.linalg import expm
 
 from modswap.channel import ErrorReport, SweepResult, SweepRow, channel_step, require_density
 from modswap.linalg import as_matrix, exact_evolution, hermitize, nuclear_norm, require_hermitian
-from modswap.oracle import MatrixOracle
+from modswap.oracle import MatrixOracle, read_hermitian
 from modswap.qpe import (
     EigenEstimate,
     decode_register,
@@ -227,6 +230,26 @@ def trotter_by_blocks(oracle, psi, config):
     dist = np.real(np.einsum("mmss->m", blocks))
     dens = blocks.transpose(0, 2, 1, 3).reshape(size * n, size * n)
     return dens, dist, t0, error_bound
+
+
+def uniform_density(n: int) -> np.ndarray:
+    """Projector onto the uniform superposition: every entry 1/n."""
+    return np.full((n, n), 1.0 / n, dtype=np.complex128)
+
+
+def first_order_generator(oracle: MatrixOracle, sigma) -> np.ndarray:
+    """(A/N) sigma via the partial-trace contraction with the uniform ancilla.
+
+    The contraction sums A[j,k] <j|rho|k> |j><k| sigma; with the uniform
+    ancilla every <j|rho|k> is 1/N, so the result equals (A/N) @ sigma. The
+    matrix comes from one counted ``read_hermitian`` sweep.
+    """
+    sigma = as_matrix(sigma)
+    n = oracle.dim
+    if sigma.shape != (n, n):
+        raise ValueError(f"state dim {sigma.shape} != oracle dim {n}")
+    a = read_hermitian(oracle)
+    return (a * uniform_density(n)) @ sigma
 
 
 def evolve_by_steps(oracle, sigma, t, epsilon, steps=None):

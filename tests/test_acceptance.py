@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from modswap.channel import channel_step, error_sweep, evolve, first_order_generator
+from modswap.channel import channel_step, error_sweep, evolve
 from modswap.cli import main as cli_main
 from modswap.linalg import random_low_rank, random_low_rank_rect
 from modswap.matio import save_state
@@ -20,7 +20,7 @@ from modswap.qpe import QPEConfig, backend_agreement, qpe, query_scaling
 from modswap.svdx import extended_spectrum_check, phase_ambiguity_demo, quantum_svd
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import dense_swap, random_density, random_state
+from dense_refs import dense_swap, first_order_generator, random_density, random_state
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,8 @@ from modswap.channel import (
     channel_step,
     error_sweep,
     evolve,
-    first_order_generator,
     plan_steps,
     pure_density,
-    uniform_density,
 )
 from modswap.linalg import (
     exact_evolution,
@@ -23,10 +23,12 @@ from dense_refs import (
     RecordingOracle,
     dense_channel_step,
     evolve_by_steps,
+    first_order_generator,
     random_density,
     random_hermitian,
     sweep_by_steps,
     trace_norm,
+    uniform_density,
 )
 
 
@@ -317,6 +319,62 @@ def test_error_sweep_equals_per_step_loop(kind, n):
     assert got.rows == want.rows
     assert got.slope == want.slope
     assert fast.report_calls() == ref.report_calls() == len(dts) * n * (n + 1) // 2
+
+
+def test_error_buffer_holds_64_kb_of_states():
+    assert [channel._chunk(n) for n in (1, 16, 24, 32, 64, 256)] == [4096, 16, 7, 4, 1, 1]
+
+
+def _chunk_boundary_steps(n):
+    c = channel._chunk(n)
+    return sorted({1, max(1, c - 1), c, c + 1, 2 * c + 1})
+
+
+@pytest.mark.parametrize("kind", ["random", "low-rank"])
+@pytest.mark.parametrize("n, steps", [(n, s) for n in (16, 24, 64)
+                                      for s in _chunk_boundary_steps(n)])
+def test_evolve_equals_per_step_loop_across_chunk_boundaries(kind, n, steps):
+    rng = np.random.default_rng(300 + n)
+    a = _run_matrix(kind, n, rng)
+    sigma = random_density(n, rng)
+    fast, ref = _oracle(a), _oracle(a)
+    got, got_report = evolve(fast, sigma, 0.9, 0.05, steps=steps)
+    want, want_report = evolve_by_steps(ref, sigma, 0.9, 0.05, steps=steps)
+    np.testing.assert_array_equal(got, want)
+    assert got_report == want_report
+    assert fast.report_calls() == ref.report_calls() == steps * n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 64])
+def test_error_sweep_equals_per_step_loop_across_chunk_boundaries(n):
+    # 7 dts fill 1, 1, 2 and 7 stacks at these sizes
+    rng = np.random.default_rng(400 + n)
+    a = random_low_rank(n, 2, 1.0, rng)
+    sigma = random_density(n, rng)
+    dts = [0.4 / 2**i / np.max(np.abs(a)) for i in range(7)]
+    fast, ref = _oracle(a), _oracle(a)
+    got = error_sweep(fast, sigma, dts)
+    want = sweep_by_steps(ref, sigma, dts)
+    assert got.rows == want.rows
+    assert got.slope == want.slope
+    assert fast.report_calls() == ref.report_calls() == len(dts) * n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_evolve_peak_memory_does_not_grow_with_steps(n):
+    rng = np.random.default_rng(500 + n)
+    a = random_low_rank(n, 2, 1.0, rng)
+    sigma = random_density(n, rng)
+    peaks = []
+    for steps in (21, 400):
+        oracle = _oracle(a)
+        tracemalloc.start()
+        try:
+            evolve(oracle, sigma, 0.9, 0.05, steps=steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 4096, peaks
 
 
 def test_evolve_reads_source_once_and_charges_every_step():

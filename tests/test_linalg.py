@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modswap.linalg import (
     exact_evolution,
@@ -9,6 +11,7 @@ from modswap.linalg import (
     random_low_rank,
     random_low_rank_rect,
     require_hermitian,
+    trace_norms,
 )
 
 from dense_refs import random_density, random_hermitian
@@ -128,3 +131,34 @@ def test_nuclear_norm_matches_svd_for_general_matrix():
     np.testing.assert_allclose(
         nuclear_norm(a), np.sum(np.linalg.svd(a, compute_uv=False)), rtol=1e-12
     )
+
+
+def _hermitian_of_kind(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "random":
+        return random_hermitian(n, rng)
+    if kind == "nearly":  # within nuclear_norm's gate, hermitized by the kernel
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return random_hermitian(n, rng) + 1e-13 * noise
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(n)).astype(complex)
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    # degenerate: a few distinct eigenvalues, each repeated, in a Haar basis
+    u = haar_unitary(n, rng)
+    lam = rng.choice(rng.standard_normal(2), size=n)
+    return hermitize((u * lam) @ u.conj().T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 32), size=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["random", "nearly", "diagonal", "zero", "degenerate"]),
+                      min_size=1, max_size=5))
+def test_trace_norms_on_a_stack_equal_per_matrix_nuclear_norm(n, size, seed, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_hermitian_of_kind(kinds[i % len(kinds)], n, rng) for i in range(size)])
+    got = trace_norms(stack)
+    assert got.shape == (size,)
+    assert got.tolist() == [nuclear_norm(m) for m in stack]
+    halves = hermitize(stack)
+    for m, half in zip(stack, halves):
+        assert np.array_equal(half, (m + m.conj().T) / 2)

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modswap.channel import first_order_generator
 from modswap.matio import load_matrix, save_matrix
 from modswap.oracle import MatrixOracle, oracle_from_generator, read_hermitian
 from modswap.qpe import QPEConfig, qpe
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import random_hermitian
+from dense_refs import first_order_generator, random_hermitian
 
 
 def test_identity_queries():
@@ -124,7 +123,8 @@ def test_read_hermitian_rejects_non_finite(bad):
     assert oracle.report_calls() == 3 * 4 // 2
 
 
-# Every counted Hermitian read of the library, each reached from its own entry point.
+# Every counted Hermitian read of the library, each reached from its own entry
+# point, and the one of the test-only first_order_generator.
 _E0 = np.array([1, 0, 0], dtype=complex)
 _GATED_READS = {
     "read_hermitian": read_hermitian,
