@@ -68,9 +68,12 @@ def require_density(rho) -> np.ndarray:
 
 
 def pure_density(psi) -> np.ndarray:
-    """|psi><psi| for a (normalized) state vector."""
+    """|psi><psi| for a (normalized) state vector; the zero vector raises ValueError."""
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    nrm = np.linalg.norm(psi)
+    if nrm == 0:
+        raise ValueError("the zero vector has no pure density matrix")
+    psi = psi / nrm
     return np.outer(psi, psi.conj())
 
 

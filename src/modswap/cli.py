@@ -124,9 +124,9 @@ def _add_source_flags(p, with_state=True, with_timing=True):
 def cmd_gen_matrix(args) -> None:
     rng = np.random.default_rng(args.seed)
     if args.m is not None:
-        a = random_low_rank_rect(args.m, args.n, args.rank, args.scale, rng)
+        a = random_low_rank_rect(args.m, args.n, args.rank, rng)
     else:
-        a = random_low_rank(args.n, args.rank, args.scale, rng)
+        a = random_low_rank(args.n, args.rank, rng)
     save_matrix(args.out, a)
     if args.m is not None:
         out = Path(args.out)
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="row count; makes the matrix "
                                          "rectangular and emits its embedding")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_matrix)

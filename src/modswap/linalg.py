@@ -6,8 +6,10 @@ oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
 ``require_hermitian`` is the one gate of the uncounted path: it returns the
 exactly-Hermitian part of a matrix that passed, so no caller hermitizes its
 result again. ``trace_norms`` is the one trace-norm kernel: ``nuclear_norm``
-runs it after its checks, and ``evolve`` and ``error_sweep`` run it ungated
-on stacks of step differences.
+runs it behind that gate, since every error measured here is the trace norm
+of a difference of Hermitian matrices, and ``evolve`` and ``error_sweep``
+run it ungated on stacks of step differences. The random ensembles are the
+paper's test matrices: low rank, with eigenvalues Theta(N).
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ def hermiticity_residual(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Whether a square matrix, as ``as_matrix`` returns it, is within tol of Hermitian."""
+def is_hermitian(a: np.ndarray) -> bool:
+    """Whether a square ``as_matrix`` result is within HERMITIAN_TOL of Hermitian."""
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    return hermiticity_residual(a) <= tol * scale
+    return hermiticity_residual(a) <= HERMITIAN_TOL * scale
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -73,15 +75,8 @@ def trace_norms(d: np.ndarray) -> np.ndarray:
 
 
 def nuclear_norm(a) -> float:
-    """Sum of singular values: ``trace_norms`` once A passes the checks.
-
-    The checks are ``as_matrix``, a square shape and Hermiticity within 1e-9;
-    any other matrix takes an SVD.
-    """
-    a = as_matrix(a)
-    if a.shape[0] == a.shape[1] and is_hermitian(a, tol=1e-9):
-        return float(trace_norms(a))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    """``trace_norms`` of A behind ``require_hermitian``, which refuses any other A."""
+    return float(trace_norms(require_hermitian(a)))
 
 
 def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -117,41 +112,33 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _check_scale(scale: float) -> None:
-    if not 0 < scale < np.inf:  # NaN fails both comparisons
-        raise ValueError("scale must be positive and finite")
-
-
-def random_low_rank(n: int, r: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+def random_low_rank(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian rank-r matrix U diag_r(lambda) U† with Haar U.
 
-    The r nonzero eigenvalues have magnitude uniform in [0.5, 1]*scale*n
-    with independent random signs, so the matrix is indefinite in general.
+    The r nonzero eigenvalues have magnitude uniform in [0.5, 1]*n with
+    independent random signs, so the matrix is indefinite in general.
     """
     if r < 1 or r > n:
         raise ValueError(f"rank r={r} must satisfy 1 <= r <= n={n}")
-    _check_scale(scale)
     u = haar_unitary(n, rng)
-    mags = rng.uniform(0.5, 1.0, size=r) * scale * n
+    mags = rng.uniform(0.5, 1.0, size=r) * n
     signs = rng.choice([-1.0, 1.0], size=r)
     lam = np.zeros(n)
     lam[:r] = mags * signs
     return hermitize((u * lam) @ u.conj().T)
 
 
-def random_low_rank_rect(m: int, n: int, r: int, scale: float,
-                         rng: np.random.Generator) -> np.ndarray:
+def random_low_rank_rect(m: int, n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random m x n rank-r matrix with singular values Theta(m + n).
 
     Built as U_r diag(sigma) V_r† from independent Haar factors; sigma_j is
-    uniform in [0.5, 1]*scale*(m+n)/2, the regime in which the extended-matrix
+    uniform in [0.5, 1]*(m+n)/2, the regime in which the extended-matrix
     pipelines resolve all singular values.
     """
     if r < 1 or r > min(m, n):
         raise ValueError(f"rank r={r} must satisfy 1 <= r <= min({m}, {n})")
-    _check_scale(scale)
     u = haar_unitary(m, rng)[:, :r]
     v = haar_unitary(n, rng)[:, :r]
-    sig = np.sort(rng.uniform(0.5, 1.0, size=r))[::-1] * scale * (m + n) / 2
+    sig = np.sort(rng.uniform(0.5, 1.0, size=r))[::-1] * (m + n) / 2
     return (u * sig) @ v.conj().T
 

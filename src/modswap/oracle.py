@@ -15,6 +15,9 @@ with ``read_all`` and embed it themselves (``svdx.embedding``).
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
 measure only the simulated-algorithm path.
+
+``oracle_from_generator`` builds the command line's named sources; the
+seeded ``random-lowrank`` is ``linalg.random_low_rank``, eigenvalues Theta(n).
 """
 
 from __future__ import annotations
@@ -155,8 +158,7 @@ def _seed(text: str) -> int:
 _GENERATORS = {
     "all-ones": {"n": (int, None)},
     "diagonal": {"values": (_values, None)},
-    "random-lowrank": {"n": (int, None), "r": (int, None),
-                       "scale": (float, 1.0), "seed": (_seed, 0)},
+    "random-lowrank": {"n": (int, None), "r": (int, None), "seed": (_seed, 0)},
 }
 
 
@@ -187,9 +189,9 @@ def _generator_params(name: str, params: dict[str, str]) -> dict:
 def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
     """Named built-in oracle sources for the command line.
 
-    random-lowrank: n, r [, scale, seed]   seeded Hermitian rank-r ensemble
-    all-ones:       n                      A[j,k] = 1 (the plain swap case)
-    diagonal:       values=a;b;...         diagonal matrix
+    random-lowrank: n, r [, seed]   seeded Hermitian rank-r ensemble, eigenvalues Theta(n)
+    all-ones:       n               A[j,k] = 1 (the plain swap case)
+    diagonal:       values=a;b;...  diagonal matrix
     """
     from .linalg import random_low_rank
 
@@ -200,5 +202,5 @@ def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
         raise ValueError(f"generator size n={p['n']} must be >= 1")
     if name == "all-ones":
         return MatrixOracle(np.ones((p["n"], p["n"]), dtype=np.complex128))
-    a = random_low_rank(p["n"], p["r"], p["scale"], np.random.default_rng(p["seed"]))
+    a = random_low_rank(p["n"], p["r"], np.random.default_rng(p["seed"]))
     return MatrixOracle(a)

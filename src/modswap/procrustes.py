@@ -18,7 +18,8 @@ The simulated protocol applies W to a state without ever forming it:
    and leaves a state proportional to U V† psi.
 
 The embedding is built from one counted read of A (``base.read_all()``,
-M*N queries), as in ``svdx.quantum_svd``.
+M*N queries) by the front end it shares with ``svdx.quantum_svd``, which
+also gives each eigenvector's mass in the two branch windows.
 
 The simulator evaluates steps 2-3 in closed form. Eigenvector l of the
 embedding leaves register state K[:, l] (``qpe.joint_from_eig``), and the
@@ -45,8 +46,8 @@ import numpy as np
 
 from .linalg import as_matrix
 from .oracle import MatrixOracle
-from .qpe import QPEConfig, _branch_masses, _read_spectrum, _require_state
-from .svdx import embedding, _check_threshold, _warn_if_skewed
+from .qpe import QPEConfig, _require_state
+from .svdx import _read_branches
 
 RANK_CUT = 1e-10
 
@@ -93,19 +94,14 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
     is raised.
     """
     m, n = base.shape
-    _warn_if_skewed(m, n)
     psi = _require_state(psi, n)
-    _check_threshold(threshold)
-
     calls_before = base.report_calls()
-    _, evals_over_n, v, t0 = _read_spectrum(lambda: embedding(base.read_all()),
-                                            m + n, config)
+    _, v, m_pos, m_neg, _ = _read_branches(base, config, threshold)
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
     beta = v.conj().T @ x0
     weight = np.abs(beta) ** 2
 
     # post-select the retained branches (|decoded| >= threshold), split by sign
-    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
     kept_weight = float(weight @ (m_pos + m_neg))
     if kept_weight < 1e-12:
         raise ValueError("no retained branches above threshold; "

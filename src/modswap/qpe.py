@@ -403,13 +403,14 @@ class ScalingResult(NamedTuple):
 
 
 def query_scaling(oracle: MatrixOracle, psi, epsilons,
-                  base_bits: int = 2, base_time: float | None = None) -> ScalingResult:
+                  base_time: float | None = None) -> ScalingResult:
     """Trotter-backend oracle calls vs accuracy, on the coupled schedule.
 
-    Halving the target accuracy both doubles the total phase-estimation time
-    (one extra register bit) and halves the per-application channel budget,
-    the regime in which total queries scale like accuracy^-3. epsilons must
-    be descending from epsilons[0].
+    The schedule runs 2 register bits at epsilons[0]. Halving the target
+    accuracy both doubles the total phase-estimation time (one extra
+    register bit) and halves the per-application channel budget, the regime
+    in which total queries scale like accuracy^-3. epsilons must be
+    descending from epsilons[0]; base_time None takes the default t0.
     """
     eps = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -417,7 +418,7 @@ def query_scaling(oracle: MatrixOracle, psi, epsilons,
     rows = []
     for e in eps:
         extra = int(round(math.log2(eps[0] / e)))
-        cfg = QPEConfig(bits=base_bits + extra, base_time=base_time,
+        cfg = QPEConfig(bits=2 + extra, base_time=base_time,
                         backend="trotter-channel", trotter_epsilon=e)
         fork = oracle.fork()
         result = qpe(fork, psi, cfg)

@@ -138,18 +138,25 @@ class SVDResult(NamedTuple):
         return float(np.linalg.norm(a - self.reconstruct()))
 
 
-def _warn_if_skewed(m: int, n: int) -> None:
+def _read_branches(base: MatrixOracle, config: QPEConfig, threshold: float):
+    """Front end of both embedding pipelines: (A, V, m_pos, m_neg, t0).
+
+    Checks the threshold, warns the pipeline's caller of a skewed shape, reads
+    and embeds A once, and sums each eigenvector's branch-window masses.
+    """
+    if not 0 < threshold < np.inf:  # NaN fails both comparisons
+        raise ValueError("threshold must be positive and finite")
+    m, n = base.shape
     if max(m, n) > SKEW_RATIO * min(m, n):
         warnings.warn(
             f"matrix is skewed ({m} x {n}); singular values may fall outside "
             "the resolvable regime",
             stacklevel=3,
         )
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0 < threshold < np.inf:  # NaN fails both comparisons
-        raise ValueError("threshold must be positive and finite")
+    dense, evals_over_n, v, t0 = _read_spectrum(lambda: embedding(base.read_all()),
+                                                m + n, config)
+    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
+    return dense[:m, m:], v, m_pos, m_neg, t0
 
 
 def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDResult:
@@ -161,15 +168,9 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
     -sigma eigenvectors, or the spectrum is not an embedding's and an error
     is raised.
     """
-    _check_threshold(threshold)
-    m, n = base.shape
-    _warn_if_skewed(m, n)
     calls_before = base.report_calls()
-    dense, evals_over_n, v, t0 = _read_spectrum(lambda: embedding(base.read_all()),
-                                                m + n, config)
-    a = dense[:m, m:]
-
-    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
+    a, v, m_pos, m_neg, t0 = _read_branches(base, config, threshold)
+    m, n = a.shape
     resolved = m_pos >= 0.5
     if np.count_nonzero(m_neg >= 0.5) != np.count_nonzero(resolved):
         raise ValueError(f"{np.count_nonzero(resolved)} positive and "

@@ -33,7 +33,7 @@ def test_criterion_01_second_order_step_bound():
     worst = 0.0
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
-        a = random_low_rank(8, 2, 1.0, rng)
+        a = random_low_rank(8, 2, rng)
         a_max = np.max(np.abs(a))
         sigma = random_density(8, rng)
         dts = [f / a_max for f in (0.1, 0.05, 0.025, 0.0125)]
@@ -49,7 +49,7 @@ def test_criterion_02_quadratic_order_slope():
     slopes = []
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
-        a = random_low_rank(8, 2, 1.0, rng)
+        a = random_low_rank(8, 2, rng)
         a_max = np.max(np.abs(a))
         sigma = random_density(8, rng)
         dts = [f / a_max for f in (0.1, 0.05, 0.025, 0.0125)]
@@ -62,7 +62,7 @@ def test_criterion_02_quadratic_order_slope():
 def test_criterion_03_total_error_budget():
     start = time.perf_counter()
     rng = np.random.default_rng(30)
-    a = random_low_rank(4, 2, 1.0, rng)
+    a = random_low_rank(4, 2, rng)
     a = a / np.max(np.abs(a))
     sigma = random_density(4, rng)
     _, report = evolve(MatrixOracle(a), sigma, 1.0, 0.05)
@@ -74,7 +74,7 @@ def test_criterion_03_total_error_budget():
 
 def test_criterion_04_channel_generator_richardson():
     rng = np.random.default_rng(42)
-    a = random_low_rank(4, 2, 1.0, rng)
+    a = random_low_rank(4, 2, rng)
     a = a / np.max(np.abs(a))
     sigma = random_density(4, rng)
     oracle = MatrixOracle(a)
@@ -126,7 +126,7 @@ def test_criterion_07_query_scaling_cubed():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
     result = query_scaling(MatrixOracle(a), psi,
-                           [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
+                           [0.04, 0.02, 0.01], base_time=np.pi)
     _report(7, abs(result.slope - 3.0) <= 0.5,
             f"trotter oracle calls vs 1/eps slope {result.slope:.3f} within 3 +- 0.5 "
             f"(calls {[r.oracle_calls for r in result.rows]})")
@@ -137,7 +137,7 @@ def test_query_law_n2_down_to_eps_6e_4():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0], dtype=complex)
     result = query_scaling(MatrixOracle(a), psi, [0.04 * 2.0 ** -k for k in range(7)],
-                           base_bits=2, base_time=np.pi)
+                           base_time=np.pi)
     assert [r.oracle_calls for r in result.rows] == [
         7407, 62184, 503355, 4038651, 32332830, 258709977, 2069774487]
     assert abs(result.slope - 3.0) <= 0.05
@@ -149,7 +149,7 @@ def test_criterion_08_extended_eigenstructure():
              (6, 6, 1), (8, 5, 4), (2, 2, 1), (5, 8, 2), (6, 7, 3)]
     for i, (m, n, r) in enumerate(cases):
         rng = np.random.default_rng(800 + i)
-        a = random_low_rank_rect(m, n, r, 1.0, rng)
+        a = random_low_rank_rect(m, n, r, rng)
         report = extended_spectrum_check(a)
         worst_eig = max(worst_eig, report.max_eigenvalue_deviation)
         worst_sub = max(worst_sub, report.max_subvector_norm_deviation)
@@ -178,7 +178,7 @@ def test_criterion_09_phase_ambiguity_and_svd_reconstruction():
 def test_criterion_10_procrustes_protocol():
     start = time.perf_counter()
     rng = np.random.default_rng(100)
-    a = random_low_rank_rect(4, 4, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 4, 2, rng)
     _, _, vh = np.linalg.svd(a)
     coeff = random_state(2, rng)
     psi = vh[:2].conj().T @ coeff
@@ -198,7 +198,7 @@ def test_criterion_11_partial_isometry():
              (4, 6, 2), (8, 6, 4), (3, 3, 2), (6, 8, 3), (5, 7, 2)]
     for i, (m, n, r) in enumerate(cases):
         rng = np.random.default_rng(1100 + i)
-        a = random_low_rank_rect(m, n, r, 1.0, rng)
+        a = random_low_rank_rect(m, n, r, rng)
         w = classical_nearest_isometry(a).matrix
         _, _, vh = np.linalg.svd(a)
         proj = vh[:r].conj().T @ vh[:r]

@@ -202,7 +202,7 @@ def test_evolve_linear_error_accumulation():
 
 def test_error_sweep_slope_and_bound():
     rng = np.random.default_rng(13)
-    a = random_low_rank(8, 2, 1.0, rng)
+    a = random_low_rank(8, 2, rng)
     a_max = np.max(np.abs(a))
     sigma = random_density(8, rng)
     dts = [f / a_max for f in (0.1, 0.05, 0.025, 0.0125)]
@@ -221,6 +221,11 @@ def test_error_sweep_all_ones_qpca_case():
     result = error_sweep(_oracle(a), sigma, [0.1, 0.05])
     for row in result.rows:
         assert row.measured_error <= 2.0 * row.delta_t**2
+
+
+def test_pure_density_rejects_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        pure_density(np.zeros(3, dtype=complex))
 
 
 def test_error_sweep_rejects_unordered():
@@ -248,7 +253,7 @@ def test_first_order_consistency_richardson():
 
 def test_effective_rank_reporting():
     rng = np.random.default_rng(16)
-    a = random_low_rank(8, 2, 1.0, rng)
+    a = random_low_rank(8, 2, rng)
     sigma = random_density(8, rng)
     # nonzero eigenvalues have |lambda|/N >= 0.5, so t = 10 sees exactly rank 2
     assert evolve(_oracle(a), sigma, 10.0, 0.1, steps=1)[1].effective_rank == 2
@@ -285,7 +290,7 @@ def _run_matrix(kind, n, rng):
     if kind == "random":
         return random_hermitian(n, rng)
     if kind == "low-rank":
-        return random_low_rank(n, min(2, n), 1.0, rng)
+        return random_low_rank(n, min(2, n), rng)
     if kind == "diagonal":
         return np.diag(rng.standard_normal(n)).astype(complex)
     return np.zeros((n, n), dtype=complex)
@@ -349,7 +354,7 @@ def test_evolve_equals_per_step_loop_across_chunk_boundaries(kind, n, steps):
 def test_error_sweep_equals_per_step_loop_across_chunk_boundaries(n):
     # 7 dts fill 1, 1, 2 and 7 stacks at these sizes
     rng = np.random.default_rng(400 + n)
-    a = random_low_rank(n, 2, 1.0, rng)
+    a = random_low_rank(n, 2, rng)
     sigma = random_density(n, rng)
     dts = [0.4 / 2**i / np.max(np.abs(a)) for i in range(7)]
     fast, ref = _oracle(a), _oracle(a)
@@ -363,7 +368,7 @@ def test_error_sweep_equals_per_step_loop_across_chunk_boundaries(n):
 @pytest.mark.parametrize("n", [32, 64])
 def test_evolve_peak_memory_does_not_grow_with_steps(n):
     rng = np.random.default_rng(500 + n)
-    a = random_low_rank(n, 2, 1.0, rng)
+    a = random_low_rank(n, 2, rng)
     sigma = random_density(n, rng)
     peaks = []
     for steps in (21, 400):

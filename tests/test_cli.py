@@ -45,7 +45,7 @@ def test_gen_matrix_round_trips(tmp_path):
 
 def test_gen_matrix_matches_library_generator(tmp_path):
     path = _gen(tmp_path, n=6, rank=3, seed=11)
-    lib = random_low_rank(6, 3, 1.0, np.random.default_rng(11))
+    lib = random_low_rank(6, 3, np.random.default_rng(11))
     assert np.array_equal(load_matrix(path), lib)
 
 
@@ -253,6 +253,10 @@ def test_missing_matrix_file_exits_2(tmp_path):
     ("huge-int-entry.json", '{"cols": 1, "data": [[1%s, 0]], "rows": 1}' % ("0" * 400),
      "data entry 0 is [1%s, 0], not a number pair (re, im)" % ("0" * 400)),
     ("infinite-cell.csv", '"1,0","0,inf"\n', "infinite-cell.csv: matrix contains NaN"),
+    ("short-row.csv", '"1,0","0,0"\n"0,0"\n', "short-row.csv: row 2 has 1 cells, row 1 has 2"),
+    ("long-row.csv", '"1,0"\n"0,0","1,0"\n', "long-row.csv: row 2 has 2 cells, row 1 has 1"),
+    ("blank-last-line.csv", '"1,0"\n\n', "blank-last-line.csv: row 2 has 0 cells, row 1 has 1"),
+    ("blank-lines.csv", "\n\n", "empty matrix file"),
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
     matrix = tmp_path / name
@@ -556,7 +560,7 @@ def test_gen_matrix_csv_extension(tmp_path):
                  "--out", str(out)]) == 0
     a = load_matrix(out)
     assert a.shape == (3, 3)
-    lib = random_low_rank(3, 1, 1.0, np.random.default_rng(2))
+    lib = random_low_rank(3, 1, np.random.default_rng(2))
     assert np.array_equal(a, lib)
 
 
@@ -778,6 +782,8 @@ def test_generator_size_below_one_exits_2(tmp_path, capsys, argv, n):
      "generator 'random-lowrank' parameter 'n' is malformed: '2.5'"),
     ("diagonal:values=1;;2", "generator 'diagonal' parameter 'values' is malformed: '1;;2'"),
     ("random-lowrank:n=8,r=2,sed=7", "generator 'random-lowrank' takes no parameter 'sed'"),
+    ("random-lowrank:n=4,r=2,scale=2",
+     "generator 'random-lowrank' takes no parameter 'scale'"),
     ("random-lowrank:n=8,r=2,seed=-1",
      "generator 'random-lowrank' parameter 'seed' is malformed: '-1'"),
 ])
@@ -830,13 +836,15 @@ def test_non_finite_state_file_exits_2(tmp_path, capsys, argv, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "1"])
 @pytest.mark.parametrize("shape", [["--n", "4"], ["--m", "4", "--n", "6"]])
 def test_gen_matrix_rejects_bad_scale_for_both_shapes(tmp_path, capsys, shape, scale):
+    # the ensembles have eigenvalues Theta(N) and no scale: any --scale is a usage error
     out = tmp_path / "a.json"
-    assert main(["gen-matrix", *shape, "--rank", "2", f"--scale={scale}",
-                 "--out", str(out)]) == 2
-    assert "scale must be positive and finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-matrix", *shape, "--rank", "2", f"--scale={scale}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scale" in capsys.readouterr().err
     assert not out.exists()
 
 

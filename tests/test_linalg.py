@@ -85,10 +85,10 @@ def test_haar_unitary_is_unitary():
 
 def test_random_low_rank_rank_and_scale():
     rng = np.random.default_rng(7)
-    a = random_low_rank(8, 2, 1.0, rng)
+    a = random_low_rank(8, 2, rng)
     w = np.abs(np.linalg.eigvalsh(a))
     w.sort()
-    assert np.all(w[-2:] >= 4.0)          # magnitudes in [0.5, 1]*scale*N = [4, 8]
+    assert np.all(w[-2:] >= 4.0)          # magnitudes in [0.5, 1]*N = [4, 8]
     assert np.all(w[-2:] <= 8.0)
     assert np.all(w[:-2] <= 1e-10)
     assert np.max(np.abs(a - a.conj().T)) <= 1e-12
@@ -96,14 +96,14 @@ def test_random_low_rank_rank_and_scale():
 
 def test_random_low_rank_full_rank():
     rng = np.random.default_rng(8)
-    a = random_low_rank(4, 4, 1.0, rng)
+    a = random_low_rank(4, 4, rng)
     w = np.abs(np.linalg.eigvalsh(a))
     assert np.all(w >= 2.0) and np.all(w <= 4.0)
 
 
 def test_random_low_rank_rejects_bad_rank():
     with pytest.raises(ValueError):
-        random_low_rank(4, 5, 1.0, np.random.default_rng(0))
+        random_low_rank(4, 5, np.random.default_rng(0))
 
 
 def test_random_low_rank_max_element_statistic():
@@ -111,26 +111,27 @@ def test_random_low_rank_max_element_statistic():
     # over 100 draws should sit within a loose constant of that.
     rng = np.random.default_rng(123)
     r = 2
-    maxes = [np.max(np.abs(random_low_rank(64, r, 1.0, rng))) for _ in range(100)]
+    maxes = [np.max(np.abs(random_low_rank(64, r, rng))) for _ in range(100)]
     med = float(np.median(maxes))
     assert 0.5 * np.sqrt(r) <= med <= 8.0 * np.sqrt(r)
 
 
 def test_random_low_rank_rect_shapes_and_rank():
     rng = np.random.default_rng(3)
-    a = random_low_rank_rect(4, 6, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 6, 2, rng)
     assert a.shape == (4, 6)
     s = np.linalg.svd(a, compute_uv=False)
     assert np.sum(s > 1e-10) == 2
     assert np.all(s[:2] >= 0.5 * 10 / 2 - 1e-12)
 
 
-def test_nuclear_norm_matches_svd_for_general_matrix():
+def test_nuclear_norm_rejects_non_hermitian_and_non_square():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    np.testing.assert_allclose(
-        nuclear_norm(a), np.sum(np.linalg.svd(a, compute_uv=False)), rtol=1e-12
-    )
+    with pytest.raises(ValueError, match=r"matrix is not square \(3x5\)"):
+        nuclear_norm(a)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        nuclear_norm(a[:, :3])
 
 
 def _hermitian_of_kind(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:

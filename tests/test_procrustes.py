@@ -29,7 +29,7 @@ def test_nearest_isometry_strips_scale():
 
 def test_nearest_isometry_partial_projector():
     rng = np.random.default_rng(2)
-    a = random_low_rank_rect(6, 4, 2, 1.0, rng)
+    a = random_low_rank_rect(6, 4, 2, rng)
     w = classical_nearest_isometry(a)
     assert w.rank == 2
     _, _, vh = np.linalg.svd(a)
@@ -120,7 +120,7 @@ def test_scaled_unitary_applies_matrix():
 
 def test_rank_two_state_in_column_space():
     rng = np.random.default_rng(8)
-    a = random_low_rank_rect(4, 4, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 4, 2, rng)
     _, _, vh = np.linalg.svd(a)
     coeff = random_state(2, rng)
     psi = vh[:2].conj().T @ coeff
@@ -163,7 +163,7 @@ def test_branch_algebra_v_block_vanishes():
 
 def test_state_outside_column_space_rejected():
     rng = np.random.default_rng(10)
-    a = random_low_rank_rect(4, 4, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 4, 2, rng)
     _, _, vh = np.linalg.svd(a)
     psi = vh[3].conj()  # entirely outside col(V)
     with pytest.raises(ValueError, match="no retained branches|no register"):
@@ -172,7 +172,7 @@ def test_state_outside_column_space_rejected():
 
 def test_partial_filtering_of_mixed_state():
     rng = np.random.default_rng(11)
-    a = random_low_rank_rect(4, 4, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 4, 2, rng)
     _, _, vh = np.linalg.svd(a)
     psi = (vh[0].conj() + vh[3].conj()) / np.sqrt(2)  # half in, half out
     result = quantum_procrustes_apply(_oracle(a), psi, QPEConfig(bits=10),
@@ -214,7 +214,7 @@ def test_retained_pairs_counts_close_singular_values(seed):
     # merging adjacent register peaks used to count them as one pair
     rng = np.random.default_rng(seed)
     r = 1 + seed % 4
-    a = random_low_rank_rect(6, 6, r, 1.0, rng)
+    a = random_low_rank_rect(6, 6, r, rng)
     vh = np.linalg.svd(a)[2]
     psi = vh[:r].conj().T @ random_state(r, rng)
     result = quantum_procrustes_apply(_oracle(a), psi, QPEConfig(bits=10),

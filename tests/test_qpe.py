@@ -167,7 +167,7 @@ def test_register_distribution_sums_to_one():
 
 def test_peaks_within_one_register_unit_of_truth():
     rng = np.random.default_rng(2)
-    a = random_low_rank(4, 2, 1.0, rng)
+    a = random_low_rank(4, 2, rng)
     psi = random_state(4, rng)
     bits = 8
     result = qpe(MatrixOracle(a), psi, QPEConfig(bits=bits))
@@ -418,7 +418,7 @@ def test_trotter_agreement_within_bound_at_tight_epsilon():
     # gen-matrix --n 4 --rank 2 --seed 1, psi = A z. The exact backend matches
     # the circuit reference to about 1e-16; the trotter distribution sums to
     # 1 + about 1e-8, so the floor is the trotter backend's rounding
-    a = random_low_rank(4, 2, 1.0, np.random.default_rng(1))
+    a = random_low_rank(4, 2, np.random.default_rng(1))
     psi = a @ np.ones(4)
     report = backend_agreement(MatrixOracle(a), psi / np.linalg.norm(psi),
                                QPEConfig(bits=3, trotter_epsilon=1e-10))
@@ -570,7 +570,7 @@ def test_trotter_backend_equals_block_reference(n, bits, seed, kind, epsilon, ne
 def test_query_scaling_exact_counts():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     result = query_scaling(MatrixOracle(a), np.array([1, 0], dtype=complex),
-                           [0.04, 0.02, 0.01], base_bits=2, base_time=np.pi)
+                           [0.04, 0.02, 0.01], base_time=np.pi)
     assert [r.oracle_calls for r in result.rows] == [7407, 62184, 503355]
 
 
@@ -578,9 +578,9 @@ def test_query_scaling_exact_counts_rank2_n4():
     # the coupled schedule's eps^-3 law beyond N = 2: one more register bit and
     # twice the steps per application for each halving of eps
     rng = np.random.default_rng(7)
-    a = random_low_rank(4, 2, 1.0, rng)
+    a = random_low_rank(4, 2, rng)
     result = query_scaling(MatrixOracle(a), random_state(4, rng),
-                           [0.04 / 2**i for i in range(6)], base_bits=2)
+                           [0.04 / 2**i for i in range(6)])
     assert [r.oracle_calls for r in result.rows] == [
         24690, 207280, 1677850, 13462170, 107776100, 862366590]
     assert [r.bits for r in result.rows] == [2, 3, 4, 5, 6, 7]
@@ -591,7 +591,7 @@ def test_trotter_steps_per_application_double_when_epsilon_halves():
     # at fixed bits each stage takes ceil(2 a_max^2 tau^2 / eps) steps, so
     # halving eps doubles every stage's count up to its ceiling
     rng = np.random.default_rng(7)
-    a = random_low_rank(4, 2, 1.0, rng)
+    a = random_low_rank(4, 2, rng)
     psi = random_state(4, rng)
     bits, sweep = 3, 4 * 5 // 2
     epsilons = [0.04 / 2**i for i in range(5)]

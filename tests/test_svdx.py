@@ -71,7 +71,7 @@ def test_embedding_of_read_all_equals_per_query_embedding(m, n, seed):
 @pytest.mark.parametrize("m, n", [(24, 16), (8, 8), (1, 5), (5, 1), (3, 7)])
 def test_svd_and_procrustes_charge_one_query_per_entry(m, n):
     rng = np.random.default_rng(m * 10 + n)
-    a = random_low_rank_rect(m, n, 1, 1.0, rng)
+    a = random_low_rank_rect(m, n, 1, rng)
     config, threshold = QPEConfig(bits=8), 0.05
     base = _oracle(a)
     assert quantum_svd(base, config, threshold).oracle_calls == m * n
@@ -82,7 +82,7 @@ def test_svd_and_procrustes_charge_one_query_per_entry(m, n):
 
 
 def test_svd_and_procrustes_refuse_a_non_exact_backend_before_any_query():
-    a = random_low_rank_rect(5, 4, 3, 1.0, np.random.default_rng(3))
+    a = random_low_rank_rect(5, 4, 3, np.random.default_rng(3))
     config, base = QPEConfig(bits=10, backend="trotter-channel"), _oracle(a)
     with pytest.raises(ValueError, match="exact-unitary backend only"):
         quantum_svd(base, config, 0.05)
@@ -116,7 +116,7 @@ def test_extended_spectrum_wide_row():
 
 def test_extended_spectrum_random_low_rank():
     rng = np.random.default_rng(2)
-    a = random_low_rank_rect(4, 6, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 6, 2, rng)
     report = extended_spectrum_check(a)
     assert report.max_eigenvalue_deviation <= 1e-10
     assert report.max_subvector_norm_deviation <= 1e-10
@@ -166,7 +166,7 @@ def test_quantum_svd_two_by_two_real():
 
 def test_quantum_svd_rectangular_random():
     rng = np.random.default_rng(5)
-    a = random_low_rank_rect(3, 5, 2, 1.0, rng)
+    a = random_low_rank_rect(3, 5, 2, rng)
     result = quantum_svd(_oracle(a), QPEConfig(bits=10), threshold=0.02)
     assert result.rank == 2
     assert result.residual(a) <= 1e-8 * np.linalg.norm(a)
@@ -179,7 +179,7 @@ def test_quantum_svd_rectangular_random():
 
 def test_quantum_svd_subvector_norms():
     rng = np.random.default_rng(6)
-    a = random_low_rank_rect(4, 4, 2, 1.0, rng)
+    a = random_low_rank_rect(4, 4, 2, rng)
     result = quantum_svd(_oracle(a), QPEConfig(bits=10), threshold=0.02)
     for j in range(result.rank):
         assert np.linalg.norm(result.left_vectors[:, j]) == pytest.approx(1.0, abs=1e-9)
@@ -188,7 +188,7 @@ def test_quantum_svd_subvector_norms():
 
 def test_quantum_svd_orthonormal_vectors():
     rng = np.random.default_rng(7)
-    a = random_low_rank_rect(5, 5, 3, 1.0, rng)
+    a = random_low_rank_rect(5, 5, 3, rng)
     result = quantum_svd(_oracle(a), QPEConfig(bits=11), threshold=0.01)
     gram_u = result.left_vectors.conj().T @ result.left_vectors
     gram_v = result.right_vectors.conj().T @ result.right_vectors
@@ -198,9 +198,18 @@ def test_quantum_svd_orthonormal_vectors():
 
 def test_quantum_svd_skew_warning():
     rng = np.random.default_rng(8)
-    a = random_low_rank_rect(2, 10, 1, 1.0, rng)
-    with pytest.warns(UserWarning, match="skewed"):
+    a = random_low_rank_rect(2, 10, 1, rng)
+    with pytest.warns(UserWarning, match="skewed") as record:
         quantum_svd(_oracle(a), QPEConfig(bits=8), threshold=0.01)
+    assert record[0].filename == __file__  # the warning points at the call
+
+
+def test_procrustes_skew_warning_points_at_the_call():
+    a = random_low_rank_rect(2, 10, 1, np.random.default_rng(8))
+    psi = np.linalg.svd(a)[2][0].conj()
+    with pytest.warns(UserWarning, match="skewed") as record:
+        quantum_procrustes_apply(_oracle(a), psi, QPEConfig(bits=8), threshold=0.01)
+    assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, 0.0])
@@ -278,7 +287,7 @@ def _embedding_case(kind: str, seed: int):
         u, v = haar_unitary(3, rng), haar_unitary(4, rng)
         a = (u[:, :2] * np.array([1.2, 1.2])) @ v[:, :2].conj().T
     else:
-        a = random_low_rank_rect(3, 4, 2, 1.0, rng)
+        a = random_low_rank_rect(3, 4, 2, rng)
     dense = embedding(a)
     a_max = np.max(np.abs(dense))
     if kind == "near-aliasing":
@@ -323,7 +332,7 @@ def _assert_matches_numpy_svd(result, a, tol):
 def test_quantum_svd_keeps_singular_values_in_adjacent_bins(seed):
     # two of the three singular values sit within a few register bins;
     # merging adjacent register peaks used to drop one triplet (rank 2)
-    a = random_low_rank_rect(24, 16, 3, 1.0, np.random.default_rng(seed))
+    a = random_low_rank_rect(24, 16, 3, np.random.default_rng(seed))
     result = quantum_svd(_oracle(a), QPEConfig(bits=12), threshold=0.01)
     _assert_matches_numpy_svd(result, a, 1e-12)
     assert result.unresolved == 0
@@ -372,7 +381,7 @@ def test_quantum_svd_close_and_degenerate_singular_values(data, m, n, gap, bits)
 
 
 def test_svd_and_procrustes_read_the_same_sign_bit_branch_masses(monkeypatch):
-    a = random_low_rank_rect(8, 8, 3, 1.0, np.random.default_rng(4))
+    a = random_low_rank_rect(8, 8, 3, np.random.default_rng(4))
     config, threshold = QPEConfig(bits=11), 0.02
     _, evals_over_n, _, t0 = _read_spectrum(lambda: embedding(a), 16, config)
     m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
@@ -392,8 +401,8 @@ def test_svd_and_procrustes_read_the_same_sign_bit_branch_masses(monkeypatch):
         seen.append(_branch_masses(*args))
         return seen[-1]
 
+    # both pipelines take their masses from the one front end in svdx
     monkeypatch.setattr("modswap.svdx._branch_masses", recording)
-    monkeypatch.setattr("modswap.procrustes._branch_masses", recording)
     assert quantum_svd(_oracle(a), config, threshold).rank == 3
     psi = np.linalg.svd(a)[2][0].conj()
     quantum_procrustes_apply(_oracle(a), psi, config, threshold)
@@ -409,12 +418,12 @@ def test_svd_and_procrustes_match_the_fft_kernel_readout(kind, monkeypatch):
     # through both readouts end to end
     rng = np.random.default_rng(70)
     if kind == "wide":
-        a, bits = random_low_rank_rect(24, 16, 3, 1.0, rng), 12
+        a, bits = random_low_rank_rect(24, 16, 3, rng), 12
     elif kind == "degenerate":
         u, v = haar_unitary(6, rng), haar_unitary(5, rng)
         a, bits = (u[:, :3] * np.array([4.0, 4.0, 2.5])) @ v[:, :3].conj().T, 9
     else:
-        a, bits = random_low_rank_rect(8, 8, 3, 1.0, rng), 11
+        a, bits = random_low_rank_rect(8, 8, 3, rng), 11
     base_time = None
     if kind == "near-aliasing":
         base_time = np.pi * (1 - 1e-9) / np.max(np.abs(a))
