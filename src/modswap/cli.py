@@ -109,9 +109,10 @@ def _source_config(args) -> dict:
 
 
 def _add_source_flags(p, with_state=True, with_timing=True):
-    p.add_argument("--matrix", help="matrix file (JSON or CSV)")
-    p.add_argument("--generator",
-                   help="built-in source, e.g. random-lowrank:n=8,r=2,seed=7")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--matrix", help="matrix file (JSON or CSV)")
+    source.add_argument("--generator",
+                        help="built-in source, e.g. random-lowrank:n=8,r=2,seed=7")
     if with_state:
         p.add_argument("--state", help="state file (vector, or density matrix "
                                        "where a density input is accepted)")
@@ -193,7 +194,7 @@ def cmd_qpe(args):
 
 def cmd_svd(args):
     oracle = _resolve_oracle(args)
-    config = QPEConfig(bits=args.bits, base_time=args.t0)
+    config = QPEConfig(bits=args.bits)
     result = quantum_svd(oracle, config, args.threshold)
     residual = result.residual(oracle.materialize())
     sqrt2 = float(np.sqrt(2.0))
@@ -254,7 +255,7 @@ def cmd_procrustes(args):
     oracle = _resolve_oracle(args)
     _, n = oracle.shape
     psi = _resolve_psi(args, n)
-    config = QPEConfig(bits=args.bits, base_time=args.t0)
+    config = QPEConfig(bits=args.bits)
     result = quantum_procrustes_apply(oracle, psi, config, args.threshold)
     success = min(max(result.success_probability, 0.0), 1.0)
     sampled = None if args.shots is None else float(
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p, with_state=False)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--t0", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_svd)
 
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--t0", type=float)
     p.add_argument("--shots", type=int)
     p.add_argument("--seed", type=int, default=0, help="seed of the --shots draw")
     p.add_argument("--out", required=True)

@@ -24,15 +24,15 @@ back bit for bit through both ``json`` and orjson. A NaN or an infinity,
 which JSON cannot hold, raises ``ValueError`` naming its key, and no file is
 written.
 
-A JSON file in ``save_matrix``'s own compact layout,
-``{"cols":N,"data":[[re,im],...],"rows":M}``, or in the spaced layout that
-``json.dumps(obj, sort_keys=True)`` writes (files from before the compact
-writer), with an optional newline, is read by orjson in slices of about
-256 KB into one preallocated array, with the same values as the stdlib
-parser and without a Python list of the whole file. Each layout is cut at
-its own pair separator, ``],[`` or ``], [``. The slices are taken only when
-the data holds no ``"``, ``u`` or ``f`` byte, so no string, boolean or null,
-and no pair separator of the other layout. Every other file, and every
+A JSON matrix file holds one array, its data, so the data runs from the
+file's first ``[`` to its last ``]``. The loader reads every such file, in
+any key order and any spacing, with orjson: the header is the file with
+that array emptied, and must hold exactly the keys cols, data and rows,
+with integer counts of at least 1. The data is parsed in slices of about
+256 KB, each cut just after a pair's ``],``, into one preallocated array,
+with the same values as the stdlib parser and without a Python list of the
+whole file. The slices are taken only when the data holds no ``"``, ``u``
+or ``f`` byte, so no string, boolean or null. Every other file, and every
 file with a slice that orjson refuses (NaN, Infinity, an integer past the
 float range) or that is not a list of number pairs of the header's count,
 goes whole through the stdlib parser, so the accepted values and the error
@@ -44,7 +44,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -139,8 +138,7 @@ def matrix_from_json_obj(obj: dict) -> np.ndarray:
     if len(data) != m * n:
         raise ValueError(f"data length {len(data)} != rows*cols = {m * n}")
     try:
-        # the same conversion as _json_entry, inline: no call per entry
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        flat = np.array([_json_entry(entry) for entry in data], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):  # an int too large for a float
         raise _first_bad(data, _json_entry, "data entry") from None
     return flat.reshape(m, n)
@@ -159,50 +157,46 @@ def save_matrix(path, a) -> None:
         _write_json(path, matrix_to_json_obj(a))
 
 
-# (header, the bytes before the row count, pair separator, the other
-# layout's separator) of save_matrix's compact layout and of the spaced one
-# of json.dumps(obj, sort_keys=True)
-_LAYOUTS = (
-    (re.compile(rb'\{"cols":([1-9][0-9]*),"data":\['), b'],"rows":', b"],[", b"], ["),
-    (re.compile(rb'\{"cols": ([1-9][0-9]*), "data": \['), b'], "rows": ', b"], [", b"],["),
-)
-_SAVED_ROWS = re.compile(rb'([1-9][0-9]*)\}\n?')
 _SLICE_BYTES = 1 << 18
 
 
 def _read_saved_layout(raw: bytes) -> np.ndarray | None:
-    """The matrix of a file in one of ``save_matrix``'s JSON layouts, else None.
+    """The matrix of a JSON matrix file read by orjson in slices, else None.
 
-    The data array is parsed by orjson in slices cut at the layout's pair
-    separator and copied into one (M*N, 2) float64 array, allocated only
-    once the body is long enough to hold M*N pairs. None leaves the file to
-    the stdlib parser, which then accepts it with the same values or
-    rejects it.
+    The data array runs from the first "[" to the last "]". The rest of the
+    file, with that array emptied, must parse to exactly {"cols": N,
+    "data": [], "rows": M} with integer counts of at least 1. The array is
+    parsed in slices cut just after a pair's "]," and copied into one
+    (M*N, 2) float64 array, allocated only once the body is long enough to
+    hold M*N pairs. None leaves the file to the stdlib parser, which then
+    accepts it with the same values or rejects it.
     """
     import orjson
 
-    for header, rows_key, sep, other_sep in _LAYOUTS:
-        head = header.match(raw)
-        if head:
-            break
-    else:
+    first, last = raw.find(b"["), raw.rfind(b"]")
+    if first < 0 or last < first:
         return None
-    end = raw.rfind(rows_key)
-    tail = _SAVED_ROWS.fullmatch(raw, end + len(rows_key)) if end >= head.end() else None
-    if tail is None:
+    try:
+        head = orjson.loads(raw[:first] + b"[]" + raw[last + 1:])
+    except orjson.JSONDecodeError:
         return None
-    n, m = int(head[1]), int(tail[1])
-    body = raw[head.end():end]
+    if not (isinstance(head, dict) and head.keys() == {"cols", "data", "rows"}
+            and head["data"] == []):
+        return None
+    m, n = head["rows"], head["cols"]
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:  # bool is not int
+        return None
+    body = raw[first + 1:last]
     count = m * n
     if len(body) < 6 * count - 1:  # "[0,0]," is the shortest pair
         return None
     out = np.empty((count, 2))
     filled = start = 0
-    while start < len(body):
-        cut = body.find(sep, start + _SLICE_BYTES)
+    while True:
+        cut = body.find(b"],", start + _SLICE_BYTES)
         stop = len(body) if cut < 0 else cut + 1
         chunk = body[start:stop]
-        if b'"' in chunk or b"u" in chunk or b"f" in chunk or other_sep in chunk:
+        if b'"' in chunk or b"u" in chunk or b"f" in chunk:
             return None
         try:
             pairs = np.array(orjson.loads(b"[" + chunk + b"]"), dtype=np.float64)
@@ -212,21 +206,12 @@ def _read_saved_layout(raw: bytes) -> np.ndarray | None:
             return None
         out[filled:filled + len(pairs)] = pairs
         filled += len(pairs)
-        start = stop + len(sep) - 2  # at the "[" that ends the separator
+        if cut < 0:
+            break
+        start = stop + 1  # past the comma, so a trailing comma leaves an empty slice
     if filled != count:
         return None
     return out.view(np.complex128).reshape(m, n)
-
-
-def _read_json(path: Path):
-    """The parsed file, and whether its text may hold a JSON boolean.
-
-    complex() reads a boolean as 0 or 1, so the loader scans the data for
-    one, but only in a file whose text holds a "u" or an "f": every true and
-    false does, and no finite number or key of a matrix file does.
-    """
-    text = path.read_text()
-    return json.loads(text), "u" in text or "f" in text
 
 
 def load_matrix(path) -> np.ndarray:
@@ -246,13 +231,10 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"empty matrix file: {path}")
         a = np.array(rows, dtype=np.complex128)
     else:
-        a = _read_saved_layout(path.read_bytes())
+        raw = path.read_bytes()
+        a = _read_saved_layout(raw)
         if a is None:
-            obj, may_hold_bool = _read_json(path)
-            a = matrix_from_json_obj(obj)
-            if may_hold_bool and any(
-                    isinstance(x, bool) for entry in obj["data"] for x in entry):
-                raise _first_bad(obj["data"], _json_entry, "data entry")
+            a = matrix_from_json_obj(json.loads(raw.decode()))
     if not np.isfinite(a).all():
         raise ValueError(f"{path}: matrix contains NaN or infinity")
     return a

@@ -273,6 +273,41 @@ def test_missing_source_exits_2(tmp_path):
                  "--out", str(tmp_path / "o.json")]) == 2
 
 
+# each source command with the arguments it requires besides its source
+_SOURCE_COMMANDS = {
+    "evolve": ["--time", "0.1", "--epsilon", "0.1"],
+    "error-sweep": ["--dts", "0.1,0.05"],
+    "qpe": ["--bits", "3"],
+    "svd": ["--bits", "4", "--threshold", "0.1"],
+    "procrustes": ["--bits", "4", "--threshold", "0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SOURCE_COMMANDS))
+def test_matrix_and_generator_together_is_a_usage_error(tmp_path, capsys, command):
+    matrix = _gen(tmp_path)
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SOURCE_COMMANDS[command], "--matrix", str(matrix),
+              "--generator", "all-ones:n=4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument --matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["svd", "procrustes"])
+def test_svd_and_procrustes_take_no_t0(tmp_path, capsys, command):
+    # the base time they run at is always the default, just inside aliasing
+    matrix = _gen(tmp_path)
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SOURCE_COMMANDS[command], "--matrix", str(matrix),
+              "--t0", "0.2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--bogus", "1"])

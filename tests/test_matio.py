@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from modswap import matio
+from modswap.cli import main
 from modswap.matio import (
     _complex_pairs,
-    _read_json,
     _read_saved_layout,
     load_matrix,
     load_state,
@@ -154,7 +157,7 @@ def test_saved_matrix_bytes_equal_per_element_loop(tmp_path_factory, a):
 
 def _stdlib_load(path):
     """load_matrix's result through the stdlib parser alone."""
-    return matrix_from_json_obj(_read_json(path)[0])
+    return matrix_from_json_obj(json.loads(path.read_bytes().decode()))
 
 
 def _assert_same_array(fast, ref):
@@ -171,6 +174,9 @@ _ENTRIES = st.one_of(_REALS, st.integers(-2**64, 2**64),
 # json.dumps separators of save_matrix's compact layout and of the spaced
 # layout of older files
 _SEPARATORS = {"compact": (",", ":"), "spaced": (", ", ": ")}
+# json.dumps arguments of every layout the fast reader takes
+_DUMPS_STYLES = {"compact": {"separators": _SEPARATORS["compact"]}, "spaced": {},
+                 "indent-2": {"indent": 2}, "tab": {"indent": "\t"}}
 
 
 @st.composite
@@ -183,15 +189,20 @@ def _saved_layouts(draw):
     return rows, cols, data
 
 
-@settings(max_examples=200, deadline=None)
-@given(_saved_layouts(), st.sampled_from(sorted(_SEPARATORS)),
-       st.sampled_from([1, matio._SLICE_BYTES]))
-def test_saved_layout_equals_stdlib_parse(tmp_path_factory, layout, style, slice_bytes):
-    # a slice of 1 byte cuts the data after every pair
+@settings(max_examples=300, deadline=None)
+@given(_saved_layouts(), st.sampled_from(sorted(_DUMPS_STYLES)),
+       st.permutations(["cols", "data", "rows"]), st.sampled_from(["", "\n", "\r\n"]),
+       st.sampled_from([1, 7, matio._SLICE_BYTES]))
+def test_saved_layout_equals_stdlib_parse(tmp_path_factory, layout, style, keys, ending,
+                                          slice_bytes):
+    # a slice of 1 byte cuts the data after every pair; "\r\n" ends every line
     rows, cols, data = layout
+    values = {"rows": rows, "cols": cols, "data": data}
+    text = json.dumps({key: values[key] for key in keys}, **_DUMPS_STYLES[style])
+    if ending == "\r\n":
+        text = text.replace("\n", ending)
     path = tmp_path_factory.mktemp("layout") / "a.json"
-    path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data},
-                               sort_keys=True, separators=_SEPARATORS[style]) + "\n")
+    path.write_bytes((text + ending).encode())
     with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
         fast = _read_saved_layout(path.read_bytes())
     assert fast is not None
@@ -227,13 +238,25 @@ def _entry_1(text: str) -> str:
     return f"data entry 1 is {text}, not a number pair (re, im)"
 
 
+def _json_error(raw: bytes) -> str:
+    """The stdlib parser's message for raw, which differs between Python versions."""
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(raw.decode())
+    return str(info.value)
+
+
 def _bad_files(style: str) -> dict:
     """Near-canonical files in one layout, each broken in one place, with the
     message the stdlib parser gives."""
     def layout(data, rows=1, cols=2):
         return _layout_bytes(style, data, rows, cols)
 
+    comma, colon = _SEPARATORS[style]
     one_pair = layout("[[1.5, 0.0]]", 1, 1)
+    trailing_comma = layout("[[1.5, 0.0], [1.5, 0.0], ]")
+    # the stdlib keeps a repeated key's last value, so the array is not the data
+    data_key_twice = (layout("[[1.5, 0.0], [1.5, 0.0]]")[:-2]
+                      + f'{comma}"data"{colon}5}}\n'.encode())
     return {
         "nan": (layout("[[1.5, 0.0], [NaN, 0.0]]"), "{path}: matrix contains NaN or infinity"),
         "infinity": (layout("[[1.5, 0.0], [-Infinity, 0.0]]"),
@@ -261,6 +284,11 @@ def _bad_files(style: str) -> dict:
                            f"Extra data: line 2 column 1 (char {len(one_pair)})"),
         "utf8-bom": (b"\xef\xbb\xbf" + one_pair,
                      "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        # every pair parses, and the empty slice after the last comma is refused
+        "trailing-comma": (trailing_comma, _json_error(trailing_comma)),
+        "bool-rows": (layout("[[1.5, 0.0], [1.5, 0.0]]", "true"),
+                      "rows and cols must be integers, got True and 2"),
+        "data-key-twice": (data_key_twice, "data must be a list of [re, im] pairs, not a int"),
     }
 
 
@@ -295,10 +323,41 @@ def test_bad_saved_layout_falls_back_to_stdlib_message(tmp_path, case, slice_byt
 @pytest.mark.parametrize("raw", [
     b'{"cols":1,"data":[[1.5,0.0], [-0.0,2.5]],"rows":2}\n',
     b'{"cols": 1, "data": [[1.5, 0.0],[-0.0, 2.5]], "rows": 2}\n',
-])
-def test_mixed_layout_goes_to_stdlib_parser(tmp_path, raw):
+    b'{"rows" :2,\r\n "data":[ [1.5 ,0.0] ,\t[-0.0,2.5]\n],"cols": 1}',
+], ids=["compact-header", "spaced-header", "shuffled-keys-crlf-tab"])
+def test_mixed_layout_takes_fast_path(tmp_path, raw):
     path = tmp_path / "mixed.json"
     path.write_bytes(raw)
-    assert _read_saved_layout(raw) is None
-    _assert_same_array(load_matrix(path), np.array([[1.5], [complex(-0.0, 2.5)]]))
+    expected = np.array([[1.5], [complex(-0.0, 2.5)]])
+    for slice_bytes in (1, matio._SLICE_BYTES):
+        with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
+            fast = _read_saved_layout(raw)
+        assert fast is not None
+        _assert_same_array(fast, _stdlib_load(path))
+        _assert_same_array(fast, expected)
+    _assert_same_array(load_matrix(path), expected)
 
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded from its path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_input_takes_fast_path(tmp_path, monkeypatch):
+    # a benchmark input that fell to the stdlib parser would time that parser instead
+    workloads = _bench_workloads(monkeypatch)
+    for workload in workloads.WORKLOADS:
+        inputs = tmp_path / workload
+        inputs.mkdir()
+        workloads.make_inputs(workload, 9, inputs, main, small=True)
+        paths = sorted(inputs.glob("*.json"))
+        assert paths
+        for path in paths:
+            fast = _read_saved_layout(path.read_bytes())
+            assert fast is not None, path.name
+            _assert_same_array(fast, _stdlib_load(path))
