@@ -19,11 +19,13 @@ the source once and charges its other sweeps as modelled ones
 baseline's one eigendecomposition, and then loops over the state only.
 All error metrics are nuclear (trace) norms against the exact unitary
 baseline. The steps run one after another, but their errors are measured
-in batches: ``evolve`` copies each state and its successor into two
-buffers of at most ``ERROR_BUFFER_BYTES`` (64 KB, and never less than one
-matrix), and each filled buffer gets one stacked baseline product and one
-ungated ``linalg.trace_norms`` call. ``error_sweep`` stacks its dts the
-same way. Memory does not grow with the step count.
+in batches: ``evolve`` computes each state in place after its predecessor
+in one buffer of ``_chunk(N) + 1`` consecutive states (``_chunk(N)`` is
+``ERROR_BUFFER_BYTES`` of them, 64 KB, and never less than one), and each
+filled buffer gets one stacked baseline product and one ungated
+``linalg.trace_norms`` call. ``error_sweep`` stacks its dts the same way.
+Memory does not grow with the step count. Every entry checks its density
+with ``require_density(sigma, N)`` before any query.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .linalg import (
     is_hermitian,
     nuclear_norm,
     require_hermitian,
+    require_state,
     trace_norms,
     unitary_from_eigh,
 )
@@ -51,11 +54,11 @@ MAX_STEPS = 10**6  # largest step count evolve loops over, checked before any qu
 ERROR_BUFFER_BYTES = 2**16  # per buffer of states whose step errors are measured together
 
 
-def require_density(rho) -> np.ndarray:
-    """Validate Hermiticity, unit trace (TRACE_TOL) and positivity (PSD_TOL)."""
+def require_density(rho, n: int) -> np.ndarray:
+    """The one density check: shape n x n, Hermitian, trace 1 (TRACE_TOL), PSD (PSD_TOL)."""
     rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got {rho.shape}")
+    if rho.shape != (n, n):
+        raise ValueError(f"state dim {rho.shape} != oracle dim {n}")
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
@@ -68,12 +71,8 @@ def require_density(rho) -> np.ndarray:
 
 
 def pure_density(psi) -> np.ndarray:
-    """|psi><psi| for a (normalized) state vector; the zero vector raises ValueError."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ValueError("the zero vector has no pure density matrix")
-    psi = psi / nrm
+    """|psi><psi| for a psi of any length that passes ``linalg.require_state``."""
+    psi = require_state(psi, np.size(psi))
     return np.outer(psi, psi.conj())
 
 
@@ -86,26 +85,22 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     remove floating-point asymmetry; trace and positivity are preserved by
     construction.
     """
-    sigma = require_density(sigma)
-    return hermitize(_read_once(oracle, sigma, 1).channel_map(delta_t)(sigma))
+    sigma = require_density(sigma, oracle.dim)
+    return hermitize(_read_once(oracle, 1).channel_map(delta_t)(sigma))
 
 
 def _gate(oracle: MatrixOracle, sigma):
     """Check the state, then gate the uncounted baseline: (sigma, A, max_norm)."""
-    sigma = require_density(sigma)
+    sigma = require_density(sigma, oracle.dim)
     a = require_hermitian(oracle.materialize())
     return sigma, a, float(np.max(np.abs(a)))
 
 
-def _read_once(oracle: MatrixOracle, sigma: np.ndarray, sweeps: int) -> BlockPlan:
-    """Check the state's shape, then read the plan for a run of ``sweeps`` steps.
+def _read_once(oracle: MatrixOracle, sweeps: int) -> BlockPlan:
+    """The plan for a run of ``sweeps`` steps, which all read the same matrix.
 
-    Every modelled sweep of the run reads the same matrix, so one counted
-    sweep is made and the other ``sweeps - 1`` are charged.
+    One counted sweep is made and the other ``sweeps - 1`` are charged.
     """
-    n = oracle.dim
-    if sigma.shape != (n, n):
-        raise ValueError(f"state dim {sigma.shape} != oracle dim {n}")
     plan = ModifiedSwapOperator(oracle).build_plan()
     oracle.charge_sweeps(sweeps - 1)
     return plan
@@ -174,11 +169,12 @@ def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | N
     overrides the count), refuses more than ``MAX_STEPS`` of them, since the
     loop runs once per step, and then makes one counted sweep and charges
     the other n - 1. The step map comes from one Kraus factorisation, and
-    the baseline unitaries and the effective rank from one ``eigh``. Each
-    state and its successor are copied into two buffers of ``_chunk(N)``
-    matrices; a filled buffer (or the last, partial one) is measured with
-    one stacked product u_dt·before·u_dt† and one ``trace_norms`` call, bit
-    for bit the errors of one ``nuclear_norm`` call per step.
+    the baseline unitaries and the effective rank from one ``eigh``. One
+    buffer holds ``_chunk(N) + 1`` consecutive states, each computed in
+    place from the one before; a filled buffer (or the last, partial one)
+    is measured with one stacked product u_dt·buf[:k]·u_dt† against
+    buf[1:k+1] and one ``trace_norms`` call, bit for bit the errors of one
+    ``nuclear_norm`` call per step, and its last state starts the next one.
     """
     sigma, a, a_max = _gate(oracle, sigma)
     n, dt, per_step_bound = plan_steps(a_max, t, epsilon, steps)
@@ -186,22 +182,22 @@ def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | N
         raise ValueError(f"{n:.3g} steps exceed MAX_STEPS = {MAX_STEPS}; "
                          f"raise epsilon or shorten the time")
 
-    step = _read_once(oracle, sigma, n).channel_map(dt)
+    step = _read_once(oracle, n).channel_map(dt)
     w, v = np.linalg.eigh(a)
     u_dt = unitary_from_eigh(w, v, dt)
     u_dt_h = u_dt.conj().T
     chunk = min(n, _chunk(a.shape[0]))
-    before = np.empty((chunk, *a.shape), dtype=np.complex128)
-    after = np.empty_like(before)
-    cur = sigma
+    buf = np.empty((chunk + 1, *a.shape), dtype=np.complex128)
+    buf[0] = sigma
     worst_step = 0.0
     for done in range(0, n, chunk):
         k = min(chunk, n - done)
         for j in range(k):
-            before[j] = cur
-            cur = after[j] = hermitize(step(cur))
-        errs = trace_norms(after[:k] - u_dt @ before[:k] @ u_dt_h)
+            buf[j + 1] = hermitize(step(buf[j]))
+        errs = trace_norms(buf[1:k + 1] - u_dt @ buf[:k] @ u_dt_h)
         worst_step = max(worst_step, float(errs.max()))
+        buf[0] = buf[k]
+    cur = buf[0]
 
     u_t = unitary_from_eigh(w, v, t)
     total = nuclear_norm(cur - u_t @ sigma @ u_t.conj().T)
@@ -254,7 +250,7 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
         raise ValueError("error sweep needs a nonzero matrix; every bound would be 0")
     bounds = [_step_bound(a_max, dt) for dt in dts]
 
-    plan = _read_once(oracle, sigma, len(dts))
+    plan = _read_once(oracle, len(dts))
     w, v = np.linalg.eigh(a)
     chunk = _chunk(a.shape[0])
     measured = []

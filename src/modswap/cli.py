@@ -84,12 +84,9 @@ def _resolve_sigma(args, n: int) -> np.ndarray:
     if getattr(args, "state", None):
         loaded = load_matrix(args.state)
         if 1 in loaded.shape:
-            psi = _state_from_matrix(loaded)
-            return np.outer(psi, psi.conj())
+            return pure_density(_state_from_matrix(loaded))
         return loaded
-    ground = np.zeros(n, dtype=np.complex128)
-    ground[0] = 1.0
-    return pure_density(ground)
+    return pure_density(_resolve_psi(args, n))
 
 
 def _resolve_psi(args, n: int) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Dense complex matrix kernels: Hermitian checks, the nuclear norm, exact
-unitary evolution, and the seeded random low-rank ensembles.
+"""Dense complex matrix kernels: Hermitian and state checks, the nuclear norm,
+exact unitary evolution, and the seeded random low-rank ensembles.
 
 Everything here is a classical baseline: plain numpy on dense arrays, no
 oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
 ``require_hermitian`` is the one gate of the uncounted path: it returns the
 exactly-Hermitian part of a matrix that passed, so no caller hermitizes its
-result again. ``trace_norms`` is the one trace-norm kernel: ``nuclear_norm``
-runs it behind that gate, since every error measured here is the trace norm
-of a difference of Hermitian matrices, and ``evolve`` and ``error_sweep``
-run it ungated on stacks of step differences. The random ensembles are the
+result again. ``require_state`` is the one gate of every state vector the
+library takes; it refuses, never fixes, a norm off 1. ``trace_norms`` is
+the one trace-norm kernel: ``nuclear_norm`` runs it behind the Hermitian
+gate, since every error measured here is the trace norm of a difference of
+Hermitian matrices, and ``evolve`` and ``error_sweep`` run it ungated on
+stacks of step differences. The random ensembles are the
 paper's test matrices: low rank, with eigenvalues Theta(N).
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+STATE_NORM_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -52,6 +55,20 @@ def require_hermitian(a) -> np.ndarray:
             f"matrix is not Hermitian (residual {hermiticity_residual(a):.3e})"
         )
     return hermitize(a)
+
+
+def require_state(psi, n: int) -> np.ndarray:
+    """psi as a length-n complex vector divided by its norm, which must be
+    within STATE_NORM_TOL of 1; ValueError otherwise."""
+    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    if psi.shape != (n,):
+        raise ValueError(f"state has dim {psi.shape[0]}, expected {n}")
+    nrm = np.linalg.norm(psi)
+    if nrm == 0:
+        raise ValueError("state is the zero vector")
+    if not abs(nrm - 1.0) <= STATE_NORM_TOL:  # a NaN norm fails the comparison
+        raise ValueError(f"state norm {nrm:.10g} != 1")
+    return psi / nrm
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

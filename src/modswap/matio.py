@@ -126,6 +126,9 @@ def matrix_from_json_obj(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON must be an object with rows, cols and data, "
                          f"not a {type(obj).__name__}")
+    missing = [key for key in ("rows", "cols", "data") if key not in obj]
+    if missing:
+        raise ValueError(f"matrix JSON is missing {' and '.join(missing)}")
     m, n = obj["rows"], obj["cols"]
     if not (_is_integral(m) and _is_integral(n)):
         raise ValueError(f"rows and cols must be integers, got {m!r} and {n!r}")

@@ -44,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, require_state
 from .oracle import MatrixOracle
-from .qpe import QPEConfig, _require_state
+from .qpe import QPEConfig
 from .svdx import _read_branches
 
 RANK_CUT = 1e-10
@@ -87,14 +87,15 @@ def quantum_procrustes_apply(base: MatrixOracle, psi, config: QPEConfig,
                              threshold: float) -> ProcrustesResult:
     """Apply the nearest partial isometry of A to psi through the pipeline.
 
-    psi lives in C^N and should be in or near col(V); components outside are
-    filtered by the protocol (partial-isometry semantics). Branches whose
+    psi lives in C^N, passes ``linalg.require_state`` before any query, and
+    should be in or near col(V); components outside are filtered by the
+    protocol (partial-isometry semantics). Branches whose
     sigma/(M+N) falls below threshold are post-selected away; if nothing
     survives, the input had no weight on the retained subspace and an error
     is raised.
     """
     m, n = base.shape
-    psi = _require_state(psi, n)
+    psi = require_state(psi, n)
     calls_before = base.report_calls()
     _, v, m_pos, m_neg, _ = _read_branches(base, config, threshold)
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])

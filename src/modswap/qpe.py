@@ -1,5 +1,7 @@
 """Simulated phase estimation over the controlled scaled evolution.
 
+The input state passes ``linalg.require_state`` before any query.
+
 The register convention is two's complement: a b-bit register value m
 encodes the phase m / 2^b, values at or above 1/2 wrap to negative, and the
 decoded eigenvalue of the scaled generator (eigenvalues of A divided by the
@@ -52,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import plan_steps
+from .linalg import require_state
 from .oracle import MatrixOracle, read_hermitian
 from .swapop import ModifiedSwapOperator, _kraus_map
 
@@ -178,16 +181,6 @@ def _read_spectrum(read, dim: int, config: QPEConfig):
     t0 = _base_time(config, float(np.max(np.abs(a))))
     w, v = np.linalg.eigh(a)
     return a, w / dim, v, t0
-
-
-def _require_state(psi, n: int) -> np.ndarray:
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.shape != (n,):
-        raise ValueError(f"state has dim {psi.shape[0]}, expected {n}")
-    nrm = np.linalg.norm(psi)
-    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails the comparison
-        raise ValueError(f"state norm {nrm:.6g} != 1")
-    return psi / nrm
 
 
 def _register_kernel(evals_over_n, bits: int, t0: float) -> np.ndarray:
@@ -349,8 +342,7 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     ``oracle.read_hermitian``, so a non-real diagonal fails either after one
     charged sweep.
     """
-    n = oracle.dim
-    psi = _require_state(psi, n)
+    psi = require_state(psi, oracle.dim)
     calls_before = oracle.report_calls()
     backend = _exact_backend if config.backend == "exact-unitary" else _trotter_backend
     dist, t0, bound = backend(oracle, psi, config)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, hermitize
+from .linalg import as_matrix, hermitize, is_hermitian
 from .oracle import MatrixOracle
 from .qpe import QPEConfig, _branch_masses, _read_spectrum
 
@@ -229,28 +229,23 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
     if thetas.shape[0] < s.shape[0]:
         # remaining singular directions are left untwisted
         thetas = np.concatenate([thetas, np.zeros(s.shape[0] - thetas.shape[0])])
-    if a.shape[0] == a.shape[1]:
-        herm_res = float(np.max(np.abs(a - a.conj().T)))
-        if herm_res < 1e-12 and float(np.min(np.linalg.eigvalsh(hermitize(a)))) > -1e-12:
-            warnings.warn("input is positive semidefinite; the ambiguity vanishes",
-                          stacklevel=2)
+    if a.shape[0] == a.shape[1] and is_hermitian(a) \
+            and float(np.min(np.linalg.eigvalsh(hermitize(a)))) > -1e-12:
+        warnings.warn("input is positive semidefinite; the ambiguity vanishes",
+                      stacklevel=2)
 
-    modified = (u * (s * np.exp(1j * thetas))) @ vh
-    gram_dev = float(np.max(np.abs(modified @ modified.conj().T - a @ a.conj().T)))
-    if gram_dev > 1e-10 * max(1.0, float(np.max(np.abs(a @ a.conj().T)))):
+    twist = s * np.exp(1j * thetas)
+    modified = (u * twist) @ vh
+    gram = a @ a.conj().T
+    gram_dev = float(np.max(np.abs(modified @ modified.conj().T - gram)))
+    if gram_dev > 1e-10 * max(1.0, float(np.max(np.abs(gram)))):
         raise AssertionError(f"Gram matrix not preserved (deviation {gram_dev:.3e})")
-
-    v = vh.conj().T
-    pairing = 0.0
-    for j in range(s.shape[0]):
-        lhs = modified @ v[:, j]
-        rhs = s[j] * np.exp(1j * thetas[j]) * u[:, j]
-        pairing = max(pairing, float(np.linalg.norm(lhs - rhs)))
+    pairing = np.linalg.norm(modified @ vh.conj().T - u * twist, axis=0).max(initial=0.0)
 
     return PhaseAmbiguityReport(
         distance=float(np.linalg.norm(a - modified)),
         gram_deviation=gram_dev,
-        pairing_residual=pairing,
+        pairing_residual=float(pairing),
         singular_values_original=s.copy(),
         singular_values_modified=np.linalg.svd(modified, compute_uv=False),
         modified=modified,

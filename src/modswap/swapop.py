@@ -27,16 +27,18 @@ Kraus operator is a diagonal plus one column, so ``channel_map`` builds
 those factors once for a fixed time and returns the whole Kraus sum as a
 map of a few N x N products, to be applied to many states; it never forms
 the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
-remain as references.
+remain as references. ``apply_exp`` and ``controlled_apply_exp`` take their
+state through ``linalg.require_state``, so a norm off 1 raises ``ValueError``
+before the plan's sweep.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import require_state
 from .oracle import MatrixOracle, read_hermitian
 
 
@@ -144,13 +146,7 @@ class ModifiedSwapOperator:
 
     def apply_exp(self, t: float, psi) -> np.ndarray:
         """exp(-i t op) psi on the N^2-dimensional doubled space."""
-        psi = np.asarray(psi, dtype=np.complex128)
-        nn = self.dim * self.dim
-        if psi.shape != (nn,):
-            raise ValueError(f"state has shape {psi.shape}, expected ({nn},)")
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-9:
-            warnings.warn(f"input state norm {nrm:.6g} != 1; proceeding", stacklevel=2)
+        psi = require_state(psi, self.dim * self.dim)
         return self.build_plan().apply(psi, t)
 
     def controlled_apply_exp(self, t: float, psi) -> np.ndarray:
@@ -158,15 +154,9 @@ class ModifiedSwapOperator:
 
         The first N^2 amplitudes (control 0) pass through unchanged.
         """
-        psi = np.asarray(psi, dtype=np.complex128)
         nn = self.dim * self.dim
-        if psi.shape != (2 * nn,):
-            raise ValueError(f"state has shape {psi.shape}, expected ({2 * nn},)")
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-9:
-            warnings.warn(f"input state norm {nrm:.6g} != 1; proceeding", stacklevel=2)
-        out = psi.copy()
-        out[nn:] = self.build_plan().apply(psi[nn:], t)
+        out = require_state(psi, 2 * nn)
+        out[nn:] = self.build_plan().apply(out[nn:], t)
         return out
 
     def spectrum(self) -> np.ndarray:

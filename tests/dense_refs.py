@@ -258,7 +258,7 @@ def evolve_by_steps(oracle, sigma, t, epsilon, steps=None):
     n = ceil(2 max_norm^2 t^2 / epsilon) unless ``steps`` gives it, and the
     effective rank comes from its own ``eigvalsh``.
     """
-    sigma = require_density(sigma)
+    sigma = require_density(sigma, oracle.dim)
     a = require_hermitian(oracle.materialize())
     a_max = float(np.max(np.abs(a)))
     n = steps if steps is not None else max(1, math.ceil(2.0 * a_max**2 * t**2 / epsilon))
@@ -291,7 +291,7 @@ def sweep_by_steps(oracle, sigma, delta_ts):
 
     Input checks are left to the caller.
     """
-    sigma = require_density(sigma)
+    sigma = require_density(sigma, oracle.dim)
     a = require_hermitian(oracle.materialize())
     a_max = float(np.max(np.abs(a)))
     rows = []

@@ -257,6 +257,7 @@ def test_missing_matrix_file_exits_2(tmp_path):
     ("long-row.csv", '"1,0"\n"0,0","1,0"\n', "long-row.csv: row 2 has 2 cells, row 1 has 1"),
     ("blank-last-line.csv", '"1,0"\n\n', "blank-last-line.csv: row 2 has 0 cells, row 1 has 1"),
     ("blank-lines.csv", "\n\n", "empty matrix file"),
+    ("missing-rows.json", '{"cols": 1, "data": [[1, 0]]}', "error: matrix JSON is missing rows"),
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
     matrix = tmp_path / name
@@ -911,3 +912,18 @@ def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("seed", [9, 3])
+def test_benchmark_cases_pass_their_own_checks(tmp_path, bench_workloads, seed):
+    # the reduced case lists of bench/workloads.py, pinned oracle counts included
+    for workload in bench_workloads.WORKLOADS:
+        inputs, outputs = tmp_path / workload / "inputs", tmp_path / workload / "outputs"
+        inputs.mkdir(parents=True)
+        outputs.mkdir()
+        bench_workloads.make_inputs(workload, seed, inputs, main, small=True)
+        cases = bench_workloads.build_cases(workload, seed, inputs, outputs, small=True)
+        assert cases, workload
+        for case in cases:
+            assert main(case.argv) == 0, case.label
+            assert case.check(case.out.read_bytes()) is None, case.label

@@ -1,7 +1,4 @@
-import importlib.util
 import json
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -257,6 +254,12 @@ def _bad_files(style: str) -> dict:
     # the stdlib keeps a repeated key's last value, so the array is not the data
     data_key_twice = (layout("[[1.5, 0.0], [1.5, 0.0]]")[:-2]
                       + f'{comma}"data"{colon}5}}\n'.encode())
+
+    def without(key):
+        fields = {"cols": "2", "data": f"[[1.5{comma}0.0]{comma}[1.5{comma}0.0]]", "rows": "1"}
+        return ("{" + comma.join(f'"{k}"{colon}{v}' for k, v in fields.items() if k != key)
+                + "}\n").encode()
+
     return {
         "nan": (layout("[[1.5, 0.0], [NaN, 0.0]]"), "{path}: matrix contains NaN or infinity"),
         "infinity": (layout("[[1.5, 0.0], [-Infinity, 0.0]]"),
@@ -289,6 +292,9 @@ def _bad_files(style: str) -> dict:
         "bool-rows": (layout("[[1.5, 0.0], [1.5, 0.0]]", "true"),
                       "rows and cols must be integers, got True and 2"),
         "data-key-twice": (data_key_twice, "data must be a list of [re, im] pairs, not a int"),
+        "missing-rows": (without("rows"), "matrix JSON is missing rows"),
+        "missing-cols": (without("cols"), "matrix JSON is missing cols"),
+        "missing-data": (without("data"), "matrix JSON is missing data"),
     }
 
 
@@ -338,23 +344,12 @@ def test_mixed_layout_takes_fast_path(tmp_path, raw):
     _assert_same_array(load_matrix(path), expected)
 
 
-def _bench_workloads(monkeypatch):
-    """bench/workloads.py, loaded from its path: the benchmark is not a package."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_benchmark_input_takes_fast_path(tmp_path, monkeypatch):
+def test_every_benchmark_input_takes_fast_path(tmp_path, bench_workloads):
     # a benchmark input that fell to the stdlib parser would time that parser instead
-    workloads = _bench_workloads(monkeypatch)
-    for workload in workloads.WORKLOADS:
+    for workload in bench_workloads.WORKLOADS:
         inputs = tmp_path / workload
         inputs.mkdir()
-        workloads.make_inputs(workload, 9, inputs, main, small=True)
+        bench_workloads.make_inputs(workload, 9, inputs, main, small=True)
         paths = sorted(inputs.glob("*.json"))
         assert paths
         for path in paths:

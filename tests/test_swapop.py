@@ -80,10 +80,11 @@ def test_inverse_property():
     assert np.max(np.abs(back - psi)) <= 1e-12
 
 
-def test_apply_exp_warns_on_unnormalized():
+def test_apply_exp_rejects_unnormalized():
     op = _op(np.eye(2))
-    with pytest.warns(UserWarning):
+    with pytest.raises(ValueError, match="state norm 1.414213562 != 1"):
         op.apply_exp(0.1, np.array([1.0, 0, 0, 1.0], dtype=complex))
+    assert op.oracle.report_calls() == 0
 
 
 def test_apply_exp_rejects_wrong_dim():
