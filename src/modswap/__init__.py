@@ -45,7 +45,7 @@ from .svdx import (
 from .swapop import ModifiedSwapOperator
 
 __version__ = "0.1.0"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 __all__ = [
     "EigenEstimate",

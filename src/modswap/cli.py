@@ -9,10 +9,12 @@ Wall-clock timing is opt-in (--timing) because embedding it would break that
 guarantee; without the flag the envelope carries "wall_ms": null. With it,
 wall_ms runs from input resolution to the built results, without the write.
 Envelopes and matrix files go through the one writer ``matio._write_json``:
-the states and distributions are handed to it as numpy arrays, and a
-non-finite number exits 2 with no file written.
+every array a pipeline returns is handed to it as is, and a non-finite
+number exits 2 with no file written.
 
-Exit codes: 0 success, 2 validation/usage error, 1 runtime failure.
+Exit codes: 0 success, 2 refused input (``ValueError`` or ``OSError``:
+validation, usage, an unreadable or malformed file), 1 runtime failure
+(any other exception, which is a fault in the program).
 """
 
 from __future__ import annotations
@@ -50,17 +52,6 @@ def _write_envelope(path, command: str, config: dict, results: dict,
         "wall_ms": wall_ms,
     }
     _write_json(path, envelope)
-
-
-def _qram_latency_factor(n: int) -> float:
-    """Informational per-call access-time multiplier, log2(N)^2.
-
-    Latency is not modeled; total cost in access-time units is
-    oracle_calls * this factor.
-    """
-    import math
-
-    return float(math.log2(max(n, 2)) ** 2)
 
 
 def _resolve_oracle(args) -> MatrixOracle:
@@ -138,16 +129,14 @@ def cmd_gen_matrix(args) -> None:
 
 def cmd_evolve(args):
     oracle = _resolve_oracle(args)
-    n = oracle.dim
-    final, report = evolve(oracle, _resolve_sigma(args, n), args.time, args.epsilon,
-                           steps=args.steps)
+    final, report = evolve(oracle, _resolve_sigma(args, oracle.dim), args.time,
+                           args.epsilon, steps=args.steps)
     results = report._asdict()
     del results["steps"]
     return (
         {**_source_config(args), "time": args.time, "epsilon": args.epsilon,
          "steps": report.steps},
-        {**results, "final_state": matrix_to_json_obj(final),
-         "qram_latency_factor": _qram_latency_factor(n)},
+        {**results, "final_state": matrix_to_json_obj(final)},
         oracle.report_calls(),
         f"evolve: n={report.steps} total_measured={report.total_measured:.6g} "
         f"(budget {args.epsilon})",
@@ -179,10 +168,9 @@ def cmd_qpe(args):
         {**_source_config(args), "bits": args.bits, "backend": args.backend,
          "t0": result.base_time, "trotter_epsilon": args.trotter_epsilon},
         {
-            "distribution": np.ascontiguousarray(result.distribution),
+            "distribution": result.distribution,
             "estimates": [e._asdict() for e in result.estimates],
             "trotter_error_bound": result.trotter_error_bound,
-            "qram_latency_factor": _qram_latency_factor(oracle.dim),
         },
         result.oracle_calls,
         f"qpe: {len(result.estimates)} peak(s), {result.oracle_calls} oracle calls",
@@ -194,26 +182,21 @@ def cmd_svd(args):
     config = QPEConfig(bits=args.bits)
     result = quantum_svd(oracle, config, args.threshold)
     residual = result.residual(oracle.materialize())
-    sqrt2 = float(np.sqrt(2.0))
+    u, v = result.left_vectors, result.right_vectors
     return (
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold},
         {
             "rank": result.rank,
-            "singular_values": [float(s) for s in result.singular_values],
-            "left_vectors": [_complex_pairs(result.left_vectors[:, j])
-                             for j in range(result.rank)],
-            "right_vectors": [_complex_pairs(result.right_vectors[:, j])
-                              for j in range(result.rank)],
+            "singular_values": result.singular_values,
+            # row j is the pairs of column j
+            "left_vectors": _complex_pairs(u.T).reshape(result.rank, -1, 2),
+            "right_vectors": _complex_pairs(v.T).reshape(result.rank, -1, 2),
             "degenerate": result.degenerate,
             "unresolved": result.unresolved,
             "grid_step": result.grid_step,
             "reconstruction_residual": residual,
-            "subvector_norms": [
-                [float(np.linalg.norm(result.left_vectors[:, j]) / sqrt2),
-                 float(np.linalg.norm(result.right_vectors[:, j]) / sqrt2)]
-                for j in range(result.rank)
-            ],
-            "qram_latency_factor": _qram_latency_factor(sum(oracle.shape)),
+            "subvector_norms": np.stack([np.linalg.norm(u, axis=0),
+                                         np.linalg.norm(v, axis=0)], axis=1) / np.sqrt(2.0),
         },
         result.oracle_calls,
         f"svd: rank {result.rank}, residual {residual:.3e}, "
@@ -223,22 +206,19 @@ def cmd_svd(args):
 
 def cmd_demo_phase_ambiguity(args):
     a = load_matrix(args.matrix)
-    rng = np.random.default_rng(args.seed)
-    s = np.linalg.svd(a, compute_uv=False)
-    r = int(np.sum(s > 1e-10 * s[0]))
-    if r == 0:
-        raise ValueError("zero matrix has no singular pairs to twist")
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=r)
+    # a prefix of this draw equals a draw of the prefix's size, so the demo's
+    # first rank(A) phases are those a draw of rank(A) phases gives
+    thetas = np.random.default_rng(args.seed).uniform(0.0, 2.0 * np.pi, size=min(a.shape))
     report = phase_ambiguity_demo(a, thetas)
     return (
         {"matrix": args.matrix, "seed": args.seed},
         {
-            "thetas": [float(t) for t in thetas],
+            "thetas": report.thetas,
             "distance": report.distance,
             "gram_deviation": report.gram_deviation,
             "pairing_residual": report.pairing_residual,
-            "singular_values_original": [float(x) for x in report.singular_values_original],
-            "singular_values_modified": [float(x) for x in report.singular_values_modified],
+            "singular_values_original": report.singular_values_original,
+            "singular_values_modified": report.singular_values_modified,
         },
         0,
         f"demo-phase-ambiguity: distance {report.distance:.6g}, "
@@ -263,8 +243,7 @@ def cmd_procrustes(args):
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
          "shots": args.shots, "seed": args.seed},
         {**results, "output_state": _complex_pairs(result.output_state),
-         "sampled_success_probability": sampled,
-         "qram_latency_factor": _qram_latency_factor(sum(oracle.shape))},
+         "sampled_success_probability": sampled},
         result.oracle_calls,
         f"procrustes: success={result.success_probability:.4f} "
         f"fidelity={result.fidelity_vs_oracle:.6f}",
@@ -358,10 +337,10 @@ def main(argv=None) -> int:
                             wall_ms if getattr(args, "timing", False) else None)
             print(summary)
         return 0
-    except (ValueError, IndexError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

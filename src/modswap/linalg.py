@@ -20,6 +20,8 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
+# singular values at or below RANK_CUT times the largest count as zero
+RANK_CUT = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:

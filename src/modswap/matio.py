@@ -12,7 +12,10 @@ States are stored as single-column matrices. A file that does not follow
 its format raises ``ValueError`` naming the first bad entry; the loader
 converts the entries in one pass and looks for the culprit only after that
 pass fails. A CSV row whose cell count differs from the first row's, a
-blank line included, raises ``ValueError`` naming the row and both counts.
+blank line included, raises ``ValueError`` naming the row and both counts,
+and a row the ``csv`` module refuses (a cell longer than its field limit
+of 131072 characters, for one) raises ``ValueError`` naming the row and
+that module's message.
 A NaN or infinite entry raises ``ValueError`` as well.
 
 ``_write_json`` writes every JSON file: matrix files and the CLI's result
@@ -222,14 +225,18 @@ def load_matrix(path) -> np.ndarray:
     if path.suffix.lower() == ".csv":
         rows = []
         with path.open(newline="") as fh:
-            for line, record in enumerate(csv.reader(fh), 1):
-                if rows and len(record) != len(rows[0]):
-                    raise ValueError(f"{path}: row {line} has {len(record)} cells, "
-                                     f"row 1 has {len(rows[0])}")
-                try:
-                    rows.append([_csv_cell(cell) for cell in record])
-                except (TypeError, ValueError):
-                    raise _first_bad(record, _csv_cell, f"{path}: row {line}, cell") from None
+            try:
+                for line, record in enumerate(csv.reader(fh), 1):
+                    if rows and len(record) != len(rows[0]):
+                        raise ValueError(f"{path}: row {line} has {len(record)} cells, "
+                                         f"row 1 has {len(rows[0])}")
+                    try:
+                        rows.append([_csv_cell(cell) for cell in record])
+                    except (TypeError, ValueError):
+                        raise _first_bad(record, _csv_cell,
+                                         f"{path}: row {line}, cell") from None
+            except csv.Error as exc:  # a cell past the field limit, for one
+                raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
         if not rows or not rows[0]:
             raise ValueError(f"empty matrix file: {path}")
         a = np.array(rows, dtype=np.complex128)

@@ -44,12 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, require_state
+from .linalg import RANK_CUT, as_matrix, require_state
 from .oracle import MatrixOracle
 from .qpe import QPEConfig
 from .svdx import _read_branches
-
-RANK_CUT = 1e-10
 
 
 class PartialIsometry(NamedTuple):

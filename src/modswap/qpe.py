@@ -347,7 +347,7 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     backend = _exact_backend if config.backend == "exact-unitary" else _trotter_backend
     dist, t0, bound = backend(oracle, psi, config)
     return QPEResult(
-        distribution=np.asarray(dist, dtype=float),
+        distribution=np.ascontiguousarray(dist, dtype=float),
         estimates=extract_estimates(dist, config.bits, t0),
         backend=config.backend,
         bits=config.bits,

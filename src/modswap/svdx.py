@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, hermitize, is_hermitian
+from .linalg import RANK_CUT, as_matrix, hermitize, is_hermitian
 from .oracle import MatrixOracle
 from .qpe import QPEConfig, _branch_masses, _read_spectrum
 
@@ -90,24 +90,16 @@ def extended_spectrum_check(a) -> ExtendedSpectrumReport:
     w, v = np.linalg.eigh(dense)
     dev = float(np.max(np.abs(np.sort(w) - expected)))
 
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(w))))
-    sub_dev = 0.0
-    nonzero = 0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for idx in np.nonzero(np.abs(w) > cut)[0]:
-        nonzero += 1
-        vec = v[:, idx]
-        sub_dev = max(
-            sub_dev,
-            abs(np.linalg.norm(vec[:m]) - inv_sqrt2),
-            abs(np.linalg.norm(vec[m:]) - inv_sqrt2),
-        )
+    nonzero = np.abs(w) > RANK_TOL * max(1.0, float(np.max(np.abs(w))))
+    kept = v[:, nonzero]
+    sub_norms = np.stack([np.linalg.norm(kept[:m], axis=0), np.linalg.norm(kept[m:], axis=0)])
     return ExtendedSpectrumReport(
         eigenvalues=np.sort(w),
         expected=expected,
         max_eigenvalue_deviation=dev,
-        max_subvector_norm_deviation=float(sub_dev),
-        nonzero_count=nonzero,
+        max_subvector_norm_deviation=float(np.max(np.abs(sub_norms - 1.0 / np.sqrt(2.0)),
+                                                  initial=0.0)),
+        nonzero_count=int(np.count_nonzero(nonzero)),
     )
 
 
@@ -203,8 +195,12 @@ def quantum_svd(base: MatrixOracle, config: QPEConfig, threshold: float) -> SVDR
 
 
 class PhaseAmbiguityReport(NamedTuple):
-    """Gram-preserving phase twist of the singular pairs and its visibility."""
+    """Gram-preserving phase twist of the singular pairs and its visibility.
 
+    thetas holds the phases applied, at most one per singular pair above RANK_CUT.
+    """
+
+    thetas: np.ndarray
     distance: float
     gram_deviation: float
     pairing_residual: float
@@ -218,23 +214,23 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
 
     Builds a matrix sharing the Gram matrix A A† (and all singular values)
     with A but with each u_j twisted by exp(i theta_j); reports how far the
-    twisted matrix drifts from A in Frobenius norm. For positive
-    semidefinite A the twist collapses, so such inputs draw a warning.
+    twisted matrix drifts from A in Frobenius norm. Only the r singular
+    pairs above RANK_CUT are twisted: phases beyond the first r are ignored,
+    and pairs past the phases given are left untwisted. A zero matrix has
+    no pair to twist and is refused. For positive semidefinite A the twist
+    collapses, so such inputs draw a warning.
     """
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape[0] > s.shape[0]:
-        raise ValueError(f"at most {s.shape[0]} phases accepted, got {thetas.shape[0]}")
-    if thetas.shape[0] < s.shape[0]:
-        # remaining singular directions are left untwisted
-        thetas = np.concatenate([thetas, np.zeros(s.shape[0] - thetas.shape[0])])
+    if s.size == 0 or s[0] <= 0:
+        raise ValueError("zero matrix has no singular pairs to twist")
+    thetas = np.asarray(thetas, dtype=float)[:np.count_nonzero(s > RANK_CUT * s[0])]
     if a.shape[0] == a.shape[1] and is_hermitian(a) \
             and float(np.min(np.linalg.eigvalsh(hermitize(a)))) > -1e-12:
         warnings.warn("input is positive semidefinite; the ambiguity vanishes",
                       stacklevel=2)
 
-    twist = s * np.exp(1j * thetas)
+    twist = s * np.exp(1j * np.pad(thetas, (0, s.size - thetas.size)))
     modified = (u * twist) @ vh
     gram = a @ a.conj().T
     gram_dev = float(np.max(np.abs(modified @ modified.conj().T - gram)))
@@ -243,6 +239,7 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
     pairing = np.linalg.norm(modified @ vh.conj().T - u * twist, axis=0).max(initial=0.0)
 
     return PhaseAmbiguityReport(
+        thetas=thetas,
         distance=float(np.linalg.norm(a - modified)),
         gram_deviation=gram_dev,
         pairing_residual=float(pairing),

@@ -258,6 +258,10 @@ def test_missing_matrix_file_exits_2(tmp_path):
     ("blank-last-line.csv", '"1,0"\n\n', "blank-last-line.csv: row 2 has 0 cells, row 1 has 1"),
     ("blank-lines.csv", "\n\n", "empty matrix file"),
     ("missing-rows.json", '{"cols": 1, "data": [[1, 0]]}', "error: matrix JSON is missing rows"),
+    # past the csv module's field limit, which raises csv.Error, not ValueError
+    pytest.param("huge-cell.csv", '"1%s,0"\n' % ("0" * 140000),
+                 "huge-cell.csv: row 1: field larger than field limit (131072)",
+                 id="huge-cell.csv"),
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, text, message):
     matrix = tmp_path / name
@@ -374,6 +378,71 @@ def test_demo_phase_ambiguity_rejects_zero_matrix_exits_2(tmp_path, capsys):
     assert main(["demo-phase-ambiguity", "--matrix", str(matrix), "--out", str(out)]) == 2
     assert "error: zero matrix has no singular pairs to twist" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_demo_phase_ambiguity_takes_one_svd_of_its_input(tmp_path, monkeypatch):
+    # one SVD of the input, one of the twisted matrix; the rank comes from the first
+    matrix = tmp_path / "r.json"
+    assert main(["gen-matrix", "--m", "5", "--n", "4", "--rank", "2", "--seed", "3",
+                 "--out", str(matrix)]) == 0
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    out = tmp_path / "d.json"
+    assert main(["demo-phase-ambiguity", "--matrix", str(matrix), "--seed", "6",
+                 "--out", str(out)]) == 0
+    assert calls == [(5, 4), (5, 4)]
+    # min(m, n) = 4 phases drawn, the 2 applied to the rank-2 pairs written
+    thetas = json.loads(out.read_text())["results"]["thetas"]
+    assert thetas == np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, size=2).tolist()
+
+
+def test_stray_key_error_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
+    # exit 2 is for refused input; a KeyError is a fault in the program
+    def broken(args):
+        raise KeyError("n")
+
+    monkeypatch.setattr(cli, "_resolve_oracle", broken)
+    out = tmp_path / "q.json"
+    assert main(["qpe", "--generator", "all-ones:n=2", "--bits", "2", "--out", str(out)]) == 1
+    assert "runtime failure: 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_svd_envelope_vectors_are_the_result_columns(tmp_path, monkeypatch):
+    # row j of left_vectors / right_vectors is column j of the SVDResult, bit for bit
+    matrix = tmp_path / "r.json"
+    assert main(["gen-matrix", "--m", "6", "--n", "4", "--rank", "3", "--seed", "5",
+                 "--out", str(matrix)]) == 0
+    results = []
+    quantum_svd = cli.quantum_svd
+
+    def recording(*args, **kwargs):
+        results.append(quantum_svd(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "quantum_svd", recording)
+    out = tmp_path / "s.json"
+    assert main(["svd", "--matrix", str(matrix), "--bits", "10", "--threshold", "0.02",
+                 "--out", str(out)]) == 0
+    (result,) = results
+    env = json.loads(out.read_text())["results"]
+    assert result.rank == env["rank"] == 3
+    assert env["singular_values"] == result.singular_values.tolist()
+    for key, vectors in (("left_vectors", result.left_vectors),
+                         ("right_vectors", result.right_vectors)):
+        assert len(env[key]) == 3
+        for j, pairs in enumerate(env[key]):
+            assert pairs == [[z.real, z.imag] for z in vectors[:, j].tolist()], (key, j)
+    # column norms in one call round apart from one norm per column
+    per_column = [[np.linalg.norm(result.left_vectors[:, j]) / np.sqrt(2.0),
+                   np.linalg.norm(result.right_vectors[:, j]) / np.sqrt(2.0)] for j in range(3)]
+    np.testing.assert_allclose(env["subvector_norms"], per_column, rtol=1e-15, atol=0)
 
 
 def _record_oracles(monkeypatch):
@@ -648,21 +717,18 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
     keys = {
         "evolve": (source | {"time", "epsilon", "steps"},
                    {"final_state", "delta_t", "per_step_bound", "measured_step_error",
-                    "total_measured", "total_bound", "effective_rank",
-                    "qram_latency_factor"}),
+                    "total_measured", "total_bound", "effective_rank"}),
         "qpe": (source | {"bits", "backend", "t0", "trotter_epsilon"},
-                {"distribution", "estimates", "trotter_error_bound", "qram_latency_factor"}),
+                {"distribution", "estimates", "trotter_error_bound"}),
         "svd": (source | {"bits", "threshold"},
                 {"rank", "singular_values", "left_vectors", "right_vectors", "degenerate",
-                 "unresolved", "grid_step", "reconstruction_residual", "subvector_norms",
-                 "qram_latency_factor"}),
+                 "unresolved", "grid_step", "reconstruction_residual", "subvector_norms"}),
         "demo-phase-ambiguity": ({"matrix", "seed"},
                                  {"thetas", "distance", "gram_deviation", "pairing_residual",
                                   "singular_values_original", "singular_values_modified"}),
         "procrustes": (source | {"bits", "threshold", "shots", "seed"},
                        {"output_state", "success_probability", "sampled_success_probability",
-                        "fidelity_vs_oracle", "retained_pairs", "uncompute_leakage",
-                        "qram_latency_factor"}),
+                        "fidelity_vs_oracle", "retained_pairs", "uncompute_leakage"}),
     }
 
     def run(*argv):
@@ -677,7 +743,7 @@ def test_options_do_not_leak_between_calls(tmp_path, monkeypatch):
         assert envelope == expected
         assert set(envelope) == {"artifact_version", "format_version", "command", "config",
                                  "results", "oracle_calls", "wall_ms"}
-        assert envelope["format_version"] == 3
+        assert envelope["format_version"] == 4
         assert (set(envelope["config"]), set(envelope["results"])) == keys[argv[0]]
         for estimate in envelope["results"].get("estimates", []):
             assert set(estimate) == {"register_value", "value", "weight", "sign"}

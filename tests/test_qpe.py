@@ -165,6 +165,17 @@ def test_register_distribution_sums_to_one():
     assert np.sum(result.distribution) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("backend", ["exact-unitary", "trotter-channel"])
+def test_distribution_is_c_contiguous(backend):
+    # the trotter backend's trace is a strided view; the envelope writer
+    # encodes the array as is, and only a C-contiguous one
+    rng = np.random.default_rng(4)
+    result = qpe(MatrixOracle(random_hermitian(3, rng)), random_state(3, rng),
+                 QPEConfig(bits=3, backend=backend, trotter_epsilon=0.1))
+    assert result.distribution.flags.c_contiguous
+    assert result.distribution.dtype == np.float64
+
+
 def test_peaks_within_one_register_unit_of_truth():
     rng = np.random.default_rng(2)
     a = random_low_rank(4, 2, rng)

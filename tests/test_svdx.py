@@ -18,6 +18,7 @@ from modswap.qpe import (
     _register_kernel,
 )
 from modswap.svdx import (
+    RANK_TOL,
     embedding,
     extended_spectrum_check,
     phase_ambiguity_demo,
@@ -121,6 +122,20 @@ def test_extended_spectrum_random_low_rank():
     assert report.max_eigenvalue_deviation <= 1e-10
     assert report.max_subvector_norm_deviation <= 1e-10
     assert report.nonzero_count == 4  # rank doubling: 2r nonzero eigenvalues
+
+
+@pytest.mark.parametrize("shape, rank", [((4, 6), 2), ((7, 3), 3), ((5, 5), 1)])
+def test_extended_spectrum_subvector_norms_match_per_eigenvector_loop(shape, rank):
+    a = random_low_rank_rect(*shape, rank, np.random.default_rng(rank))
+    report = extended_spectrum_check(a)
+    w, v = np.linalg.eigh(embedding(a))
+    m = shape[0]
+    kept = [l for l in range(w.size) if abs(w[l]) > RANK_TOL * max(1.0, np.max(np.abs(w)))]
+    worst = max(abs(np.linalg.norm(part) - 1.0 / np.sqrt(2.0))
+                for l in kept for part in (v[:m, l], v[m:, l]))
+    assert report.nonzero_count == len(kept) == 2 * rank
+    # column norms in one call round apart from one norm per column
+    assert report.max_subvector_norm_deviation == pytest.approx(worst, abs=1e-15)
 
 
 def test_extended_spectrum_symmetry():
@@ -244,6 +259,20 @@ def test_phase_ambiguity_sign_flip_rank_one():
     report = phase_ambiguity_demo(a, [np.pi])
     np.testing.assert_allclose(report.modified, -a, atol=1e-12)
     assert report.distance == pytest.approx(2 * np.linalg.norm(a), rel=1e-12)
+
+
+def test_phase_ambiguity_twists_only_the_pairs_above_the_rank_cut():
+    # rank 1: the phases past the first are ignored, and the one applied is reported
+    rng = np.random.default_rng(10)
+    a = np.outer(rng.standard_normal(3), rng.standard_normal(4))
+    report = phase_ambiguity_demo(a, [np.pi, 1.0, 2.0])
+    assert report.thetas.tolist() == [np.pi]
+    np.testing.assert_allclose(report.modified, -a, atol=1e-12)
+
+
+def test_phase_ambiguity_rejects_zero_matrix():
+    with pytest.raises(ValueError, match="zero matrix has no singular pairs to twist"):
+        phase_ambiguity_demo(np.zeros((3, 4)), [0.5])
 
 
 def test_phase_ambiguity_random_about_gram_preservation():
