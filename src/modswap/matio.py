@@ -39,7 +39,9 @@ or ``f`` byte, so no string, boolean or null. Every other file, and every
 file with a slice that orjson refuses (NaN, Infinity, an integer past the
 float range) or that is not a list of number pairs of the header's count,
 goes whole through the stdlib parser, so the accepted values and the error
-messages are those of ``json``.
+messages are those of ``json``; a file that is not UTF-8, not JSON, or
+nested past the parser's recursion limit raises ``ValueError`` with that
+parser's message after the file's path.
 """
 
 from __future__ import annotations
@@ -244,7 +246,11 @@ def load_matrix(path) -> np.ndarray:
         raw = path.read_bytes()
         a = _read_saved_layout(raw)
         if a is None:
-            a = matrix_from_json_obj(json.loads(raw.decode()))
+            try:
+                obj = json.loads(raw.decode())
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+                raise ValueError(f"{path}: {exc}") from None
+            a = matrix_from_json_obj(obj)
     if not np.isfinite(a).all():
         raise ValueError(f"{path}: matrix contains NaN or infinity")
     return a

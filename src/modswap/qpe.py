@@ -11,16 +11,19 @@ anti-aliasing requirement t0 * max_norm(A) <= pi keeps every phase inside
 
 Two interchangeable backends:
 
-* ``exact-unitary``: the controlled powers are computed from the classical
-  eigendecomposition; exact up to register discretization. Costs one
-  counted Hermitian oracle read (``oracle.read_hermitian``, which rejects a
-  non-real diagonal); ``eigh`` takes that matrix as read. Eigenvector l
-  leaves the register in state K[:, l], whose outcome law |K[y, l]|^2 is the
-  Fejer kernel centred on lambda_l * t0; ``_register_mass`` gives that real
-  2^bits x N mass matrix in closed form, with no FFT. By Parseval the
-  register distribution is that matrix times |V^dagger psi|^2, so no
-  register x system state is built. The mass matrix is capped by
-  ``MAX_BYTES``.
+* ``exact-unitary``: the controlled powers are exact functions of A;
+  exact up to register discretization. Costs one counted Hermitian oracle
+  read (``oracle.read_hermitian``, which rejects a non-real diagonal).
+  Eigenvector l leaves the register in state K[:, l], whose outcome law
+  |K[y, l]|^2 is the Fejer kernel centred on lambda_l * t0;
+  ``_register_mass`` gives that real mass matrix in closed form, with no
+  FFT. By Parseval the register distribution is that matrix times
+  |V^dagger psi|^2, so no register x system state is built, and it depends
+  on A only through psi's spectral measure: nodes lambda_l, weights
+  |<v_l|psi>|^2. ``_spectral_measure`` takes that measure from Lanczos
+  from psi, at most rank(A) + 1 matrix-vector products with a stated bound
+  on the change in p, and takes ``eigh`` of the read only past N // 8
+  steps. The mass matrix, 2^bits x N at most, is capped by ``MAX_BYTES``.
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
   counted oracle sweep per step). Every step reads the same matrix, so one
@@ -60,6 +63,8 @@ from .swapop import ModifiedSwapOperator, _kraus_map
 
 PEAK_MIN_WEIGHT = 0.01
 MAX_BYTES = 1 << 29  # largest array set either backend allocates, checked before any query
+# bound on each |Delta p(y)| at which Lanczos stops (``_spectral_measure``)
+MEASURE_TOL = 1e-12
 
 
 class _QPEConfig(NamedTuple):
@@ -163,24 +168,73 @@ def _require_bytes(needed: int, what: str) -> None:
         raise ValueError(f"{what} needs {needed} bytes (> {MAX_BYTES}); reduce bits or N")
 
 
-def _read_spectrum(read, dim: int, config: QPEConfig):
-    """One counted read of a dim x dim Hermitian matrix and its eigendecomposition.
+def _read_exact(read, dim: int, config: QPEConfig):
+    """The exact readouts' one counted read of a dim x dim Hermitian matrix.
 
     ``read`` is a zero-argument callable that makes the read. Returns (A,
-    eigenvalues of A / dim, eigenvectors, base time t0). The register mass
-    matrix that every exact readout builds, one 2^bits x dim float64 array
-    at its peak, is checked against ``MAX_BYTES`` before the read. ``eigh``
-    reads one triangle and the real part of the diagonal, so A needs no
-    hermitizing. A config whose backend is not exact-unitary is refused first.
+    base time t0). A config whose backend is not exact-unitary is refused
+    first. The register mass matrix, one 2^bits x dim float64 array at its
+    largest, is checked against ``MAX_BYTES`` before the read: how many
+    columns it needs is known only after it. The decomposition is the
+    caller's: ``_spectral_measure`` for ``qpe``, ``eigh`` of the embedding
+    for svd and Procrustes, whose readouts use the eigenvectors.
     """
     if config.backend != "exact-unitary":
         raise ValueError("this readout runs on the exact-unitary backend only, "
                          f"not '{config.backend}'")
     _require_bytes(8 * config.size * dim, "exact backend register kernel mass")
     a = read()
-    t0 = _base_time(config, float(np.max(np.abs(a))))
+    return a, _base_time(config, float(np.max(np.abs(a))))
+
+
+def _spectral_measure(a, psi, size: int, t0: float):
+    """(nodes, weights) of psi's spectral measure under A / N, A exactly Hermitian.
+
+    The register distribution is ``_register_mass(nodes) @ weights``. Lanczos
+    from psi gives after k steps a tridiagonal T_k whose eigenpairs
+    (theta_j, s_j) are the nodes theta_j / N and weights |s_j[0]|^2 (Gauss
+    quadrature). For rank r, A^k psi lies in range(A) for every k >= 1, so
+    Lanczos breaks down by step r + 1, one more where rounding spreads the
+    N - r null eigenvalues, which make one node. Each step reorthogonalises
+    against the whole basis twice: with one pass the basis loses
+    orthogonality as Ritz values converge, and a rank-10 A at N = 128 does
+    not break down within the step cap.
+
+    Stop rule. If Lanczos stops at beta_k, the measure is exactly that of
+    A - E with E = beta_k (q_{k+1} q_k^dagger + h.c.), so ||E|| = beta_k.
+    p(y) = psi^dagger F_y(A t0 / N) psi, with F_y a trigonometric polynomial
+    of degree M - 1 (M = size = 2^bits) whose coefficients c_d have
+    sum |d| |c_d| <= M / 3. So the stop moves each p(y) by at most
+    (M / 3) (t0 / N) beta_k, and Lanczos stops at the first step where this
+    bound is at or below ``MEASURE_TOL``.
+
+    Fallback. At most N // 8 steps are run, so an A that needs more pays for
+    them on top of the ``eigh`` that then gives every eigenvalue, with
+    weights |V^dagger psi|^2: about a tenth more at N = 128 to 256, where
+    Lanczos costs as much as ``eigh`` only past N / 2 steps. N < 8 goes to
+    ``eigh`` at once, as does, after N // 8 steps, a register too fine for
+    rounding to meet the bound.
+    """
+    n = psi.size
+    steps = n // 8
+    per_beta = size / 3 * t0 / n
+    basis = np.empty((steps + 1, n), dtype=np.complex128)
+    basis[0] = psi
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        r = a @ basis[k]
+        alpha[k] = np.vdot(basis[k], r).real
+        q = basis[:k + 1]
+        for _ in range(2):
+            r -= (q.conj() @ r) @ q
+        beta[k] = np.linalg.norm(r)
+        if per_beta * beta[k] <= MEASURE_TOL:
+            off = beta[:k]
+            theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(off, 1) + np.diag(off, -1))
+            return theta / n, s[0] ** 2
+        basis[k + 1] = r / beta[k]
     w, v = np.linalg.eigh(a)
-    return a, w / dim, v, t0
+    return w / n, np.abs(v.conj().T @ psi) ** 2
 
 
 def _register_kernel(evals_over_n, bits: int, t0: float) -> np.ndarray:
@@ -283,10 +337,12 @@ def extract_estimates(distribution, bits: int, t0: float) -> list[EigenEstimate]
 
 def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     # Parseval: the row sums of |joint_from_eig|^2 without the joint state
-    _, evals_over_n, evecs, t0 = _read_spectrum(lambda: read_hermitian(oracle),
-                                                oracle.dim, config)
-    weight = np.abs(evecs.conj().T @ psi) ** 2
-    return _register_mass(evals_over_n, config.bits, t0) @ weight, t0, None
+    a, t0 = _read_exact(lambda: read_hermitian(oracle), oracle.dim, config)
+    # the products need A exactly Hermitian: with the read's imaginary diagonal
+    # dropped it is hermitize(a) bit for bit, the matrix eigh reads
+    np.fill_diagonal(a, a.diagonal().real)
+    nodes, weights = _spectral_measure(a, psi, config.size, t0)
+    return _register_mass(nodes, config.bits, t0) @ weights, t0, None
 
 
 def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):

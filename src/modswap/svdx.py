@@ -43,7 +43,7 @@ import numpy as np
 
 from .linalg import RANK_CUT, as_matrix, hermitize, is_hermitian
 from .oracle import MatrixOracle
-from .qpe import QPEConfig, _branch_masses, _read_spectrum
+from .qpe import QPEConfig, _branch_masses, _read_exact
 
 SKEW_RATIO = 4.0
 RANK_TOL = 1e-8
@@ -145,9 +145,9 @@ def _read_branches(base: MatrixOracle, config: QPEConfig, threshold: float):
             "the resolvable regime",
             stacklevel=3,
         )
-    dense, evals_over_n, v, t0 = _read_spectrum(lambda: embedding(base.read_all()),
-                                                m + n, config)
-    m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
+    dense, t0 = _read_exact(lambda: embedding(base.read_all()), m + n, config)
+    w, v = np.linalg.eigh(dense)
+    m_pos, m_neg = _branch_masses(w / (m + n), config.bits, t0, threshold)
     return dense[:m, m:], v, m_pos, m_neg, t0
 
 

@@ -31,6 +31,8 @@ directly replaced them.
 ``uniform_density`` is the uniform-ancilla projector, and
 ``first_order_generator`` the (A/N)·sigma contraction that the channel step
 reproduces to first order in dt; no pipeline calls either.
+``exact_distribution_by_eigh`` is the exact ``qpe`` readout over every
+eigenpair of one ``eigh``, that ψ's Lanczos spectral measure replaced.
 ``sign_flip`` and ``procrustes_by_uncompute`` are the Procrustes sign flip
 and the two ``invert_joint`` uncomputes that the closed-form window masses
 of ``quantum_procrustes_apply`` replaced. ``random_density`` and
@@ -52,7 +54,8 @@ from modswap.qpe import (
     invert_joint,
     joint_from_eig,
     _base_time,
-    _read_spectrum,
+    _read_exact,
+    _register_mass,
 )
 from modswap.swapop import ModifiedSwapOperator, _kraus_map
 
@@ -373,8 +376,9 @@ def procrustes_by_uncompute(base, psi, config, threshold: float):
     each register half with ``invert_joint``, keeping row 0 of each.
     """
     m = base.shape[0]
-    _, evals_over_n, v, t0 = _read_spectrum(lambda: embedding_by_queries(base),
-                                            sum(base.shape), config)
+    dense, t0 = _read_exact(lambda: embedding_by_queries(base), sum(base.shape), config)
+    w, v = np.linalg.eigh(dense)
+    evals_over_n = w / sum(base.shape)
     size, bits = config.size, config.bits
     x0 = np.concatenate([np.zeros(m, dtype=np.complex128), psi])
     joint = joint_from_eig(evals_over_n, v, x0, bits, t0)
@@ -391,6 +395,17 @@ def procrustes_by_uncompute(base, psi, config, threshold: float):
     block = np.linalg.norm(phi_pos[:m]) ** 2 + np.linalg.norm(phi_neg[:m]) ** 2
     out = phi_pos[:m] + phi_neg[:m]
     return out / np.linalg.norm(out), float(block / clean), float(1.0 - clean)
+
+
+def exact_distribution_by_eigh(a, psi, bits: int, t0: float) -> np.ndarray:
+    """The exact backend's register distribution from ``eigh`` of A.
+
+    Every eigenvalue is a node, with weight |V^dagger psi|^2: the readout
+    that ``qpe._spectral_measure``'s Lanczos measure replaced wherever
+    Lanczos stops within its step cap.
+    """
+    w, v = np.linalg.eigh(a)
+    return _register_mass(w / a.shape[0], bits, t0) @ (np.abs(v.conj().T @ psi) ** 2)
 
 
 def hadamard(bits: int) -> np.ndarray:

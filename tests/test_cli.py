@@ -258,6 +258,9 @@ def test_missing_matrix_file_exits_2(tmp_path):
     ("blank-last-line.csv", '"1,0"\n\n', "blank-last-line.csv: row 2 has 0 cells, row 1 has 1"),
     ("blank-lines.csv", "\n\n", "empty matrix file"),
     ("missing-rows.json", '{"cols": 1, "data": [[1, 0]]}', "error: matrix JSON is missing rows"),
+    # the stdlib parser's errors, after the file's path
+    ("empty.json", "", "empty.json: Expecting value: line 1 column 1 (char 0)"),
+    ("truncated.json", '{"rows": 1, "cols": 2, "data": [[1, 0], [0,', "truncated.json: Expecting"),
     # past the csv module's field limit, which raises csv.Error, not ValueError
     pytest.param("huge-cell.csv", '"1%s,0"\n' % ("0" * 140000),
                  "huge-cell.csv: row 1: field larger than field limit (131072)",
@@ -642,6 +645,34 @@ def test_evolve_decomposes_the_matrix_once(tmp_path, monkeypatch):
     assert main(["evolve", "--matrix", str(matrix), "--time", "0.3",
                  "--epsilon", "0.05", "--out", str(tmp_path / "e.json")]) == 0
     assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("argv, shape, rank, decompositions", [
+    # psi's Krylov space has dimension at most rank + 1 = 4, within N // 8 = 8 steps
+    (["qpe"], ["--n", "64"], 3, 0),
+    # full rank: the 8 Lanczos steps run out, and eigh of the read takes over
+    (["qpe"], ["--n", "64"], 64, 1),
+    # their readouts use eigenvectors: one eigh of the 20 x 20 embedding
+    (["svd", "--threshold", "0.02"], ["--m", "12", "--n", "8"], 3, 1),
+    (["procrustes", "--threshold", "0.02"], ["--m", "12", "--n", "8"], 3, 1),
+])
+def test_exact_pipelines_decompose_the_matrix(tmp_path, monkeypatch, argv, shape, rank,
+                                              decompositions):
+    matrix = tmp_path / "a.json"
+    assert main(["gen-matrix", *shape, "--rank", str(rank), "--seed", "5",
+                 "--out", str(matrix)]) == 0
+    dim = sum(int(v) for v in shape[1::2])
+    calls = []
+
+    def counted(a, *args, _original=np.linalg.eigh, **kwargs):
+        if np.shape(a) == (dim, dim):
+            calls.append(dim)
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main([*argv, "--matrix", str(matrix), "--bits", "10",
+                 "--out", str(tmp_path / "o.json")]) == 0
+    assert len(calls) == decompositions
 
 
 def test_config_echo_reproduces_numerics(tmp_path):

@@ -237,7 +237,7 @@ def _entry_1(text: str) -> str:
 
 def _json_error(raw: bytes) -> str:
     """The stdlib parser's message for raw, which differs between Python versions."""
-    with pytest.raises(json.JSONDecodeError) as info:
+    with pytest.raises((ValueError, RecursionError)) as info:
         json.loads(raw.decode())
     return str(info.value)
 
@@ -284,11 +284,12 @@ def _bad_files(style: str) -> dict:
         "huge-header": (layout("[[1.5, 0.0]]", 10**9, 10**9),
                         "data length 1 != rows*cols = 1000000000000000000"),
         "trailing-bytes": (one_pair + b"x",
-                           f"Extra data: line 2 column 1 (char {len(one_pair)})"),
+                           f"{{path}}: Extra data: line 2 column 1 (char {len(one_pair)})"),
         "utf8-bom": (b"\xef\xbb\xbf" + one_pair,
-                     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+                     "{path}: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                     "line 1 column 1 (char 0)"),
         # every pair parses, and the empty slice after the last comma is refused
-        "trailing-comma": (trailing_comma, _json_error(trailing_comma)),
+        "trailing-comma": (trailing_comma, "{path}: " + _json_error(trailing_comma)),
         "bool-rows": (layout("[[1.5, 0.0], [1.5, 0.0]]", "true"),
                       "rows and cols must be integers, got True and 2"),
         "data-key-twice": (data_key_twice, "data must be a list of [re, im] pairs, not a int"),
@@ -307,10 +308,17 @@ _MIXED_FILES = {
         b'{"cols": 2, "data": [[1.5, 0.0],[true, 0.0]], "rows": 1}\n',
         _entry_1("[True, 0.0]")),
 }
+# not UTF-8, not JSON, or nested too deep: the stdlib parser's error after the path
+_UNREADABLE_FILES = {case: (raw, "{path}: " + _json_error(raw)) for case, raw in {
+    "empty": b"",
+    "not-utf8": b"\xff\xfe",
+    "truncated": b'{"cols": 2, "data": [[1.5, 0.0], [0.0,',
+    "nested-past-recursion-limit": b"[" * 100_000,
+}.items()}
 # the spaced cases keep the bare names they had before the compact layout
 _ALL_BAD_FILES = {**_bad_files("spaced"),
                   **{f"compact-{case}": entry for case, entry in _bad_files("compact").items()},
-                  **_MIXED_FILES}
+                  **_MIXED_FILES, **_UNREADABLE_FILES}
 
 
 @pytest.mark.parametrize("slice_bytes", [1, matio._SLICE_BYTES])

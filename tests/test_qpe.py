@@ -1,4 +1,5 @@
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from modswap.oracle import DIAG_IMAG_TOL, MatrixOracle, read_hermitian
 from modswap.procrustes import quantum_procrustes_apply
 from modswap.qpe import (
     MAX_BYTES,
+    MEASURE_TOL,
     PEAK_MIN_WEIGHT,
     QPEConfig,
     _register_kernel,
     _register_mass,
+    _spectral_measure,
     _trotter_backend,
     backend_agreement,
     decode_register,
@@ -31,12 +34,15 @@ from dense_refs import (
     RecordingOracle,
     controlled_kraus_step,
     decode_register_scalar,
+    exact_distribution_by_eigh,
     extract_estimates_by_loop,
     hadamard,
     random_hermitian,
     random_state,
     trotter_by_blocks,
 )
+
+QPE_MODULE = importlib.import_module("modswap.qpe")
 
 
 def _encode(value, bits, t0):
@@ -448,11 +454,13 @@ def test_trotter_distribution_close_to_exact_n3():
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "tolerance-diagonal", "embedding"]))
-def test_eigh_of_counted_read_equals_eigh_of_hermitized_read(n, seed, kind):
-    """``_read_spectrum`` feeds ``eigh`` the read as is: this pins that it may.
+def test_exact_backend_decomposes_the_hermitized_read(n, seed, kind):
+    """The exact backend takes psi's measure of ``hermitize`` of its read, bit for bit.
 
-    The read's lower triangle is the conjugate of its upper one, so hermitizing
-    changes only the imaginary diagonal, which ``eigh`` never reads.
+    The read's lower triangle is the conjugate of its upper one, so
+    hermitizing changes only the imaginary diagonal, which the backend drops
+    before its products. ``eigh`` never reads it, so ``eigh`` of the read as
+    is gives the same bits as ``eigh`` of the hermitized read.
     """
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
@@ -464,10 +472,128 @@ def test_eigh_of_counted_read_equals_eigh_of_hermitized_read(n, seed, kind):
         imag = DIAG_IMAG_TOL * rng.uniform(-1, 1, n) if kind == "tolerance-diagonal" else 0.0
         z[np.diag_indices(n)] = z.diagonal().real * (1 + 1j * imag)
         oracle = MatrixOracle(z)
-    a = read_hermitian(oracle)
+    a = read_hermitian(oracle.fork())
+    seen = []
+
+    def recording(matrix, *args):
+        seen.append(matrix.copy())
+        return _spectral_measure(matrix, *args)
+
+    with mock.patch.object(QPE_MODULE, "_spectral_measure", recording):
+        qpe(oracle, random_state(n, rng), QPEConfig(bits=2))
+    assert len(seen) == 1 and np.array_equal(seen[0], hermitize(a))
     w, v = np.linalg.eigh(a)
     w_h, v_h = np.linalg.eigh(hermitize(a))
     assert np.array_equal(w, w_h) and np.array_equal(v, v_h)
+
+
+@st.composite
+def _measure_cases(draw):
+    """(A, psi, bits, t0) for the exact backend against its ``eigh`` readout.
+
+    Sizes 1 to 64, so the Lanczos measure, its step cap and the ``eigh``
+    fallback all run: random low rank (psi random or in range(A)),
+    degenerate (at most five distinct eigenvalues), full rank, psi wholly
+    in the null space of a low-rank A (one node, at 0), the zero matrix,
+    and a unimodular rank one whose eigenvalue sits on the aliasing edge
+    +-pi / t0.
+    """
+    kind = draw(st.sampled_from(["low-rank", "degenerate", "full-rank", "null-psi",
+                                 "zero", "aliasing-edge"]))
+    n = draw(st.integers(1, 64))
+    bits = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = random_state(n, rng)
+    t0 = None
+    if kind == "low-rank":
+        a = random_low_rank(n, draw(st.integers(1, max(1, n // 8))), rng)
+        if draw(st.booleans()):
+            psi = a @ psi
+    elif kind == "degenerate":
+        levels = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=draw(st.integers(1, 5)))
+        u = haar_unitary(n, rng)
+        a = (u * rng.choice(levels, size=n)) @ u.conj().T
+    elif kind == "full-rank":
+        a = random_hermitian(n, rng)
+    elif kind == "null-psi" and n > 1:
+        a = random_low_rank(n, draw(st.integers(1, n - 1)), rng)
+        w, v = np.linalg.eigh(a)
+        null = v[:, np.abs(w) <= 1e-9 * np.max(np.abs(w))]
+        psi = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
+    elif kind == "aliasing-edge":
+        # lambda / N = sign * c = sign * max_norm, and t0 = pi / c puts it at +-pi / t0
+        c = rng.uniform(0.5, 2.0)
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        a = draw(st.sampled_from([-1.0, 1.0])) * c * np.outer(u, u.conj())
+        t0 = np.pi / c
+    else:
+        a = np.zeros((n, n), dtype=np.complex128)
+    a = hermitize(read_hermitian(MatrixOracle(a)))
+    return a, psi / np.linalg.norm(psi), bits, t0 or default_base_time(np.max(np.abs(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_cases())
+def test_exact_qpe_equals_eigh_readout(case):
+    a, psi, bits, t0 = case
+    result = qpe(MatrixOracle(a), psi, QPEConfig(bits=bits, base_time=t0))
+    want = exact_distribution_by_eigh(a, psi, bits, t0)
+    assert np.max(np.abs(result.distribution - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("margin", [0.9, 1.1])
+def test_lanczos_stop_moves_p_by_at_most_its_stated_bound(margin):
+    """A Lanczos run from psi built to reach beta_2 = margin * MEASURE_TOL / ((M / 3) (t0 / N)).
+
+    A = Q T Q^dagger with psi = Q[:, 0] reproduces the tridiagonal T. With
+    beta_2 just under the tolerance the run stops at 3 nodes, the measure of
+    A - E with ||E|| = beta_2, and no p(y) moves by more than that bound.
+    Just over it, the run goes on.
+    """
+    n, bits, t0 = 64, 6, 1.0
+    size = 1 << bits
+    rng = np.random.default_rng(11)
+    q = haar_unitary(n, rng)
+    beta = rng.uniform(0.5, 1.0, n - 1)
+    beta[2] = margin * MEASURE_TOL / (size / 3 * t0 / n)
+    t = np.diag(rng.uniform(-1, 1, n)) + np.diag(beta, 1) + np.diag(beta, -1)
+    a = hermitize(q @ t @ q.conj().T)
+    nodes, weights = _spectral_measure(a, q[:, 0], size, t0)
+    assert (nodes.size == 3) == (margin < 1)
+    got = _register_mass(nodes, bits, t0) @ weights
+    want = exact_distribution_by_eigh(a, q[:, 0], bits, t0)
+    assert np.max(np.abs(got - want)) <= min(margin, 1.0) * MEASURE_TOL
+
+
+@pytest.mark.parametrize("n, rank", [(128, 10), (256, 20)])
+def test_lanczos_breaks_down_on_low_rank_input(n, rank):
+    # rank + 1 steps in exact arithmetic, and at most one more for the
+    # rounding spread of the null eigenvalues; with one reorthogonalisation
+    # pass in place of two, neither run breaks down within its N // 8 steps
+    rng = np.random.default_rng(6)
+    a = hermitize(random_low_rank(n, rank, rng))
+    psi = random_state(n, rng)
+    t0 = default_base_time(np.max(np.abs(a)))
+    nodes, weights = _spectral_measure(a, psi, 1 << 10, t0)
+    assert nodes.size <= rank + 2
+    got = _register_mass(nodes, 10, t0) @ weights
+    assert np.max(np.abs(got - exact_distribution_by_eigh(a, psi, 10, t0))) <= 1e-12
+
+
+def test_lanczos_falls_back_to_eigh_where_no_step_meets_the_bound():
+    # rank one at N = 64: Lanczos breaks down at step 2 for a small register,
+    # while at 2^40 register values rounding alone keeps the bound past
+    # MEASURE_TOL, so the N // 8 steps run out and eigh gives all 64 nodes
+    rng = np.random.default_rng(3)
+    u = random_state(64, rng)
+    a = np.outer(u, u.conj()) * 64
+    psi = random_state(64, rng)
+    t0 = default_base_time(np.max(np.abs(a)))
+    assert _spectral_measure(a, psi, 1 << 10, t0)[0].size == 2
+    nodes, weights = _spectral_measure(a, psi, 1 << 40, t0)
+    w, v = np.linalg.eigh(a)
+    np.testing.assert_array_equal(nodes, w / 64)
+    np.testing.assert_array_equal(weights, np.abs(v.conj().T @ psi) ** 2)
 
 
 def test_trotter_memory_guard():

@@ -14,7 +14,7 @@ from modswap.qpe import (
     default_base_time,
     joint_from_eig,
     _branch_masses,
-    _read_spectrum,
+    _read_exact,
     _register_kernel,
 )
 from modswap.svdx import (
@@ -412,7 +412,8 @@ def test_quantum_svd_close_and_degenerate_singular_values(data, m, n, gap, bits)
 def test_svd_and_procrustes_read_the_same_sign_bit_branch_masses(monkeypatch):
     a = random_low_rank_rect(8, 8, 3, np.random.default_rng(4))
     config, threshold = QPEConfig(bits=11), 0.02
-    _, evals_over_n, _, t0 = _read_spectrum(lambda: embedding(a), 16, config)
+    dense, t0 = _read_exact(lambda: embedding(a), 16, config)
+    evals_over_n = np.linalg.eigh(dense)[0] / 16
     m_pos, m_neg = _branch_masses(evals_over_n, config.bits, t0, threshold)
     # the aliasing value 2^(bits-1) decodes to -pi/t0 and holds about 2e-7 of
     # each +-sigma eigenvector's mass; the negative window counts it, the
