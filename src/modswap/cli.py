@@ -66,6 +66,8 @@ def _resolve_oracle(args) -> MatrixOracle:
                 key, _, val = item.partition("=")
                 if not val:
                     raise ValueError(f"malformed generator parameter '{item}'")
+                if key in params:
+                    raise ValueError(f"generator '{name}' repeats parameter '{key}'")
                 params[key] = val
         return oracle_from_generator(name, params)
     raise ValueError("one of --matrix or --generator is required")

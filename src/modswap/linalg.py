@@ -3,12 +3,17 @@ exact unitary evolution, and the seeded random low-rank ensembles.
 
 Everything here is a classical baseline: plain numpy on dense arrays, no
 oracle accounting. Matrices are numpy complex arrays; vectors are 1-d arrays.
-``require_hermitian`` is the one gate of the uncounted path: it returns the
-exactly-Hermitian part of a matrix that passed, so no caller hermitizes its
-result again. ``require_state`` is the one gate of every state vector the
+``hermitian_from_upper`` is the one definition of the Hermitian matrix a
+source stands for: the one its upper triangle defines, lower triangle
+conjugated from it and diagonal real. Both Hermitian gates return it:
+``require_hermitian``, the gate of the uncounted path, and
+``oracle.read_hermitian``, the gate of the counted one, so a baseline and
+its counted run see the same bits and no caller fixes either result again.
+They share one tolerance, HERMITIAN_TOL relative to max(1, max |A_jk|).
+``require_state`` is the one gate of every state vector the
 library takes; it refuses, never fixes, a norm off 1. ``trace_norms`` is
 the one trace-norm kernel: ``nuclear_norm`` runs it behind the Hermitian
-gate, since every error measured here is the trace norm of a difference of
+check, since every error measured here is the trace norm of a difference of
 Hermitian matrices, and ``evolve`` and ``error_sweep`` run it ungated on
 stacks of step differences. The random ensembles are the
 paper's test matrices: low rank, with eigenvalues Theta(N).
@@ -47,16 +52,38 @@ def is_hermitian(a: np.ndarray) -> bool:
     return hermiticity_residual(a) <= HERMITIAN_TOL * scale
 
 
-def require_hermitian(a) -> np.ndarray:
-    """``hermitize(A)`` for a square A within HERMITIAN_TOL of Hermitian; ValueError otherwise."""
+def _check_hermitian(a) -> np.ndarray:
+    """``as_matrix(A)`` for a square A within HERMITIAN_TOL of Hermitian; ValueError otherwise."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square ({a.shape[0]}x{a.shape[1]})")
     if not is_hermitian(a):
-        raise ValueError(
-            f"matrix is not Hermitian (residual {hermiticity_residual(a):.3e})"
-        )
-    return hermitize(a)
+        raise ValueError(f"matrix is not Hermitian (residual {hermiticity_residual(a):.3e})")
+    return a
+
+
+def hermitian_from_upper(a: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix that the upper triangle of a square A defines.
+
+    A new C-ordered complex array: the strict upper triangle is A's, the
+    strict lower triangle its conjugate transpose, and the diagonal A's real
+    part. A's strict lower triangle is never read.
+    """
+    r = np.arange(a.shape[0])
+    h = np.conjugate(a.T, out=np.empty(a.shape, dtype=np.complex128))
+    np.copyto(h, a, where=r[:, None] <= r)  # the diagonal and upper triangle
+    np.fill_diagonal(h.imag, 0.0)
+    return h
+
+
+def require_hermitian(a) -> np.ndarray:
+    """``hermitian_from_upper(A)`` for a square A within HERMITIAN_TOL of Hermitian.
+
+    The check is on the whole matrix: max |A - A†| at most HERMITIAN_TOL *
+    max(1, max |A_jk|), else ValueError. ``oracle.read_hermitian`` returns
+    the same matrix from a counted sweep of the upper triangle.
+    """
+    return hermitian_from_upper(_check_hermitian(a))
 
 
 def require_state(psi, n: int) -> np.ndarray:
@@ -94,8 +121,12 @@ def trace_norms(d: np.ndarray) -> np.ndarray:
 
 
 def nuclear_norm(a) -> float:
-    """``trace_norms`` of A behind ``require_hermitian``, which refuses any other A."""
-    return float(trace_norms(require_hermitian(a)))
+    """``trace_norms`` of A, whose gate refuses any A that ``require_hermitian`` refuses.
+
+    The gate only checks: the norm is that of hermitize(A), not of the
+    matrix ``require_hermitian`` returns.
+    """
+    return float(trace_norms(_check_hermitian(a)))
 
 
 def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:

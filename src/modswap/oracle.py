@@ -8,9 +8,12 @@ of every entry, each with a single counter update; ``charge_sweeps``
 charges modelled sweeps whose values the caller already holds.
 
 ``read_hermitian`` is the one gate of the counted Hermitian path: every
-counted Hermitian read goes through it, and it alone rejects a non-real
-diagonal. The svd and Procrustes pipelines read their rectangular source
-with ``read_all`` and embed it themselves (``svdx.embedding``).
+counted Hermitian read goes through it. It returns
+``linalg.hermitian_from_upper`` of its sweep, the same matrix the uncounted
+gate ``linalg.require_hermitian`` returns for that source, and refuses a
+diagonal under the uncounted gate's tolerance. The svd and Procrustes
+pipelines read their rectangular source with ``read_all`` and embed it
+themselves (``svdx.embedding``).
 
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
@@ -26,9 +29,7 @@ import threading
 
 import numpy as np
 
-from .linalg import as_matrix
-
-DIAG_IMAG_TOL = 1e-10
+from .linalg import HERMITIAN_TOL, as_matrix, hermitian_from_upper, random_low_rank
 
 
 class MatrixOracle:
@@ -70,22 +71,22 @@ class MatrixOracle:
             self._count += 1
         return complex(self._matrix[j, k])
 
-    def _charge_and_check(self, values: np.ndarray) -> np.ndarray:
+    def _charge_and_check(self, values: np.ndarray, calls: int) -> np.ndarray:
         with self._lock:
-            self._count += values.size
+            self._count += calls
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("oracle returned NaN or infinity")
         return values
 
-    def read_upper_triangle(self):
-        """One counted sweep: (rows, cols, values) of the diagonal and upper triangle.
+    def read_upper_triangle(self) -> np.ndarray:
+        """One counted sweep of the diagonal and upper triangle, as an N x N array.
 
-        Entries come in ``np.triu_indices`` (row-major) order. The sweep
-        charges N(N+1)/2 calls with one locked increment; a non-finite value
-        fails it after the charge.
+        The array holds the source's diagonal and upper triangle and zeros
+        below the diagonal. The sweep charges N(N+1)/2 calls with one locked
+        increment; a non-finite value fails it after the charge.
         """
-        rows, cols = np.triu_indices(self.dim)
-        return rows, cols, self._charge_and_check(self._matrix[rows, cols])
+        n = self.dim
+        return self._charge_and_check(np.triu(self._matrix), n * (n + 1) // 2)
 
     def read_all(self) -> np.ndarray:
         """One counted sweep of every entry: a copy of the M x N source.
@@ -93,7 +94,7 @@ class MatrixOracle:
         Charges M*N calls with one locked increment; a non-finite value fails
         the read after the charge, as in ``read_upper_triangle``.
         """
-        return self._charge_and_check(self._matrix.copy())
+        return self._charge_and_check(self._matrix.copy(), self._matrix.size)
 
     def charge_sweeps(self, sweeps: int) -> None:
         """Charge ``sweeps`` modelled triangle sweeps without reading the source.
@@ -121,26 +122,23 @@ class MatrixOracle:
 
 
 def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
-    """Counted read of a Hermitian source: upper triangle plus diagonal.
+    """Counted read of a Hermitian source: ``hermitian_from_upper`` of one sweep.
 
-    The lower triangle is filled by conjugation, so an N x N read costs
-    N(N+1)/2 calls, the same per-sweep price the evolution steps pay; the
-    diagonal holds the values as read. After the sweep is charged, a
-    non-finite value, or a diagonal entry whose imaginary part exceeds
-    ``DIAG_IMAG_TOL`` relative to max(1, |A[i,i]|), fails the read; the
-    message names the first bad diagonal index. The result is Hermitian in
-    the sense numpy's ``eigh`` reads: one triangle and the real diagonal.
+    One ``read_upper_triangle`` sweep, so an N x N read costs N(N+1)/2
+    calls, the same per-sweep price the evolution steps pay. After the sweep
+    is charged, a non-finite value fails the read, and so does a diagonal
+    entry with 2 |Im A_ii| > HERMITIAN_TOL * max(1, max |A_jk|): the rule of
+    ``linalg.require_hermitian`` restricted to what the sweep sees, where
+    the diagonal is the only place A and A† meet. The message names the
+    first bad diagonal index. The result is exactly Hermitian, the matrix
+    ``require_hermitian`` returns for a source that passes it.
     """
-    rows, cols, values = oracle.read_upper_triangle()
-    a = np.zeros((oracle.dim,) * 2, dtype=np.complex128)
-    a[cols, rows] = np.conj(values)
-    a[rows, cols] = values
-    diag = a.diagonal()
-    bad = np.abs(diag.imag) > DIAG_IMAG_TOL * np.maximum(1.0, np.abs(diag))
+    upper = oracle.read_upper_triangle()
+    bad = 2 * np.abs(upper.diagonal().imag) > HERMITIAN_TOL * np.abs(upper).max(initial=1.0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"non-Hermitian source: diagonal ({i},{i}) = {complex(diag[i])}")
-    return a
+        raise ValueError(f"non-Hermitian source: diagonal ({i},{i}) = {complex(upper[i, i])}")
+    return hermitian_from_upper(upper)
 
 
 def _values(text: str) -> list[float]:
@@ -193,8 +191,6 @@ def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
     all-ones:       n               A[j,k] = 1 (the plain swap case)
     diagonal:       values=a;b;...  diagonal matrix
     """
-    from .linalg import random_low_rank
-
     p = _generator_params(name, params)
     if name == "diagonal":
         return MatrixOracle(np.diag(np.array(p["values"], dtype=np.complex128)))

@@ -13,7 +13,8 @@ Two interchangeable backends:
 
 * ``exact-unitary``: the controlled powers are exact functions of A;
   exact up to register discretization. Costs one counted Hermitian oracle
-  read (``oracle.read_hermitian``, which rejects a non-real diagonal).
+  read (``oracle.read_hermitian``), whose exactly Hermitian matrix the
+  backend uses as it is.
   Eigenvector l leaves the register in state K[:, l], whose outcome law
   |K[y, l]|^2 is the Fejer kernel centred on lambda_l * t0;
   ``_register_mass`` gives that real mass matrix in closed form, with no
@@ -338,9 +339,6 @@ def extract_estimates(distribution, bits: int, t0: float) -> list[EigenEstimate]
 def _exact_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     # Parseval: the row sums of |joint_from_eig|^2 without the joint state
     a, t0 = _read_exact(lambda: read_hermitian(oracle), oracle.dim, config)
-    # the products need A exactly Hermitian: with the read's imaginary diagonal
-    # dropped it is hermitize(a) bit for bit, the matrix eigh reads
-    np.fill_diagonal(a, a.diagonal().real)
     nodes, weights = _spectral_measure(a, psi, config.size, t0)
     return _register_mass(nodes, config.bits, t0) @ weights, t0, None
 
@@ -395,8 +393,8 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
     The exact backend reads the register distribution from the closed-form
     mass matrix; the trotter backend evolves one N x N operator per register
     frequency. Both backends make their one real read through
-    ``oracle.read_hermitian``, so a non-real diagonal fails either after one
-    charged sweep.
+    ``oracle.read_hermitian``, so a diagonal outside its tolerance fails
+    either after one charged sweep.
     """
     psi = require_state(psi, oracle.dim)
     calls_before = oracle.report_calls()

@@ -15,9 +15,10 @@ N^2 x N^2 matrix:
   in the ordered basis (|k, j>, |j, k>).
 
 One ``build_plan`` call is one counted ``read_hermitian`` sweep (N(N+1)/2
-queries, the lower triangle coming from Hermitian symmetry, a non-real
-diagonal rejected there); the plan holds that N x N matrix and can then be
-applied to any number of vectors or density-matrix columns at any time value.
+queries); the plan holds the exactly Hermitian N x N matrix that sweep
+returns, lower triangle conjugated from the upper and diagonal real, and can
+then be applied to any number of vectors or density-matrix columns at any
+time value.
 
 Read elementwise from the matrix, the cosines, rotated sines and phases of
 every block at time t form two N x N factors (``kraus_factors``). Viewing a
@@ -91,7 +92,7 @@ class BlockPlan(NamedTuple):
         unit = np.where(mag > 0, self.a / np.where(mag > 0, mag, 1.0), 1.0)
         c = np.cos(mag * t).astype(np.complex128)
         s = -1j * unit * np.sin(mag * t)
-        np.fill_diagonal(c, np.exp(-1j * self.a.diagonal().real * t))
+        np.fill_diagonal(c, np.exp(-1j * self.a.diagonal() * t))
         np.fill_diagonal(s, 0.0)
         return c, s
 

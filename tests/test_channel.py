@@ -191,6 +191,30 @@ def test_evolve_counts_queries_per_step():
     assert oracle.report_calls() == 7 * (3 * 4 // 2)
 
 
+def test_evolve_baseline_decomposes_the_plan_matrix(monkeypatch):
+    # a source within HERMITIAN_TOL of Hermitian, off it in both triangles and
+    # on the diagonal: the baseline's eigh gets the counted plan's bits
+    rng = np.random.default_rng(11)
+    n = 6
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = random_hermitian(n, rng) + 1e-14 * noise
+    plans, decomposed = [], []
+    build_plan = channel.ModifiedSwapOperator.build_plan
+    monkeypatch.setattr(channel.ModifiedSwapOperator, "build_plan",
+                        lambda self: plans.append(build_plan(self)) or plans[-1])
+    eigh = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        decomposed.append(np.array(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    evolve(_oracle(a), random_density(n, rng), 0.3, 0.05)
+    assert len(plans) == 1 and len(decomposed) == 1
+    assert np.array_equal(decomposed[0], plans[0].a)
+    assert not np.array_equal(plans[0].a, hermitize(a))
+
+
 def test_evolve_linear_error_accumulation():
     rng = np.random.default_rng(12)
     a = random_hermitian(3, rng)

@@ -919,12 +919,30 @@ def test_generator_size_below_one_exits_2(tmp_path, capsys, argv, n):
      "generator 'random-lowrank' takes no parameter 'scale'"),
     ("random-lowrank:n=8,r=2,seed=-1",
      "generator 'random-lowrank' parameter 'seed' is malformed: '-1'"),
+    ("random-lowrank:n=4,r=2,r=3,seed=1", "generator 'random-lowrank' repeats parameter 'r'"),
+    ("random-lowrank:n=4,r=2,seed=1,seed=5",
+     "generator 'random-lowrank' repeats parameter 'seed'"),
 ])
 def test_bad_generator_spec_names_generator_and_parameter(tmp_path, capsys, spec, message):
     out = tmp_path / "o.json"
     assert main(["svd", "--bits", "3", "--threshold", "0.1", "--generator", spec,
                  "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["qpe", "--bits", "3"],
+    ["qpe", "--bits", "3", "--backend", "trotter"],
+    ["evolve", "--time", "0.2", "--epsilon", "0.05"],
+    ["error-sweep", "--dts", "0.1,0.05"],
+])
+def test_diagonal_outside_hermitian_tolerance_exits_2(tmp_path, capsys, argv):
+    matrix = tmp_path / "a.json"
+    save_matrix(matrix, np.diag([1 + 1e-11j, -1.0]) + 0.25)
+    out = tmp_path / "o.out"
+    assert main([*argv, "--matrix", str(matrix), "--out", str(out)]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modswap.linalg import (
+    HERMITIAN_TOL,
     exact_evolution,
     haar_unitary,
+    hermitian_from_upper,
     hermitize,
     nuclear_norm,
     random_low_rank,
@@ -23,13 +25,36 @@ def test_require_hermitian_checks_shape_first():
 
 
 def test_require_hermitian_returns_hermitized_input_and_is_idempotent():
+    # the exactly Hermitian matrix of A's upper triangle, not (A + A†)/2
     rng = np.random.default_rng(7)
     noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     a = random_hermitian(5, rng) + 1e-14 * noise  # inside HERMITIAN_TOL
     gated = require_hermitian(a)
-    assert np.array_equal(gated, hermitize(a))
-    assert not np.array_equal(gated, a)
+    assert np.array_equal(gated, hermitian_from_upper(a))
+    assert np.array_equal(np.triu(gated, 1), np.triu(a, 1))
+    assert np.array_equal(gated.diagonal(), a.diagonal().real)
+    assert np.array_equal(gated, gated.conj().T)
+    assert not np.array_equal(gated, a) and not np.array_equal(gated, hermitize(a))
     assert np.array_equal(require_hermitian(gated), gated)
+
+
+def test_hermitian_from_upper_never_reads_the_lower_triangle():
+    a = np.array([[1 + 2j, 2 - 1j, 3j], [np.nan, -4.0, 5.0], [np.inf, np.nan, 6 - 1j]])
+    h = hermitian_from_upper(a)
+    want = np.array([[1, 2 - 1j, 3j], [2 + 1j, -4, 5], [-3j, 5, 6]])
+    assert np.array_equal(h, want) and h.flags.c_contiguous
+    assert np.isnan(a[1, 0])  # the input is not written
+
+
+@pytest.mark.parametrize("gate", [require_hermitian, nuclear_norm])
+def test_hermitian_tolerance_edge(gate):
+    # max |A - A†| <= HERMITIAN_TOL * max(1, max |A_jk|), here max |A_jk| = 4
+    a = np.array([[4.0, 1.0], [1.0, -2.0]], dtype=complex)
+    a[1, 0] += 0.9 * 4 * HERMITIAN_TOL
+    gate(a)
+    a[1, 0] += 0.2 * 4 * HERMITIAN_TOL
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        gate(a)
 
 
 def test_as_matrix_accepts_fortran_and_strided_input():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from modswap.linalg import HERMITIAN_TOL, require_hermitian
 from modswap.matio import load_matrix, save_matrix
 from modswap.oracle import MatrixOracle, oracle_from_generator, read_hermitian
 from modswap.qpe import QPEConfig, qpe
@@ -145,10 +146,52 @@ def test_counted_read_rejects_non_real_diagonal_after_one_sweep(entry):
     assert oracle.report_calls() == 3 * 4 // 2
 
 
+def _edge_source(inside: bool) -> np.ndarray:
+    """max |A_jk| = 4.25, so the diagonal passes while 2 |Im A_ii| <= 4.25e-12."""
+    imag = (0.99 if inside else 1.01) * HERMITIAN_TOL * 4.25 / 2
+    return np.diag([0.5, 4 + 1j * imag, -1.0]) + 0.25 * np.ones((3, 3))
+
+
 @pytest.mark.parametrize("entry", list(_GATED_READS))
 def test_counted_read_accepts_diagonal_within_tolerance(entry):
-    a = np.diag([0.5, 1 + 1e-11j, -1.0]) + 0.25 * np.ones((3, 3))
-    _GATED_READS[entry](MatrixOracle(a))
+    _GATED_READS[entry](MatrixOracle(_edge_source(inside=True)))
+
+
+@pytest.mark.parametrize("entry", list(_GATED_READS))
+def test_counted_read_refuses_diagonal_just_outside_tolerance(entry):
+    oracle = MatrixOracle(_edge_source(inside=False))
+    with pytest.raises(ValueError, match=r"^non-Hermitian source: diagonal \(1,1\) = "):
+        _GATED_READS[entry](oracle)
+    assert oracle.report_calls() == 3 * 4 // 2
+
+
+@st.composite
+def _near_hermitian(draw):
+    """Square sources both gates accept, at scales 1e-3 to 1e3: exactly
+    Hermitian, within tolerance of it, real symmetric or diagonal."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["exact", "noisy", "real", "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = 10.0 ** draw(st.floats(-3, 3)) * random_hermitian(n, rng)
+    if kind == "real":
+        return a.real
+    if kind == "diagonal":
+        return np.diag(np.diag(a))
+    if kind == "noisy":
+        # each entry moves by under HERMITIAN_TOL / 4 relative to max(1, max |A_jk|)
+        tol = HERMITIAN_TOL / 4 * max(1.0, float(np.max(np.abs(a)))) / np.sqrt(2)
+        a = a + tol * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_hermitian())
+def test_both_gates_return_the_same_exactly_hermitian_matrix(a):
+    uncounted = require_hermitian(a)
+    counted = read_hermitian(MatrixOracle(a))
+    assert np.array_equal(counted, uncounted)
+    assert np.array_equal(counted, counted.conj().T)
+    assert counted.dtype == np.complex128 and counted.flags.c_contiguous
 
 
 @st.composite
@@ -163,13 +206,13 @@ def _sources(draw):
 def test_upper_triangle_read_matches_per_element_queries(a):
     n = a.shape[0]
     bulk, single = MatrixOracle(a), MatrixOracle(a)
-    rows, cols, values = bulk.read_upper_triangle()
-    want_rows, want_cols = np.triu_indices(n)
-    np.testing.assert_array_equal(rows, want_rows)
-    np.testing.assert_array_equal(cols, want_cols)
-    want = np.array([single.query(j, k) for j, k in zip(rows.tolist(), cols.tolist())],
-                    dtype=np.complex128)
-    np.testing.assert_array_equal(values, want)
+    upper = bulk.read_upper_triangle()
+    want = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        for k in range(j, n):
+            want[j, k] = single.query(j, k)
+    assert upper.dtype == np.complex128 and upper.shape == (n, n)
+    np.testing.assert_array_equal(upper, want)
     assert bulk.report_calls() == single.report_calls() == n * (n + 1) // 2
 
 
