@@ -83,8 +83,10 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     N x N products, O(N^2) memory); the N^2 x N^2 joint state is never
     formed. delta_t may be negative (time reversal). Output is hermitized to
     remove floating-point asymmetry; trace and positivity are preserved by
-    construction.
+    construction. The source passes ``MatrixOracle.check_hermitian`` and
+    sigma ``require_density`` before the step's sweep.
     """
+    oracle.check_hermitian()
     sigma = require_density(sigma, oracle.dim)
     return hermitize(_read_once(oracle, 1).channel_map(delta_t)(sigma))
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .channel import error_sweep, evolve, pure_density
-from .linalg import random_low_rank, random_low_rank_rect, require_hermitian
+from .linalg import random_low_rank, random_low_rank_rect
 from .matio import (_complex_pairs, _state_from_matrix, _write_json, load_matrix, load_state,
                     matrix_to_json_obj, save_matrix)
 from .oracle import MatrixOracle, oracle_from_generator
@@ -160,8 +160,8 @@ def cmd_error_sweep(args) -> None:
 
 def cmd_qpe(args):
     oracle = _resolve_oracle(args)
-    require_hermitian(oracle.materialize())
-    psi = _resolve_psi(args, oracle.dim)
+    # not oracle.dim: qpe's own gate names a non-square source
+    psi = _resolve_psi(args, oracle.shape[0])
     config = QPEConfig(bits=args.bits, base_time=args.t0,
                        backend=BACKENDS[args.backend],
                        trotter_epsilon=args.trotter_epsilon)

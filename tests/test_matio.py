@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -235,6 +236,10 @@ def _entry_1(text: str) -> str:
     return f"data entry 1 is {text}, not a number pair (re, im)"
 
 
+def _entry_0(text: str) -> str:
+    return f"data entry 0 is {text}, not a number pair (re, im)"
+
+
 def _json_error(raw: bytes) -> str:
     """The stdlib parser's message for raw, which differs between Python versions."""
     with pytest.raises((ValueError, RecursionError)) as info:
@@ -254,6 +259,8 @@ def _bad_files(style: str) -> dict:
     # the stdlib keeps a repeated key's last value, so the array is not the data
     data_key_twice = (layout("[[1.5, 0.0], [1.5, 0.0]]")[:-2]
                       + f'{comma}"data"{colon}5}}\n'.encode())
+    entry_before = layout("[[1.5, 0.0], 1.5[, 0.0]]")
+    entry_after = layout("[[1.5, ]0.0, [1.5, 0.0]]")
 
     def without(key):
         fields = {"cols": "2", "data": f"[[1.5{comma}0.0]{comma}[1.5{comma}0.0]]", "rows": "1"}
@@ -272,6 +279,14 @@ def _bad_files(style: str) -> dict:
                                _entry_1("[1.5, 0.0, 2.5]")),
         "nested-pair": (layout("[[1.5, 0.0], [[1.5, 0.0], 0.0]]"),
                         _entry_1("[[1.5, 0.0], 0.0]")),
+        # four numbers in two lists: a flat parse needs the per-pair delimiter check
+        "three-then-one": (layout("[[1.5, 0.0, 2.5], [1.5]]"), _entry_0("[1.5, 0.0, 2.5]")),
+        "one-then-three": (layout("[[1.5], [0.0, 2.5, 1.5]]"), _entry_0("[1.5]")),
+        # the message is a format string: "{{}}" reads "{}"
+        "object-entry": (layout("[[1.5, 0.0], [{}, 1]]"), _entry_1("[{{}}, 1]")),
+        # the right delimiters in the right order, with an entry outside its pair
+        "entry-before-bracket": (entry_before, "{path}: " + _json_error(entry_before)),
+        "entry-after-bracket": (entry_after, "{path}: " + _json_error(entry_after)),
         "int-past-float-range": (layout(f"[[1.5, 0.0], [{_HUGE_INT}, 0]]"),
                                  _entry_1(f"[{_HUGE_INT}, 0]")),
         "too-few-pairs": (layout("[[1.5, 0.0]]"), "data length 1 != rows*cols = 2"),
@@ -364,3 +379,92 @@ def test_every_benchmark_input_takes_fast_path(tmp_path, bench_workloads):
             fast = _read_saved_layout(path.read_bytes())
             assert fast is not None, path.name
             _assert_same_array(fast, _stdlib_load(path))
+
+
+_SPACES = st.sampled_from(["", " ", "\n  ", "\t", "\r\n"])
+
+
+@st.composite
+def _regrouped_files(draw):
+    """(file bytes, well-formed) of a file whose 2*rows*cols numbers are
+    grouped into lists of drawn lengths, whitespace drawn around every token.
+
+    Some brackets move past the number beside them ("1.5[, 0.0]"), so that a
+    list's delimiters stay in order with an entry outside it. The file is
+    well formed when every list is a pair and no bracket moved.
+    """
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    numbers = [json.dumps(x) for x in draw(st.lists(_ENTRIES, min_size=2 * rows * cols,
+                                                    max_size=2 * rows * cols))]
+    cuts = sorted(draw(st.lists(st.integers(0, len(numbers)), max_size=len(numbers) + 2)))
+    bounds = [0, *cuts, len(numbers)]
+    groups, well_formed = [], True
+    for lo, hi in zip(bounds, bounds[1:]):
+        items = [draw(_SPACES) + x + draw(_SPACES) for x in numbers[lo:hi]]
+        moved = draw(st.sampled_from(["", "", "", "open", "close"])) if items else ""
+        if moved == "open":  # the first number before the "["
+            text = items[0] + "[" + ",".join([""] + items[1:]) + "]"
+        elif moved == "close":  # the last number after the "]"
+            text = "[" + ",".join(items[:-1] + [""]) + "]" + items[-1]
+        else:
+            text = "[" + ",".join(items) + "]"
+        groups.append(text)
+        well_formed &= hi - lo == 2 and not moved
+    data = "[" + draw(_SPACES) + ",".join(g + draw(_SPACES) for g in groups) + "]"
+    return f'{{"cols": {cols}, "data": {data}, "rows": {rows}}}'.encode(), well_formed
+
+
+@settings(max_examples=400, deadline=None)
+@given(_regrouped_files(), st.sampled_from([1, 7, 64, matio._SLICE_BYTES]))
+def test_regrouped_numbers_read_as_stdlib_or_not_at_all(tmp_path_factory, drawn, slice_bytes):
+    # a flat parse sees the right count of numbers however they are grouped;
+    # only the delimiter check keeps it from reading a file json refuses
+    raw, well_formed = drawn
+    path = tmp_path_factory.mktemp("regrouped") / "a.json"
+    path.write_bytes(raw)
+    with mock.patch.object(matio, "_SLICE_BYTES", slice_bytes):
+        fast = _read_saved_layout(raw)
+    try:
+        ref = _stdlib_load(path)
+    except ValueError:
+        ref = None
+    assert (fast is not None) == well_formed
+    if fast is not None:
+        _assert_same_array(fast, ref)
+
+
+@pytest.mark.parametrize("bad_pair", ["[{re}, ]{im}", "{re}[, {im}]", "[{re}, {im}, 0]"])
+def test_bad_pair_in_a_long_slice_falls_back(tmp_path, bad_pair):
+    # past 4 KB a slice's pair joins are counted with numpy rather than bytes.count
+    pairs = [f"[{k}.5, -{k}.25]" for k in range(1000)]
+    good = f'{{"cols": 1000, "data": [{", ".join(pairs)}], "rows": 1}}'.encode()
+    pairs[500] = bad_pair.format(re="500.5", im="-500.25")
+    bad = f'{{"cols": 1000, "data": [{", ".join(pairs)}], "rows": 1}}'.encode()
+    assert 1 << 12 < len(bad) < matio._SLICE_BYTES  # one slice
+    path = tmp_path / "a.json"
+    path.write_bytes(good)
+    _assert_same_array(_read_saved_layout(good), _stdlib_load(path))
+    path.write_bytes(bad)
+    assert _read_saved_layout(bad) is None
+    with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+def test_reader_memory_is_bounded_by_the_slices(tmp_path):
+    # the output's 16 N^2 bytes and a few slices' worth of buffers: a copy of
+    # the whole 2.7 MB data array, or a Python object per pair, would not fit
+    n = 256
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = tmp_path / "big.json"
+    save_matrix(path, a)
+    raw = path.read_bytes()
+    tracemalloc.start()
+    try:
+        fast = _read_saved_layout(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(fast, a)
+    assert len(raw) > 10 * matio._SLICE_BYTES
+    assert peak < 16 * n * n + 6 * matio._SLICE_BYTES, peak

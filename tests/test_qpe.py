@@ -490,10 +490,17 @@ def test_exact_backend_decomposes_the_hermitized_read(n, seed, kind):
     if kind == "embedding" and n > 1:
         oracle = MatrixOracle(embedding(z[: n // 2, n // 2:]))
     else:
-        # a non-Hermitian source whose diagonal passes the gate:
-        # 2 |Im A_ii| < HERMITIAN_TOL |Re A_ii| <= HERMITIAN_TOL max(1, max |A_jk|)
-        imag = HERMITIAN_TOL / 2 * rng.uniform(-1, 1, n) if kind == "tolerance-diagonal" else 0.0
-        z[np.diag_indices(n)] = z.diagonal().real * (1 + 1j * imag)
+        # a source Hermitian only within the gate's tolerance, so the read
+        # still differs from it. "random": every entry moves by under
+        # HERMITIAN_TOL / 4 of max(1, max |A_jk|); "tolerance-diagonal": only
+        # the diagonal, 2 |Im A_ii| < HERMITIAN_TOL |Re A_ii|
+        z = hermitize(z)
+        if kind == "tolerance-diagonal":
+            imag = HERMITIAN_TOL / 2 * rng.uniform(-1, 1, n)
+            z[np.diag_indices(n)] = z.diagonal().real * (1 + 1j * imag)
+        else:
+            tol = HERMITIAN_TOL / 4 * max(1.0, float(np.max(np.abs(z)))) / np.sqrt(2)
+            z += tol * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
         oracle = MatrixOracle(z)
     a = read_hermitian(oracle.fork())
     seen = []
