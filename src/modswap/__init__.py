@@ -18,7 +18,7 @@ from .linalg import (
     random_low_rank,
     random_low_rank_rect,
 )
-from .matio import load_matrix, load_state, save_matrix, save_state
+from .matio import load_matrix, load_state, save_matrix
 from .oracle import MatrixOracle, oracle_from_generator
 from .procrustes import (
     PartialIsometry,
@@ -81,5 +81,4 @@ __all__ = [
     "random_low_rank",
     "random_low_rank_rect",
     "save_matrix",
-    "save_state",
 ]

@@ -14,7 +14,8 @@ In the modelled protocol each step performs one counted oracle sweep
 (N(N+1)/2 queries) and consumes a new ancilla copy; nothing is carried over
 between steps. Every step of one run applies the same linear map, so an
 ``evolve`` or ``error_sweep`` run gates the uncounted baseline once, reads
-the source once and charges its other sweeps as modelled ones
+the source once through the gated ``oracle.read_hermitian`` and charges its
+other sweeps as modelled ones
 (``MatrixOracle.charge_sweeps``), builds the Kraus factors and the
 baseline's one eigendecomposition, and then loops over the state only.
 All error metrics are nuclear (trace) norms against the exact unitary
@@ -83,10 +84,9 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     N x N products, O(N^2) memory); the N^2 x N^2 joint state is never
     formed. delta_t may be negative (time reversal). Output is hermitized to
     remove floating-point asymmetry; trace and positivity are preserved by
-    construction. The source passes ``MatrixOracle.check_hermitian`` and
-    sigma ``require_density`` before the step's sweep.
+    construction. sigma passes ``require_density`` and the source the gate
+    of ``oracle.read_hermitian`` before the step's sweep.
     """
-    oracle.check_hermitian()
     sigma = require_density(sigma, oracle.dim)
     return hermitize(_read_once(oracle, 1).channel_map(delta_t)(sigma))
 
@@ -134,8 +134,11 @@ def plan_steps(max_norm: float, t: float, epsilon: float, steps: int | None = No
         raise ValueError("time and epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if steps is not None and steps < 1:
-        raise ValueError("step count must be >= 1")
+    if steps is not None:
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+            raise ValueError(f"step count must be an integer, not {steps!r}")
+        if steps < 1:
+            raise ValueError("step count must be >= 1")
     try:
         n = steps if steps is not None else max(1, math.ceil(2.0 * max_norm**2 * t**2 / epsilon))
         dt = t / n

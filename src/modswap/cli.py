@@ -160,8 +160,7 @@ def cmd_error_sweep(args) -> None:
 
 def cmd_qpe(args):
     oracle = _resolve_oracle(args)
-    # not oracle.dim: qpe's own gate names a non-square source
-    psi = _resolve_psi(args, oracle.shape[0])
+    psi = _resolve_psi(args, oracle.dim)
     config = QPEConfig(bits=args.bits, base_time=args.t0,
                        backend=BACKENDS[args.backend],
                        trotter_epsilon=args.trotter_epsilon)

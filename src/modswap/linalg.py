@@ -9,11 +9,10 @@ conjugated from it and diagonal real. Both Hermitian gates return it:
 ``require_hermitian``, the gate of the uncounted path, and
 ``oracle.read_hermitian``, the gate of the counted one, so a baseline and
 its counted run see the same bits and no caller fixes either result again.
-They share one tolerance, HERMITIAN_TOL relative to max(1, max |A_jk|).
-``check_hermitian`` is that rule on the whole matrix with nothing built:
-``require_hermitian`` and ``nuclear_norm`` run it, and so does
-``oracle.MatrixOracle.check_hermitian``, the uncounted gate that every
-library entry taking its source as Hermitian runs before its first query.
+They share one rule, HERMITIAN_TOL relative to max(1, max |A_jk|) on the
+whole matrix, which ``check_hermitian`` applies with nothing built:
+``require_hermitian`` and ``nuclear_norm`` run it, and ``read_hermitian``
+runs it on the oracle's source before its sweep charges any query.
 ``require_state`` is the one gate of every state vector the
 library takes; it refuses, never fixes, a norm off 1. ``trace_norms`` is
 the one trace-norm kernel: ``nuclear_norm`` runs it behind the Hermitian

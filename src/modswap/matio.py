@@ -24,8 +24,8 @@ so no Python list of a matrix, state or distribution is built. The output
 is one line with sorted keys, no spaces and a closing newline; floats take
 orjson's shortest round-trip spelling (``0.00001``, ``1e16``), which reads
 back bit for bit through both ``json`` and orjson. A NaN or an infinity,
-which JSON cannot hold, raises ``ValueError`` naming its key, and no file is
-written.
+which JSON cannot hold, or an integer outside 64 bits, which orjson cannot
+write, raises ``ValueError`` naming its key, and no file is written.
 
 A JSON matrix file holds one array, its data, so the data runs from the
 file's first ``[`` to its last ``]``. The loader reads every such file, in
@@ -82,17 +82,20 @@ def matrix_to_json_obj(a) -> dict:
     return {"rows": m, "cols": n, "data": _complex_pairs(a)}
 
 
-def _require_finite(value, key: str) -> None:
-    """Raise ValueError naming key if value holds a NaN or an infinity."""
+def _require_json_numbers(value, key: str) -> None:
+    """Raise ValueError naming key if value holds a number JSON output cannot
+    carry: a NaN, an infinity, or an integer outside [-2^63, 2^64 - 1]."""
     if isinstance(value, dict):
         for name, item in value.items():
-            _require_finite(item, f"{key}.{name}" if key else name)
+            _require_json_numbers(item, f"{key}.{name}" if key else name)
     elif isinstance(value, (list, tuple)):
         for item in value:
-            _require_finite(item, key)
+            _require_json_numbers(item, key)
     elif isinstance(value, float) and not math.isfinite(value) or (
             isinstance(value, np.ndarray) and not np.isfinite(value).all()):
         raise ValueError(f"{key} holds NaN or infinity, which JSON cannot represent")
+    elif isinstance(value, int) and not -(1 << 63) <= value < 1 << 64:
+        raise ValueError(f"{key} holds {value}, outside the 64-bit integer range")
 
 
 def _write_json(path, obj: dict) -> None:
@@ -100,11 +103,11 @@ def _write_json(path, obj: dict) -> None:
 
     numpy arrays are encoded by orjson directly and must be C-contiguous, as
     ``_complex_pairs`` returns them. Nothing is written if obj holds a
-    non-finite number.
+    number ``_require_json_numbers`` refuses.
     """
     import orjson
 
-    _require_finite(obj, "")
+    _require_json_numbers(obj, "")
     Path(path).write_bytes(orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY
                                         | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
 
@@ -310,7 +313,3 @@ def _state_from_matrix(a) -> np.ndarray:
         raise ValueError("state file holds the zero vector")
     return psi / nrm
 
-
-def save_state(path, psi) -> None:
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1, 1)
-    save_matrix(path, psi)

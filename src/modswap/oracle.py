@@ -8,20 +8,18 @@ of every entry, each with a single counter update; ``charge_sweeps``
 charges modelled sweeps whose values the caller already holds.
 
 ``read_hermitian`` is the one gate of the counted Hermitian path: every
-counted Hermitian read goes through it. It returns
-``linalg.hermitian_from_upper`` of its sweep, the same matrix the uncounted
-gate ``linalg.require_hermitian`` returns for that source, and refuses a
-diagonal under the uncounted gate's tolerance. The svd and Procrustes
-pipelines read their rectangular source with ``read_all`` and embed it
-themselves (``svdx.embedding``).
-
-``MatrixOracle.check_hermitian`` is the uncounted gate in front of that
-read: ``qpe``, ``channel.channel_step`` and the ``apply_exp``,
-``controlled_apply_exp`` and ``spectrum`` of ``swapop.ModifiedSwapOperator``
-run it first, so a source that is not square, not finite or not Hermitian
-within the uncounted gate's tolerance is refused before any query.
-``channel.evolve`` and ``error_sweep`` gate ``materialize`` with
-``linalg.require_hermitian`` instead, which also gives their baseline.
+counted Hermitian read goes through it. It first checks the whole source
+where it lies with ``linalg.check_hermitian``, uncounted and without a
+copy, so a source that is not square, not finite or not Hermitian within
+``HERMITIAN_TOL`` is refused before any query. It then returns
+``linalg.hermitian_from_upper`` of one triangle sweep, the same matrix the
+uncounted gate ``linalg.require_hermitian`` returns for that source.
+``qpe``, ``channel`` and ``swapop`` reach it through
+``ModifiedSwapOperator.build_plan`` or ``qpe._read_exact`` and run no gate
+of their own in front of it. The svd and Procrustes pipelines read their rectangular
+source with ``read_all`` and embed it themselves (``svdx.embedding``).
+Every counted read checks what it returns before it charges, so no read
+charges for a source it refuses.
 
 Classical baselines and verifiers go through ``materialize``, which reads
 the source directly and does NOT count; reported call counts therefore
@@ -37,22 +35,23 @@ import threading
 
 import numpy as np
 
-from .linalg import (HERMITIAN_TOL, as_matrix, check_hermitian, hermitian_from_upper,
-                     random_low_rank)
+from .linalg import as_matrix, check_hermitian, hermitian_from_upper, random_low_rank
 
 
 class MatrixOracle:
     """Element oracle for an M x N matrix with a race-free query counter.
 
-    The source is a dense array checked by ``as_matrix``; a complex128 array
-    is held without a copy, so later writes to it reach the oracle, and the
-    counted reads check what they return. Out-of-range queries raise
-    IndexError without touching the counter. Concurrent sweeps should each
-    own their own instance (``fork``).
+    The source is a dense array checked by ``as_matrix``, with no zero
+    dimension; a complex128 array is held without a copy, so later writes to
+    it reach the oracle, and the counted reads check what they return.
+    Out-of-range queries raise IndexError without touching the counter.
+    Concurrent sweeps should each own their own instance (``fork``).
     """
 
     def __init__(self, a):
         self._matrix = as_matrix(a)
+        if not self._matrix.size:
+            raise ValueError("empty matrix ({}x{})".format(*self._matrix.shape))
         self._count = 0
         self._lock = threading.Lock()
 
@@ -64,7 +63,7 @@ class MatrixOracle:
     def dim(self) -> int:
         m, n = self._matrix.shape
         if m != n:
-            raise ValueError(f"oracle is not square: shape {self._matrix.shape}")
+            raise ValueError(f"matrix is not square ({m}x{n})")
         return m
 
     def fork(self) -> "MatrixOracle":
@@ -80,11 +79,11 @@ class MatrixOracle:
             self._count += 1
         return complex(self._matrix[j, k])
 
-    def _charge_and_check(self, values: np.ndarray, calls: int) -> np.ndarray:
-        with self._lock:
-            self._count += calls
+    def _check_and_charge(self, values: np.ndarray, calls: int) -> np.ndarray:
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("oracle returned NaN or infinity")
+        with self._lock:
+            self._count += calls
         return values
 
     def read_upper_triangle(self) -> np.ndarray:
@@ -92,18 +91,18 @@ class MatrixOracle:
 
         The array holds the source's diagonal and upper triangle and zeros
         below the diagonal. The sweep charges N(N+1)/2 calls with one locked
-        increment; a non-finite value fails it after the charge.
+        increment; a non-finite value fails it before the charge.
         """
         n = self.dim
-        return self._charge_and_check(np.triu(self._matrix), n * (n + 1) // 2)
+        return self._check_and_charge(np.triu(self._matrix), n * (n + 1) // 2)
 
     def read_all(self) -> np.ndarray:
         """One counted sweep of every entry: a copy of the M x N source.
 
         Charges M*N calls with one locked increment; a non-finite value fails
-        the read after the charge, as in ``read_upper_triangle``.
+        the read before the charge, as in ``read_upper_triangle``.
         """
-        return self._charge_and_check(self._matrix.copy(), self._matrix.size)
+        return self._check_and_charge(self._matrix.copy(), self._matrix.size)
 
     def charge_sweeps(self, sweeps: int) -> None:
         """Charge ``sweeps`` modelled triangle sweeps without reading the source.
@@ -121,14 +120,6 @@ class MatrixOracle:
     def report_calls(self) -> int:
         return self._count
 
-    def check_hermitian(self) -> None:
-        """Refuse a source that ``linalg.require_hermitian`` refuses, uncounted.
-
-        The source is checked where it lies, with no copy, no Hermitian
-        matrix built and no call charged.
-        """
-        check_hermitian(self._matrix)
-
     def materialize(self) -> np.ndarray:
         """Dense copy of the source, bypassing the counter.
 
@@ -139,23 +130,17 @@ class MatrixOracle:
 
 
 def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
-    """Counted read of a Hermitian source: ``hermitian_from_upper`` of one sweep.
+    """The gated counted read of a Hermitian source: ``hermitian_from_upper`` of one sweep.
 
-    One ``read_upper_triangle`` sweep, so an N x N read costs N(N+1)/2
-    calls, the same per-sweep price the evolution steps pay. After the sweep
-    is charged, a non-finite value fails the read, and so does a diagonal
-    entry with 2 |Im A_ii| > HERMITIAN_TOL * max(1, max |A_jk|): the rule of
-    ``linalg.require_hermitian`` restricted to what the sweep sees, where
-    the diagonal is the only place A and A† meet. The message names the
-    first bad diagonal index. The result is exactly Hermitian, the matrix
-    ``require_hermitian`` returns for a source that passes it.
+    The source is first checked where it lies by ``linalg.check_hermitian``,
+    uncounted and without a copy; a source that check refuses raises its
+    ``ValueError`` before any query. Then one ``read_upper_triangle``
+    sweep, so an N x N read costs N(N+1)/2 calls, the same per-sweep price
+    the evolution steps pay. The result is exactly Hermitian, the matrix
+    ``require_hermitian`` returns for the same source.
     """
-    upper = oracle.read_upper_triangle()
-    bad = 2 * np.abs(upper.diagonal().imag) > HERMITIAN_TOL * np.abs(upper).max(initial=1.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"non-Hermitian source: diagonal ({i},{i}) = {complex(upper[i, i])}")
-    return hermitian_from_upper(upper)
+    check_hermitian(oracle._matrix)
+    return hermitian_from_upper(oracle.read_upper_triangle())
 
 
 def _values(text: str) -> list[float]:

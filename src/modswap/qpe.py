@@ -1,7 +1,7 @@
 """Simulated phase estimation over the controlled scaled evolution.
 
-The source passes ``MatrixOracle.check_hermitian`` and the input state
-``linalg.require_state`` before any query.
+The input state passes ``linalg.require_state``, and the source the gate of
+its one counted read, ``oracle.read_hermitian``, before any query.
 
 The register convention is two's complement: a b-bit register value m
 encodes the phase m / 2^b, values at or above 1/2 wrap to negative, and the
@@ -89,6 +89,9 @@ class QPEConfig(_QPEConfig):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if isinstance(self.bits, bool) or not isinstance(self.bits, (int, np.integer)):
+            raise ValueError(f"register size must be an integer number of bits, "
+                             f"not {self.bits!r}")
         if self.bits < 1:
             raise ValueError("register needs at least one bit")
         if self.backend not in ("exact-unitary", "trotter-channel"):
@@ -393,11 +396,10 @@ def qpe(oracle: MatrixOracle, psi, config: QPEConfig) -> QPEResult:
 
     The exact backend reads the register distribution from the closed-form
     mass matrix; the trotter backend evolves one N x N operator per register
-    frequency. The source passes ``MatrixOracle.check_hermitian`` and psi
-    ``linalg.require_state`` before either backend makes its one real read
-    through ``oracle.read_hermitian``.
+    frequency. psi passes ``linalg.require_state`` before either backend
+    makes its one real read through ``oracle.read_hermitian``, which checks
+    the source before it charges.
     """
-    oracle.check_hermitian()
     psi = require_state(psi, oracle.dim)
     calls_before = oracle.report_calls()
     backend = _exact_backend if config.backend == "exact-unitary" else _trotter_backend

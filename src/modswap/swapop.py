@@ -28,13 +28,11 @@ Kraus operator is a diagonal plus one column, so ``channel_map`` builds
 those factors once for a fixed time and returns the whole Kraus sum as a
 map of a few N x N products, to be applied to many states; it never forms
 the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
-remain as references. ``apply_exp``, ``controlled_apply_exp`` and
-``spectrum`` first run the source through ``MatrixOracle.check_hermitian``,
-and the first two take their state through ``linalg.require_state``, so a
-source that is not Hermitian or a norm off 1 raises ``ValueError`` before
-the plan's sweep. ``build_plan`` itself is ungated beyond
-``read_hermitian``: ``channel_step``, ``evolve`` and the trotter backend
-gate the source before they call it.
+remain as references. ``build_plan``'s ``read_hermitian`` is the source's
+one gate, so a source that is not square, not finite or not Hermitian
+raises ``ValueError`` before the plan's sweep; ``apply_exp`` and
+``controlled_apply_exp`` check their state with ``linalg.require_state``
+before they build the plan.
 """
 
 from __future__ import annotations
@@ -151,7 +149,6 @@ class ModifiedSwapOperator:
 
     def apply_exp(self, t: float, psi) -> np.ndarray:
         """exp(-i t op) psi on the N^2-dimensional doubled space."""
-        self.oracle.check_hermitian()
         psi = require_state(psi, self.dim * self.dim)
         return self.build_plan().apply(psi, t)
 
@@ -160,7 +157,6 @@ class ModifiedSwapOperator:
 
         The first N^2 amplitudes (control 0) pass through unchanged.
         """
-        self.oracle.check_hermitian()
         nn = self.dim * self.dim
         out = require_state(psi, 2 * nn)
         out[nn:] = self.build_plan().apply(out[nn:], t)
@@ -171,7 +167,6 @@ class ModifiedSwapOperator:
 
         They are the diagonal values A[j,j] plus the pairs +-|A[j,k]| for j < k.
         """
-        self.oracle.check_hermitian()
         a = self.build_plan().a
         pairs = np.abs(a[np.triu_indices(self.dim, 1)])
         return np.sort(np.concatenate([a.diagonal().real, pairs, -pairs]))

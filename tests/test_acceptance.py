@@ -13,7 +13,7 @@ import pytest
 from modswap.channel import channel_step, error_sweep, evolve
 from modswap.cli import main as cli_main
 from modswap.linalg import random_low_rank, random_low_rank_rect
-from modswap.matio import save_state
+from modswap.matio import save_matrix
 from modswap.oracle import MatrixOracle
 from modswap.procrustes import classical_nearest_isometry, quantum_procrustes_apply
 from modswap.qpe import QPEConfig, backend_agreement, qpe, query_scaling
@@ -227,7 +227,7 @@ def test_criterion_12_determinism_byte_identical(tmp_path):
                 "--seed", "8", "--out", str(rect)]
         assert cli_main(genr) == 0
         out["gen_rect"] = rect.read_bytes()
-        save_state(state, np.array([1, 0, 0, 0], dtype=complex))
+        save_matrix(state, np.array([[1], [0], [0], [0]], dtype=complex))
 
         runs = {
             "evolve": ["evolve", "--matrix", str(matrix), "--time", "0.5",

@@ -139,6 +139,19 @@ def test_evolution_config_rejects_bad_epsilon():
         plan_steps(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("steps, message", [
+    (True, "an integer"), (False, "an integer"), (2.0, "an integer"), (2.5, "an integer"),
+    (np.float64(3), "an integer"), (0, ">= 1"), (np.int64(-1), ">= 1")])
+def test_step_count_must_be_a_positive_integer(steps, message):
+    with pytest.raises(ValueError, match=f"^step count must be {message}"):
+        plan_steps(1.0, 1.0, 0.1, steps=steps)
+    oracle = _oracle(np.eye(2))
+    with pytest.raises(ValueError, match=f"^step count must be {message}"):
+        evolve(oracle, uniform_density(2), 1.0, 0.1, steps=steps)
+    assert oracle.report_calls() == 0
+    assert plan_steps(1.0, 1.0, 0.1, steps=np.int64(4))[0] == 4  # numpy integers count
+
+
 @pytest.mark.parametrize("t, epsilon", [(np.inf, 0.1), (-np.inf, 0.1), (np.nan, 0.1),
                                         (1.0, np.nan), (1.0, np.inf)])
 def test_evolution_config_rejects_non_finite(t, epsilon):
@@ -477,7 +490,7 @@ def test_evolve_and_error_sweep_reject_state_shape_before_reading():
     assert oracle.report_calls() == 0
 
 
-def test_evolve_non_finite_oracle_fails_after_one_sweep():
+def test_evolve_non_finite_oracle_fails_before_any_sweep():
     a = np.full((3, 3), 0.25, dtype=complex)
 
     class CleanBaseline(MatrixOracle):
@@ -488,6 +501,6 @@ def test_evolve_non_finite_oracle_fails_after_one_sweep():
     source = a.copy()
     oracle = CleanBaseline(source)
     source[0, 1] = np.nan  # the oracle holds the array itself
-    with pytest.raises(ValueError, match="NaN or infinity"):
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
         evolve(oracle, uniform_density(3), 0.5, 0.1, steps=7)
-    assert oracle.report_calls() == 3 * 4 // 2
+    assert oracle.report_calls() == 0

@@ -16,7 +16,7 @@ from modswap import FORMAT_VERSION, __version__
 from modswap.channel import plan_steps
 from modswap.cli import build_parser, main
 from modswap.oracle import MatrixOracle
-from modswap.matio import load_matrix, save_matrix, save_state
+from modswap.matio import load_matrix, save_matrix
 from modswap.linalg import random_low_rank, require_hermitian
 from modswap.qpe import default_base_time
 
@@ -113,7 +113,7 @@ def test_qpe_envelope(tmp_path):
     matrix = tmp_path / "x.json"
     save_matrix(matrix, a)
     state = tmp_path / "psi.json"
-    save_state(state, np.array([1, 0], dtype=complex))
+    save_matrix(state, np.array([[1], [0]], dtype=complex))
     out = tmp_path / "qpe.json"
     assert main(["qpe", "--matrix", str(matrix), "--state", str(state),
                  "--bits", "3", "--t0", str(np.pi), "--out", str(out)]) == 0
@@ -203,7 +203,7 @@ def test_procrustes_envelope(tmp_path):
     matrix = tmp_path / "m.json"
     save_matrix(matrix, 2.0 * np.outer(u, v.conj()))
     state = tmp_path / "v.json"
-    save_state(state, v)
+    save_matrix(state, np.reshape(v, (-1, 1)))
     out = tmp_path / "proc.json"
     assert main(["procrustes", "--matrix", str(matrix), "--state", str(state),
                  "--bits", "9", "--threshold", "0.05", "--shots", "200",
@@ -366,7 +366,7 @@ def test_error_sweep_rejects_zero_matrix_exits_2(tmp_path):
 def test_zero_state_vector_exits_2(tmp_path, capsys, argv):
     # read by load_state's rule, before a division by its zero norm
     state = tmp_path / "zero_psi.json"
-    save_state(state, np.zeros(4))
+    save_matrix(state, np.zeros((4, 1)))
     out = tmp_path / "o.out"
     assert main([*argv, "--matrix", str(_gen(tmp_path)), "--state", str(state),
                  "--out", str(out)]) == 2
@@ -723,7 +723,7 @@ def _rank_one_procrustes_inputs(tmp_path):
     v /= np.linalg.norm(v)
     matrix, state = tmp_path / "m.json", tmp_path / "v.json"
     save_matrix(matrix, np.outer(u, v.conj()) * (2.0 / np.linalg.norm(u)))
-    save_state(state, v)
+    save_matrix(state, np.reshape(v, (-1, 1)))
     return matrix, state
 
 
@@ -854,11 +854,37 @@ def test_envelope_refuses_non_finite_numbers(tmp_path, results, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("calls, written", [
+    (2**64 - 1, True), (-(2**63), True), (2**64, False), (-(2**63) - 1, False)])
+def test_envelope_refuses_integers_past_64_bits(tmp_path, calls, written):
+    out = tmp_path / "o.json"
+    if written:
+        cli._write_envelope(out, "qpe", {}, {}, calls, None)
+        assert orjson.loads(out.read_bytes())["oracle_calls"] == calls
+        return
+    with pytest.raises(ValueError, match=rf"^oracle_calls holds {calls}, outside"):
+        cli._write_envelope(out, "qpe", {}, {}, calls, None)
+    assert not out.exists()
+
+
+def test_trotter_call_count_past_64_bits_exits_2(tmp_path, capsys):
+    # 4.1e20 modelled calls: the whole run works, and the count cannot be written
+    matrix, out = _gen(tmp_path, seed=1), tmp_path / "q.json"
+    argv = ["qpe", "--matrix", str(matrix), "--bits", "3", "--backend", "trotter",
+            "--out", str(out), "--trotter-epsilon"]
+    assert main([*argv, "1e-17"]) == 2
+    assert re.fullmatch(r"error: oracle_calls holds 4\d{20}, outside the 64-bit integer range\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+    assert main([*argv, "1e-15"]) == 0
+    assert 4e18 < orjson.loads(out.read_bytes())["oracle_calls"] < 2**63
+
+
 def test_every_json_output_reads_the_same_through_json_and_orjson(tmp_path):
     matrix, rect, state = _gen(tmp_path), tmp_path / "r.json", tmp_path / "psi.json"
     assert main(["gen-matrix", "--m", "3", "--n", "4", "--rank", "2", "--seed", "8",
                  "--out", str(rect)]) == 0
-    save_state(state, np.array([1, 1e-05, -0.0, 1e16]))
+    save_matrix(state, np.array([[1], [1e-05], [-0.0], [1e16]]))
     runs = {
         "evolve": ["evolve", "--matrix", str(matrix), "--time", "0.5", "--epsilon", "0.05"],
         "qpe": ["qpe", "--matrix", str(matrix), "--state", str(state), "--bits", "6"],
@@ -904,8 +930,8 @@ def test_non_square_matrix_exits_2(tmp_path, capsys, argv):
     save_matrix(matrix, np.arange(24, dtype=complex).reshape(6, 4))
     out = tmp_path / "o.json"
     assert main([*argv, "--matrix", str(matrix), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "not square" in err and "broadcast" not in err
+    # one fault, one message: the dimension and the gate name it alike
+    assert capsys.readouterr().err == "error: matrix is not square (6x4)\n"
     assert not out.exists()
 
 

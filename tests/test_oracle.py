@@ -69,13 +69,29 @@ def test_read_all_of_fortran_ordered_source():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_read_all_rejects_non_finite_after_the_charge(bad):
+def test_read_all_rejects_non_finite_before_the_charge(bad):
     a = np.ones((2, 3), dtype=complex)
     oracle = MatrixOracle(a)
     a[1, 2] = bad  # the oracle holds the array itself, not a copy
-    with pytest.raises(ValueError, match="NaN or infinity"):
+    with pytest.raises(ValueError, match="^oracle returned NaN or infinity$"):
         oracle.read_all()
-    assert oracle.report_calls() == 6
+    assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_upper_triangle_read_rejects_non_finite_before_the_charge(bad):
+    a = np.ones((3, 3), dtype=complex)
+    oracle = MatrixOracle(a)
+    a[0, 2] = bad
+    with pytest.raises(ValueError, match="^oracle returned NaN or infinity$"):
+        oracle.read_upper_triangle()
+    assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_source_is_refused(shape):
+    with pytest.raises(ValueError, match=rf"^empty matrix \({shape[0]}x{shape[1]}\)$"):
+        MatrixOracle(np.zeros(shape))
 
 
 def test_determinism_identical_sequences():
@@ -119,56 +135,27 @@ def test_read_hermitian_rejects_non_finite(bad):
     a = np.ones((3, 3), dtype=complex)
     oracle = MatrixOracle(a)
     a[1, 2] = bad
-    with pytest.raises(ValueError, match="NaN or infinity"):
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
         read_hermitian(oracle)
-    assert oracle.report_calls() == 3 * 4 // 2
+    assert oracle.report_calls() == 0  # the gate refuses it before the sweep
 
 
-# Every counted Hermitian read of the library, each reached from its own entry
-# point, and the one of the test-only first_order_generator. The sweeps are
-# the entries whose first look at the source is the counted read; qpe runs
-# the uncounted gate before its read (tests/test_hermitian_gate.py), so it
-# refuses a bad diagonal before any query instead.
 _E0 = np.array([1, 0, 0], dtype=complex)
-_SWEEPS = {
+_GATED_READS = {
     "read_hermitian": read_hermitian,
     "build_plan": lambda o: ModifiedSwapOperator(o).build_plan(),
     "first_order_generator": lambda o: first_order_generator(o, np.eye(3) / 3),
-}
-_GATED_READS = {
-    **_SWEEPS,
     "exact-qpe": lambda o: qpe(o, _E0, QPEConfig(bits=2)),
     "trotter-qpe": lambda o: qpe(o, _E0, QPEConfig(bits=2, backend="trotter-channel",
                                                     trotter_epsilon=0.5)),
 }
 
 
-@pytest.mark.parametrize("entry", list(_SWEEPS))
-def test_counted_read_rejects_non_real_diagonal_after_one_sweep(entry):
-    a = np.diag([0.5, 1 + 1j, 1 + 1j]) + 0.25 * np.ones((3, 3))
-    oracle = MatrixOracle(a)
-    with pytest.raises(ValueError, match=r"^non-Hermitian source: diagonal \(1,1\) = "):
-        _SWEEPS[entry](oracle)
-    assert oracle.report_calls() == 3 * 4 // 2
-
-
-def _edge_source(inside: bool) -> np.ndarray:
-    """max |A_jk| = 4.25, so the diagonal passes while 2 |Im A_ii| <= 4.25e-12."""
-    imag = (0.99 if inside else 1.01) * HERMITIAN_TOL * 4.25 / 2
-    return np.diag([0.5, 4 + 1j * imag, -1.0]) + 0.25 * np.ones((3, 3))
-
-
 @pytest.mark.parametrize("entry", list(_GATED_READS))
 def test_counted_read_accepts_diagonal_within_tolerance(entry):
-    _GATED_READS[entry](MatrixOracle(_edge_source(inside=True)))
-
-
-@pytest.mark.parametrize("entry", list(_SWEEPS))
-def test_counted_read_refuses_diagonal_just_outside_tolerance(entry):
-    oracle = MatrixOracle(_edge_source(inside=False))
-    with pytest.raises(ValueError, match=r"^non-Hermitian source: diagonal \(1,1\) = "):
-        _SWEEPS[entry](oracle)
-    assert oracle.report_calls() == 3 * 4 // 2
+    # max |A_jk| = 4.25, so the diagonal passes while 2 |Im A_ii| <= 4.25e-12
+    imag = 0.99 * HERMITIAN_TOL * 4.25 / 2
+    _GATED_READS[entry](MatrixOracle(np.diag([0.5, 4 + 1j * imag, -1.0]) + 0.25 * np.ones((3, 3))))
 
 
 @st.composite
@@ -198,6 +185,44 @@ def test_both_gates_return_the_same_exactly_hermitian_matrix(a):
     assert np.array_equal(counted, uncounted)
     assert np.array_equal(counted, counted.conj().T)
     assert counted.dtype == np.complex128 and counted.flags.c_contiguous
+
+
+@st.composite
+def _perturbed(draw):
+    """A ``_near_hermitian`` source as complex128, unchanged or pushed about the
+    tolerance in one lower-triangle or diagonal entry, widened by a column, or
+    given a NaN after the oracle takes it; returns (array, oracle)."""
+    a = np.array(draw(_near_hermitian()), dtype=np.complex128)
+    n = a.shape[0]
+    kind = draw(st.sampled_from(["none", "entry", "non-square", "nan"]))
+    j = draw(st.integers(0, n - 1))
+    k = draw(st.integers(0, j))
+    if kind == "entry":
+        # about the tolerance, from half to twice it, real or imaginary
+        step = draw(st.floats(0.5, 2.0)) * HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a))))
+        a[j, k] += step * draw(st.sampled_from([1, -1, 1j, -1j]))
+    if kind == "non-square":
+        a = np.hstack([a, a[:, :1]])
+    oracle = MatrixOracle(a)
+    if kind == "nan":
+        a[j, k] = np.nan  # the oracle holds the array itself
+    return a, oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed())
+def test_counted_read_refuses_exactly_what_the_uncounted_gate_refuses(case):
+    a, oracle = case
+    try:
+        want = require_hermitian(oracle.materialize())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_hermitian(oracle)
+        assert str(info.value) == str(exc)
+        assert oracle.report_calls() == 0
+    else:
+        assert np.array_equal(read_hermitian(oracle), want)
+        assert oracle.report_calls() == a.shape[0] * (a.shape[0] + 1) // 2
 
 
 @st.composite

@@ -81,11 +81,13 @@ def test_decode_encode_round_trip_on_grid():
 
 
 def test_config_validation():
-    for kwargs in ({"bits": 0}, {"backend": "nonsense"}, {"trotter_epsilon": 0.0}):
+    for kwargs in ({"bits": 0}, {"backend": "nonsense"}, {"trotter_epsilon": 0.0},
+                   {"bits": 2.0}, {"bits": 2.5}, {"bits": True}, {"bits": np.float64(2)}):
         with pytest.raises(ValueError):
             QPEConfig(**{"bits": 3, **kwargs})
         with pytest.raises(ValueError):
             QPEConfig(bits=3)._replace(**kwargs)
+    assert QPEConfig(bits=np.int64(3)).size == 8  # numpy integers are counts too
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
