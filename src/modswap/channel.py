@@ -47,7 +47,7 @@ from .linalg import (
     unitary_from_eigh,
 )
 from .oracle import MatrixOracle
-from .swapop import BlockPlan, ModifiedSwapOperator
+from .swapop import BlockPlan, ModifiedSwapOperator, _require_finite_time
 
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -84,10 +84,12 @@ def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     N x N products, O(N^2) memory); the N^2 x N^2 joint state is never
     formed. delta_t may be negative (time reversal). Output is hermitized to
     remove floating-point asymmetry; trace and positivity are preserved by
-    construction. sigma passes ``require_density`` and the source the gate
-    of ``oracle.read_hermitian`` before the step's sweep.
+    construction. sigma passes ``require_density``, delta_t
+    ``swapop._require_finite_time`` and the source the gate of
+    ``oracle.read_hermitian`` before the step's sweep.
     """
     sigma = require_density(sigma, oracle.dim)
+    _require_finite_time(delta_t)
     return hermitize(_read_once(oracle, 1).channel_map(delta_t)(sigma))
 
 
@@ -140,7 +142,7 @@ def plan_steps(max_norm: float, t: float, epsilon: float, steps: int | None = No
         if steps < 1:
             raise ValueError("step count must be >= 1")
     try:
-        n = steps if steps is not None else max(1, math.ceil(2.0 * max_norm**2 * t**2 / epsilon))
+        n = max(1, math.ceil(2.0 * max_norm**2 * t**2 / epsilon)) if steps is None else int(steps)
         dt = t / n
     except OverflowError:
         raise ValueError(f"step count overflows a float at t = {t:.3g}, "

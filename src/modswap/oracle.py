@@ -2,15 +2,18 @@
 
 The oracle is the only sanctioned data path for the simulated pipelines, so
 its counter is the simulator's query-complexity meter. Its source is one
-dense array. ``query`` reads one element; ``read_upper_triangle`` reads one
-whole sweep of the diagonal and upper triangle, and ``read_all`` one sweep
-of every entry, each with a single counter update; ``charge_sweeps``
-charges modelled sweeps whose values the caller already holds.
+dense array that the oracle owns: a C-ordered complex128 copy, checked
+finite and non-empty once, when the oracle is built, and then read-only,
+so no later write reaches it and no read checks it again. ``query`` reads
+one element; ``read_upper_triangle`` reads one whole sweep of the diagonal
+and upper triangle, and ``read_all`` one sweep of every entry;
+``charge_sweeps`` charges modelled sweeps whose values the caller already
+holds. All four charge through one locked counter update.
 
 ``read_hermitian`` is the one gate of the counted Hermitian path: every
 counted Hermitian read goes through it. It first checks the whole source
 where it lies with ``linalg.check_hermitian``, uncounted and without a
-copy, so a source that is not square, not finite or not Hermitian within
+copy, so a source that is not square or not Hermitian within
 ``HERMITIAN_TOL`` is refused before any query. It then returns
 ``linalg.hermitian_from_upper`` of one triangle sweep, the same matrix the
 uncounted gate ``linalg.require_hermitian`` returns for that source.
@@ -18,11 +21,9 @@ uncounted gate ``linalg.require_hermitian`` returns for that source.
 ``ModifiedSwapOperator.build_plan`` or ``qpe._read_exact`` and run no gate
 of their own in front of it. The svd and Procrustes pipelines read their rectangular
 source with ``read_all`` and embed it themselves (``svdx.embedding``).
-Every counted read checks what it returns before it charges, so no read
-charges for a source it refuses.
 
-Classical baselines and verifiers go through ``materialize``, which reads
-the source directly and does NOT count; reported call counts therefore
+Classical baselines and verifiers go through ``materialize``, which returns
+the read-only source and does NOT count; reported call counts therefore
 measure only the simulated-algorithm path.
 
 ``oracle_from_generator`` builds the command line's named sources; the
@@ -41,17 +42,18 @@ from .linalg import as_matrix, check_hermitian, hermitian_from_upper, random_low
 class MatrixOracle:
     """Element oracle for an M x N matrix with a race-free query counter.
 
-    The source is a dense array checked by ``as_matrix``, with no zero
-    dimension; a complex128 array is held without a copy, so later writes to
-    it reach the oracle, and the counted reads check what they return.
-    Out-of-range queries raise IndexError without touching the counter.
-    Concurrent sweeps should each own their own instance (``fork``).
+    The oracle owns a read-only, C-ordered complex128 copy of its source,
+    checked by ``as_matrix`` and for a zero dimension when it is built; the
+    caller's array is never read again. Out-of-range queries raise
+    IndexError without touching the counter. Concurrent sweeps should each
+    own their own instance (``fork``).
     """
 
     def __init__(self, a):
-        self._matrix = as_matrix(a)
+        self._matrix = as_matrix(np.array(a, dtype=np.complex128, order="C"))
         if not self._matrix.size:
             raise ValueError("empty matrix ({}x{})".format(*self._matrix.shape))
+        self._matrix.flags.writeable = False
         self._count = 0
         self._lock = threading.Lock()
 
@@ -70,63 +72,58 @@ class MatrixOracle:
         """Same source, fresh counter."""
         return MatrixOracle(self._matrix)
 
+    def _charge(self, calls: int) -> None:
+        with self._lock:
+            self._count += calls
+
     def query(self, j: int, k: int) -> complex:
         """Return A[j, k]; one counted call."""
         m, n = self._matrix.shape
         if not (0 <= j < m and 0 <= k < n):
             raise IndexError(f"query ({j}, {k}) outside [0,{m}) x [0,{n})")
-        with self._lock:
-            self._count += 1
+        self._charge(1)
         return complex(self._matrix[j, k])
-
-    def _check_and_charge(self, values: np.ndarray, calls: int) -> np.ndarray:
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("oracle returned NaN or infinity")
-        with self._lock:
-            self._count += calls
-        return values
 
     def read_upper_triangle(self) -> np.ndarray:
         """One counted sweep of the diagonal and upper triangle, as an N x N array.
 
         The array holds the source's diagonal and upper triangle and zeros
-        below the diagonal. The sweep charges N(N+1)/2 calls with one locked
-        increment; a non-finite value fails it before the charge.
+        below the diagonal. The sweep charges N(N+1)/2 calls, one
+        ``charge_sweeps`` sweep.
         """
-        n = self.dim
-        return self._check_and_charge(np.triu(self._matrix), n * (n + 1) // 2)
+        self.charge_sweeps(1)
+        return np.triu(self._matrix)
 
     def read_all(self) -> np.ndarray:
-        """One counted sweep of every entry: a copy of the M x N source.
+        """One counted sweep of every entry: the read-only M x N source itself.
 
-        Charges M*N calls with one locked increment; a non-finite value fails
-        the read before the charge, as in ``read_upper_triangle``.
+        Charges M*N calls.
         """
-        return self._check_and_charge(self._matrix.copy(), self._matrix.size)
+        self._charge(self._matrix.size)
+        return self._matrix
 
     def charge_sweeps(self, sweeps: int) -> None:
         """Charge ``sweeps`` modelled triangle sweeps without reading the source.
 
         For a simulator that reuses one real sweep for several modelled ones
-        whose values it already holds; each costs N(N+1)/2 calls, as in
-        ``read_upper_triangle``.
+        whose values it already holds; each costs N(N+1)/2 calls, the price
+        of one ``read_upper_triangle``.
         """
         if sweeps < 0:
             raise ValueError("sweep count must be non-negative")
         n = self.dim
-        with self._lock:
-            self._count += sweeps * (n * (n + 1) // 2)
+        self._charge(sweeps * (n * (n + 1) // 2))
 
     def report_calls(self) -> int:
         return self._count
 
     def materialize(self) -> np.ndarray:
-        """Dense copy of the source, bypassing the counter.
+        """The read-only source itself, bypassing the counter.
 
         Reserved for classical baselines and verification; simulated
         pipelines must use ``query``, ``read_upper_triangle`` or ``read_all``.
         """
-        return self._matrix.copy()
+        return self._matrix
 
 
 def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
@@ -195,10 +192,9 @@ def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
     """
     p = _generator_params(name, params)
     if name == "diagonal":
-        return MatrixOracle(np.diag(np.array(p["values"], dtype=np.complex128)))
+        return MatrixOracle(np.diag(p["values"]))
     if p["n"] < 1:
         raise ValueError(f"generator size n={p['n']} must be >= 1")
     if name == "all-ones":
-        return MatrixOracle(np.ones((p["n"], p["n"]), dtype=np.complex128))
-    a = random_low_rank(p["n"], p["r"], np.random.default_rng(p["seed"]))
-    return MatrixOracle(a)
+        return MatrixOracle(np.ones((p["n"], p["n"])))
+    return MatrixOracle(random_low_rank(p["n"], p["r"], np.random.default_rng(p["seed"])))

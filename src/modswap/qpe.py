@@ -101,7 +101,7 @@ class QPEConfig(_QPEConfig):
             raise ValueError("base_time must be positive and finite")
         if not math.isfinite(self.trotter_epsilon) or self.trotter_epsilon <= 0:
             raise ValueError("trotter_epsilon must be positive and finite")
-        return self
+        return super().__new__(cls, int(self.bits), *self[1:])
 
     @classmethod
     def _make(cls, iterable):
@@ -137,7 +137,7 @@ def decode_register(m, bits: int, t0: float):
     m is one register value (returns a float) or an integer array of them
     (returns a float array of the same shape).
     """
-    size = 1 << bits
+    size = 1 << int(bits)
     ms = np.asarray(m)
     bad = ms[(ms < 0) | (ms >= size)]
     if bad.size:
@@ -467,11 +467,9 @@ def query_scaling(oracle: MatrixOracle, psi, epsilons,
         raise ValueError("epsilons must be strictly descending")
     rows = []
     for e in eps:
-        extra = int(round(math.log2(eps[0] / e)))
-        cfg = QPEConfig(bits=2 + extra, base_time=base_time,
+        cfg = QPEConfig(bits=2 + round(math.log2(eps[0] / e)), base_time=base_time,
                         backend="trotter-channel", trotter_epsilon=e)
-        fork = oracle.fork()
-        result = qpe(fork, psi, cfg)
+        result = qpe(oracle.fork(), psi, cfg)
         rows.append(ScalingRow(epsilon=e, bits=cfg.bits, oracle_calls=result.oracle_calls))
     xs = np.log([1.0 / r.epsilon for r in rows])
     ys = np.log([r.oracle_calls for r in rows])

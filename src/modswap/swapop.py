@@ -29,10 +29,12 @@ those factors once for a fixed time and returns the whole Kraus sum as a
 map of a few N x N products, to be applied to many states; it never forms
 the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
 remain as references. ``build_plan``'s ``read_hermitian`` is the source's
-one gate, so a source that is not square, not finite or not Hermitian
-raises ``ValueError`` before the plan's sweep; ``apply_exp`` and
-``controlled_apply_exp`` check their state with ``linalg.require_state``
-before they build the plan.
+one gate, so a source that is not square or not Hermitian raises
+``ValueError`` before the plan's sweep (the oracle refused a non-finite
+one when it was built). ``apply_exp`` and ``controlled_apply_exp`` check
+their state with ``linalg.require_state``, and they and
+``channel.channel_step`` their time with ``_require_finite_time``, before
+they build the plan.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ import numpy as np
 
 from .linalg import require_state
 from .oracle import MatrixOracle, read_hermitian
+
+
+def _require_finite_time(t: float) -> None:
+    """ValueError for a NaN or infinite evolution time, before any query."""
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, not {t}")
 
 
 class BlockPlan(NamedTuple):
@@ -150,6 +158,7 @@ class ModifiedSwapOperator:
     def apply_exp(self, t: float, psi) -> np.ndarray:
         """exp(-i t op) psi on the N^2-dimensional doubled space."""
         psi = require_state(psi, self.dim * self.dim)
+        _require_finite_time(t)
         return self.build_plan().apply(psi, t)
 
     def controlled_apply_exp(self, t: float, psi) -> np.ndarray:
@@ -159,6 +168,7 @@ class ModifiedSwapOperator:
         """
         nn = self.dim * self.dim
         out = require_state(psi, 2 * nn)
+        _require_finite_time(t)
         out[nn:] = self.build_plan().apply(out[nn:], t)
         return out
 

@@ -419,7 +419,7 @@ def hadamard(bits: int) -> np.ndarray:
 class RecordingOracle(MatrixOracle):
     """A dense oracle whose ``reads`` lists each real read of the source, by kind.
 
-    A triangle sweep logs "sweep", a whole read "all", an uncounted copy
+    A triangle sweep logs "sweep", a whole read "all", an uncounted read
     "materialize" and an element query "query"; charged sweeps log nothing.
     """
 

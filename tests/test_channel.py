@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,22 @@ def test_step_count_must_be_a_positive_integer(steps, message):
     assert plan_steps(1.0, 1.0, 0.1, steps=np.int64(4))[0] == 4  # numpy integers count
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int64])
+def test_numpy_step_counts_act_as_python_ints(dtype):
+    # the charged calls (steps - 1) * 136 wrap in int8 or int16 arithmetic
+    steps = min(300, np.iinfo(dtype).max)
+    plan = plan_steps(1.0, 1.0, 0.1, steps=dtype(steps))
+    assert plan == plan_steps(1.0, 1.0, 0.1, steps=steps) and type(plan[0]) is int
+    a = random_low_rank(16, 2, np.random.default_rng(1))
+    runs = []
+    for count in (dtype(steps), steps):
+        oracle = _oracle(a)
+        runs.append((evolve(oracle, uniform_density(16), 0.5, 0.1, steps=count),
+                     oracle.report_calls()))
+    assert pickle.dumps(runs[0]) == pickle.dumps(runs[1])
+    assert runs[0][1] == steps * 136 and type(runs[0][0][1].steps) is int
+
+
 @pytest.mark.parametrize("t, epsilon", [(np.inf, 0.1), (-np.inf, 0.1), (np.nan, 0.1),
                                         (1.0, np.nan), (1.0, np.inf)])
 def test_evolution_config_rejects_non_finite(t, epsilon):
@@ -168,11 +185,9 @@ def test_evolution_config_rejects_non_finite(t, epsilon):
 
 def test_channel_step_rejects_non_finite_oracle():
     a = np.full((2, 2), 0.25, dtype=complex)
-    oracle = MatrixOracle(a)
-    a[0, 1] = np.nan  # the oracle holds the array itself: its gate must catch it
-    with pytest.raises(ValueError, match="NaN or infinity"):
-        channel_step(oracle, uniform_density(2), 0.1)
-    assert oracle.report_calls() == 0  # refused before the step's sweep
+    a[0, 1] = np.nan  # refused when the oracle is built, before the step is reached
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+        channel_step(MatrixOracle(a), uniform_density(2), 0.1)
 
 
 def test_evolve_zero_time():
@@ -490,7 +505,7 @@ def test_evolve_and_error_sweep_reject_state_shape_before_reading():
     assert oracle.report_calls() == 0
 
 
-def test_evolve_non_finite_oracle_fails_before_any_sweep():
+def test_evolve_off_hermitian_oracle_fails_before_any_sweep():
     a = np.full((3, 3), 0.25, dtype=complex)
 
     class CleanBaseline(MatrixOracle):
@@ -499,8 +514,8 @@ def test_evolve_non_finite_oracle_fails_before_any_sweep():
             return a.copy()
 
     source = a.copy()
+    source[2, 0] = 0.5
     oracle = CleanBaseline(source)
-    source[0, 1] = np.nan  # the oracle holds the array itself
-    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(residual 2.500e-01\)$"):
         evolve(oracle, uniform_density(3), 0.5, 0.1, steps=7)
     assert oracle.report_calls() == 0

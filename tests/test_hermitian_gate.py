@@ -5,11 +5,15 @@ The check is the first step of ``oracle.read_hermitian``: the rule of
 copy and no charge. Every library entry that takes its source as Hermitian
 reads it there, through ``ModifiedSwapOperator.build_plan`` or
 ``qpe._read_exact``, so each refuses a bad source with one message and no
-query. ``evolve`` and ``error_sweep`` first gate the uncounted copy that
+query. ``evolve`` and ``error_sweep`` first gate the uncounted source that
 gives their baseline with ``require_hermitian``, which refuses the same
 sources with the same messages, and ``backend_agreement`` and
-``query_scaling`` reach the read through ``qpe``.
+``query_scaling`` reach the read through ``qpe``. A non-finite source never
+gets this far: the oracle refuses it when it is built (the ``nan`` case),
+and a write to the caller's array after that reaches no entry.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -46,8 +50,8 @@ ENTRIES = {
         0.3, _basis(2 * N * N)),
     "spectrum": lambda o: ModifiedSwapOperator(o).spectrum(),
 }
-# the entries whose reads start with the uncounted copy that gives their baseline
-BASELINE_COPY = {"evolve", "error_sweep"}
+# the entries whose reads start with the uncounted source that gives their baseline
+BASELINE_READ = {"evolve", "error_sweep"}
 
 
 def _source(lower=0.0, diagonal=0.0):
@@ -65,13 +69,6 @@ def _scaled_source(fraction):
     return np.diag([0.5, 4 + 1j * imag, -1.0]) + 0.25 * np.ones((N, N))
 
 
-def _nan_oracle():
-    a = _source()
-    oracle = RecordingOracle(a)
-    a[0, 0] = np.nan  # the oracle holds the array itself
-    return oracle
-
-
 # case: (oracle factory, message)
 BAD_SOURCES = {
     "lower-triangle": (lambda: RecordingOracle(_source(lower=1e-9)),
@@ -86,7 +83,8 @@ BAD_SOURCES = {
                                      "matrix is not Hermitian (residual 4.292e-12)"),
     "non-square": (lambda: RecordingOracle(np.ones((N, N + 1), dtype=complex)),
                    f"matrix is not square ({N}x{N + 1})"),
-    "nan": (_nan_oracle, "matrix contains NaN or infinity"),
+    # refused when the oracle is built, so no entry is reached
+    "nan": (lambda: RecordingOracle(_source(lower=np.nan)), "matrix contains NaN or infinity"),
 }
 
 
@@ -94,15 +92,19 @@ BAD_SOURCES = {
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_bad_source_raises_before_any_query(name, case):
     factory, message = BAD_SOURCES[case]
-    oracle = factory()
+    oracle = None
     with pytest.raises(ValueError) as info:
+        oracle = factory()
         ENTRIES[name](oracle)
     assert str(info.value) == message
+    assert (oracle is None) == (case == "nan")
+    if oracle is None:
+        return
     assert oracle.report_calls() == 0
-    # no sweep and no copy beyond the baseline's; a non-square source fails
-    # at the oracle's dimension, before that copy too
-    copied = name in BASELINE_COPY and case != "non-square"
-    assert oracle.reads == (["materialize"] if copied else [])
+    # no sweep and no read beyond the baseline's; a non-square source fails
+    # at the oracle's dimension, before that read too
+    baseline = name in BASELINE_READ and case != "non-square"
+    assert oracle.reads == (["materialize"] if baseline else [])
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -113,5 +115,18 @@ def test_source_just_inside_tolerance_is_accepted(name):
                    _scaled_source(0.99)):
         oracle = RecordingOracle(source)
         assert ENTRIES[name](oracle) is not None
-        copy = ["materialize"] if name in BASELINE_COPY else []
-        assert oracle.report_calls() > 0 and oracle.reads == [*copy, "sweep"]
+        baseline = ["materialize"] if name in BASELINE_READ else []
+        assert oracle.report_calls() > 0 and oracle.reads == [*baseline, "sweep"]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_later_write_does_not_reach_the_read(name):
+    clean = RecordingOracle(_source())
+    want = ENTRIES[name](clean)
+    a = _source()
+    oracle = RecordingOracle(a)
+    a[...] = np.nan  # the oracle owns a copy of its source
+    got = ENTRIES[name](oracle)
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert oracle.report_calls() == clean.report_calls() > 0
+    assert oracle.reads == clean.reads

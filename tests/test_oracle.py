@@ -13,7 +13,7 @@ from modswap.oracle import MatrixOracle, oracle_from_generator, read_hermitian
 from modswap.qpe import QPEConfig, qpe
 from modswap.swapop import ModifiedSwapOperator
 
-from dense_refs import first_order_generator, random_hermitian
+from dense_refs import RecordingOracle, first_order_generator, random_hermitian
 
 
 def test_identity_queries():
@@ -50,42 +50,88 @@ def test_report_calls_counts_exactly():
 
 
 def test_read_all_is_one_counted_copy():
+    # one counted read of the oracle's own copy, made once when it was built
     a = np.arange(6).reshape(2, 3) + 1j
     oracle = MatrixOracle(a)
     values = oracle.read_all()
     np.testing.assert_array_equal(values, a)
     assert values.dtype == np.complex128 and values.flags.c_contiguous
+    assert not np.shares_memory(values, a)
     assert oracle.report_calls() == 6
-    values[0, 0] = 99
-    assert oracle.query(0, 0) == 1j  # a copy: the source is untouched
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 99
     dense = oracle.materialize()
-    assert oracle.report_calls() == 7  # materialize is the uncounted path
-    np.testing.assert_array_equal(dense, a)
+    assert oracle.report_calls() == 6  # materialize is the uncounted path
+    assert dense is values and oracle.read_all() is values  # no copy per read
 
 
 def test_read_all_of_fortran_ordered_source():
     a = np.asfortranarray(np.arange(6).reshape(2, 3) + 1j)
-    np.testing.assert_array_equal(MatrixOracle(a).read_all(), a)
+    values = MatrixOracle(a).read_all()
+    np.testing.assert_array_equal(values, a)
+    assert values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "imaginary-nan"])
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=["square", "rectangular"])
+def test_non_finite_source_is_refused_at_construction(shape, bad):
+    a = np.ones(shape, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+        MatrixOracle(a)
+
+
+def _refused_then_written_later(shape, bad):
+    """Check that a source with ``bad`` in it is refused when the oracle is
+    built; return an oracle of ones whose caller's array then gets ``bad``."""
+    a = np.ones(shape, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+        MatrixOracle(a)
+    a[1, 2] = 1.0
+    oracle = MatrixOracle(a)
+    a[1, 2] = bad
+    return oracle
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_read_all_rejects_non_finite_before_the_charge(bad):
-    a = np.ones((2, 3), dtype=complex)
-    oracle = MatrixOracle(a)
-    a[1, 2] = bad  # the oracle holds the array itself, not a copy
-    with pytest.raises(ValueError, match="^oracle returned NaN or infinity$"):
-        oracle.read_all()
-    assert oracle.report_calls() == 0
+    oracle = _refused_then_written_later((2, 3), bad)
+    np.testing.assert_array_equal(oracle.read_all(), np.ones((2, 3)))
+    assert oracle.report_calls() == 6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_upper_triangle_read_rejects_non_finite_before_the_charge(bad):
-    a = np.ones((3, 3), dtype=complex)
+    oracle = _refused_then_written_later((3, 3), bad)
+    np.testing.assert_array_equal(oracle.read_upper_triangle(), np.triu(np.ones((3, 3))))
+    assert oracle.report_calls() == 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_read_hermitian_rejects_non_finite(bad):
+    oracle = _refused_then_written_later((3, 3), bad)
+    np.testing.assert_array_equal(read_hermitian(oracle), np.ones((3, 3)))
+    assert oracle.report_calls() == 6
+
+
+def test_later_write_to_the_callers_array_reaches_no_read():
+    rng = np.random.default_rng(43)
+    a = random_hermitian(4, rng)
+    clean = a.copy()
     oracle = MatrixOracle(a)
-    a[0, 2] = bad
-    with pytest.raises(ValueError, match="^oracle returned NaN or infinity$"):
-        oracle.read_upper_triangle()
-    assert oracle.report_calls() == 0
+    a[...] = np.nan  # the oracle owns a copy: nothing it returns changes
+    assert [oracle.query(j, k) for j in range(4) for k in range(4)] == list(clean.ravel())
+    np.testing.assert_array_equal(oracle.read_upper_triangle(), np.triu(clean))
+    np.testing.assert_array_equal(oracle.read_all(), clean)
+    np.testing.assert_array_equal(read_hermitian(oracle), require_hermitian(clean))
+    np.testing.assert_array_equal(oracle.materialize(), clean)
+    for returned in (oracle.read_all(), oracle.materialize()):
+        with pytest.raises(ValueError, match="read-only"):
+            returned[0, 0] = 0.0
+    np.testing.assert_array_equal(oracle.materialize(), clean)
+    assert oracle.report_calls() == 16 + 10 + 16 + 10 + 16
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
@@ -128,16 +174,6 @@ def test_read_hermitian_counts_triangle():
     dense = read_hermitian(oracle)
     np.testing.assert_allclose(dense, a, atol=1e-15)
     assert oracle.report_calls() == 5 * 6 // 2
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_read_hermitian_rejects_non_finite(bad):
-    a = np.ones((3, 3), dtype=complex)
-    oracle = MatrixOracle(a)
-    a[1, 2] = bad
-    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
-        read_hermitian(oracle)
-    assert oracle.report_calls() == 0  # the gate refuses it before the sweep
 
 
 _E0 = np.array([1, 0, 0], dtype=complex)
@@ -190,11 +226,11 @@ def test_both_gates_return_the_same_exactly_hermitian_matrix(a):
 @st.composite
 def _perturbed(draw):
     """A ``_near_hermitian`` source as complex128, unchanged or pushed about the
-    tolerance in one lower-triangle or diagonal entry, widened by a column, or
-    given a NaN after the oracle takes it; returns (array, oracle)."""
+    tolerance in one lower-triangle or diagonal entry, or widened by a column;
+    returns (array, oracle)."""
     a = np.array(draw(_near_hermitian()), dtype=np.complex128)
     n = a.shape[0]
-    kind = draw(st.sampled_from(["none", "entry", "non-square", "nan"]))
+    kind = draw(st.sampled_from(["none", "entry", "non-square"]))
     j = draw(st.integers(0, n - 1))
     k = draw(st.integers(0, j))
     if kind == "entry":
@@ -203,10 +239,7 @@ def _perturbed(draw):
         a[j, k] += step * draw(st.sampled_from([1, -1, 1j, -1j]))
     if kind == "non-square":
         a = np.hstack([a, a[:, :1]])
-    oracle = MatrixOracle(a)
-    if kind == "nan":
-        a[j, k] = np.nan  # the oracle holds the array itself
-    return a, oracle
+    return a, MatrixOracle(a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,15 +281,14 @@ def test_upper_triangle_read_matches_per_element_queries(a):
 
 
 def test_charge_sweeps_counts_triangles_without_reading():
-    a = np.zeros((3, 3), dtype=complex)
-    oracle = MatrixOracle(a)
-    a[0, 1] = np.nan  # any read of the source would now fail
+    oracle = RecordingOracle(np.zeros((3, 3)))
     oracle.charge_sweeps(4)
     oracle.charge_sweeps(0)
     assert oracle.report_calls() == 4 * 6
     with pytest.raises(ValueError, match="non-negative"):
         oracle.charge_sweeps(-1)
     assert oracle.report_calls() == 4 * 6
+    assert oracle.reads == []
 
 
 def test_charge_sweeps_needs_square_oracle():

@@ -1,4 +1,5 @@
 import importlib
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,23 @@ def test_config_validation():
         with pytest.raises(ValueError):
             QPEConfig(bits=3)._replace(**kwargs)
     assert QPEConfig(bits=np.int64(3)).size == 8  # numpy integers are counts too
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int64])
+def test_numpy_bit_counts_act_as_python_ints(dtype):
+    # 1 << np.int8(10) wraps to 0 in int8 arithmetic; a count is stored as an int
+    config = QPEConfig(bits=dtype(10))
+    assert config == QPEConfig(bits=10) and type(config.bits) is int and config.size == 1024
+    assert type(QPEConfig(bits=3)._replace(bits=dtype(8)).bits) is int
+    assert decode_register(5, dtype(10), 1.0) == decode_register(5, 10, 1.0)
+    np.testing.assert_array_equal(decode_register(np.arange(1024), dtype(10), 1.0),
+                                  decode_register(np.arange(1024), 10, 1.0))
+    a = np.array([[0.5, 0.25], [0.25, -0.5]], dtype=complex)
+    for bits, backend in ((10, "exact-unitary"), (8, "trotter-channel")):
+        runs = [qpe(MatrixOracle(a), _E0, QPEConfig(bits=b, backend=backend, trotter_epsilon=0.5))
+                for b in (dtype(bits), bits)]
+        assert pickle.dumps(runs[0]) == pickle.dumps(runs[1])
+        assert type(runs[0].bits) is int and type(runs[0].oracle_calls) is int
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -380,18 +398,16 @@ def test_exact_qpe_distribution_equals_joint_row_sums(kind, seed):
 
 def test_qpe_rejects_non_finite_oracle():
     a = np.zeros((2, 2), dtype=complex)
-    oracle = MatrixOracle(a)
-    a[1, 1] = np.nan  # the oracle holds the array itself: the read must catch it
-    with pytest.raises(ValueError, match="NaN or infinity"):
-        qpe(oracle, np.array([1, 0], dtype=complex), QPEConfig(bits=3))
+    a[1, 1] = np.nan  # refused when the oracle is built, before qpe is reached
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+        qpe(MatrixOracle(a), np.array([1, 0], dtype=complex), QPEConfig(bits=3))
 
 
 def test_trotter_qpe_rejects_non_finite_oracle():
     a = np.full((2, 2), 0.5, dtype=complex)
-    oracle = MatrixOracle(a)
-    a[0, 1] = np.nan  # the oracle holds the array itself: the read must catch it
-    with pytest.raises(ValueError, match="NaN or infinity"):
-        qpe(oracle, np.array([1, 0], dtype=complex),
+    a[0, 1] = np.nan
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+        qpe(MatrixOracle(a), np.array([1, 0], dtype=complex),
             QPEConfig(bits=2, base_time=1.0, backend="trotter-channel"))
 
 

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from modswap.channel import channel_step
 from modswap.oracle import MatrixOracle
 from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import (
+    RecordingOracle,
     apply_by_pairs,
     channel_via_joint,
     dense_exp_swap,
@@ -207,10 +209,26 @@ def test_kraus_factors_equal_pair_layout(n, kind, seed, t):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_plan_rejects_non_finite_source(bad):
     a = np.full((3, 3), 0.5, dtype=complex)
-    oracle = MatrixOracle(a)
-    a[0, 0] = bad  # the oracle holds the array itself: the read must catch it
-    with pytest.raises(ValueError, match="NaN or infinity"):
-        ModifiedSwapOperator(oracle).build_plan()
+    a[0, 0] = bad  # refused when the oracle is built, before the plan is reached
+    with pytest.raises(ValueError, match="^matrix contains NaN or infinity$"):
+        ModifiedSwapOperator(MatrixOracle(a)).build_plan()
+
+
+_TIMED_ENTRIES = {
+    "channel_step": lambda o, t: channel_step(o, np.eye(3) / 3, t),
+    "apply_exp": lambda o, t: ModifiedSwapOperator(o).apply_exp(t, np.eye(9)[0]),
+    "controlled_apply_exp": lambda o, t: ModifiedSwapOperator(o).controlled_apply_exp(
+        t, np.eye(18)[0]),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_TIMED_ENTRIES))
+def test_non_finite_time_is_refused_before_the_sweep(name, t):
+    oracle = RecordingOracle(random_hermitian(3, np.random.default_rng(8)))
+    with pytest.raises(ValueError, match=f"^evolution time must be finite, not {t}$"):
+        _TIMED_ENTRIES[name](oracle, t)
+    assert oracle.report_calls() == 0 and oracle.reads == []
 
 
 def test_kraus_matches_row_sums():
