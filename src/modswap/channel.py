@@ -24,7 +24,7 @@ in batches: ``evolve`` computes each state in place after its predecessor
 in one buffer of ``_chunk(N) + 1`` consecutive states (``_chunk(N)`` is
 ``ERROR_BUFFER_BYTES`` of them, 64 KB, and never less than one), and each
 filled buffer gets one stacked baseline product and one ungated
-``linalg.trace_norms`` call. ``error_sweep`` stacks its dts the same way.
+``linalg.trace_norms`` call; ``error_sweep`` makes one such call per dt.
 Memory does not grow with the step count. Every entry checks its density
 with ``require_density(sigma, N)`` before any query.
 """
@@ -241,9 +241,8 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     delta_ts must be finite, positive and strictly descending, and the matrix
     must be nonzero: a zero matrix makes every bound 2 * max_norm^2 * dt^2
     zero. One counted sweep serves every dt; the other sweeps are charged.
-    The dts are stacked ``_chunk(N)`` at a time: one stacked product
-    u·sigma·u† and one ``trace_norms`` call per stack, bit for bit the
-    errors of one ``nuclear_norm`` call per dt.
+    Each dt's error is one ungated ``trace_norms`` call, bit for bit the
+    error of one ``nuclear_norm`` call.
     """
     dts = [float(d) for d in delta_ts]
     if not all(math.isfinite(d) for d in dts):
@@ -259,15 +258,12 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
 
     plan = _read_once(oracle, len(dts))
     w, v = np.linalg.eigh(a)
-    chunk = _chunk(a.shape[0])
-    measured = []
-    for done in range(0, len(dts), chunk):
-        part = dts[done:done + chunk]
-        u = np.stack([unitary_from_eigh(w, v, dt) for dt in part])
-        after = np.stack([hermitize(plan.channel_map(dt)(sigma)) for dt in part])
-        measured += trace_norms(after - u @ sigma @ u.conj().swapaxes(-1, -2)).tolist()
-    rows = [SweepRow(delta_t=dt, measured_error=err, bound=bound)
-            for dt, err, bound in zip(dts, measured, bounds)]
+    rows = []
+    for dt, bound in zip(dts, bounds):
+        u = unitary_from_eigh(w, v, dt)
+        after = hermitize(plan.channel_map(dt)(sigma))
+        err = float(trace_norms(after - u @ sigma @ u.conj().T))
+        rows.append(SweepRow(delta_t=dt, measured_error=err, bound=bound))
     xs = np.log([r.delta_t for r in rows])
     ys = np.log([max(r.measured_error, 1e-300) for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")

@@ -10,16 +10,17 @@ conjugated from it and diagonal real. Both Hermitian gates return it:
 ``oracle.read_hermitian``, the gate of the counted one, so a baseline and
 its counted run see the same bits and no caller fixes either result again.
 They share one rule, HERMITIAN_TOL relative to max(1, max |A_jk|) on the
-whole matrix, which ``check_hermitian`` applies with nothing built:
-``require_hermitian`` and ``nuclear_norm`` run it, and ``read_hermitian``
-runs it on the oracle's source before its sweep charges any query.
-``require_state`` is the one gate of every state vector the
-library takes; it refuses, never fixes, a norm off 1. ``trace_norms`` is
-the one trace-norm kernel: ``nuclear_norm`` runs it behind the Hermitian
+whole matrix, which ``check_hermitian`` applies with nothing built to an
+array that has already passed ``as_matrix``: ``require_hermitian`` and
+``nuclear_norm`` run it behind ``as_matrix``, and ``read_hermitian`` runs it
+on the oracle's source, checked when the oracle was built, before its sweep
+charges any query. ``require_state`` is the one gate of every state vector
+the library takes; it refuses, never fixes, a norm off 1. ``trace_norms``
+is the one trace-norm kernel: ``nuclear_norm`` runs it behind the Hermitian
 check, since every error measured here is the trace norm of a difference of
-Hermitian matrices, and ``evolve`` and ``error_sweep`` run it ungated on
-stacks of step differences. The random ensembles are the
-paper's test matrices: low rank, with eigenvalues Theta(N).
+Hermitian matrices, and ``evolve`` runs it ungated on stacks of step
+differences, ``error_sweep`` on each dt's difference. The random ensembles
+are the paper's test matrices: low rank, with eigenvalues Theta(N).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def is_hermitian(a: np.ndarray) -> bool:
     return hermiticity_residual(a) <= HERMITIAN_TOL * scale
 
 
-def check_hermitian(a) -> np.ndarray:
-    """``as_matrix(A)`` for a square A within HERMITIAN_TOL of Hermitian; ValueError otherwise."""
-    a = as_matrix(a)
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """A itself, an ``as_matrix`` result, if square and within HERMITIAN_TOL of
+    Hermitian; ValueError otherwise."""
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square ({a.shape[0]}x{a.shape[1]})")
     if not is_hermitian(a):
@@ -93,7 +94,7 @@ def require_hermitian(a) -> np.ndarray:
     max(1, max |A_jk|), else ValueError. ``oracle.read_hermitian`` returns
     the same matrix from a counted sweep of the upper triangle.
     """
-    return hermitian_from_upper(check_hermitian(a))
+    return hermitian_from_upper(check_hermitian(as_matrix(a)))
 
 
 def require_state(psi, n: int) -> np.ndarray:
@@ -136,7 +137,7 @@ def nuclear_norm(a) -> float:
     The gate only checks: the norm is that of hermitize(A), not of the
     matrix ``require_hermitian`` returns.
     """
-    return float(trace_norms(check_hermitian(a)))
+    return float(trace_norms(check_hermitian(as_matrix(a))))
 
 
 def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:

@@ -45,8 +45,7 @@ class MatrixOracle:
     The oracle owns a read-only, C-ordered complex128 copy of its source,
     checked by ``as_matrix`` and for a zero dimension when it is built; the
     caller's array is never read again. Out-of-range queries raise
-    IndexError without touching the counter. Concurrent sweeps should each
-    own their own instance (``fork``).
+    IndexError without touching the counter.
     """
 
     def __init__(self, a):
@@ -67,10 +66,6 @@ class MatrixOracle:
         if m != n:
             raise ValueError(f"matrix is not square ({m}x{n})")
         return m
-
-    def fork(self) -> "MatrixOracle":
-        """Same source, fresh counter."""
-        return MatrixOracle(self._matrix)
 
     def _charge(self, calls: int) -> None:
         with self._lock:
@@ -129,11 +124,11 @@ class MatrixOracle:
 def read_hermitian(oracle: MatrixOracle) -> np.ndarray:
     """The gated counted read of a Hermitian source: ``hermitian_from_upper`` of one sweep.
 
-    The source is first checked where it lies by ``linalg.check_hermitian``,
-    uncounted and without a copy; a source that check refuses raises its
-    ``ValueError`` before any query. Then one ``read_upper_triangle``
-    sweep, so an N x N read costs N(N+1)/2 calls, the same per-sweep price
-    the evolution steps pay. The result is exactly Hermitian, the matrix
+    The source, checked finite when the oracle was built, is first checked
+    where it lies by ``linalg.check_hermitian``, uncounted and without a
+    copy; a source that check refuses raises its ``ValueError`` before any
+    query. Then one ``read_upper_triangle`` sweep, so an N x N read costs
+    N(N+1)/2 calls, the same per-sweep price the evolution steps pay. The result is exactly Hermitian, the matrix
     ``require_hermitian`` returns for the same source.
     """
     check_hermitian(oracle._matrix)

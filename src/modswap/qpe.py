@@ -427,10 +427,11 @@ def backend_agreement(oracle: MatrixOracle, psi, config: QPEConfig) -> Agreement
     """Total-variation distance between the two backends' register outputs.
 
     The trotter run goes first, so a configuration over ``MAX_BYTES`` is
-    rejected before either backend reads the source.
+    rejected before either backend reads the source. Both runs charge
+    ``oracle``; ``trotter_calls`` is the trotter run's own count.
     """
-    trotter = qpe(oracle.fork(), psi, config._replace(backend="trotter-channel"))
-    exact = qpe(oracle.fork(), psi, config._replace(backend="exact-unitary"))
+    trotter = qpe(oracle, psi, config._replace(backend="trotter-channel"))
+    exact = qpe(oracle, psi, config._replace(backend="exact-unitary"))
     tv = 0.5 * float(np.sum(np.abs(exact.distribution - trotter.distribution)))
     return AgreementReport(
         tv_distance=tv,
@@ -460,7 +461,8 @@ def query_scaling(oracle: MatrixOracle, psi, epsilons,
     accuracy both doubles the total phase-estimation time (one extra
     register bit) and halves the per-application channel budget, the regime
     in which total queries scale like accuracy^-3. epsilons must be
-    descending from epsilons[0]; base_time None takes the default t0.
+    descending from epsilons[0]; base_time None takes the default t0. Every
+    run charges ``oracle``; each row's ``oracle_calls`` is its run's own count.
     """
     eps = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -469,7 +471,7 @@ def query_scaling(oracle: MatrixOracle, psi, epsilons,
     for e in eps:
         cfg = QPEConfig(bits=2 + round(math.log2(eps[0] / e)), base_time=base_time,
                         backend="trotter-channel", trotter_epsilon=e)
-        result = qpe(oracle.fork(), psi, cfg)
+        result = qpe(oracle, psi, cfg)
         rows.append(ScalingRow(epsilon=e, bits=cfg.bits, oracle_calls=result.oracle_calls))
     xs = np.log([1.0 / r.epsilon for r in rows])
     ys = np.log([r.oracle_calls for r in rows])

@@ -82,8 +82,6 @@ def extended_spectrum_check(a) -> ExtendedSpectrumReport:
     """
     a = as_matrix(a)
     m, n = a.shape
-    if m + n > 128:
-        raise ValueError("spectrum check is limited to M + N <= 128")
     dense = embedding(a)
     sig = np.linalg.svd(a, compute_uv=False)
     expected = np.sort(np.concatenate([sig, -sig, np.zeros(m + n - 2 * sig.size)]))

@@ -404,7 +404,7 @@ def test_evolve_equals_per_step_loop_across_chunk_boundaries(kind, n, steps):
 
 @pytest.mark.parametrize("n", [16, 24, 32, 64])
 def test_error_sweep_equals_per_step_loop_across_chunk_boundaries(n):
-    # 7 dts fill 1, 1, 2 and 7 stacks at these sizes
+    # 7 dts, measured one at a time, against one nuclear_norm call per dt
     rng = np.random.default_rng(400 + n)
     a = random_low_rank(n, 2, rng)
     sigma = random_density(n, rng)
@@ -490,6 +490,15 @@ def test_error_sweep_rejects_non_finite_dt_before_reading(dts):
     rng = np.random.default_rng(23)
     oracle = _oracle(random_hermitian(3, rng))
     with pytest.raises(ValueError, match="finite"):
+        error_sweep(oracle, random_density(3, rng), dts)
+    assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("dts", [[], [0.1, 0.0], [-0.1]], ids=["empty", "zero", "negative"])
+def test_error_sweep_rejects_empty_or_non_positive_dts_before_reading(dts):
+    rng = np.random.default_rng(23)
+    oracle = _oracle(random_hermitian(3, rng))
+    with pytest.raises(ValueError, match="^delta_t values must be positive$"):
         error_sweep(oracle, random_density(3, rng), dts)
     assert oracle.report_calls() == 0
 

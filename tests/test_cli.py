@@ -13,10 +13,10 @@ import pytest
 
 import modswap.cli as cli
 from modswap import FORMAT_VERSION, __version__
-from modswap.channel import plan_steps
+from modswap.channel import plan_steps, pure_density
 from modswap.cli import build_parser, main
 from modswap.oracle import MatrixOracle
-from modswap.matio import load_matrix, save_matrix
+from modswap.matio import load_matrix, load_state, save_matrix
 from modswap.linalg import random_low_rank, require_hermitian
 from modswap.qpe import default_base_time
 
@@ -950,6 +950,43 @@ def test_generator_size_below_one_exits_2(tmp_path, capsys, argv, n):
     assert not out.exists()
 
 
+def _evolve_and_sweep(tmp_path, matrix, state, tag):
+    """(evolve envelope without config.state, error-sweep CSV) for one --state file."""
+    envelope, csv = tmp_path / f"evolve-{tag}.json", tmp_path / f"sweep-{tag}.csv"
+    source = ["--matrix", str(matrix), "--state", str(state)]
+    assert main(["evolve", *source, "--time", "0.2", "--epsilon", "0.05",
+                 "--out", str(envelope)]) == 0
+    assert main(["error-sweep", *source, "--dts", "0.1,0.05,0.025", "--out", str(csv)]) == 0
+    env = json.loads(envelope.read_text())
+    assert env["config"].pop("state") == str(state)
+    return env, csv.read_text()
+
+
+def test_density_state_file_runs_as_its_pure_state(tmp_path):
+    # --state also takes an N x N density: the density of a vector file gives
+    # that vector file's envelope and CSV
+    matrix, vector, density = _gen(tmp_path, n=6), tmp_path / "v.json", tmp_path / "rho.json"
+    rng = np.random.default_rng(81)
+    save_matrix(vector, (rng.standard_normal(6) + 1j * rng.standard_normal(6)).reshape(-1, 1))
+    save_matrix(density, pure_density(load_state(vector)))
+    assert (_evolve_and_sweep(tmp_path, matrix, density, "rho")
+            == _evolve_and_sweep(tmp_path, matrix, vector, "v"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--time", "0.2", "--epsilon", "0.05"],
+    ["error-sweep", "--dts", "0.1,0.05"],
+])
+def test_density_state_file_with_negative_eigenvalue_exits_2(tmp_path, capsys, argv):
+    state = tmp_path / "rho.json"
+    save_matrix(state, np.diag([0.5, 0.3, 0.1, 0.1, 0.1, -0.1]))
+    out = tmp_path / "o.out"
+    assert main([*argv, "--matrix", str(_gen(tmp_path, n=6)), "--state", str(state),
+                 "--out", str(out)]) == 2
+    assert "density matrix has negative eigenvalue -1.000e-01" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     ("random-lowrank:n=4", "generator 'random-lowrank' needs parameter 'r'"),
     ("all-ones", "generator 'all-ones' needs parameter 'n'"),
@@ -964,6 +1001,7 @@ def test_generator_size_below_one_exits_2(tmp_path, capsys, argv, n):
     ("random-lowrank:n=4,r=2,r=3,seed=1", "generator 'random-lowrank' repeats parameter 'r'"),
     ("random-lowrank:n=4,r=2,seed=1,seed=5",
      "generator 'random-lowrank' repeats parameter 'seed'"),
+    ("random-lowrank:n=4,r", "malformed generator parameter 'r'"),
 ])
 def test_bad_generator_spec_names_generator_and_parameter(tmp_path, capsys, spec, message):
     out = tmp_path / "o.json"

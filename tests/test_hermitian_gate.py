@@ -7,8 +7,9 @@ reads it there, through ``ModifiedSwapOperator.build_plan`` or
 ``qpe._read_exact``, so each refuses a bad source with one message and no
 query. ``evolve`` and ``error_sweep`` first gate the uncounted source that
 gives their baseline with ``require_hermitian``, which refuses the same
-sources with the same messages, and ``backend_agreement`` and
-``query_scaling`` reach the read through ``qpe``. A non-finite source never
+sources with the same messages. ``backend_agreement`` and ``query_scaling``
+reach the read through ``qpe`` on the oracle they are given, so a refusal
+leaves that oracle's counter at 0 too. A non-finite source never
 gets this far: the oracle refuses it when it is built (the ``nan`` case),
 and a write to the caller's array after that reaches no entry.
 """
@@ -21,7 +22,7 @@ import pytest
 from modswap.channel import channel_step, error_sweep, evolve
 from modswap.linalg import HERMITIAN_TOL
 from modswap.oracle import read_hermitian
-from modswap.qpe import QPEConfig, qpe
+from modswap.qpe import QPEConfig, backend_agreement, qpe, query_scaling
 from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import RecordingOracle, first_order_generator
@@ -45,6 +46,9 @@ ENTRIES = {
     "qpe-exact": lambda o: qpe(o, _basis(N), QPEConfig(bits=2)),
     "qpe-trotter": lambda o: qpe(o, _basis(N), QPEConfig(
         bits=2, backend="trotter-channel", trotter_epsilon=0.1)),
+    "backend_agreement": lambda o: backend_agreement(o, _basis(N), QPEConfig(
+        bits=2, trotter_epsilon=0.1)),
+    "query_scaling": lambda o: query_scaling(o, _basis(N), [0.2, 0.1]),
     "apply_exp": lambda o: ModifiedSwapOperator(o).apply_exp(0.3, _basis(N * N)),
     "controlled_apply_exp": lambda o: ModifiedSwapOperator(o).controlled_apply_exp(
         0.3, _basis(2 * N * N)),
@@ -52,6 +56,8 @@ ENTRIES = {
 }
 # the entries whose reads start with the uncounted source that gives their baseline
 BASELINE_READ = {"evolve", "error_sweep"}
+# the entries that run qpe twice, one counted sweep each; every other entry sweeps once
+TWO_SWEEPS = {"backend_agreement", "query_scaling"}
 
 
 def _source(lower=0.0, diagonal=0.0):
@@ -116,7 +122,8 @@ def test_source_just_inside_tolerance_is_accepted(name):
         oracle = RecordingOracle(source)
         assert ENTRIES[name](oracle) is not None
         baseline = ["materialize"] if name in BASELINE_READ else []
-        assert oracle.report_calls() > 0 and oracle.reads == [*baseline, "sweep"]
+        sweeps = ["sweep"] * (2 if name in TWO_SWEEPS else 1)
+        assert oracle.report_calls() > 0 and oracle.reads == [*baseline, *sweeps]
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from modswap.linalg import (
     HERMITIAN_TOL,
+    as_matrix,
     exact_evolution,
     haar_unitary,
     hermitian_from_upper,
@@ -66,6 +67,17 @@ def test_as_matrix_accepts_fortran_and_strided_input():
         view[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN or infinity"):
             require_hermitian(view)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1-d", "3-d"])
+def test_as_matrix_rejects_other_than_two_dimensions(shape):
+    with pytest.raises(ValueError, match=rf"^expected a 2-d array, got ndim={len(shape)}$"):
+        as_matrix(np.ones(shape))
+
+
+def test_exact_evolution_rejects_state_of_wrong_shape():
+    with pytest.raises(ValueError, match=r"^state dim \(2, 2\) != matrix dim \(3, 3\)$"):
+        exact_evolution(np.eye(3), 0.1, np.eye(2) / 2)
 
 
 def test_exact_evolution_zero_matrix():
@@ -148,6 +160,12 @@ def test_random_low_rank_rect_shapes_and_rank():
     s = np.linalg.svd(a, compute_uv=False)
     assert np.sum(s > 1e-10) == 2
     assert np.all(s[:2] >= 0.5 * 10 / 2 - 1e-12)
+
+
+@pytest.mark.parametrize("r", [0, 5])
+def test_random_low_rank_rect_rejects_bad_rank(r):
+    with pytest.raises(ValueError, match=rf"^rank r={r} must satisfy 1 <= r <= min\(4, 6\)$"):
+        random_low_rank_rect(4, 6, r, np.random.default_rng(0))
 
 
 def test_nuclear_norm_rejects_non_hermitian_and_non_square():

@@ -151,15 +151,6 @@ def test_determinism_identical_sequences():
     assert o1.report_calls() == o2.report_calls() == len(seq)
 
 
-def test_fork_resets_counter_not_source():
-    oracle = MatrixOracle(np.eye(2))
-    oracle.query(0, 0)
-    fork = oracle.fork()
-    assert fork.report_calls() == 0
-    assert fork.query(0, 0) == 1
-    assert oracle.report_calls() == 1
-
-
 def test_concurrent_counting_is_race_free():
     oracle = MatrixOracle(np.eye(4))
     with ThreadPoolExecutor(max_workers=8) as pool:

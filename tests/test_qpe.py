@@ -520,7 +520,7 @@ def test_exact_backend_decomposes_the_hermitized_read(n, seed, kind):
             tol = HERMITIAN_TOL / 4 * max(1.0, float(np.max(np.abs(z)))) / np.sqrt(2)
             z += tol * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
         oracle = MatrixOracle(z)
-    a = read_hermitian(oracle.fork())
+    a = read_hermitian(MatrixOracle(oracle.materialize()))
     seen = []
 
     def recording(matrix, *args):
@@ -671,6 +671,27 @@ def test_trotter_memory_guard_boundary(monkeypatch, spare):
         assert oracle.report_calls() == 0
 
 
+@pytest.mark.parametrize("spare", [0, -1])
+def test_backend_agreement_charges_its_oracle_after_the_trotter_guard(monkeypatch, spare):
+    # the same cap: backend_agreement's oracle holds the sum of both runs'
+    # calls, and one byte less refuses it before its exact run reads the source
+    n, bits = 3, 4
+    size = 1 << bits
+    monkeypatch.setattr(importlib.import_module("modswap.qpe"), "MAX_BYTES",
+                        16 * (3 * size * n * n + 2 * size + 6 * n**4) + spare)
+    a = random_hermitian(n, np.random.default_rng(2))
+    oracle, psi = MatrixOracle(a), np.array([1, 0, 0], dtype=complex)
+    cfg = QPEConfig(bits=bits, trotter_epsilon=0.1)
+    if spare == 0:
+        report = backend_agreement(oracle, psi, cfg)
+        exact = qpe(MatrixOracle(a), psi, cfg)
+        assert oracle.report_calls() == report.trotter_calls + exact.oracle_calls
+    else:
+        with pytest.raises(ValueError, match="trotter backend"):
+            backend_agreement(oracle, psi, cfg)
+        assert oracle.report_calls() == 0
+
+
 def test_trotter_runs_eleven_bits_at_n4():
     # the (2^11 * 4)^2 register x system density would need 1 GiB; one N x N
     # operator per register frequency needs under 2 MB
@@ -749,6 +770,14 @@ def test_trotter_backend_equals_block_reference(n, bits, seed, kind, epsilon, ne
     np.testing.assert_allclose(dist, want, rtol=0, atol=1e-12)
     assert (got_t0, bound) == (want_t0, want_bound)
     assert got_oracle.report_calls() == want_oracle.report_calls()
+
+
+@pytest.mark.parametrize("epsilons", [[0.1, 0.2], [0.1, 0.1]], ids=["ascending", "repeated"])
+def test_query_scaling_rejects_unordered_epsilons_before_any_query(epsilons):
+    oracle = MatrixOracle(np.eye(2))
+    with pytest.raises(ValueError, match="^epsilons must be strictly descending$"):
+        query_scaling(oracle, np.array([1, 0], dtype=complex), epsilons)
+    assert oracle.report_calls() == 0
 
 
 def test_query_scaling_exact_counts():

@@ -11,7 +11,7 @@ import pytest
 from modswap.channel import channel_step, error_sweep, evolve, pure_density
 from modswap.linalg import random_low_rank_rect
 from modswap.procrustes import quantum_procrustes_apply
-from modswap.qpe import QPEConfig, qpe
+from modswap.qpe import QPEConfig, backend_agreement, qpe, query_scaling
 from modswap.swapop import ModifiedSwapOperator
 
 from dense_refs import RecordingOracle, random_density, random_hermitian, random_state
@@ -32,6 +32,9 @@ VECTOR_ENTRIES = {
     "qpe-exact": (_hermitian, N, lambda o, psi: qpe(o, psi, QPEConfig(bits=2))),
     "qpe-trotter": (_hermitian, N, lambda o, psi: qpe(
         o, psi, QPEConfig(bits=2, backend="trotter-channel", trotter_epsilon=0.1))),
+    "backend_agreement": (_hermitian, N, lambda o, psi: backend_agreement(
+        o, psi, QPEConfig(bits=2, trotter_epsilon=0.1))),
+    "query_scaling": (_hermitian, N, lambda o, psi: query_scaling(o, psi, [0.2, 0.1])),
     "procrustes": (_rectangular, N,
                    lambda o, psi: quantum_procrustes_apply(o, psi, QPEConfig(bits=6), 0.02)),
     "apply_exp": (_hermitian, N * N, lambda o, psi: ModifiedSwapOperator(o).apply_exp(0.3, psi)),
@@ -104,4 +107,30 @@ def test_density_of_wrong_shape_raises_before_any_query(name, sigma):
     with pytest.raises(ValueError, match=rf"state dim \({sigma.shape[0]}, {sigma.shape[1]}\) "
                                          rf"!= oracle dim {N}"):
         DENSITY_ENTRIES[name](oracle, sigma)
+    assert oracle.report_calls() == 0 and oracle.reads == []
+
+
+def _off_hermitian():
+    rho = np.eye(N, dtype=complex) / N
+    rho[0, 1] = 0.1
+    return rho
+
+
+# case: (density, message) for each way an n x n density of the right shape fails
+BAD_DENSITIES = {
+    "not-hermitian": (_off_hermitian(), "density matrix is not Hermitian"),
+    "trace": (np.eye(N) / 2, "density matrix trace (1.5+0j) != 1"),
+    "negative-eigenvalue": (np.diag([0.6, 0.5, -0.1]),
+                            "density matrix has negative eigenvalue -1.000e-01"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DENSITIES))
+@pytest.mark.parametrize("name", sorted(DENSITY_ENTRIES))
+def test_bad_density_raises_before_any_query(name, case):
+    sigma, message = BAD_DENSITIES[case]
+    oracle = _hermitian()
+    with pytest.raises(ValueError) as info:
+        DENSITY_ENTRIES[name](oracle, sigma)
+    assert str(info.value) == message
     assert oracle.report_calls() == 0 and oracle.reads == []

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ def test_extended_spectrum_random_low_rank():
     assert report.nonzero_count == 4  # rank doubling: 2r nonzero eigenvalues
 
 
+def test_extended_spectrum_has_no_size_cap():
+    # M + N = 200: the check builds the same (M+N)^2 embedding quantum_svd does
+    a = random_low_rank_rect(120, 80, 5, np.random.default_rng(200))
+    report = extended_spectrum_check(a)
+    assert report.eigenvalues.shape == (200,)
+    assert report.max_eigenvalue_deviation <= 1e-10
+    assert report.max_subvector_norm_deviation <= 1e-10
+    assert report.nonzero_count == 10
+
+
 @pytest.mark.parametrize("shape, rank", [((4, 6), 2), ((7, 3), 3), ((5, 5), 1)])
 def test_extended_spectrum_subvector_norms_match_per_eigenvector_loop(shape, rank):
     a = random_low_rank_rect(*shape, rank, np.random.default_rng(rank))
@@ -233,6 +244,20 @@ def test_quantum_svd_rejects_bad_threshold_before_any_query(threshold):
     with pytest.raises(ValueError, match="threshold must be positive and finite"):
         quantum_svd(oracle, QPEConfig(bits=6), threshold=threshold)
     assert oracle.report_calls() == 0
+
+
+@pytest.mark.parametrize("a, config, threshold, message", [
+    # sigma / (M+N) = 0.75 and 0.25, all below the threshold
+    pytest.param(np.diag([3.0, 1.0]), QPEConfig(bits=6), 1.0,
+                 "no singular values resolved above threshold", id="none-resolved"),
+    # at 2 bits the aliasing value, decoded -pi/t0, lies in the negative
+    # window only: -sigma's eigenvector has half its mass there, +sigma's not
+    pytest.param([[1.0]], QPEConfig(bits=2, base_time=1.6), 0.01,
+                 "0 positive and 1 negative branch(es) resolved", id="mismatched-branches"),
+])
+def test_quantum_svd_refuses_unresolved_spectrum(a, config, threshold, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantum_svd(_oracle(a), config, threshold=threshold)
 
 
 def test_quantum_svd_threshold_filters():

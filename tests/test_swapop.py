@@ -241,6 +241,12 @@ def test_kraus_matches_row_sums():
     np.testing.assert_allclose(plan.kraus(dt), want, atol=1e-14)
 
 
+def test_plan_apply_rejects_wrong_axis_length():
+    plan = _op(random_hermitian(3, np.random.default_rng(26))).build_plan()
+    with pytest.raises(ValueError, match="^axis 0 has length 8, expected 9$"):
+        plan.apply(np.ones((8, 2), dtype=complex), 0.4)
+
+
 def test_plan_conjugate_matches_dense():
     rng = np.random.default_rng(27)
     a = random_hermitian(3, rng)
