@@ -12,6 +12,11 @@ Envelopes and matrix files go through the one writer ``matio._write_json``:
 every array a pipeline returns is handed to it as is, and a non-finite
 number exits 2 with no file written.
 
+``import modswap.cli`` loads ``linalg`` and ``matio`` alone; each command
+imports its own pipeline module when it runs, so a process pays only for
+the code its command uses, and the first run's --timing includes that
+import.
+
 Exit codes: 0 success, 2 refused input (``ValueError`` or ``OSError``:
 validation, usage, an unreadable or malformed file), 1 runtime failure
 (any other exception, which is a fault in the program).
@@ -28,14 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
-from .channel import error_sweep, evolve, pure_density
-from .linalg import random_low_rank, random_low_rank_rect
+from .linalg import embedding, random_low_rank, random_low_rank_rect
 from .matio import (_complex_pairs, _state_from_matrix, _write_json, load_matrix, load_state,
                     matrix_to_json_obj, save_matrix)
-from .oracle import MatrixOracle, oracle_from_generator
-from .procrustes import quantum_procrustes_apply
-from .qpe import QPEConfig, qpe
-from .svdx import embedding, phase_ambiguity_demo, quantum_svd
 
 BACKENDS = {"exact": "exact-unitary", "trotter": "trotter-channel"}
 
@@ -54,7 +54,9 @@ def _write_envelope(path, command: str, config: dict, results: dict,
     _write_json(path, envelope)
 
 
-def _resolve_oracle(args) -> MatrixOracle:
+def _resolve_oracle(args):
+    from .oracle import MatrixOracle, oracle_from_generator
+
     if getattr(args, "matrix", None):
         return MatrixOracle(load_matrix(args.matrix))
     if getattr(args, "generator", None):
@@ -74,6 +76,8 @@ def _resolve_oracle(args) -> MatrixOracle:
 
 
 def _resolve_sigma(args, n: int) -> np.ndarray:
+    from .channel import pure_density
+
     if getattr(args, "state", None):
         loaded = load_matrix(args.state)
         if 1 in loaded.shape:
@@ -130,6 +134,8 @@ def cmd_gen_matrix(args) -> None:
 
 
 def cmd_evolve(args):
+    from .channel import evolve
+
     oracle = _resolve_oracle(args)
     final, report = evolve(oracle, _resolve_sigma(args, oracle.dim), args.time,
                            args.epsilon, steps=args.steps)
@@ -146,6 +152,8 @@ def cmd_evolve(args):
 
 
 def cmd_error_sweep(args) -> None:
+    from .channel import error_sweep
+
     oracle = _resolve_oracle(args)
     sigma = _resolve_sigma(args, oracle.dim)
     dts = [float(x) for x in args.dts.split(",")]
@@ -159,6 +167,8 @@ def cmd_error_sweep(args) -> None:
 
 
 def cmd_qpe(args):
+    from .qpe import QPEConfig, qpe
+
     oracle = _resolve_oracle(args)
     psi = _resolve_psi(args, oracle.dim)
     config = QPEConfig(bits=args.bits, base_time=args.t0,
@@ -179,6 +189,9 @@ def cmd_qpe(args):
 
 
 def cmd_svd(args):
+    from .qpe import QPEConfig
+    from .svdx import quantum_svd
+
     oracle = _resolve_oracle(args)
     config = QPEConfig(bits=args.bits)
     result = quantum_svd(oracle, config, args.threshold)
@@ -206,6 +219,8 @@ def cmd_svd(args):
 
 
 def cmd_demo_phase_ambiguity(args):
+    from .svdx import phase_ambiguity_demo
+
     a = load_matrix(args.matrix)
     # a prefix of this draw equals a draw of the prefix's size, so the demo's
     # first rank(A) phases are those a draw of rank(A) phases gives
@@ -228,6 +243,9 @@ def cmd_demo_phase_ambiguity(args):
 
 
 def cmd_procrustes(args):
+    from .procrustes import quantum_procrustes_apply
+    from .qpe import QPEConfig
+
     if args.shots is not None and args.shots < 1:
         raise ValueError("shots must be >= 1")
     oracle = _resolve_oracle(args)

@@ -34,10 +34,12 @@ RANK_CUT = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex array."""
+    """Coerce to a finite, non-empty 2-d complex array."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
+    if not a.size:
+        raise ValueError("empty matrix ({}x{})".format(*a.shape))
     # complex isfinite, not a float64 view: the view refuses Fortran-ordered
     # and column-strided input
     if not np.isfinite(a).all():
@@ -51,15 +53,13 @@ def hermiticity_residual(a: np.ndarray) -> float:
     A† is first copied out contiguous, which at N = 256 takes a third of
     the time of subtracting the transposed view.
     """
-    if not a.size:
-        return 0.0
     d = np.conjugate(a.T, out=np.empty(a.shape, dtype=np.complex128))
     return float(np.max(np.abs(np.subtract(a, d, out=d))))
 
 
 def is_hermitian(a: np.ndarray) -> bool:
     """Whether a square ``as_matrix`` result is within HERMITIAN_TOL of Hermitian."""
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(a))))
     return hermiticity_residual(a) <= HERMITIAN_TOL * scale
 
 
@@ -118,6 +118,20 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     result is the same bits as ``(A + A.conj().T) / 2``.
     """
     return (a + a.swapaxes(-1, -2).conj()) / 2
+
+
+def embedding(a: np.ndarray) -> np.ndarray:
+    """The (M+N)-dimensional Hermitian embedding [[0, A], [A^dagger, 0]] of an M x N A.
+
+    Hermitian with a zero diagonal by construction, so it needs no
+    Hermitian gate. The pipelines embed the one counted read
+    ``base.read_all()``; baselines and verifiers embed the uncounted source.
+    """
+    m, n = a.shape
+    ext = np.zeros((m + n, m + n), dtype=np.complex128)
+    ext[:m, m:] = a
+    ext[m:, :m] = a.conj().T
+    return ext
 
 
 def trace_norms(d: np.ndarray) -> np.ndarray:

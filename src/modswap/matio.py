@@ -55,8 +55,6 @@ after the file's path.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from pathlib import Path
 
@@ -169,6 +167,8 @@ def save_matrix(path, a) -> None:
     path = Path(path)
     a = as_matrix(a)
     if path.suffix.lower() == ".csv":
+        import csv
+
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             for row in a:
@@ -267,6 +267,8 @@ def _read_saved_layout(raw: bytes) -> np.ndarray | None:
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".csv":
+        import csv
+
         rows = []
         with path.open(newline="") as fh:
             try:
@@ -288,6 +290,8 @@ def load_matrix(path) -> np.ndarray:
         raw = path.read_bytes()
         a = _read_saved_layout(raw)
         if a is None:
+            import json
+
             try:
                 obj = json.loads(raw.decode())
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep

@@ -20,7 +20,7 @@ uncounted gate ``linalg.require_hermitian`` returns for that source.
 ``qpe``, ``channel`` and ``swapop`` reach it through
 ``ModifiedSwapOperator.build_plan`` or ``qpe._read_exact`` and run no gate
 of their own in front of it. The svd and Procrustes pipelines read their rectangular
-source with ``read_all`` and embed it themselves (``svdx.embedding``).
+source with ``read_all`` and embed it themselves (``linalg.embedding``).
 
 Classical baselines and verifiers go through ``materialize``, which returns
 the read-only source and does NOT count; reported call counts therefore
@@ -43,15 +43,13 @@ class MatrixOracle:
     """Element oracle for an M x N matrix with a race-free query counter.
 
     The oracle owns a read-only, C-ordered complex128 copy of its source,
-    checked by ``as_matrix`` and for a zero dimension when it is built; the
-    caller's array is never read again. Out-of-range queries raise
-    IndexError without touching the counter.
+    checked by ``as_matrix`` when it is built; the caller's array is never
+    read again. Out-of-range queries raise IndexError without touching the
+    counter.
     """
 
     def __init__(self, a):
         self._matrix = as_matrix(np.array(a, dtype=np.complex128, order="C"))
-        if not self._matrix.size:
-            raise ValueError("empty matrix ({}x{})".format(*self._matrix.shape))
         self._matrix.flags.writeable = False
         self._count = 0
         self._lock = threading.Lock()

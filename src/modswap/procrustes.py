@@ -65,7 +65,7 @@ def classical_nearest_isometry(a) -> PartialIsometry:
     """
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
+    if s[0] <= 0:
         raise ValueError("zero matrix has no nearest isometry")
     keep = s > RANK_CUT * s[0]
     r = int(np.sum(keep))

@@ -12,9 +12,10 @@ Gram-matrix route (simulating A A† alone) cannot do; ``phase_ambiguity_demo``
 exhibits that failure.
 
 The pipeline reads A once: ``base.read_all()`` is one counted sweep of its
-M*N entries, and ``embedding`` places them in the blocks. That is what one
-sweep of the paper's per-query embedded oracle costs: an off-block query of
-the embedding is one query of A, and a diagonal-block query is a free zero.
+M*N entries, and ``linalg.embedding`` places them in the blocks. That is
+what one sweep of the paper's per-query embedded oracle costs: an
+off-block query of the embedding is one query of A, and a diagonal-block
+query is a free zero.
 
 Vector readout from the simulated pipeline: phase estimation leaves
 eigenvector l of the embedding in register state K[:, l], the register
@@ -41,26 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RANK_CUT, as_matrix, hermitize, is_hermitian
+from .linalg import RANK_CUT, as_matrix, embedding, hermitize, is_hermitian
 from .oracle import MatrixOracle
 from .qpe import QPEConfig, _branch_masses, _read_exact
 
 SKEW_RATIO = 4.0
 RANK_TOL = 1e-8
-
-
-def embedding(a: np.ndarray) -> np.ndarray:
-    """The (M+N)-dimensional Hermitian embedding [[0, A], [A^dagger, 0]] of an M x N A.
-
-    Hermitian with a zero diagonal by construction, so it needs no
-    Hermitian gate. The pipelines embed the one counted read
-    ``base.read_all()``; baselines and verifiers embed the uncounted source.
-    """
-    m, n = a.shape
-    ext = np.zeros((m + n, m + n), dtype=np.complex128)
-    ext[:m, m:] = a
-    ext[m:, :m] = a.conj().T
-    return ext
 
 
 class ExtendedSpectrumReport(NamedTuple):
@@ -215,12 +202,13 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
     twisted matrix drifts from A in Frobenius norm. Only the r singular
     pairs above RANK_CUT are twisted: phases beyond the first r are ignored,
     and pairs past the phases given are left untwisted. A zero matrix has
-    no pair to twist and is refused. For positive semidefinite A the twist
-    collapses, so such inputs draw a warning.
+    no pair to twist and is refused, as is an A whose Gram matrix overflows
+    the float range. For positive semidefinite A the twist collapses, so
+    such inputs draw a warning.
     """
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
+    if s[0] <= 0:
         raise ValueError("zero matrix has no singular pairs to twist")
     thetas = np.asarray(thetas, dtype=float)[:np.count_nonzero(s > RANK_CUT * s[0])]
     if a.shape[0] == a.shape[1] and is_hermitian(a) \
@@ -230,11 +218,14 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
 
     twist = s * np.exp(1j * np.pad(thetas, (0, s.size - thetas.size)))
     modified = (u * twist) @ vh
-    gram = a @ a.conj().T
-    gram_dev = float(np.max(np.abs(modified @ modified.conj().T - gram)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        gram = a @ a.conj().T
+        gram_dev = float(np.max(np.abs(modified @ modified.conj().T - gram)))
+    if not np.isfinite(gram_dev):
+        raise ValueError("Gram matrix of A overflows the float range")
     if gram_dev > 1e-10 * max(1.0, float(np.max(np.abs(gram)))):
         raise AssertionError(f"Gram matrix not preserved (deviation {gram_dev:.3e})")
-    pairing = np.linalg.norm(modified @ vh.conj().T - u * twist, axis=0).max(initial=0.0)
+    pairing = np.linalg.norm(modified @ vh.conj().T - u * twist, axis=0).max()
 
     return PhaseAmbiguityReport(
         thetas=thetas,

@@ -15,7 +15,7 @@ charges the oracle the same way, so counts compare too. ``plan_by_queries``
 is the per-element ``query`` loop that ``build_plan`` replaced with one counted
 triangle read; it returns the plan's Hermitian matrix. ``embedding_by_queries``
 is the per-query embedded oracle of the svd and Procrustes pipelines, one
-base ``query`` per entry, that ``svdx.embedding(base.read_all())`` replaced. ``pair_fields``,
+base ``query`` per entry, that ``linalg.embedding(base.read_all())`` replaced. ``pair_fields``,
 ``apply_by_pairs`` and ``kraus_factors_by_pairs`` are the index-array plan
 layout (diagonal and pair-row indices) and the per-pair rotation and
 scatter that the elementwise factors of ``BlockPlan`` replaced.

@@ -12,6 +12,7 @@ import orjson
 import pytest
 
 import modswap.cli as cli
+import modswap.svdx as svdx
 from modswap import FORMAT_VERSION, __version__
 from modswap.channel import plan_steps, pure_density
 from modswap.cli import build_parser, main
@@ -423,13 +424,13 @@ def test_svd_envelope_vectors_are_the_result_columns(tmp_path, monkeypatch):
     assert main(["gen-matrix", "--m", "6", "--n", "4", "--rank", "3", "--seed", "5",
                  "--out", str(matrix)]) == 0
     results = []
-    quantum_svd = cli.quantum_svd
+    quantum_svd = svdx.quantum_svd
 
     def recording(*args, **kwargs):
         results.append(quantum_svd(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli, "quantum_svd", recording)
+    monkeypatch.setattr(svdx, "quantum_svd", recording)
     out = tmp_path / "s.json"
     assert main(["svd", "--matrix", str(matrix), "--bits", "10", "--threshold", "0.02",
                  "--out", str(out)]) == 0
@@ -1026,25 +1027,76 @@ def test_diagonal_outside_hermitian_tolerance_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh ``import modswap.cli`` puts module in sys.modules."""
+def _fresh_run(*argv: str) -> tuple[int, set[str]]:
+    """``import modswap.cli`` in a fresh interpreter, then ``main(argv)`` if argv
+    is given: the exit code (0 for the import alone) and sys.modules after."""
     src = Path(cli.__file__).parents[1]
+    script = ("import sys, modswap.cli; "
+              "print(modswap.cli.main(sys.argv[1:]) if sys.argv[1:] else 0, *sys.modules)")
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, modswap.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60)
-    return proc.stdout.strip() == "True"
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def _package_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.partition(".")[0] == "modswap"}
+
+
+CLI_MODULES = {"modswap", "modswap.cli", "modswap.linalg", "modswap.matio"}
 
 
 def test_import_loads_no_dataclasses():
     # every CLI run pays the import; building dataclasses costs milliseconds
-    assert not _loaded_by_cli_import("dataclasses")
+    assert "dataclasses" not in _fresh_run()[1]
 
 
 def test_import_loads_no_orjson():
     # only the JSON matrix loader needs orjson; gen-matrix and --version
     # should not pay its import
-    assert not _loaded_by_cli_import("orjson")
+    assert "orjson" not in _fresh_run()[1]
+
+
+def test_import_loads_no_pipeline_and_no_csv():
+    # each command imports its own pipeline; only the CSV branches need csv
+    _, modules = _fresh_run()
+    assert _package_modules(modules) == CLI_MODULES
+    assert "csv" not in modules
+
+
+def test_gen_matrix_loads_no_pipeline(tmp_path):
+    out = tmp_path / "r.json"
+    code, modules = _fresh_run("gen-matrix", "--m", "6", "--n", "4", "--rank", "2",
+                               "--out", str(out))
+    assert code == 0
+    assert _package_modules(modules) == CLI_MODULES
+    assert out.with_name("r.extended.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--time", "0.2", "--epsilon", "0.05"],
+    ["error-sweep", "--dts", "0.1,0.05"],
+    ["qpe", "--bits", "4"],
+    ["qpe", "--bits", "4", "--backend", "trotter"],
+    ["svd", "--bits", "10", "--threshold", "0.02"],
+    ["procrustes", "--bits", "9", "--threshold", "0.05"],
+    ["demo-phase-ambiguity"],
+], ids=["evolve", "error-sweep", "qpe-exact", "qpe-trotter", "svd", "procrustes",
+        "demo-phase-ambiguity"])
+def test_command_runs_first_in_a_fresh_interpreter(tmp_path, argv):
+    # in-process tests run with every module already loaded, so only a fresh
+    # interpreter shows a command that misses an import of its own
+    if argv[0] in ("svd", "procrustes", "demo-phase-ambiguity"):
+        matrix, state = _rank_one_procrustes_inputs(tmp_path)
+    else:
+        matrix, state = _gen(tmp_path), None
+    if argv[0] == "procrustes":
+        argv = [*argv, "--state", str(state)]
+    out = tmp_path / "o.out"
+    assert _fresh_run(*argv, "--matrix", str(matrix), "--out", str(out))[0] == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

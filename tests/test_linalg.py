@@ -75,6 +75,13 @@ def test_as_matrix_rejects_other_than_two_dimensions(shape):
         as_matrix(np.ones(shape))
 
 
+@pytest.mark.parametrize("gate", [as_matrix, require_hermitian, nuclear_norm])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_matrix_is_refused(gate, shape):
+    with pytest.raises(ValueError, match=rf"^empty matrix \({shape[0]}x{shape[1]}\)$"):
+        gate(np.zeros(shape, dtype=complex))
+
+
 def test_exact_evolution_rejects_state_of_wrong_shape():
     with pytest.raises(ValueError, match=r"^state dim \(2, 2\) != matrix dim \(3, 3\)$"):
         exact_evolution(np.eye(3), 0.1, np.eye(2) / 2)

@@ -75,6 +75,16 @@ def test_json_rejects_empty_matrix(tmp_path, rows, cols):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+def test_save_refuses_empty_matrix_and_writes_nothing(tmp_path, suffix, shape):
+    # load_matrix refuses an empty file, so none is written
+    path = tmp_path / f"empty{suffix}"
+    with pytest.raises(ValueError, match=r"^empty matrix"):
+        save_matrix(path, np.zeros(shape, dtype=complex))
+    assert not path.exists()
+
+
 def test_state_round_trip(tmp_path):
     psi = np.array([0.6, 0.8j], dtype=complex)
     path = tmp_path / "psi.json"

@@ -170,6 +170,17 @@ def test_state_outside_column_space_rejected():
         quantum_procrustes_apply(_oracle(a), psi, QPEConfig(bits=8), threshold=0.05)
 
 
+def test_state_on_a_branch_far_below_threshold_has_vanishing_output():
+    # psi lies on the singular pair sigma = 8e-8, far below the threshold. The
+    # pair's register leakage into the two windows, about 2e-12, passes the
+    # kept-weight floor of 1e-12, but its +sigma and -sigma branches cancel in
+    # the output block to a norm of about 7e-13
+    a = np.diag([1.0, 8e-8]).astype(complex)
+    with pytest.raises(ValueError, match="^projected output has vanishing norm$"):
+        quantum_procrustes_apply(_oracle(a), np.array([0.0, 1.0]), QPEConfig(bits=8),
+                                 threshold=0.05)
+
+
 def test_partial_filtering_of_mixed_state():
     rng = np.random.default_rng(11)
     a = random_low_rank_rect(4, 4, 2, rng)

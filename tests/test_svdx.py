@@ -300,6 +300,12 @@ def test_phase_ambiguity_rejects_zero_matrix():
         phase_ambiguity_demo(np.zeros((3, 4)), [0.5])
 
 
+def test_phase_ambiguity_refuses_a_gram_matrix_past_the_float_range():
+    # 1e155 squared overflows, and the Gram check would compare inf with inf
+    with pytest.raises(ValueError, match="^Gram matrix of A overflows the float range$"):
+        phase_ambiguity_demo(np.array([[1e155, 1.0]]), [0.5])
+
+
 def test_phase_ambiguity_random_about_gram_preservation():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
