@@ -34,8 +34,8 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .linalg import embedding, random_low_rank, random_low_rank_rect
-from .matio import (_complex_pairs, _state_from_matrix, _write_json, load_matrix, load_state,
-                    matrix_to_json_obj, save_matrix)
+from .matio import (_state_from_matrix, _write_json, load_matrix, load_state, matrix_to_json_obj,
+                    save_matrix)
 
 BACKENDS = {"exact": "exact-unitary", "trotter": "trotter-channel"}
 
@@ -60,18 +60,7 @@ def _resolve_oracle(args):
     if getattr(args, "matrix", None):
         return MatrixOracle(load_matrix(args.matrix))
     if getattr(args, "generator", None):
-        spec = args.generator
-        name, _, tail = spec.partition(":")
-        params = {}
-        if tail:
-            for item in tail.split(","):
-                key, _, val = item.partition("=")
-                if not val:
-                    raise ValueError(f"malformed generator parameter '{item}'")
-                if key in params:
-                    raise ValueError(f"generator '{name}' repeats parameter '{key}'")
-                params[key] = val
-        return oracle_from_generator(name, params)
+        return oracle_from_generator(args.generator)
     raise ValueError("one of --matrix or --generator is required")
 
 
@@ -180,7 +169,7 @@ def cmd_qpe(args):
          "t0": result.base_time, "trotter_epsilon": args.trotter_epsilon},
         {
             "distribution": result.distribution,
-            "estimates": [e._asdict() for e in result.estimates],
+            "estimates": result.estimates,
             "trotter_error_bound": result.trotter_error_bound,
         },
         result.oracle_calls,
@@ -202,9 +191,9 @@ def cmd_svd(args):
         {
             "rank": result.rank,
             "singular_values": result.singular_values,
-            # row j is the pairs of column j
-            "left_vectors": _complex_pairs(u.T).reshape(result.rank, -1, 2),
-            "right_vectors": _complex_pairs(v.T).reshape(result.rank, -1, 2),
+            # row j is column j
+            "left_vectors": u.T,
+            "right_vectors": v.T,
             "degenerate": result.degenerate,
             "unresolved": result.unresolved,
             "grid_step": result.grid_step,
@@ -261,8 +250,7 @@ def cmd_procrustes(args):
     return (
         {**_source_config(args), "bits": args.bits, "threshold": args.threshold,
          "shots": args.shots, "seed": args.seed},
-        {**results, "output_state": _complex_pairs(result.output_state),
-         "sampled_success_probability": sampled},
+        {**results, "sampled_success_probability": sampled},
         result.oracle_calls,
         f"procrustes: success={result.success_probability:.4f} "
         f"fidelity={result.fidelity_vs_oracle:.6f}",

@@ -63,50 +63,48 @@ import numpy as np
 from .linalg import as_matrix
 
 
-def _complex_pairs(values) -> np.ndarray:
-    """The (k, 2) float64 [re, im] pairs of the entries of values, row-major.
-
-    A view of a C-contiguous complex128 copy, made only when values is not
-    one already; the copy lets strided views (matrix columns) and
-    Fortran-ordered arrays through.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.complex128)
-    return flat.view(np.float64).reshape(-1, 2)
-
-
 def matrix_to_json_obj(a) -> dict:
     a = as_matrix(a)
     m, n = a.shape
-    return {"rows": m, "cols": n, "data": _complex_pairs(a)}
+    return {"rows": m, "cols": n, "data": a.reshape(-1)}
 
 
-def _require_json_numbers(value, key: str) -> None:
-    """Raise ValueError naming key if value holds a number JSON output cannot
-    carry: a NaN, an infinity, or an integer outside [-2^63, 2^64 - 1]."""
+def _json_ready(value, key: str):
+    """value as ``_write_json`` hands it to orjson; ValueError names key if it
+    holds a number JSON output cannot carry: a NaN, an infinity, or an
+    integer outside [-2^63, 2^64 - 1].
+
+    Each ndarray becomes C-contiguous, a complex one the float64 [re, im]
+    pairs of its entries along a new last axis (a view of a complex128 copy,
+    made only when it is not one already), and a NamedTuple an object.
+    """
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
-        for name, item in value.items():
-            _require_json_numbers(item, f"{key}.{name}" if key else name)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _require_json_numbers(item, key)
-    elif isinstance(value, float) and not math.isfinite(value) or (
+        return {k: _json_ready(v, f"{key}.{k}" if key else k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item, key) for item in value]
+    if isinstance(value, float) and not math.isfinite(value) or (
             isinstance(value, np.ndarray) and not np.isfinite(value).all()):
         raise ValueError(f"{key} holds NaN or infinity, which JSON cannot represent")
-    elif isinstance(value, int) and not -(1 << 63) <= value < 1 << 64:
+    if isinstance(value, int) and not -(1 << 63) <= value < 1 << 64:
         raise ValueError(f"{key} holds {value}, outside the 64-bit integer range")
+    if isinstance(value, np.ndarray):
+        value = np.asarray(value, np.complex128 if np.iscomplexobj(value) else None, order="C")
+        return value.view(np.float64).reshape(*value.shape, 2) if np.iscomplexobj(value) else value
+    return value
 
 
 def _write_json(path, obj: dict) -> None:
     """Write obj as one line of JSON: sorted keys, no spaces, a closing newline.
 
-    numpy arrays are encoded by orjson directly and must be C-contiguous, as
-    ``_complex_pairs`` returns them. Nothing is written if obj holds a
-    number ``_require_json_numbers`` refuses.
+    obj goes through ``_json_ready`` first, so it may hold numpy arrays of
+    any layout, complex ones included, and NamedTuples; nothing is written
+    if it holds a number that function refuses.
     """
     import orjson
 
-    _require_json_numbers(obj, "")
-    Path(path).write_bytes(orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY
+    Path(path).write_bytes(orjson.dumps(_json_ready(obj, ""), option=orjson.OPT_SERIALIZE_NUMPY
                                         | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
 
 

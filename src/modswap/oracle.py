@@ -152,17 +152,29 @@ _GENERATORS = {
 }
 
 
-def _generator_params(name: str, params: dict[str, str]) -> dict:
-    """Parsed parameters of a generator spec; ValueError names the generator and the parameter."""
+def _generator_params(spec: str) -> tuple[str, dict]:
+    """Name and parsed parameters of a generator spec ``name:key=value,...``.
+
+    ValueError names the malformed item, or the generator and the parameter.
+    """
+    name, _, tail = spec.partition(":")
+    params = {}
+    for item in tail.split(",") if tail else ():
+        key, _, val = item.partition("=")
+        if not val:
+            raise ValueError(f"malformed generator parameter '{item}'")
+        if key in params:
+            raise ValueError(f"generator '{name}' repeats parameter '{key}'")
+        params[key] = val
     if name not in _GENERATORS:
         raise ValueError(f"unknown generator '{name}'")
-    spec = _GENERATORS[name]
+    grammar = _GENERATORS[name]
     for key in params:
-        if key not in spec:
+        if key not in grammar:
             raise ValueError(f"generator '{name}' takes no parameter '{key}' "
-                             f"(takes {', '.join(spec)})")
+                             f"(takes {', '.join(grammar)})")
     out = {}
-    for key, (parse, default) in spec.items():
+    for key, (parse, default) in grammar.items():
         if key not in params:
             if default is None:
                 raise ValueError(f"generator '{name}' needs parameter '{key}'")
@@ -173,17 +185,20 @@ def _generator_params(name: str, params: dict[str, str]) -> dict:
         except ValueError:
             raise ValueError(f"generator '{name}' parameter '{key}' is malformed: "
                              f"'{params[key]}'") from None
-    return out
+    return name, out
 
 
-def oracle_from_generator(name: str, params: dict[str, str]) -> MatrixOracle:
-    """Named built-in oracle sources for the command line.
+def oracle_from_generator(spec: str) -> MatrixOracle:
+    """The oracle of a named built-in source, given as the command line's spec string.
 
-    random-lowrank: n, r [, seed]   seeded Hermitian rank-r ensemble, eigenvalues Theta(n)
-    all-ones:       n               A[j,k] = 1 (the plain swap case)
-    diagonal:       values=a;b;...  diagonal matrix
+    A spec is ``name`` or ``name:key=value,...``; a repeated key, or an
+    item with no value, is refused.
+
+    random-lowrank:n=N,r=R[,seed=S]   seeded Hermitian rank-r ensemble, eigenvalues Theta(n)
+    all-ones:n=N                      A[j,k] = 1 (the plain swap case)
+    diagonal:values=a;b;...           diagonal matrix
     """
-    p = _generator_params(name, params)
+    name, p = _generator_params(spec)
     if name == "diagonal":
         return MatrixOracle(np.diag(p["values"]))
     if p["n"] < 1:

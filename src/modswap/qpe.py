@@ -94,6 +94,8 @@ class QPEConfig(_QPEConfig):
                              f"not {self.bits!r}")
         if self.bits < 1:
             raise ValueError("register needs at least one bit")
+        if self.bits > 62:  # 2^bits register values must fit a 64-bit index
+            raise ValueError(f"a {self.bits}-bit register has more values than an index can hold")
         if self.backend not in ("exact-unitary", "trotter-channel"):
             raise ValueError(f"unknown backend '{self.backend}'")
         if self.base_time is not None and not (math.isfinite(self.base_time)
@@ -221,8 +223,13 @@ def _spectral_measure(a, psi, size: int, t0: float):
     rounding to meet the bound.
     """
     n = psi.size
+    # A / 2^e has max |entry| in [1/2, 1) and the same bits, so no sum or
+    # norm below leaves the normal range; t0 2^e and the nodes times 2^e
+    # undo the scaling exactly
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128)
     steps = n // 8
-    per_beta = size / 3 * t0 / n
+    per_beta = size / 3 * np.ldexp(t0, e) / n
     basis = np.empty((steps + 1, n), dtype=np.complex128)
     basis[0] = psi
     alpha, beta = np.empty(steps), np.empty(steps)
@@ -236,10 +243,10 @@ def _spectral_measure(a, psi, size: int, t0: float):
         if per_beta * beta[k] <= MEASURE_TOL:
             off = beta[:k]
             theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(off, 1) + np.diag(off, -1))
-            return theta / n, s[0] ** 2
+            return np.ldexp(theta, e) / n, s[0] ** 2
         basis[k + 1] = r / beta[k]
     w, v = np.linalg.eigh(a)
-    return w / n, np.abs(v.conj().T @ psi) ** 2
+    return np.ldexp(w, e) / n, np.abs(v.conj().T @ psi) ** 2
 
 
 def _register_kernel(evals_over_n, bits: int, t0: float) -> np.ndarray:

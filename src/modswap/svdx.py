@@ -207,6 +207,10 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
     such inputs draw a warning.
     """
     a = as_matrix(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        gram = a @ a.conj().T
+    if not np.isfinite(gram).all():
+        raise ValueError("Gram matrix of A overflows the float range")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0:
         raise ValueError("zero matrix has no singular pairs to twist")
@@ -219,19 +223,19 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
     twist = s * np.exp(1j * np.pad(thetas, (0, s.size - thetas.size)))
     modified = (u * twist) @ vh
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        gram = a @ a.conj().T
         gram_dev = float(np.max(np.abs(modified @ modified.conj().T - gram)))
-    if not np.isfinite(gram_dev):
-        raise ValueError("Gram matrix of A overflows the float range")
+        pairing = float(np.linalg.norm(modified @ vh.conj().T - u * twist, axis=0).max())
+        distance = float(np.linalg.norm(a - modified))
+    if not np.isfinite(gram_dev + pairing + distance):
+        raise ValueError("A is too large: its twist overflows the float range")
     if gram_dev > 1e-10 * max(1.0, float(np.max(np.abs(gram)))):
         raise AssertionError(f"Gram matrix not preserved (deviation {gram_dev:.3e})")
-    pairing = np.linalg.norm(modified @ vh.conj().T - u * twist, axis=0).max()
 
     return PhaseAmbiguityReport(
         thetas=thetas,
-        distance=float(np.linalg.norm(a - modified)),
+        distance=distance,
         gram_deviation=gram_dev,
-        pairing_residual=float(pairing),
+        pairing_residual=pairing,
         singular_values_original=s.copy(),
         singular_values_modified=np.linalg.svd(modified, compute_uv=False),
         modified=modified,

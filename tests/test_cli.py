@@ -384,6 +384,28 @@ def test_demo_phase_ambiguity_rejects_zero_matrix_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_demo_phase_ambiguity_refuses_an_overflowing_input_by_name(tmp_path, capsys):
+    # 1 x 1 sources of modulus U(0.5, 1) sqrt(float max): the Gram matrix fits,
+    # but the twist's distance and pairing residual square past the float range
+    rng = np.random.default_rng(0)
+    matrix, out = tmp_path / "big.json", tmp_path / "d.json"
+    codes = []
+    for seed in range(40):
+        modulus = rng.uniform(0.5, 1.0) * np.sqrt(np.finfo(float).max)
+        save_matrix(matrix, np.array([[modulus * np.exp(2j * np.pi * rng.uniform())]]))
+        code = main(["demo-phase-ambiguity", "--matrix", str(matrix), "--seed", str(seed),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == "error: A is too large: its twist overflows the float range\n"
+            assert not out.exists()
+        else:
+            assert code == 0 and err == ""
+            out.unlink()
+        codes.append(code)
+    assert set(codes) == {0, 2}
+
+
 def test_demo_phase_ambiguity_takes_one_svd_of_its_input(tmp_path, monkeypatch):
     # one SVD of the input, one of the twisted matrix; the rank comes from the first
     matrix = tmp_path / "r.json"
@@ -733,11 +755,16 @@ def test_parser_is_built_once():
 
 
 def _plain(value):
-    """value with every numpy array replaced by its nested list."""
+    """value as the writer encodes it: each record an object, each numpy array
+    its nested list, with a complex entry as its [re, im] pair."""
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_plain(item) for item in value]
+    if isinstance(value, np.ndarray) and np.iscomplexobj(value):
+        value = np.stack([value.real, value.imag], axis=-1)
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 

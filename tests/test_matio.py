@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from modswap import matio
 from modswap.cli import main
 from modswap.matio import (
-    _complex_pairs,
     _read_saved_layout,
+    _write_json,
     load_matrix,
     load_state,
     matrix_from_json_obj,
@@ -133,13 +133,16 @@ def _complex_layouts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_complex_layouts())
-def test_complex_pairs_equal_per_element_loop(a):
-    for values in (a, a[:, 0]):  # a[:, 0] is a strided 1-d column view
-        pairs = _complex_pairs(values)
-        assert pairs.dtype == np.float64 and pairs.flags.c_contiguous  # as orjson takes it
-        fast, ref = pairs.tolist(), complex_pairs_by_loop(values)
-        assert fast == ref
-        assert json.dumps(fast) == json.dumps(ref)  # also tells -0.0 from 0.0
+def test_complex_pairs_equal_per_element_loop(tmp_path_factory, a):
+    """The writer encodes a complex array of any layout as the loop's [re, im] pairs."""
+    path = tmp_path_factory.mktemp("pairs") / "values.json"
+    # a.T swaps C and Fortran order; a[:, 0] is a strided 1-d column view
+    for values in (a, a.T, a[:, 0]):
+        _write_json(path, {"values": values})
+        ref = ([complex_pairs_by_loop(row) for row in values] if values.ndim == 2
+               else complex_pairs_by_loop(values))
+        # byte equality also tells -0.0 from 0.0
+        assert path.read_bytes() == orjson.dumps({"values": ref}, option=orjson.OPT_APPEND_NEWLINE)
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,7 +152,8 @@ def test_saved_matrix_bytes_equal_per_element_loop(tmp_path_factory, a):
     save_matrix(path, a)
     ref = matrix_to_json_obj_by_loop(a)
     obj = matrix_to_json_obj(a)
-    assert {**obj, "data": obj["data"].tolist()} == ref
+    assert (obj["rows"], obj["cols"]) == (ref["rows"], ref["cols"])
+    assert obj["data"].tolist() == np.asarray(a).reshape(-1).tolist()  # row-major entries
     raw = path.read_bytes()
     # the compact encoding of the loop's Python floats
     assert raw == orjson.dumps(ref, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)

@@ -307,24 +307,33 @@ def test_concurrent_sweeps_and_charges_are_race_free():
 
 
 def test_generator_all_ones():
-    oracle = oracle_from_generator("all-ones", {"n": "3"})
+    oracle = oracle_from_generator("all-ones:n=3")
     assert oracle.shape == (3, 3)
     assert oracle.query(2, 1) == 1
 
 
 def test_generator_diagonal():
-    oracle = oracle_from_generator("diagonal", {"values": "1;2;3"})
+    oracle = oracle_from_generator("diagonal:values=1;2;3")
     assert oracle.query(1, 1) == 2
     assert oracle.query(0, 1) == 0
 
 
 def test_generator_random_lowrank_seeded():
-    o1 = oracle_from_generator("random-lowrank", {"n": "6", "r": "2", "seed": "7"})
-    o2 = oracle_from_generator("random-lowrank", {"n": "6", "r": "2", "seed": "7"})
+    o1 = oracle_from_generator("random-lowrank:n=6,r=2,seed=7")
+    o2 = oracle_from_generator("random-lowrank:n=6,r=2,seed=7")
     assert np.array_equal(o1.materialize(), o2.materialize())
 
 
 def test_generator_unknown_name():
     with pytest.raises(ValueError):
-        oracle_from_generator("nope", {})
+        oracle_from_generator("nope")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("random-lowrank:n=4,r=2,r=3,seed=1", "generator 'random-lowrank' repeats parameter 'r'"),
+    ("random-lowrank:n=4,r", "malformed generator parameter 'r'"),
+])
+def test_generator_spec_syntax_is_refused(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle_from_generator(spec)
 

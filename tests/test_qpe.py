@@ -91,6 +91,14 @@ def test_config_validation():
     assert QPEConfig(bits=np.int64(3)).size == 8  # numpy integers are counts too
 
 
+def test_config_refuses_a_register_wider_than_an_index():
+    # 2^70 bits made ``1 << bits`` raise OverflowError, an exit 1 on the command line
+    assert QPEConfig(bits=62).size == 1 << 62
+    for bits in (63, 2**70):
+        with pytest.raises(ValueError, match=f"^a {bits}-bit register has more values"):
+            QPEConfig(bits=bits)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int64])
 def test_numpy_bit_counts_act_as_python_ints(dtype):
     # 1 << np.int8(10) wraps to 0 in int8 arithmetic; a count is stored as an int
@@ -532,6 +540,33 @@ def test_exact_backend_decomposes_the_hermitized_read(n, seed, kind):
     assert len(seen) == 1 and np.array_equal(seen[0], a)
     assert np.array_equal(a, hermitian_from_upper(oracle.materialize()))
     assert np.array_equal(a, a.conj().T) and np.array_equal(hermitize(a), a)
+
+
+@pytest.fixture(scope="module")
+def spectral_source():
+    """The N = 256 rank-3 source of the spectral-exact benchmark at seed 9, a
+    state in its range, and exact ``qpe``'s result on them at 10 bits."""
+    a = random_low_rank(256, 3, np.random.default_rng(144))
+    rng = np.random.default_rng(5)
+    psi = a @ (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    psi /= np.linalg.norm(psi)
+    return a, psi, qpe(MatrixOracle(a), psi, QPEConfig(bits=10))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -550, -1, 1, 511, 512, 1000])
+def test_exact_qpe_of_a_source_times_a_power_of_two(spectral_source, k):
+    """A times 2^k gives A's distribution bit for bit, and its estimates times 2^k.
+
+    Lanczos runs on A / 2^e, which does not depend on k; without that
+    scaling k <= -550 stopped Lanczos at step 1 with one peak, and k >= 511
+    overflowed the norm of its residual.
+    """
+    a, psi, base = spectral_source
+    result = qpe(MatrixOracle(a * np.ldexp(1.0, k)), psi, QPEConfig(bits=10))
+    assert len(base.estimates) == 3
+    assert result.distribution.tobytes() == base.distribution.tobytes()
+    assert [e.value for e in result.estimates] == [np.ldexp(e.value, k) for e in base.estimates]
+    assert result.base_time == np.ldexp(base.base_time, -k)
 
 
 @st.composite
