@@ -8,9 +8,11 @@ envelope command returns (config, results, oracle_calls, summary), and
 Wall-clock timing is opt-in (--timing) because embedding it would break that
 guarantee; without the flag the envelope carries "wall_ms": null. With it,
 wall_ms runs from input resolution to the built results, without the write.
-Envelopes and matrix files go through the one writer ``matio._write_json``:
-every array a pipeline returns is handed to it as is, and a non-finite
-number exits 2 with no file written.
+Envelopes and matrix files go through the one writer ``matio._write_json``,
+which encodes complex arrays as [re, im] pairs and records as objects:
+every array and record a pipeline returns is handed to it as is, and a
+non-finite number exits 2 with no file written. A ``--generator`` spec is
+passed whole to ``oracle.oracle_from_generator``, which parses it.
 
 ``import modswap.cli`` loads ``linalg`` and ``matio`` alone; each command
 imports its own pipeline module when it runs, so a process pays only for
@@ -191,7 +193,7 @@ def cmd_svd(args):
         {
             "rank": result.rank,
             "singular_values": result.singular_values,
-            # row j is column j
+            # row j is singular vector j
             "left_vectors": u.T,
             "right_vectors": v.T,
             "degenerate": result.degenerate,
@@ -235,8 +237,8 @@ def cmd_procrustes(args):
     from .procrustes import quantum_procrustes_apply
     from .qpe import QPEConfig
 
-    if args.shots is not None and args.shots < 1:
-        raise ValueError("shots must be >= 1")
+    if args.shots is not None and not 1 <= args.shots < 1 << 63:  # numpy's binomial takes an int64
+        raise ValueError(f"shots must be >= 1 and below 2^63, not {args.shots}")
     oracle = _resolve_oracle(args)
     _, n = oracle.shape
     psi = _resolve_psi(args, n)

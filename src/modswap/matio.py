@@ -19,13 +19,16 @@ that module's message.
 A NaN or infinite entry raises ``ValueError`` as well.
 
 ``_write_json`` writes every JSON file: matrix files and the CLI's result
-envelopes. It is one orjson call over the object, numpy arrays included,
-so no Python list of a matrix, state or distribution is built. The output
-is one line with sorted keys, no spaces and a closing newline; floats take
-orjson's shortest round-trip spelling (``0.00001``, ``1e16``), which reads
-back bit for bit through both ``json`` and orjson. A NaN or an infinity,
-which JSON cannot hold, or an integer outside 64 bits, which orjson cannot
-write, raises ``ValueError`` naming its key, and no file is written.
+envelopes. It owns their encoding: one walk, ``_json_ready``, makes each
+numpy array C-contiguous, each complex array the float64 [re, im] pairs
+of its entries along a new last axis, and each NamedTuple an object, and
+one orjson call writes the result, numpy arrays included, so no Python
+list of a matrix, state or distribution is built. The output is one line
+with sorted keys, no spaces and a closing newline; floats take orjson's
+shortest round-trip spelling (``0.00001``, ``1e16``), which reads back bit
+for bit through both ``json`` and orjson. A NaN or an infinity, which JSON
+cannot hold, or an integer outside 64 bits, which orjson cannot write,
+raises ``ValueError`` naming its key, and no file is written.
 
 A JSON matrix file holds one array, its data, so the data runs from the
 file's first ``[`` to its last ``]``. The loader reads every such file, in

@@ -26,8 +26,10 @@ Classical baselines and verifiers go through ``materialize``, which returns
 the read-only source and does NOT count; reported call counts therefore
 measure only the simulated-algorithm path.
 
-``oracle_from_generator`` builds the command line's named sources; the
-seeded ``random-lowrank`` is ``linalg.random_low_rank``, eigenvalues Theta(n).
+``oracle_from_generator`` builds a named source from the spec string
+``--generator`` takes (``random-lowrank:n=8,r=2,seed=7``), and owns that
+grammar; the seeded ``random-lowrank`` is ``linalg.random_low_rank``,
+eigenvalues Theta(n).
 """
 
 from __future__ import annotations

@@ -207,6 +207,14 @@ def _spectral_measure(a, psi, size: int, t0: float):
     orthogonality as Ritz values converge, and a rank-10 A at N = 128 does
     not break down within the step cap.
 
+    Scale. Lanczos and ``eigh`` run on A / 2^e, e = ``frexp(max |A_jk|)[1]``,
+    with t0 2^e in the stop rule and the nodes multiplied back by 2^e.
+    Both scalings are exact in binary floating point, and A / 2^e is the
+    same matrix for A times any 2^k, so such a source gives the same
+    weights bit for bit and nodes times 2^k; unscaled, a residual norm
+    underflowed to 0 near 2^-550 (Lanczos stopped at step 1) and
+    overflowed from 2^511.
+
     Stop rule. If Lanczos stops at beta_k, the measure is exactly that of
     A - E with E = beta_k (q_{k+1} q_k^dagger + h.c.), so ||E|| = beta_k.
     p(y) = psi^dagger F_y(A t0 / N) psi, with F_y a trigonometric polynomial
@@ -223,11 +231,10 @@ def _spectral_measure(a, psi, size: int, t0: float):
     rounding to meet the bound.
     """
     n = psi.size
-    # A / 2^e has max |entry| in [1/2, 1) and the same bits, so no sum or
-    # norm below leaves the normal range; t0 2^e and the nodes times 2^e
-    # undo the scaling exactly
     e = int(np.frexp(np.max(np.abs(a)))[1])
-    a = np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128)
+    a = np.array(a, dtype=np.complex128)
+    for part in (a.real, a.imag):  # ldexp, not a product: 2^-e overflows for a subnormal A
+        np.ldexp(part, -e, out=part)
     steps = n // 8
     per_beta = size / 3 * np.ldexp(t0, e) / n
     basis = np.empty((steps + 1, n), dtype=np.complex128)

@@ -202,9 +202,11 @@ def phase_ambiguity_demo(a, thetas) -> PhaseAmbiguityReport:
     twisted matrix drifts from A in Frobenius norm. Only the r singular
     pairs above RANK_CUT are twisted: phases beyond the first r are ignored,
     and pairs past the phases given are left untwisted. A zero matrix has
-    no pair to twist and is refused, as is an A whose Gram matrix overflows
-    the float range. For positive semidefinite A the twist collapses, so
-    such inputs draw a warning.
+    no pair to twist and is refused, as is an A whose Gram matrix, or whose
+    twist's Gram deviation, pairing residual or distance, overflows the
+    float range: each is computed with overflow ignored and refused as A's
+    before any later numpy routine sees it. For positive semidefinite A the
+    twist collapses, so such inputs draw a warning.
     """
     a = as_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below

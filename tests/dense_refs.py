@@ -26,8 +26,8 @@ counted sweep, one Kraus factorisation and one ``eigh`` per step) that
 per-register Python loops that the array decode and peak scan replaced.
 ``complex_pairs_by_loop`` and ``matrix_to_json_obj_by_loop`` are the
 per-element ``float()`` loops that built the [re, im] pair lists of matrix
-files and envelopes before the (k, 2) float64 view that orjson encodes
-directly replaced them.
+files and envelopes before the JSON writer's float64 view of each complex
+array, which orjson encodes directly, replaced them.
 ``uniform_density`` is the uniform-ancilla projector, and
 ``first_order_generator`` the (A/N)·sigma contraction that the channel step
 reproduces to first order in dt; no pipeline calls either.

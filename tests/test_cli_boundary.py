@@ -146,6 +146,15 @@ KNOWN_FAILURES = {
     # (e.g. 4 x 4 times 2^511, trotter qpe or evolve at time 0)
     "squared norm overflow": ({"evolve", "qpe"},
                               ("error: results.", "error: cannot convert float NaN")),
+    # the embedding of a source near the float range has eigenvalues past it,
+    # and the register masses of an infinite eigenvalue are NaN
+    # (e.g. 4 x 3 rank 1 times 2^1023)
+    "embedding spectrum overflow": ({"svd", "procrustes"},
+                                    "runtime failure: invalid value encountered in"),
+    # so do exact qpe's nodes, the eigenvalues of A itself (e.g. 3 x 3 full
+    # rank times 2^1023)
+    "qpe eigenvalue overflow": ({"qpe"}, ("runtime failure: overflow encountered in ldexp",
+                                          "runtime failure: invalid value encountered in")),
     # a huge --n reaches numpy's array constructor, which refuses it
     "huge gen-matrix size": ({"gen-matrix"}, "error: Maximum allowed dimension exceeded"),
 }
@@ -195,9 +204,12 @@ def check_boundary(directory, argv, source, known=KNOWN_FAILURES):
 # the demo on a 1 x 1 source of modulus near sqrt(float max): refused as A's overflow
 @example(case=(["demo-phase-ambiguity", "--seed", "0"],
                (np.array([[1.2e154 * np.exp(0.7j)]]), "1.2e154 e^0.7i")))
-# a register too wide for an index is refused, not an OverflowError
+# a register too wide for an index, or a shot count past int64, is refused,
+# not an OverflowError
 @example(case=(["qpe", "--bits", str(2**70)],
                (random_low_rank(2, 1, np.random.default_rng(1)), "times 2^0")))
+@example(case=(["procrustes", "--bits", "3", "--threshold", "0.5", "--shots", str(2**70)],
+               (random_low_rank_rect(3, 2, 1, np.random.default_rng(1)), "times 2^0")))
 def test_every_command_exits_0_with_a_finite_envelope_or_2_about_its_input(
         tmp_path_factory, case):
     check_boundary(tmp_path_factory.mktemp("boundary"), *case)
@@ -212,6 +224,12 @@ def test_every_command_exits_0_with_a_finite_envelope_or_2_about_its_input(
     pytest.param(["qpe", "--bits", "5", "--backend", "trotter"],
                  random_low_rank(2, 1, np.random.default_rng(1)) * 2.0**511,
                  id="squared norm overflow"),
+    pytest.param(["procrustes", "--bits", "4", "--threshold", "0.5"],
+                 random_low_rank_rect(4, 3, 1, np.random.default_rng(1)) * 2.0**1023,
+                 id="embedding spectrum overflow"),
+    pytest.param(["qpe", "--bits", "5", "--backend", "exact"],
+                 random_low_rank(3, 3, np.random.default_rng(3)) * 2.0**1023,
+                 id="qpe eigenvalue overflow"),
     pytest.param(["gen-matrix", "--n", str(2**70), "--rank", "1"], None,
                  id="huge gen-matrix size"),
 ])
