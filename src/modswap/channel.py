@@ -26,7 +26,10 @@ in one buffer of ``_chunk(N) + 1`` consecutive states (``_chunk(N)`` is
 filled buffer gets one stacked baseline product and one ungated
 ``linalg.trace_norms`` call; ``error_sweep`` makes one such call per dt.
 Memory does not grow with the step count. Every entry checks its density
-with ``require_density(sigma, N)`` before any query.
+with ``require_density(sigma, N)`` before any query. That gate returns the
+exactly Hermitian matrix of sigma's upper triangle, and the step map keeps
+a state exactly Hermitian, so no state that enters or leaves a step gets
+a Hermitian copy.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .linalg import (
     as_matrix,
-    hermitize,
+    hermitian_from_upper,
     is_hermitian,
     nuclear_norm,
     require_hermitian,
@@ -56,7 +59,11 @@ ERROR_BUFFER_BYTES = 2**16  # per buffer of states whose step errors are measure
 
 
 def require_density(rho, n: int) -> np.ndarray:
-    """The one density check: shape n x n, Hermitian, trace 1 (TRACE_TOL), PSD (PSD_TOL)."""
+    """The one density check: shape n x n, Hermitian, trace 1 (TRACE_TOL), PSD (PSD_TOL).
+
+    Returns ``hermitian_from_upper(rho)``, the exactly Hermitian matrix the
+    two matrix gates return too, and checks the PSD bound on that matrix.
+    """
     rho = as_matrix(rho)
     if rho.shape != (n, n):
         raise ValueError(f"state dim {rho.shape} != oracle dim {n}")
@@ -65,7 +72,8 @@ def require_density(rho, n: int) -> np.ndarray:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} != 1")
-    wmin = float(np.min(np.linalg.eigvalsh(hermitize(rho))))
+    rho = hermitian_from_upper(rho)
+    wmin = float(np.min(np.linalg.eigvalsh(rho)))
     if wmin < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
     return rho
@@ -80,17 +88,18 @@ def pure_density(psi) -> np.ndarray:
 def channel_step(oracle: MatrixOracle, sigma, delta_t: float) -> np.ndarray:
     """One ancilla-assisted step: trace out register 1 of U (rho (x) sigma) U†.
 
-    The step is applied as the Kraus sum of ``BlockPlan.channel_map`` (a few
-    N x N products, O(N^2) memory); the N^2 x N^2 joint state is never
-    formed. delta_t may be negative (time reversal). Output is hermitized to
-    remove floating-point asymmetry; trace and positivity are preserved by
-    construction. sigma passes ``require_density``, delta_t
+    The step is applied as the Kraus sum of ``BlockPlan.channel_map`` (one
+    N x N product, O(N^2) memory); the N^2 x N^2 joint state is never
+    formed. delta_t may be negative (time reversal). The gated sigma is
+    exactly Hermitian, and so is the map's output, with no hermitizing;
+    trace and positivity are preserved by construction. sigma passes
+    ``require_density``, delta_t
     ``swapop._require_finite_time`` and the source the gate of
     ``oracle.read_hermitian`` before the step's sweep.
     """
     sigma = require_density(sigma, oracle.dim)
     _require_finite_time(delta_t)
-    return hermitize(_read_once(oracle, 1).channel_map(delta_t)(sigma))
+    return _read_once(oracle, 1).channel_map(delta_t)(sigma)
 
 
 def _gate(oracle: MatrixOracle, sigma):
@@ -200,7 +209,7 @@ def evolve(oracle: MatrixOracle, sigma, t: float, epsilon: float, steps: int | N
     for done in range(0, n, chunk):
         k = min(chunk, n - done)
         for j in range(k):
-            buf[j + 1] = hermitize(step(buf[j]))
+            buf[j + 1] = step(buf[j])
         errs = trace_norms(buf[1:k + 1] - u_dt @ buf[:k] @ u_dt_h)
         worst_step = max(worst_step, float(errs.max()))
         buf[0] = buf[k]
@@ -261,7 +270,7 @@ def error_sweep(oracle: MatrixOracle, sigma, delta_ts) -> SweepResult:
     rows = []
     for dt, bound in zip(dts, bounds):
         u = unitary_from_eigh(w, v, dt)
-        after = hermitize(plan.channel_map(dt)(sigma))
+        after = plan.channel_map(dt)(sigma)
         err = float(trace_norms(after - u @ sigma @ u.conj().T))
         rows.append(SweepRow(delta_t=dt, measured_error=err, bound=bound))
     xs = np.log([r.delta_t for r in rows])

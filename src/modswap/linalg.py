@@ -16,10 +16,16 @@ array that has already passed ``as_matrix``: ``require_hermitian`` and
 on the oracle's source, checked when the oracle was built, before its sweep
 charges any query. ``require_state`` is the one gate of every state vector
 the library takes; it refuses, never fixes, a norm off 1. ``trace_norms``
-is the one trace-norm kernel: ``nuclear_norm`` runs it behind the Hermitian
-check, since every error measured here is the trace norm of a difference of
-Hermitian matrices, and ``evolve`` runs it ungated on stacks of step
-differences, ``error_sweep`` on each dt's difference. The random ensembles
+is the one trace-norm kernel, and it too reads only the upper triangle:
+``nuclear_norm`` runs it behind the Hermitian check, since every error
+measured here is the trace norm of a difference of Hermitian matrices, and
+``evolve`` runs it ungated on stacks of step differences, ``error_sweep`` on
+each dt's difference. ``MAX_BYTES`` is the one byte budget: ``_require_bytes``
+refuses an allocation past it before the work that would make it, for the
+phase-estimation backends and for ``haar_unitary``. ``unit_scale``
+scales an array by the power of two that brings its largest modulus into
+[1/2, 1), so a norm or a Lanczos run of a source near either end of the
+float range neither overflows nor underflows. The random ensembles
 are the paper's test matrices: low rank, with eigenvalues Theta(N).
 """
 
@@ -28,9 +34,16 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+MAX_BYTES = 1 << 29  # largest array set a pipeline or generator allocates, checked first
 STATE_NORM_TOL = 1e-9
 # singular values at or below RANK_CUT times the largest count as zero
 RANK_CUT = 1e-10
+
+
+def _require_bytes(needed: int, what: str, remedy: str) -> None:
+    """ValueError naming ``what`` if it needs more than MAX_BYTES bytes."""
+    if needed > MAX_BYTES:
+        raise ValueError(f"{what} needs {needed} bytes (> {MAX_BYTES}); {remedy}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -45,6 +58,22 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or infinity")
     return a
+
+
+def unit_scale(a):
+    """(A 2^-e, e) for a complex array A, e = ``frexp(max |A_jk|)[1]``.
+
+    The largest modulus of the new complex128 array lies in [1/2, 1), so
+    its squares neither overflow nor underflow to 0. ``ldexp`` on each part,
+    not a product: 2^-e overflows for a subnormal A. Scaling by a power of
+    two is exact in binary floating point, so A times any 2^k gives the
+    same array bit for bit and e + k.
+    """
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    out = np.array(a, dtype=np.complex128)
+    for part in (out.real, out.imag):
+        np.ldexp(part, -e, out=part)
+    return out, e
 
 
 def hermiticity_residual(a: np.ndarray) -> float:
@@ -135,21 +164,22 @@ def embedding(a: np.ndarray) -> np.ndarray:
 
 
 def trace_norms(d: np.ndarray) -> np.ndarray:
-    """Sum of |eigenvalues| of hermitize(D), for each matrix of the last two axes.
+    """Sum of |eigenvalues| of hermitian_from_upper(D), for each matrix of the last two axes.
 
-    The ungated kernel behind ``nuclear_norm``: no finiteness, shape or
-    Hermiticity check, so a caller passes a (stack of) square difference(s)
-    of Hermitian matrices. A stack gives each matrix's value bit for bit as
-    a call on that matrix alone.
+    ``eigvalsh`` reads D's upper triangle and the real part of its diagonal
+    alone, so no Hermitian copy is made. The ungated kernel behind
+    ``nuclear_norm``: no finiteness, shape or Hermiticity check, so a caller
+    passes a (stack of) square difference(s) of Hermitian matrices. A stack
+    gives each matrix's value bit for bit as a call on that matrix alone.
     """
-    return np.sum(np.abs(np.linalg.eigvalsh(hermitize(d))), axis=-1)
+    return np.sum(np.abs(np.linalg.eigvalsh(d, UPLO="U")), axis=-1)
 
 
 def nuclear_norm(a) -> float:
     """``trace_norms`` of A, whose gate refuses any A that ``require_hermitian`` refuses.
 
-    The gate only checks: the norm is that of hermitize(A), not of the
-    matrix ``require_hermitian`` returns.
+    The norm is that of the matrix ``require_hermitian`` returns,
+    ``hermitian_from_upper(A)``.
     """
     return float(trace_norms(check_hermitian(as_matrix(a))))
 
@@ -179,8 +209,10 @@ def exact_evolution(a, t: float, sigma) -> np.ndarray:
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix.
 
-    The R diagonal is phase-fixed so the distribution is exactly Haar.
+    The R diagonal is phase-fixed so the distribution is exactly Haar. An n
+    whose n x n complex array exceeds ``MAX_BYTES`` is refused before any draw.
     """
+    _require_bytes(16 * int(n) ** 2, f"a {n} x {n} Haar unitary", "reduce n")
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

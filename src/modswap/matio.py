@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, unit_scale
 
 
 def matrix_to_json_obj(a) -> dict:
@@ -309,10 +309,15 @@ def load_state(path) -> np.ndarray:
 
 
 def _state_from_matrix(a) -> np.ndarray:
-    """The normalized pure state a loaded single-column (or single-row) matrix holds."""
+    """The normalized pure state a loaded single-column (or single-row) matrix holds.
+
+    Normalized after ``linalg.unit_scale``, so entries near either end of
+    the float range neither overflow nor underflow the norm; the scaling is
+    exact, so any other state is the same bits.
+    """
     if 1 not in a.shape:
         raise ValueError(f"state file must be a vector, got shape {a.shape}")
-    psi = a.reshape(-1)
+    psi, _ = unit_scale(a.reshape(-1))
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("state file holds the zero vector")

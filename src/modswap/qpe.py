@@ -25,7 +25,8 @@ Two interchangeable backends:
   |<v_l|psi>|^2. ``_spectral_measure`` takes that measure from Lanczos
   from psi, at most rank(A) + 1 matrix-vector products with a stated bound
   on the change in p, and takes ``eigh`` of the read only past N // 8
-  steps. The mass matrix, 2^bits x N at most, is capped by ``MAX_BYTES``.
+  steps. The mass matrix, 2^bits x N at most, is capped by
+  ``linalg.MAX_BYTES``.
 * ``trotter-channel``: each controlled power is realized by repeated
   ancilla-assisted channel steps (fresh uniform ancilla per step, one
   counted oracle sweep per step). Every step reads the same matrix, so one
@@ -36,12 +37,15 @@ Two interchangeable backends:
   any stage runs, so a step count or bound past the float range fails
   after that one read and before any stage work. A stage is one matrix
   power of the channel's N^2 x N^2 transfer matrix over its planned steps.
-  The uniform register state and the Fourier phase factor over register
-  bits, so the backend evolves one N x N operator per register frequency,
-  from psi psi^dagger, and p(y) is its trace; no register x system density
-  is built. ``MAX_BYTES`` caps 16 * (3 * 2^bits * N^2 + 2 * 2^bits + 6 * N^4)
-  bytes: three stacks of those operators, the register phases, and the
-  transfer matrix with its power.
+  The operators it acts on are not Hermitian, and ``channel_map`` takes
+  only Hermitian ones, so ``swapop._transfer_matrix`` writes that matrix
+  from the Kraus factors. The uniform register state and the Fourier phase
+  factor over register bits, so the backend evolves one N x N operator per
+  register frequency, from psi psi^dagger, and p(y) is its trace; no
+  register x system density is built. ``linalg.MAX_BYTES`` caps
+  16 * (3 * 2^bits * N^2 + 2 * 2^bits + 6 * N^4) bytes: three stacks of
+  those operators, the register phases, and the transfer matrix with its
+  power.
 
 ``_branch_masses`` sums the same mass matrix over the sign-bit windows
 decoded >= threshold and decoded <= -threshold; the svd and Procrustes
@@ -59,12 +63,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import plan_steps
-from .linalg import require_state
+from .linalg import MAX_BYTES, _require_bytes, require_state, unit_scale
 from .oracle import MatrixOracle, read_hermitian
-from .swapop import ModifiedSwapOperator, _kraus_map
+from .swapop import ModifiedSwapOperator, _transfer_matrix
 
 PEAK_MIN_WEIGHT = 0.01
-MAX_BYTES = 1 << 29  # largest array set either backend allocates, checked before any query
 # bound on each |Delta p(y)| at which Lanczos stops (``_spectral_measure``)
 MEASURE_TOL = 1e-12
 
@@ -170,11 +173,6 @@ def _base_time(config: QPEConfig, max_norm: float) -> float:
     return t0
 
 
-def _require_bytes(needed: int, what: str) -> None:
-    if needed > MAX_BYTES:
-        raise ValueError(f"{what} needs {needed} bytes (> {MAX_BYTES}); reduce bits or N")
-
-
 def _read_exact(read, dim: int, config: QPEConfig):
     """The exact readouts' one counted read of a dim x dim Hermitian matrix.
 
@@ -189,7 +187,8 @@ def _read_exact(read, dim: int, config: QPEConfig):
     if config.backend != "exact-unitary":
         raise ValueError("this readout runs on the exact-unitary backend only, "
                          f"not '{config.backend}'")
-    _require_bytes(8 * config.size * dim, "exact backend register kernel mass")
+    _require_bytes(8 * config.size * dim, "exact backend register kernel mass",
+                   "reduce bits or N")
     a = read()
     return a, _base_time(config, float(np.max(np.abs(a))))
 
@@ -207,7 +206,7 @@ def _spectral_measure(a, psi, size: int, t0: float):
     orthogonality as Ritz values converge, and a rank-10 A at N = 128 does
     not break down within the step cap.
 
-    Scale. Lanczos and ``eigh`` run on A / 2^e, e = ``frexp(max |A_jk|)[1]``,
+    Scale. Lanczos and ``eigh`` run on A / 2^e from ``linalg.unit_scale``,
     with t0 2^e in the stop rule and the nodes multiplied back by 2^e.
     Both scalings are exact in binary floating point, and A / 2^e is the
     same matrix for A times any 2^k, so such a source gives the same
@@ -231,10 +230,7 @@ def _spectral_measure(a, psi, size: int, t0: float):
     rounding to meet the bound.
     """
     n = psi.size
-    e = int(np.frexp(np.max(np.abs(a)))[1])
-    a = np.array(a, dtype=np.complex128)
-    for part in (a.real, a.imag):  # ldexp, not a product: 2^-e overflows for a subnormal A
-        np.ldexp(part, -e, out=part)
+    a, e = unit_scale(a)
     steps = n // 8
     per_beta = size / 3 * np.ldexp(t0, e) / n
     basis = np.empty((steps + 1, n), dtype=np.complex128)
@@ -366,7 +362,8 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
     size = config.size
     # three operator stacks, the phases and their conjugates, six N^2 x N^2
     _require_bytes(16 * (3 * size * n * n + 2 * size + 6 * n**4),
-                   "trotter backend register-frequency stacks and transfer matrix")
+                   "trotter backend register-frequency stacks and transfer matrix",
+                   "reduce bits or N")
     # Modelled query cost: one counted sweep for a_max, then one per channel
     # step. Every sweep reads the same matrix, so one real read serves the run.
     plan = ModifiedSwapOperator(oracle).build_plan()
@@ -390,11 +387,10 @@ def _trotter_backend(oracle: MatrixOracle, psi, config: QPEConfig):
         # Bit k of register row m and column q selects the channel Phi, M x,
         # x M† or x (M = sum_a K_a / sqrt(N)); weighted by omega^(y 2^k (m - q))
         # the four sum to one map per frequency. One Kraus factorisation
-        # serves both M and Phi's transfer matrix.
+        # serves both M and Phi's transfer matrix, written from the factors.
         c, s = plan.kraus_factors(dt)
         m_pow = np.linalg.matrix_power((np.diag(c.sum(axis=0)) + s) / n, steps)
-        transfer = _kraus_map(c, s)(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
-        p_pow = np.linalg.matrix_power(transfer, steps)
+        p_pow = np.linalg.matrix_power(_transfer_matrix(c, s), steps)
         np.matmul(x.reshape(size, n * n), p_pow, out=out.reshape(size, n * n))
         out += x
         out += np.multiply(omega, np.matmul(m_pow, x, out=tmp), out=tmp)

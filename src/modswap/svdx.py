@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RANK_CUT, as_matrix, embedding, hermitize, is_hermitian
+from .linalg import RANK_CUT, as_matrix, embedding, hermitize, is_hermitian, unit_scale
 from .oracle import MatrixOracle
 from .qpe import QPEConfig, _branch_masses, _read_exact
 
@@ -111,8 +111,14 @@ class SVDResult(NamedTuple):
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
 
     def residual(self, a) -> float:
-        a = as_matrix(a)
-        return float(np.linalg.norm(a - self.reconstruct()))
+        """Frobenius norm of A minus the reconstruction.
+
+        Taken on the difference scaled by ``linalg.unit_scale`` and scaled
+        back, so a source near the float range does not overflow its squares;
+        the scaling is exact, so any other residual is the same bits.
+        """
+        r, e = unit_scale(as_matrix(a) - self.reconstruct())
+        return float(np.ldexp(np.linalg.norm(r), e))
 
 
 def _read_branches(base: MatrixOracle, config: QPEConfig, threshold: float):

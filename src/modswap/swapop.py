@@ -25,10 +25,13 @@ every block at time t form two N x N factors (``kraus_factors``). Viewing a
 doubled-space vector as X[p, q], the exponential is C o X + S^T o X^T. The
 same factors give the uniform-ancilla channel step in closed form: each
 Kraus operator is a diagonal plus one column, so ``channel_map`` builds
-those factors once for a fixed time and returns the whole Kraus sum as a
-map of a few N x N products, to be applied to many states; it never forms
-the N^2 x N^2 joint state. ``conjugate`` and the dense ``kraus`` stack
-remain as references. ``build_plan``'s ``read_hermitian`` is the source's
+those factors once for a fixed time and returns the whole Kraus sum on an
+exactly Hermitian state as a map of one N x N product, whose output is
+exactly Hermitian again; it never forms the N^2 x N^2 joint state.
+``_transfer_matrix`` writes the same channel on every N x N matrix, the
+N^2 x N^2 transfer matrix that trotter phase estimation raises to powers,
+from the factors. ``conjugate`` and the dense ``kraus`` stack remain as
+references. ``build_plan``'s ``read_hermitian`` is the source's
 one gate, so a source that is not square or not Hermitian raises
 ``ValueError`` before the plan's sweep (the oracle refused a non-finite
 one when it was built). ``apply_exp`` and ``controlled_apply_exp`` check
@@ -43,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import require_state
+from .linalg import hermitian_from_upper, require_state
 from .oracle import MatrixOracle, read_hermitian
 
 
@@ -99,7 +102,12 @@ class BlockPlan(NamedTuple):
         sines -i (A[s,a] / |A[s,a]|) sin(|A[s,a]| t), with S[a, a] = 0.
         """
         mag = np.abs(self.a)
-        unit = np.where(mag > 0, self.a / np.where(mag > 0, mag, 1.0), 1.0)
+        # the unit phase A / |A|, part by part: a complex quotient takes 1 / |A|,
+        # which overflows for a subnormal |A_jk|
+        unit = np.ones_like(self.a)
+        nonzero = mag > 0
+        np.divide(self.a.real, mag, out=unit.real, where=nonzero)
+        np.divide(self.a.imag, mag, out=unit.imag, where=nonzero)
         c = np.cos(mag * t).astype(np.complex128)
         s = -1j * unit * np.sin(mag * t)
         np.fill_diagonal(c, np.exp(-1j * self.a.diagonal() * t))
@@ -117,31 +125,59 @@ class BlockPlan(NamedTuple):
     def channel_map(self, t: float):
         """The channel step at time t as a function x -> sum_a K_a x K_a†.
 
-        One ``kraus_factors`` call; see ``_kraus_map`` for the returned map.
+        Its domain is exactly Hermitian x over the last two axes (further
+        axes are batch axes), and its output is exactly Hermitian with a
+        real diagonal. One ``kraus_factors`` call; see ``_kraus_map``.
         """
         return _kraus_map(*self.kraus_factors(t))
 
 
 def _kraus_map(c: np.ndarray, s: np.ndarray):
-    """x -> sum_a K_a x K_a† for the factors (C, S) of ``BlockPlan.kraus_factors``.
+    """x -> sum_a K_a x K_a† on exactly Hermitian x, for the factors (C, S) of
+    ``BlockPlan.kraus_factors``.
 
-    The factors' products (C^T, C̄, C^T C̄, S, S^H) are built once here; each
-    call of the returned function then expands the diagonal-plus-column
-    Kraus operators into four terms,
-    ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N,
-    over the last two axes of x in O(N^3) per matrix. Leading axes of x are
-    batch axes.
+    Expanded, the diagonal-plus-column Kraus operators give four terms,
+    ((C^T C̄) o x + (C^T o x) S^H + S (C̄ o x) + S diag(x) S^H) / N. For
+    Hermitian x the third is the adjoint of the second, and S diag(x) S^H
+    is the sum of its half and that half's adjoint, so the map is
+    Ĉ o x + (Z + Z^H) with Ĉ = ``hermitian_from_upper``(C^T C̄) / N and
+    Z = (C^T o x + S diag(x) / 2) S^H / N, where S diag(x) scales column a
+    of S by x_aa: one N x N product per matrix. Ĉ, C^T, S / 2 and S^H / N
+    are built once here. Every mirrored pair of the output is the conjugate
+    of the same operands, so the output is exactly Hermitian.
     """
-    ct, cbar, sh, n = c.T, c.conj(), s.conj().T, c.shape[0]
-    ctc = ct @ cbar
+    n = c.shape[0]
+    ct, s_half, sh_n = c.T, s / 2, s.conj().T / n
+    c_hat = hermitian_from_upper(ct @ c.conj()) / n
 
     def apply(x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
-        out = ctc * x + (ct * x) @ sh + s @ (cbar * x)
-        out += (s * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh
-        return out / n
+        z = (ct * x + s_half * np.diagonal(x, axis1=-2, axis2=-1)[..., None, :]) @ sh_n
+        z += z.swapaxes(-1, -2).conj()
+        z += c_hat * x
+        return z
 
     return apply
+
+
+def _transfer_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The N^2 x N^2 transfer matrix of sum_a K_a x K_a† on every N x N x.
+
+    Row k N + l is vec of the image of E_kl, the four terms of ``_kraus_map``
+    on that basis matrix, over N: (C^T C̄)_kl at (k, l), (C^T)_kl S^H[l, :]
+    along row k, S[:, k] C̄_kl along column l, and S[:, k] S^H[k, :] when
+    k = l. So a row-major vec(x) times it is vec of the image of x.
+    """
+    n = c.shape[0]
+    ct, cbar, sh = c.T, c.conj(), s.conj().T
+    d = np.arange(n)
+    k, l = d[:, None], d[None, :]
+    t = np.zeros((n, n, n, n), dtype=np.complex128)
+    t[k, l, k, :] = ct[:, :, None] * sh[None, :, :]
+    t[k, l, :, l] += cbar[:, :, None] * s.T[:, None, :]
+    t[k, l, k, l] += ct @ cbar
+    t[d, d] += s.T[:, :, None] * sh[:, None, :]
+    return t.reshape(n * n, n * n) / n
 
 
 class ModifiedSwapOperator:

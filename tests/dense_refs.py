@@ -57,7 +57,7 @@ from modswap.qpe import (
     _read_exact,
     _register_mass,
 )
-from modswap.swapop import ModifiedSwapOperator, _kraus_map
+from modswap.swapop import ModifiedSwapOperator
 
 
 def dense_swap(a: np.ndarray) -> np.ndarray:
@@ -126,7 +126,10 @@ def pair_fields(a: np.ndarray):
 
 def _pair_rotation(offdiag: np.ndarray, t: float):
     mag = np.abs(offdiag)
-    unit = np.where(mag > 0, offdiag / np.where(mag > 0, mag, 1.0), 1.0)
+    unit = np.ones_like(offdiag)
+    nonzero = mag > 0
+    unit.real[nonzero] = offdiag.real[nonzero] / mag[nonzero]
+    unit.imag[nonzero] = offdiag.imag[nonzero] / mag[nonzero]
     return np.cos(mag * t), np.sin(mag * t), unit
 
 
@@ -198,8 +201,10 @@ def trotter_by_blocks(oracle, psi, config):
 
     The (2^b N)^2 density is kept as blocks[m, q]; each stage maps its control
     on/on, on/off and off/on blocks through ``np.ix_`` masks, and the register
-    Fourier step is an FFT pair before the trace of each diagonal block. It
-    reads and charges the oracle as ``qpe._trotter_backend`` does.
+    Fourier step is an FFT pair before the trace of each diagonal block. Each
+    stage's transfer matrix comes from the dense Kraus stack ``plan.kraus``,
+    not from the backend's ``swapop._transfer_matrix``. It reads and charges
+    the oracle as ``qpe._trotter_backend`` does.
     """
     n = oracle.dim
     size = config.size
@@ -220,7 +225,9 @@ def trotter_by_blocks(oracle, psi, config):
         oracle.charge_sweeps(steps)
         c, s = plan.kraus_factors(dt)
         m_pow = np.linalg.matrix_power((np.diag(c.sum(axis=0)) + s) / n, steps)
-        transfer = _kraus_map(c, s)(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
+        kraus = plan.kraus(dt)
+        # transfer[(k, l), (i, j)] = sum_a K_a[i, k] conj(K_a[j, l]), from the dense stack
+        transfer = np.einsum("aik,ajl->klij", kraus, kraus.conj()).reshape(n * n, n * n)
         p_pow = np.linalg.matrix_power(transfer, steps).reshape(n, n, n, n)
         on = (np.arange(size) >> k) & 1 == 1
         on_on, on_off, off_on = np.ix_(on, on), np.ix_(on, ~on), np.ix_(~on, on)

@@ -127,6 +127,24 @@ def test_qpe_envelope(tmp_path):
     assert env["oracle_calls"] == 3  # one counted upper-triangle read
 
 
+@pytest.mark.parametrize("k", [600, -600])
+def test_qpe_state_file_scaled_by_a_power_of_two_gives_the_same_results(tmp_path, k):
+    # psi = A 1 for a random low-rank A; psi 2^600 used to overflow the norm's
+    # squares, and psi 2^-600 to underflow them to the zero vector
+    a = random_low_rank(8, 2, np.random.default_rng(7))
+    matrix = tmp_path / "a.json"
+    save_matrix(matrix, a)
+    psi = (a @ np.ones(8)).reshape(-1, 1)
+    results = []
+    for scale in (1.0, 2.0**k):
+        state, out = tmp_path / "psi.json", tmp_path / "qpe.json"
+        save_matrix(state, psi * scale)
+        assert main(["qpe", "--matrix", str(matrix), "--state", str(state),
+                     "--bits", "6", "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[1] == results[0]
+
+
 def test_qpe_generator_source(tmp_path):
     out = tmp_path / "qpe.json"
     assert main(["qpe", "--generator", "random-lowrank:n=4,r=2,seed=9",
@@ -602,16 +620,16 @@ def test_exact_memory_guard_boundary_exits_2_before_any_query(tmp_path, monkeypa
 
     for name in ("query", "read_upper_triangle", "read_all"):
         monkeypatch.setattr(MatrixOracle, name, counting(getattr(MatrixOracle, name)))
-    qpe_module = importlib.import_module("modswap.qpe")
+    linalg_module = importlib.import_module("modswap.linalg")
     needed = 8 * (1 << bits) * d
     out = tmp_path / "o.json"
 
-    monkeypatch.setattr(qpe_module, "MAX_BYTES", needed)
+    monkeypatch.setattr(linalg_module, "MAX_BYTES", needed)
     assert main([*argv, "--out", str(out)]) == 0
     assert out.exists() and reads
     out.unlink()
     reads.clear()
-    monkeypatch.setattr(qpe_module, "MAX_BYTES", needed - 1)
+    monkeypatch.setattr(linalg_module, "MAX_BYTES", needed - 1)
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists() and not reads
 

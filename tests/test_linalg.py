@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,22 @@ def test_random_low_rank_rejects_bad_rank():
         random_low_rank(4, 5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("spare", [0, -1])
+def test_haar_unitary_refuses_a_size_past_the_byte_budget_before_any_draw(monkeypatch, spare):
+    # a budget of exactly 16 n^2 bytes draws; one byte less is refused, and the
+    # generator is left untouched
+    monkeypatch.setattr(importlib.import_module("modswap.linalg"), "MAX_BYTES",
+                        16 * 5 * 5 + spare)
+    rng = np.random.default_rng(3)
+    if spare == 0:
+        assert haar_unitary(5, rng).shape == (5, 5)
+        return
+    with pytest.raises(ValueError, match=r"^a 5 x 5 Haar unitary needs 400 bytes "
+                                         r"\(> 399\); reduce n$"):
+        haar_unitary(5, rng)
+    assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
+
+
 def test_random_low_rank_max_element_statistic():
     # typical element grows like sqrt(r); the median of the max element
     # over 100 draws should sit within a loose constant of that.
@@ -187,7 +205,7 @@ def test_nuclear_norm_rejects_non_hermitian_and_non_square():
 def _hermitian_of_kind(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "random":
         return random_hermitian(n, rng)
-    if kind == "nearly":  # within nuclear_norm's gate, hermitized by the kernel
+    if kind == "nearly":  # within nuclear_norm's gate, read from its upper triangle
         noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return random_hermitian(n, rng) + 1e-13 * noise
     if kind == "diagonal":
@@ -210,6 +228,6 @@ def test_trace_norms_on_a_stack_equal_per_matrix_nuclear_norm(n, size, seed, kin
     got = trace_norms(stack)
     assert got.shape == (size,)
     assert got.tolist() == [nuclear_norm(m) for m in stack]
-    halves = hermitize(stack)
-    for m, half in zip(stack, halves):
-        assert np.array_equal(half, (m + m.conj().T) / 2)
+    # the norm of the matrix the upper triangle defines, with no copy made of it
+    assert got.tolist() == [
+        np.sum(np.abs(np.linalg.eigvalsh(hermitian_from_upper(m), UPLO="U"))) for m in stack]

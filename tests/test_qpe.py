@@ -694,7 +694,7 @@ def test_trotter_memory_guard_boundary(monkeypatch, spare):
     # exactly that runs, one byte less is refused before any query
     n, bits = 3, 4
     size = 1 << bits
-    monkeypatch.setattr(importlib.import_module("modswap.qpe"), "MAX_BYTES",
+    monkeypatch.setattr(importlib.import_module("modswap.linalg"), "MAX_BYTES",
                         16 * (3 * size * n * n + 2 * size + 6 * n**4) + spare)
     oracle = MatrixOracle(random_hermitian(n, np.random.default_rng(2)))
     cfg = QPEConfig(bits=bits, backend="trotter-channel", trotter_epsilon=0.1)
@@ -712,7 +712,7 @@ def test_backend_agreement_charges_its_oracle_after_the_trotter_guard(monkeypatc
     # calls, and one byte less refuses it before its exact run reads the source
     n, bits = 3, 4
     size = 1 << bits
-    monkeypatch.setattr(importlib.import_module("modswap.qpe"), "MAX_BYTES",
+    monkeypatch.setattr(importlib.import_module("modswap.linalg"), "MAX_BYTES",
                         16 * (3 * size * n * n + 2 * size + 6 * n**4) + spare)
     a = random_hermitian(n, np.random.default_rng(2))
     oracle, psi = MatrixOracle(a), np.array([1, 0, 0], dtype=complex)
@@ -802,7 +802,11 @@ def test_trotter_backend_equals_block_reference(n, bits, seed, kind, epsilon, ne
     got_oracle, want_oracle = MatrixOracle(a), MatrixOracle(a)
     dist, got_t0, bound = _trotter_backend(got_oracle, psi, cfg)
     _, want, want_t0, want_bound = trotter_by_blocks(want_oracle, psi, cfg)
-    np.testing.assert_allclose(dist, want, rtol=0, atol=1e-12)
+    # the two transfer matrices round apart by a few ulp (closed form against
+    # the dense Kraus stack), and a stage's power of s steps carries that
+    # difference s times, so the agreement is bounded by the run's step count
+    steps = got_oracle.report_calls() // (n * (n + 1) // 2) - 1
+    np.testing.assert_allclose(dist, want, rtol=0, atol=1e-12 + 4 * steps * 2.0**-52)
     assert (got_t0, bound) == (want_t0, want_bound)
     assert got_oracle.report_calls() == want_oracle.report_calls()
 

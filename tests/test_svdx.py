@@ -190,6 +190,17 @@ def test_quantum_svd_two_by_two_real():
     )
 
 
+def test_residual_is_exact_under_power_of_two_scaling():
+    # the squares of 2^600-sized entries overflow; the scaled norm does not,
+    # and scaling by 2^k is exact, so the residual scales bit for bit
+    rng = np.random.default_rng(5)
+    a = random_low_rank_rect(3, 5, 2, rng)
+    result = quantum_svd(_oracle(a), QPEConfig(bits=10), threshold=0.02)
+    scaled = result._replace(singular_values=result.singular_values * 2.0**600)
+    assert scaled.residual(a * 2.0**600) == np.ldexp(result.residual(a), 600)
+    assert result.residual(a) > 0
+
+
 def test_quantum_svd_rectangular_random():
     rng = np.random.default_rng(5)
     a = random_low_rank_rect(3, 5, 2, rng)

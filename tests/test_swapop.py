@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from modswap.channel import channel_step
+from modswap.channel import channel_step, require_density
+from modswap.linalg import hermitize
 from modswap.oracle import MatrixOracle
-from modswap.swapop import ModifiedSwapOperator
+from modswap.swapop import ModifiedSwapOperator, _transfer_matrix
 
 from dense_refs import (
     RecordingOracle,
@@ -315,7 +316,26 @@ def test_channel_matches_joint_state_and_kraus_sum(kind, seed):
     np.testing.assert_allclose(got, channel_via_joint(plan, sigma, dt), atol=1e-13)
     k = plan.kraus(dt)
     np.testing.assert_allclose(got, sum(km @ sigma @ km.conj().T for km in k), atol=1e-13)
-    # leading axes are batch axes; the map is linear, so any matrices will do
-    x = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    # leading axes are batch axes of exactly Hermitian matrices, the map's domain
+    x = hermitize(rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n)))
     want = np.einsum("ast,bctu,avu->bcsv", k, x, k.conj())
     np.testing.assert_allclose(plan.channel_map(dt)(x), want, atol=1e-13)
+    # the transfer matrix on every N x N matrix: row k N + l is vec of the image of E_kl
+    transfer = np.einsum("aik,ajl->klij", k, k.conj()).reshape(n * n, n * n)
+    np.testing.assert_allclose(_transfer_matrix(*plan.kraus_factors(dt)), transfer,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "stacked"])
+@pytest.mark.parametrize("n", range(1, 34))
+def test_chained_channel_steps_stay_exactly_hermitian(n, batch):
+    # bit for bit: every state equals its conjugate transpose, diagonal imaginary part 0
+    rng = np.random.default_rng(n)
+    a = random_hermitian(n, rng)
+    step = _op(a).build_plan().channel_map(0.4 / np.max(np.abs(a)))
+    x = np.stack([require_density(random_density(n, rng), n)
+                  for _ in range(int(np.prod(batch)))]).reshape(batch + (n, n))
+    for _ in range(50):
+        x = step(x)
+        assert np.array_equal(x, x.swapaxes(-1, -2).conj())
+        assert not np.diagonal(x, axis1=-2, axis2=-1).imag.any()
